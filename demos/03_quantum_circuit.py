@@ -25,7 +25,9 @@ params = rng.uniform(-np.pi, np.pi, config.n_params)
 features = rng.uniform(0, 1, 34)
 epi = rng.uniform(0, 1, 2)
 
-expectations = qs.full_forward(features, epi, params)
+# the batched training kernel, derived from the circuit's gate list
+kernel = qs.ModelKernel(config)
+expectations = kernel.expectations(params, features, epi)[0]
 print("Z expectations of the five main qubits:", expectations.round(4))
 
 # exact two-term parameter-shift gradient of one angle
@@ -38,7 +40,7 @@ h = 1e-4
 pp, pm = params.copy(), params.copy()
 pp[0] += h
 pm[0] -= h
-fd = (qs.full_forward(features, epi, pp) - qs.full_forward(features, epi, pm)) / (2 * h)
+fd = (kernel.expectations(pp, features, epi) - kernel.expectations(pm, features, epi))[0] / (2 * h)
 print("same by central differences:      ", fd.round(5))
 
 # shot-sampled estimates converge to the analytic values
@@ -47,10 +49,9 @@ bits = qs.sample_bitstrings(state, 100_000, rng, qubits=circuit.measured)
 print("100k-shot estimates:              ",
       (1 - 2 * bits.mean(axis=0)).round(3))
 
-# the batched kernel used in training gives the same numbers
-kernel = qs.ModelKernel(config)
-batch = kernel.expectations(params, features[None], epi[None])[0]
-print("training-kernel forward agrees to", np.abs(batch - expectations).max())
+# the generic per-gate engine on the whole circuit gives the same numbers
+generic = qs.measured_expectations(circuit, state)
+print("generic-engine forward agrees to", np.abs(generic - expectations).max())
 
 text = qs.export_qasm3(circuit, params, bound)
 (out / "circuit.qasm").write_text(text)

@@ -8,10 +8,9 @@ Fisher information, OpenQASM 3 export).
 
 from .dyngraph import (
     BudgetExhausted, CityGraph, DynamicState, GraphError, Scenario, StateError,
-    advance, apply_initial_quake, base_travel_time, damage_radius, edge_center,
-    exit_radius, initial_state, load_graph, load_scenario, pick_exits,
-    random_scenario, save_graph, save_scenario, step_quake, step_traffic,
-    synth_city,
+    advance, apply_initial_quake, damage_radius, exit_radius, initial_state,
+    load_graph, load_scenario, pick_exits, random_scenario, save_graph,
+    save_scenario, step_quake, step_traffic, synth_city,
 )
 from .oracle import (
     NoPathError, Path, arrival_rate, better_or_equal_rate, dijkstra,
@@ -23,10 +22,8 @@ from .features import (
 )
 from .qsim import (
     BindingError, Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,
-    StateVector, apply_gate, bel_layer, build_film_circuit, build_main_circuit,
-    build_model_circuit, expectation_z, export_qasm3, film_section, full_forward,
-    main_section, param_shift_grad, prob_grad, probabilities, run,
-    sample_bitstrings,
+    build_model_circuit, expectation_z, export_qasm3, param_shift_grad,
+    prob_grad, probabilities, run, sample_bitstrings,
 )
 from .neural import (
     AdamState, ClassicalFilmNet, adam_step, cross_entropy, kaiming_uniform,

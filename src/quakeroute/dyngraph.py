@@ -77,6 +77,13 @@ class CityGraph:
             raise GraphError("duplicate undirected edges")
         if edges.size and edges.max() >= len(xy):
             raise GraphError("edge endpoint out of range")
+        for name in ("length_m", "speed_kmh"):
+            values = np.asarray(getattr(self, name), float)
+            if values.shape != (len(edges),):
+                raise GraphError(f"{name} must hold one value per edge")
+            if not (np.isfinite(values) & (values > 0)).all():
+                raise GraphError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, values)
         adjacency = [[] for _ in range(len(xy))]
         for e, (u, v) in enumerate(edges):
             adjacency[u].append((int(v), e))
@@ -148,15 +155,8 @@ def exit_radius(t: int | float) -> float:
     return math.sqrt(EXIT_RADIUS_RATE * t)
 
 
-def edge_center(graph: CityGraph, edge: tuple[int, int]) -> tuple[float, float]:
-    """Midpoint of an edge, used as its position for all distance bands."""
-    u, v = edge
-    e = graph.edge_index(int(u), int(v))
-    c = (graph.xy[graph.edges[e, 0]] + graph.xy[graph.edges[e, 1]]) / 2.0
-    return float(c[0]), float(c[1])
-
-
 def edge_centers(graph: CityGraph) -> np.ndarray:
+    """Edge midpoints, used as the edges' positions for all distance bands."""
     return (graph.xy[graph.edges[:, 0]] + graph.xy[graph.edges[:, 1]]) / 2.0
 
 
@@ -201,21 +201,6 @@ def initial_state(graph: CityGraph, scenario: Scenario, sigma_frac: float = 0.1)
     return DynamicState(graph, scenario, weights)
 
 
-def base_travel_time(length_m: float, speed_kmh: float, sigma_frac: float,
-                     rng: np.random.Generator | None = None) -> float:
-    """One sampled travel time in minutes, floored at 10% of nominal."""
-    if length_m <= 0 or speed_kmh <= 0:
-        raise GraphError("length and speed must be positive")
-    if sigma_frac < 0:
-        raise GraphError("sigma_frac must be non-negative")
-    nominal = (length_m / 1000.0) / speed_kmh * 60.0
-    if sigma_frac == 0.0:
-        return nominal
-    if rng is None:
-        raise GraphError("an rng is required when sigma_frac > 0")
-    return float(max(rng.normal(nominal, sigma_frac * nominal), 0.1 * nominal))
-
-
 def _band_masks(dist: np.ndarray, radius: float, bands: tuple) -> list[np.ndarray]:
     masks = []
     lo = -1.0
@@ -226,13 +211,10 @@ def _band_masks(dist: np.ndarray, radius: float, bands: tuple) -> list[np.ndarra
     return masks
 
 
-def apply_initial_quake(state: DynamicState, epicenter: tuple[float, float] | None = None) -> DynamicState:
+def apply_initial_quake(state: DynamicState) -> DynamicState:
     """One-off static damage multiplication around the epicenter (uncapped)."""
     if state.quake_applied:
         raise StateError("initial quake already applied")
-    if epicenter is not None and tuple(epicenter) != state.scenario.epicenter:
-        centers = edge_centers(state.graph)
-        state._d_epi = np.linalg.norm(centers - np.asarray(epicenter, float), axis=1)
     r = damage_radius(0)
     for mask, factor in zip(_band_masks(state._d_epi, r, QUAKE_BANDS), INITIAL_FACTORS):
         state.weights[mask] *= factor
@@ -263,22 +245,16 @@ def step_quake(state: DynamicState) -> DynamicState:
     return state
 
 
-def step_traffic(state: DynamicState, exits: tuple[int, ...] | None = None) -> DynamicState:
+def step_traffic(state: DynamicState) -> DynamicState:
     """Traffic growth around every exit's circle at the current step."""
-    if exits is None:
-        exits = state.scenario.exits
     r = exit_radius(state.t)
-    for e in exits:
-        d = state._d_exit.get(e)
-        if d is None:
-            centers = edge_centers(state.graph)
-            d = np.linalg.norm(centers - state.graph.xy[e], axis=1)
-            state._d_exit[e] = d
-        _grow_banded(state.weights, d, r, TRAFFIC_BANDS, TRAFFIC_RATES, state.t)
+    for e in state.scenario.exits:
+        _grow_banded(state.weights, state._d_exit[e], r, TRAFFIC_BANDS,
+                     TRAFFIC_RATES, state.t)
     return state
 
 
-def advance(state: DynamicState, exits: tuple[int, ...] | None = None) -> DynamicState:
+def advance(state: DynamicState) -> DynamicState:
     """One world step: quake growth, then traffic growth, then t += 1.
 
     The caller travels one node between calls. Raises BudgetExhausted once
@@ -287,7 +263,7 @@ def advance(state: DynamicState, exits: tuple[int, ...] | None = None) -> Dynami
     if state.t >= state.scenario.max_steps:
         raise BudgetExhausted(f"step budget of {state.scenario.max_steps} exhausted")
     step_quake(state)
-    step_traffic(state, exits)
+    step_traffic(state)
     state.t += 1
     return state
 
@@ -409,11 +385,10 @@ def pick_exits(graph: CityGraph, n_exits: int = 3) -> tuple[int, ...]:
 
 
 def random_scenario(graph: CityGraph, rng: np.random.Generator,
-                    exits: tuple[int, ...] | None = None,
                     max_steps: int | None = None) -> Scenario:
-    """Random epicenter, start and chosen exit; budget defaults to 2x node count."""
-    if exits is None:
-        exits = pick_exits(graph)
+    """Random epicenter, start and chosen exit among the ``pick_exits`` nodes;
+    the step budget defaults to 2x node count."""
+    exits = pick_exits(graph)
     epicenter = (float(rng.uniform()), float(rng.uniform()))
     candidates = [i for i in range(graph.n_nodes) if i not in exits]
     start = int(rng.choice(candidates))

@@ -229,14 +229,14 @@ def _roll_scenario(graph: CityGraph, scenario: Scenario, scenario_id: int,
 
 
 def _scenario_for_index(graph: CityGraph, seed: int, index: int,
-                        exits, max_steps) -> Scenario:
+                        max_steps) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    return dyngraph.random_scenario(graph, rng, exits=exits, max_steps=max_steps)
+    return dyngraph.random_scenario(graph, rng, max_steps=max_steps)
 
 
 def _gen_worker(args) -> list[Sample]:
-    graph, seed, index, exits, max_steps, betweenness, sigma_frac = args
-    scenario = _scenario_for_index(graph, seed, index, exits, max_steps)
+    graph, seed, index, max_steps, betweenness, sigma_frac = args
+    scenario = _scenario_for_index(graph, seed, index, max_steps)
     try:
         return _roll_scenario(graph, scenario, index, betweenness, sigma_frac)
     except oracle.NoPathError as exc:
@@ -245,7 +245,7 @@ def _gen_worker(args) -> list[Sample]:
 
 
 def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
-                     sigma_frac: float = 0.1, exits=None, max_steps=None,
+                     sigma_frac: float = 0.1, max_steps=None,
                      jobs: int = 1) -> Dataset:
     """Oracle-labeled corpus over randomized scenarios, deterministic in the seed.
 
@@ -256,7 +256,7 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = edge_betweenness(graph)
-    tasks = [(graph, seed, i, exits, max_steps, betweenness, sigma_frac)
+    tasks = [(graph, seed, i, max_steps, betweenness, sigma_frac)
              for i in range(n_scenarios)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

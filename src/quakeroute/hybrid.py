@@ -143,23 +143,36 @@ class HybridModel:
 
     @staticmethod
     def load(path: str | FilePath) -> "HybridModel":
+        """Read a ``save`` file; any other key set or array shape is a ValueError."""
         doc = json.loads(FilePath(path).read_text())
-        if doc.get("format") != "quakeroute-checkpoint":
+        if not isinstance(doc, dict) or doc.get("format") != "quakeroute-checkpoint":
             raise ValueError(f"{path} is not a checkpoint file")
-
-        def unpack(entry):
-            return np.asarray(entry["data"], float).reshape(entry["shape"])
-
+        if set(doc) != {"format", "classical_only", "params"}:
+            raise ValueError(f"{path}: checkpoint keys {sorted(doc)} are not "
+                             "format, classical_only and params")
         model = HybridModel(seed=0, classical_only=bool(doc["classical_only"]))
-        for key, entry in doc["params"].items():
+        expected = {f"classical.{k}": v.shape for k, v in model.classical.params.items()}
+        expected.update(quantum=model.quantum_params.shape,
+                        head_w=model.head_w.shape, head_b=model.head_b.shape)
+        params = doc["params"]
+        found = set(params) if isinstance(params, dict) else set()
+        if found != set(expected):
+            raise ValueError(
+                f"{path}: checkpoint parameters missing {sorted(set(expected) - found)}, "
+                f"unexpected {sorted(found - set(expected))}")
+        for key, shape in expected.items():
+            entry = params[key]
+            data = np.asarray(entry["data"], float)
+            if tuple(entry["shape"]) != shape or data.shape != (int(np.prod(shape)),):
+                raise ValueError(f"{path}: parameter {key} has shape {entry['shape']} "
+                                 f"with {data.size} values, expected {list(shape)}")
+            value = data.reshape(shape)
             if key.startswith("classical."):
-                model.classical.params[key.split(".", 1)[1]] = unpack(entry)
+                model.classical.params[key.split(".", 1)[1]] = value
             elif key == "quantum":
-                model.quantum_params = unpack(entry)
-            elif key == "head_w":
-                model.head_w = unpack(entry)
-            elif key == "head_b":
-                model.head_b = unpack(entry)
+                model.quantum_params = value
+            else:  # head_w, head_b
+                setattr(model, key, value)
         return model
 
 
@@ -331,7 +344,7 @@ def _eval_one(model: HybridModel, graph: CityGraph, scenario: Scenario,
 
 def _eval_worker(args) -> PathRecord:
     model, graph, seed, index, sigma_frac, betweenness, max_steps = args
-    scenario = feat._scenario_for_index(graph, seed, index, None, max_steps)
+    scenario = feat._scenario_for_index(graph, seed, index, max_steps)
     return _eval_one(model, graph, scenario, index, sigma_frac, betweenness)
 
 

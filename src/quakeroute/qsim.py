@@ -8,7 +8,9 @@ qubits. Gradients use the exact two-term parameter-shift rule.
 
 States are complex128 arrays of shape (..., 2**n); qubit 0 is the most
 significant bit of the amplitude index. Everything is batched over leading
-axes.
+axes. A (..., 2**k) array may also stand for the last k qubits of an n-qubit
+register: gates on those qubits act on it under the register's own qubit
+indices (the training kernel simulates the main section this way).
 """
 from __future__ import annotations
 
@@ -107,9 +109,8 @@ def zero_state(n_qubits: int, batch_shape: tuple = ()) -> np.ndarray:
 
 
 def _apply_rot(state: np.ndarray, n: int, qubit: int, axis: str, theta) -> np.ndarray:
-    lead = 1 << qubit
     trail = 1 << (n - qubit - 1)
-    s = state.reshape(state.shape[:-1] + (lead, 2, trail))
+    s = state.reshape(state.shape[:-1] + (-1, 2, trail))
     theta = np.asarray(theta)
     half = theta / 2.0
     c = np.cos(half)
@@ -139,7 +140,7 @@ def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 def _apply_cx(state: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    return state[..., _cx_perm(n, control, target)]
+    return state[..., _cx_perm(n, control, target)[:state.shape[-1]]]
 
 
 def _gate_angle(gate: Rot, params, features):
@@ -153,8 +154,13 @@ def _gate_angle(gate: Rot, params, features):
 
 
 def _run_gates(state: np.ndarray, n: int, gates, params, features,
-               override: tuple[int, float] | None = None) -> np.ndarray:
+               override: tuple[int, float] | None = None,
+               cache: list | None = None) -> np.ndarray:
+    """Apply ``gates`` in order; ``cache`` (if given) collects the state before
+    every gate and the final one."""
     for pos, g in enumerate(gates):
+        if cache is not None:
+            cache.append(state)
         if isinstance(g, CNot):
             state = _apply_cx(state, n, g.control, g.target)
             continue
@@ -162,6 +168,8 @@ def _run_gates(state: np.ndarray, n: int, gates, params, features,
         if override is not None and pos == override[0]:
             angle = angle + override[1]
         state = _apply_rot(state, n, g.qubit, g.axis, angle)
+    if cache is not None:
+        cache.append(state)
     return state
 
 
@@ -220,58 +228,6 @@ def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# Spec'd single-state wrapper
-
-
-@dataclass
-class StateVector:
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    @staticmethod
-    def zero(n_qubits: int) -> "StateVector":
-        return StateVector(zero_state(n_qubits), n_qubits)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def apply_gate(state: StateVector, gate) -> StateVector:
-    """Apply one Rot or CNot to a state, returning the updated state."""
-    n = state.n_qubits
-    if isinstance(gate, CNot):
-        if not (0 <= gate.control < n and 0 <= gate.target < n):
-            raise CircuitError("gate qubit out of range")
-        amps = _apply_cx(state.amplitudes, n, gate.control, gate.target)
-    elif isinstance(gate, Rot):
-        if not 0 <= gate.qubit < n:
-            raise CircuitError("gate qubit out of range")
-        if gate.src != "const":
-            raise BindingError("apply_gate needs a concrete angle (src='const')")
-        amps = _apply_rot(state.amplitudes, n, gate.qubit, gate.axis, gate.offset)
-    else:
-        raise CircuitError(f"unknown gate {gate!r}")
-    return StateVector(amps, n)
-
-
-def bel_layer(state: StateVector, thetas) -> StateVector:
-    """Entangler block: per sublayer, an X rotation on every qubit followed by
-    a cyclic CNOT ring. ``thetas`` has length sublayers * n_qubits."""
-    thetas = np.asarray(thetas, float).ravel()
-    n = state.n_qubits
-    if len(thetas) % n:
-        raise CircuitError(f"theta count {len(thetas)} not a multiple of {n} qubits")
-    amps = state.amplitudes
-    for layer in thetas.reshape(-1, n):
-        for q, th in enumerate(layer):
-            amps = _apply_rot(amps, n, q, "x", th)
-        if n > 1:
-            for q in range(n):
-                amps = _apply_cx(amps, n, q, (q + 1) % n)
-    return StateVector(amps, n)
-
-
-# ---------------------------------------------------------------------------
 # Circuit builders
 
 
@@ -284,14 +240,11 @@ class ModelConfig:
     sublayers: int = 4
     reuploads: int = 5
     subvectors: int = 7
-    repeats: int = 1
     feature_scale: float = math.pi  # inputs in [0,1] map to [0, pi]
 
     def __post_init__(self):
         if self.main_qubits * self.subvectors < N_MAIN_FEATURES:
             raise CircuitError("subvectors cannot hold the 34 main features")
-        if self.repeats != 1:
-            raise CircuitError("only a single stack repeat is supported")
 
     @property
     def n_qubits(self) -> int:
@@ -328,118 +281,41 @@ def entangler_gates(qubits: tuple[int, ...], sublayers: int, first_param: int):
     return gates, p
 
 
-def _film_gates(config: ModelConfig, qubits: tuple[int, ...], first_param: int,
-                feature_index: tuple[int, int]):
-    """Epicenter section: entangler, then `reuploads` x [Z encodings, entangler]."""
-    gates, p = entangler_gates(qubits, config.sublayers, first_param)
-    fx, fy = feature_index
+def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
+    """The full seven-qubit circuit; features are [34 main values, x_epi, y_epi].
+
+    The epicenter section on the film qubits runs an entangler, then
+    ``reuploads`` x [Z encodings of x_epi and y_epi, entangler]. The main
+    section runs an entangler, then one [Z-encoded subvector, entangler] per
+    subvector; missing trailing features encode as zero padding. Bridge CNOTs
+    from every film qubit to every main qubit and a final entangler over the
+    main qubits close the circuit.
+    """
+    film = tuple(range(config.film_qubits))
+    main = tuple(range(config.film_qubits, config.n_qubits))
+    gates, p = entangler_gates(film, config.sublayers, 0)
     for _ in range(config.reuploads):
-        gates.append(Rot("z", qubits[0], "feature", fx, scale=config.feature_scale))
-        gates.append(Rot("z", qubits[1], "feature", fy, scale=config.feature_scale))
-        block, p = entangler_gates(qubits, config.sublayers, p)
+        for q, f in zip(film, (N_MAIN_FEATURES, N_MAIN_FEATURES + 1)):
+            gates.append(Rot("z", q, "feature", f, scale=config.feature_scale))
+        block, p = entangler_gates(film, config.sublayers, p)
         gates.extend(block)
-    return gates, p
-
-
-def _main_gates(config: ModelConfig, qubits: tuple[int, ...], first_param: int,
-                first_feature: int):
-    """Main section: entangler, then one [Z-encoded subvector, entangler] per
-    subvector; missing trailing features encode as zero padding."""
-    gates, p = entangler_gates(qubits, config.sublayers, first_param)
+    block, p = entangler_gates(main, config.sublayers, p)
+    gates.extend(block)
     for l in range(config.subvectors):
-        for t, q in enumerate(qubits):
-            f = l * len(qubits) + t
+        for t, q in enumerate(main):
+            f = l * len(main) + t
             if f < N_MAIN_FEATURES:
-                gates.append(Rot("z", q, "feature", first_feature + f,
-                                 scale=config.feature_scale))
+                gates.append(Rot("z", q, "feature", f, scale=config.feature_scale))
             else:
                 gates.append(Rot("z", q, "const", offset=0.0))
-        block, p = entangler_gates(qubits, config.sublayers, p)
+        block, p = entangler_gates(main, config.sublayers, p)
         gates.extend(block)
-    return gates, p
-
-
-def _tail_gates(config: ModelConfig, film_qubits: tuple[int, ...],
-                main_qubits: tuple[int, ...], first_param: int):
-    """Bridge CNOTs from every film qubit to every main qubit, then the final
-    entangler over the main qubits."""
-    gates: list = [CNot(c, t) for c in film_qubits for t in main_qubits]
-    block, p = entangler_gates(main_qubits, config.sublayers, first_param)
+    gates.extend(CNot(c, t) for c in film for t in main)
+    block, p = entangler_gates(main, config.sublayers, p)
     gates.extend(block)
-    return gates, p
-
-
-def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
-    """The full seven-qubit circuit; features are [34 main values, x_epi, y_epi]."""
-    film_qubits = tuple(range(config.film_qubits))
-    main_qubits = tuple(range(config.film_qubits, config.n_qubits))
-    film, p = _film_gates(config, film_qubits, 0,
-                          (N_MAIN_FEATURES, N_MAIN_FEATURES + 1))
-    main, p = _main_gates(config, main_qubits, p, 0)
-    tail, p = _tail_gates(config, film_qubits, main_qubits, p)
     assert p == config.n_params
-    return Circuit(n_qubits=config.n_qubits, gates=tuple(film + main + tail),
-                   n_params=p, n_features=N_MAIN_FEATURES + N_EPI_FEATURES,
-                   measured=main_qubits)
-
-
-def build_film_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
-    """Standalone epicenter section on its own two qubits."""
-    qubits = tuple(range(config.film_qubits))
-    gates, p = _film_gates(config, qubits, 0, (0, 1))
-    return Circuit(n_qubits=config.film_qubits, gates=tuple(gates), n_params=p,
-                   n_features=2, measured=qubits)
-
-
-def build_main_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
-    """Standalone main-feature section on its own five qubits."""
-    qubits = tuple(range(config.main_qubits))
-    gates, p = _main_gates(config, qubits, 0, 0)
-    return Circuit(n_qubits=config.main_qubits, gates=tuple(gates), n_params=p,
-                   n_features=N_MAIN_FEATURES, measured=qubits)
-
-
-def film_section(x_epi: float, y_epi: float, thetas,
-                 config: ModelConfig = ModelConfig()) -> np.ndarray:
-    """Two-qubit state after the epicenter section (inputs already in [0, 1])."""
-    circuit = build_film_circuit(config)
-    thetas = np.asarray(thetas, float)
-    if thetas.shape != (circuit.n_params,):
-        raise CircuitError(f"expected {circuit.n_params} angles, got {thetas.shape}")
-    return run(circuit, thetas, np.array([x_epi, y_epi]))
-
-
-def main_section(features, thetas, config: ModelConfig = ModelConfig()) -> np.ndarray:
-    """Five-qubit state after the main-feature section."""
-    circuit = build_main_circuit(config)
-    thetas = np.asarray(thetas, float)
-    if thetas.shape != (circuit.n_params,):
-        raise CircuitError(f"expected {circuit.n_params} angles, got {thetas.shape}")
-    features = np.asarray(features, float)
-    if features.shape[-1] != N_MAIN_FEATURES:
-        raise CircuitError(f"expected {N_MAIN_FEATURES} features")
-    return run(circuit, thetas, features)
-
-
-@lru_cache(maxsize=4)
-def _cached_model_circuit(config: ModelConfig) -> Circuit:
-    return build_model_circuit(config)
-
-
-def full_forward(features, epi, params,
-                 config: ModelConfig = ModelConfig()) -> np.ndarray:
-    """Z expectations of the five main qubits, batched over leading axes."""
-    circuit = _cached_model_circuit(config)
-    features = np.asarray(features, float)
-    single = features.ndim == 1
-    features = np.atleast_2d(features)
-    epi = np.atleast_2d(np.asarray(epi, float))
-    if features.shape[-1] != N_MAIN_FEATURES or epi.shape[-1] != N_EPI_FEATURES:
-        raise CircuitError("expected 34 main features and 2 epicenter values")
-    joint = np.concatenate([features, np.broadcast_to(epi, (len(features), 2))], axis=-1)
-    state = run(circuit, params, joint)
-    out = measured_expectations(circuit, state)
-    return out[0] if single else out
+    return Circuit(n_qubits=config.n_qubits, gates=tuple(gates), n_params=p,
+                   n_features=N_MAIN_FEATURES + N_EPI_FEATURES, measured=main)
 
 
 # ---------------------------------------------------------------------------
@@ -519,79 +395,82 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batched-observable helpers for the training kernel
+# Fast expectation/gradient kernel for training
 
 
 def _apply_pauli(state: np.ndarray, n: int, qubit: int, axis: str) -> np.ndarray:
     """X, Y or Z applied to one qubit of a (..., 2**n) state."""
-    signs = _z_signs(n, qubit)
+    dim = state.shape[-1]
+    signs = _z_signs(n, qubit)[:dim]
     if axis == "z":
         return state * signs
-    flipped = state[..., np.arange(1 << n) ^ (1 << (n - 1 - qubit))]
+    flipped = state[..., np.arange(dim) ^ (1 << (n - 1 - qubit))]
     if axis == "x":
         return flipped
     return flipped * (-1j * signs)  # Y = -i |bit> sign convention after flip
 
 
-# ---------------------------------------------------------------------------
-# Fast expectation/gradient kernel for training
+def _support(gate) -> set[int]:
+    return {gate.qubit} if isinstance(gate, Rot) else {gate.control, gate.target}
 
 
 class ModelKernel:
     """Batched forward and parameter-shift gradients for the full model.
 
-    Exploits that the two sections act on disjoint qubits until the bridge:
-    section states are simulated separately and joined as a tensor product,
-    and for gradients the measured observables are pulled back through the
-    fixed tail so each shifted section evaluation stays in its small space.
+    The gates are those of ``build_model_circuit``, split at the first gate
+    that touches both registers (the first bridge CNOT): the gates before it
+    form the film and main sections by qubit support, the rest the tail.
+    Until the bridge the sections act on disjoint qubits, so their states are
+    simulated separately and joined as a tensor product; for gradients the
+    measured observables are pulled back through the circuit so that each
+    gate's shift-rule term stays in its section's small space.
     """
 
     def __init__(self, config: ModelConfig = ModelConfig()):
         self.config = config
-        fq = tuple(range(config.film_qubits))
-        mq_local = tuple(range(config.main_qubits))
-        mq_global = tuple(range(config.film_qubits, config.n_qubits))
-        self.film_gates, p = _film_gates(config, fq, 0, (0, 1))
-        self.main_gates, p = _main_gates(config, mq_local, p, 0)
-        self.tail_gates, p = _tail_gates(config, fq, mq_global, p)
-        self.n_params = p
+        circuit = build_model_circuit(config)
+        gates = circuit.gates
+        film = set(range(config.film_qubits))
+        bridge = next(pos for pos, g in enumerate(gates)
+                      if _support(g) & film and _support(g) - film)
+        self.film_gates = tuple(g for g in gates[:bridge] if _support(g) <= film)
+        self.main_gates = tuple(g for g in gates[:bridge] if not _support(g) & film)
+        self.tail_gates = gates[bridge:]
+        self.n_params = circuit.n_params
         n = config.n_qubits
-        self._zsigns = np.stack([_z_signs(n, q) for q in mq_global])  # (5, 128)
+        self._zsigns = np.stack([_z_signs(n, q) for q in circuit.measured])
 
-    # -- section simulation -------------------------------------------------
+    def _inputs(self, params, features, epi):
+        """Checked parameters and circuit feature rows [34 main, x_epi, y_epi]."""
+        params = np.asarray(params, float)
+        if params.shape != (self.n_params,):
+            raise CircuitError(f"expected {self.n_params} parameters, got {params.shape}")
+        features = np.atleast_2d(np.asarray(features, float))
+        epi = np.atleast_2d(np.asarray(epi, float))
+        if features.shape[-1] != N_MAIN_FEATURES or epi.shape[-1] != N_EPI_FEATURES:
+            raise CircuitError("expected 34 main features and 2 epicenter values")
+        return params, np.concatenate([features, epi], axis=-1)
 
-    def _run_section(self, gates, n, params, features, cache=None,
-                     start: int = 0, state=None, override=None):
-        if state is None:
-            batch = features.shape[:-1]
-            state = zero_state(n, batch)
-        for pos in range(start, len(gates)):
-            g = gates[pos]
-            if cache is not None:
-                cache.append(state)
-            if isinstance(g, CNot):
-                state = _apply_cx(state, n, g.control, g.target)
-                continue
-            angle = _gate_angle(g, params, features)
-            if override is not None and pos == override[0]:
-                angle = angle + override[1]
-            state = _apply_rot(state, n, g.qubit, g.axis, angle)
-        if cache is not None:
-            cache.append(state)
-        return state
+    def _sections(self, params, x, caches=(None, None, None)):
+        """Film and final states. The film qubits lead the register, so the
+        film state is a register of its own; the main qubits trail it, so the
+        main state holds the low bits of the full register's index."""
+        cfg = self.config
+        n = cfg.n_qubits
+        film_cache, main_cache, tail_cache = caches
+        batch = x.shape[:-1]
+        film = _run_gates(zero_state(cfg.film_qubits, batch), cfg.film_qubits,
+                          self.film_gates, params, x, cache=film_cache)
+        main = _run_gates(zero_state(cfg.main_qubits, batch), n,
+                          self.main_gates, params, x, cache=main_cache)
+        joint = np.einsum("bi,bj->bij", film, main).reshape(film.shape[0], -1)
+        final = _run_gates(joint, n, self.tail_gates, params, x, cache=tail_cache)
+        return film, final
 
     def expectations(self, params, features, epi) -> np.ndarray:
         """(B, 5) Z expectations of the main qubits."""
-        params = np.asarray(params, float)
-        features = np.atleast_2d(np.asarray(features, float))
-        epi = np.atleast_2d(np.asarray(epi, float))
-        cfg = self.config
-        film = self._run_section(self.film_gates, cfg.film_qubits, params, epi)
-        main = self._run_section(self.main_gates, cfg.main_qubits, params, features)
-        joint = np.einsum("bi,bj->bij", film, main).reshape(film.shape[0], -1)
-        state = self._run_section(self.tail_gates, cfg.n_qubits, params, None,
-                                  state=joint)
-        return probabilities(state) @ self._zsigns.T
+        _, final = self._sections(*self._inputs(params, features, epi))
+        return probabilities(final) @ self._zsigns.T
 
     # -- upstream-contracted gradient ----------------------------------------
 
@@ -601,83 +480,52 @@ class ModelKernel:
         ``upstream`` is (B, 5); returns (n_params,). Exact parameter-shift,
         evaluated section by section against pulled-back observables.
         """
-        params = np.asarray(params, float)
-        features = np.atleast_2d(np.asarray(features, float))
-        epi = np.atleast_2d(np.asarray(epi, float))
+        params, x = self._inputs(params, features, epi)
         upstream = np.asarray(upstream, float)
         total = np.zeros(self.n_params)
-        for lo in range(0, features.shape[0], chunk):
+        for lo in range(0, x.shape[0], chunk):
             sl = slice(lo, lo + chunk)
-            total += self._grad_chunk(params, features[sl], epi[sl], upstream[sl])
+            total += self._grad_chunk(params, x[sl], upstream[sl])
         return total
 
-    def _grad_chunk(self, params, features, epi, upstream) -> np.ndarray:
+    def _grad_chunk(self, params, x, upstream) -> np.ndarray:
         cfg = self.config
         n = cfg.n_qubits
-        dim_f = 1 << cfg.film_qubits
-        dim_m = 1 << cfg.main_qubits
-        batch = features.shape[0]
+        dims = (x.shape[0], 1 << cfg.film_qubits, 1 << cfg.main_qubits)
         grad = np.zeros(self.n_params)
-
-        film_cache: list = []
-        main_cache: list = []
-        tail_cache: list = []
-        film = self._run_section(self.film_gates, cfg.film_qubits, params, epi,
-                                 cache=film_cache)
-        main = self._run_section(self.main_gates, cfg.main_qubits, params,
-                                 features, cache=main_cache)
-        joint = np.einsum("bi,bj->bij", film, main).reshape(batch, -1)
-        final = self._run_section(self.tail_gates, n, params, None,
-                                  state=joint, cache=tail_cache)
+        caches = ([], [], [])
+        film, final = self._sections(params, x, caches)
+        film_cache, main_cache, tail_cache = caches
 
         # The shift-rule difference for a rotation gate collapses to
         # Im <lam_g | P u_g>, with u_g the post-gate state, P the gate's Pauli
         # generator and lam_g the batch observable (sum_k up[b,k] Z_k) applied
         # to the final state and pulled back through every later gate. The
-        # pullback runs once over the whole circuit in reverse.
+        # pullback runs once over the whole circuit in reverse, in the full
+        # register; only the overlap with u_g depends on the section.
+        def tail_overlap(lam, pu):
+            return np.einsum("bi,bi->b", lam.conj(), pu)
+
+        def main_overlap(lam, pu):
+            # before the tail the film factor is already final
+            return np.einsum("bia,bi,ba->b", lam.reshape(dims).conj(), film, pu)
+
+        def film_overlap(lam, pu):
+            # film gates run first, with the main register still at |0...0>
+            return np.einsum("bi,bi->b", lam.reshape(dims)[:, :, 0].conj(), pu)
+
         lam = (upstream @ self._zsigns) * final
-
-        for pos in reversed(range(len(self.tail_gates))):
-            g = self.tail_gates[pos]
-            if isinstance(g, CNot):
-                lam = _apply_cx(lam, n, g.control, g.target)
-                continue
-            if g.src == "param":
-                pu = _apply_pauli(tail_cache[pos + 1], n, g.qubit, g.axis)
-                term = np.einsum("bi,bi->b", lam.conj(), pu)
-                grad[g.index] += g.scale * float(term.imag.sum())
-            lam = _apply_rot(lam, n, g.qubit, g.axis,
-                             -_gate_angle(g, params, None))
-
-        # Main-section gates sit before the tail; in the joint space the film
-        # factor is already final there, so <lam | P u> factorizes.
-        off = cfg.film_qubits
-        for pos in reversed(range(len(self.main_gates))):
-            g = self.main_gates[pos]
-            if isinstance(g, CNot):
-                lam = _apply_cx(lam, n, g.control + off, g.target + off)
-                continue
-            if g.src == "param":
-                pu = _apply_pauli(main_cache[pos + 1], cfg.main_qubits,
-                                  g.qubit, g.axis)
-                lam3 = lam.reshape(batch, dim_f, dim_m)
-                term = np.einsum("bia,bi,ba->b", lam3.conj(), film, pu)
-                grad[g.index] += g.scale * float(term.imag.sum())
-            lam = _apply_rot(lam, n, g.qubit + off, g.axis,
-                             -_gate_angle(g, params, features))
-
-        # Film gates run first of all, with the main register still at |0...0>.
-        for pos in reversed(range(len(self.film_gates))):
-            g = self.film_gates[pos]
-            if isinstance(g, CNot):
-                lam = _apply_cx(lam, n, g.control, g.target)
-                continue
-            if g.src == "param":
-                pu = _apply_pauli(film_cache[pos + 1], cfg.film_qubits,
-                                  g.qubit, g.axis)
-                lam_f = lam.reshape(batch, dim_f, dim_m)[:, :, 0]
-                term = np.einsum("bi,bi->b", lam_f.conj(), pu)
-                grad[g.index] += g.scale * float(term.imag.sum())
-            lam = _apply_rot(lam, n, g.qubit, g.axis,
-                             -_gate_angle(g, params, epi))
+        for gates, cache, n_u, overlap in (
+                (self.tail_gates, tail_cache, n, tail_overlap),
+                (self.main_gates, main_cache, n, main_overlap),
+                (self.film_gates, film_cache, cfg.film_qubits, film_overlap)):
+            for pos in reversed(range(len(gates))):
+                g = gates[pos]
+                if isinstance(g, CNot):
+                    lam = _apply_cx(lam, n, g.control, g.target)
+                    continue
+                if g.src == "param":
+                    pu = _apply_pauli(cache[pos + 1], n_u, g.qubit, g.axis)
+                    grad[g.index] += g.scale * float(overlap(lam, pu).imag.sum())
+                lam = _apply_rot(lam, n, g.qubit, g.axis, -_gate_angle(g, params, x))
         return grad

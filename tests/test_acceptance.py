@@ -94,18 +94,19 @@ def test_03_radius_values_and_cap_respect():
 def test_04_simulator_matches_dense_matrix_oracle():
     rng = np.random.default_rng(11)
     circ = qs.build_model_circuit()
+    kernel = qs.ModelKernel()
     worst = 0.0
     for _ in range(20):
         params = rng.uniform(-np.pi, np.pi, 228)
         feats = rng.uniform(0, 1, 34)
         epi = rng.uniform(0, 1, 2)
-        got = qs.full_forward(feats, epi, params)
+        got = kernel.expectations(params, feats, epi)[0]
         want = oracle_expectations(circ, params, np.concatenate([feats, epi]))
         worst = max(worst, float(np.abs(got - want).max()))
         state = qs.run(circ, params, np.concatenate([feats, epi]))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
     assert worst < 1e-10
-    _ok(4, "full forward vs dense-matrix oracle", f"worst |diff| {worst:.2e}")
+    _ok(4, "training-kernel forward vs dense-matrix oracle", f"worst |diff| {worst:.2e}")
 
 
 def test_05_gradient_parity():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import quakeroute.dyngraph as dg
 import quakeroute.features as ft
+import quakeroute.hybrid as hy
 import quakeroute.qsim as qs
 from quakeroute.cli import run
 
@@ -134,6 +135,35 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
                 "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "missing file" in capsys.readouterr().err
+
+
+def test_eval_rejects_partial_checkpoint(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+         "--out", str(gpath)])
+    ckpt = tmp_path / "ckpt.json"
+    hy.HybridModel(seed=0).save(ckpt)
+    doc = json.loads(ckpt.read_text())
+    del doc["params"]["quantum"]
+    ckpt.write_text(json.dumps(doc))
+    code = run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath),
+                "--scenarios", "2", "--seed", "0", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "quantum" in capsys.readouterr().err
+
+
+def test_dataset_generate_rejects_bad_edge_speed(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+         "--out", str(gpath)])
+    for speed in (0, -30):
+        doc = json.loads(gpath.read_text())
+        doc["edges"][0]["speed_kmh"] = speed
+        gpath.write_text(json.dumps(doc))
+        code = run(["dataset", "generate", "--graph", str(gpath), "--n", "2",
+                    "--seed", "1", "--out", str(tmp_path / "d.jsonl"), "--jobs", "1"])
+        assert code == 1
+        assert "speed_kmh" in capsys.readouterr().err
 
 
 def test_analyze_fourier_and_fisher(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,10 +22,12 @@ def test_radius_formulas():
 def test_edge_center():
     g = make_graph([(0.0, 0.0), (1.0, 1.0), (0.1, 0.0), (0.3, 0.0)],
                    [(0, 1), (2, 3)])
-    assert dg.edge_center(g, (0, 1)) == (0.5, 0.5)
-    assert dg.edge_center(g, (2, 3)) == pytest.approx((0.2, 0.0))
+    centers = dg.edge_centers(g)
+    assert centers.shape == (2, 2)
+    assert tuple(centers[g.edge_index(0, 1)]) == (0.5, 0.5)
+    assert centers[g.edge_index(2, 3)] == pytest.approx((0.2, 0.0))
     with pytest.raises(dg.GraphError):
-        dg.edge_center(g, (0, 3))
+        g.edge_index(0, 3)
 
 
 def test_graph_invariants_rejected():
@@ -243,15 +246,45 @@ def test_synth_city_minimal_and_errors():
 
 
 def test_base_travel_time():
-    assert dg.base_travel_time(1000.0, 60.0, 0.0) == pytest.approx(1.0)
-    with pytest.raises(dg.GraphError):
-        dg.base_travel_time(-1.0, 60.0, 0.0)
-    with pytest.raises(dg.GraphError):
-        dg.base_travel_time(1000.0, 0.0, 0.0)
-    rng = np.random.default_rng(0)
-    draws = [dg.base_travel_time(1000.0, 60.0, 0.1, rng) for _ in range(10_000)]
+    # a 1000-edge path of one-minute edges: 1000 m at 60 km/h
+    n = 1001
+    g = make_graph([(i / (n - 1), 0.5) for i in range(n)],
+                   [(i, i + 1) for i in range(n - 1)],
+                   lengths=[1000.0] * (n - 1), speeds=[60.0] * (n - 1))
+    assert np.allclose(g.nominal_minutes(), 1.0)
+    sc = scenario_for(g, start=0, exit_=n - 1)
+    assert np.array_equal(dg.initial_state(g, sc, sigma_frac=0.0).weights,
+                          g.nominal_minutes())
+    draws = np.concatenate([
+        dg.initial_state(g, scenario_for(g, start=0, seed=s), sigma_frac=0.1).weights
+        for s in range(10)])
     assert np.mean(draws) == pytest.approx(1.0, rel=0.02)
-    assert min(draws) >= 0.1
+    assert draws.min() >= 0.1
+    # a wide spread reaches the floor at 10% of nominal and stops there
+    floor = 0.1 * g.nominal_minutes()
+    wide = dg.initial_state(g, sc, sigma_frac=1.0).weights
+    assert (wide >= floor).all()
+    assert (wide == floor).any()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("length_m", 0.0), ("length_m", -1.0), ("length_m", np.inf),
+    ("speed_kmh", 0.0), ("speed_kmh", -30.0), ("speed_kmh", np.nan),
+])
+def test_graph_rejects_bad_edge_data(tmp_path, field, value):
+    g = dg.synth_city(3, 3, seed=2)
+    path = tmp_path / "g.json"
+    dg.save_graph(g, path)
+    doc = json.loads(path.read_text())
+    doc["edges"][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(dg.GraphError):
+        dg.load_graph(path)
+
+
+def test_graph_rejects_edge_data_of_wrong_length():
+    with pytest.raises(dg.GraphError):
+        make_graph([(0, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)], lengths=[100.0])
 
 
 def test_scenario_validation():

@@ -135,7 +135,7 @@ def test_generate_dataset_counts_and_labels():
     for s in ds:
         by_scenario.setdefault(s.scenario_id, []).append(s)
     for sid, samples in by_scenario.items():
-        sc = ft._scenario_for_index(g, 9, sid, None, None)
+        sc = ft._scenario_for_index(g, 9, sid, None)
         path = oc.nodewise_dijkstra(g, sc, sigma_frac=0.1)
         assert path.reached
         assert len(samples) == len(path.nodes) - 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,32 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = hy.HybridModel.load(path)
     feats = np.random.default_rng(0).uniform(0, 1, (3, 36))
     assert np.allclose(model.forward(feats), loaded.forward(feats), atol=1e-12)
+
+
+def _edited_checkpoint(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    hy.HybridModel(seed=3).save(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["params"].pop("quantum"),                       # missing key
+    lambda doc: doc["params"].pop("classical.film_scale_w"),
+    lambda doc: doc.pop("classical_only"),
+    lambda doc: doc["params"].update(extra=doc["params"]["head_b"]),  # extra key
+    lambda doc: doc.update(notes="hello"),
+    lambda doc: doc["params"].update(                              # mis-shaped
+        head_b={"shape": [3], "data": [0.0, 0.0, 0.0]}),
+    lambda doc: doc["params"]["quantum"].update(shape=[12, 19]),
+    lambda doc: doc["params"]["head_w"]["data"].pop(),
+])
+def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError):
+        hy.HybridModel.load(path)
 
 
 def test_rollout_on_forced_line(line3):

@@ -3,28 +3,36 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quakeroute.qsim as qs
 from helpers import oracle_expectations, oracle_state
 
 
+def _one_circuit(n, gates, n_params=0):
+    return qs.Circuit(n, tuple(gates), n_params, 0, measured=tuple(range(n)))
+
+
+def _film_circuit():
+    """The model's epicenter section as a circuit on its two qubits."""
+    return qs.Circuit(2, qs.ModelKernel().film_gates, 228, 36, measured=(0, 1))
+
+
 def test_apply_gate_rx_expectation():
     for theta in (0.0, 0.3, 1.2, np.pi / 2):
-        st = qs.StateVector.zero(1)
-        st = qs.apply_gate(st, qs.Rot("x", 0, "const", offset=theta))
-        assert qs.expectation_z(st.amplitudes, 0, 1) == pytest.approx(
+        circ = _one_circuit(1, [qs.Rot("x", 0, "const", offset=theta)])
+        state = qs.run(circ, [])
+        assert qs.expectation_z(state, 0, 1) == pytest.approx(
             math.cos(theta), abs=1e-12)
 
 
 def test_apply_gate_cnot_and_rz():
-    st = qs.StateVector.zero(2)
-    st = qs.apply_gate(st, qs.Rot("x", 0, "const", offset=np.pi))  # |10>
-    st = qs.apply_gate(st, qs.CNot(0, 1))
-    probs = qs.probabilities(st.amplitudes)
+    circ = _one_circuit(2, [qs.Rot("x", 0, "const", offset=np.pi),  # |10>
+                            qs.CNot(0, 1)])
+    probs = qs.probabilities(qs.run(circ, []))
     assert probs[0b11] == pytest.approx(1.0, abs=1e-12)
-    st2 = qs.StateVector.zero(1)
-    st2 = qs.apply_gate(st2, qs.Rot("z", 0, "const", offset=0.77))
-    assert abs(st2.amplitudes[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    rz = qs.run(_one_circuit(1, [qs.Rot("z", 0, "const", offset=0.77)]), [])
+    assert abs(rz[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cnot_same_control_target_rejected():
@@ -33,66 +41,68 @@ def test_cnot_same_control_target_rejected():
 
 
 def test_bel_layer_identity_and_param_count():
-    st = qs.StateVector.zero(2)
-    out = qs.bel_layer(st, np.zeros(8))  # 4 sublayers x 2 qubits
-    assert out.amplitudes[0] == pytest.approx(1.0)
+    gates, p = qs.entangler_gates((0, 1), 4, 0)
+    assert p == 8  # 4 sublayers x 2 qubits
+    circ = _one_circuit(2, gates, p)
+    assert qs.run(circ, np.zeros(8))[0] == pytest.approx(1.0)
     with pytest.raises(qs.CircuitError):
-        qs.bel_layer(qs.StateVector.zero(2), np.zeros(7))
+        qs.run(circ, np.zeros(7))
 
 
 def test_bel_layer_matches_matrix_oracle():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(-np.pi, np.pi, 12)  # 4 sublayers x 3 qubits
-    st = qs.bel_layer(qs.StateVector.zero(3), thetas)
     gates, _ = qs.entangler_gates((0, 1, 2), 4, 0)
-    circ = qs.Circuit(3, tuple(gates), 12, 0, measured=(0, 1, 2))
+    circ = _one_circuit(3, gates, 12)
     want = oracle_state(circ, thetas)
-    assert np.allclose(st.amplitudes, want, atol=1e-12)
+    assert np.allclose(qs.run(circ, thetas), want, atol=1e-12)
 
 
 def test_film_section_basics():
-    out = qs.film_section(0.0, 0.0, np.zeros(48))
+    circ = _film_circuit()
+    assert sum(isinstance(g, qs.Rot) and g.src == "param" for g in circ.gates) == 48
+    out = qs.run(circ, np.zeros(228), np.zeros(36))
     assert out[0] == pytest.approx(1.0)
     with pytest.raises(qs.CircuitError):
-        qs.film_section(0.1, 0.2, np.zeros(47))
+        qs.run(circ, np.zeros(227), np.zeros(36))
 
 
 def test_film_section_output_is_low_degree_trig_poly():
-    """<Z> of a film qubit as a function of one coordinate has harmonics
-    only up to the number of reuploads."""
+    """The circuit outputs as a function of x_epi have harmonics only up to
+    the number of reuploads."""
     rng = np.random.default_rng(3)
-    thetas = rng.uniform(-np.pi, np.pi, 48)
+    cfg = qs.ModelConfig()
+    params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    main = rng.uniform(0, 1, 34)
     m = 16  # > 2*5+1 samples; inputs scaled so x pi spans the full torus
     xs = np.arange(m) / m * 2.0
-    vals = []
-    for x in xs:
-        state = qs.film_section(x, 0.3, thetas)
-        vals.append(qs.expectation_z(state, 0, 2))
-    spec = np.fft.fft(np.asarray(vals)) / m
+    epi = np.stack([xs, np.full(m, 0.3)], axis=1)
+    vals = qs.ModelKernel(cfg).expectations(params, np.tile(main, (m, 1)), epi)
+    spec = np.fft.fft(vals, axis=0) / m
     freqs = np.fft.fftfreq(m, d=1 / m)
-    high = np.abs(freqs) > 5
+    high = np.abs(freqs) > cfg.reuploads
     assert np.abs(spec[high]).max() < 1e-10
+    assert np.abs(spec[np.abs(freqs) == cfg.reuploads]).max() > 1e-6
 
 
 def test_main_section_basics_and_padding():
-    out = qs.main_section(np.zeros(34), np.zeros(160))
-    assert out[0] == pytest.approx(1.0)
-    circ = qs.build_main_circuit()
-    enc = [g for g in circ.gates if isinstance(g, qs.Rot) and g.axis == "z"]
+    circ = qs.build_model_circuit()
+    main = set(circ.measured)
+    enc = [g for g in circ.gates
+           if isinstance(g, qs.Rot) and g.axis == "z" and g.qubit in main]
     assert len(enc) == 35  # 7 subvectors x 5 qubits
     assert sum(1 for g in enc if g.src == "const") == 1  # one zero pad
-    with pytest.raises(qs.CircuitError):
-        qs.main_section(np.zeros(34), np.zeros(159))
+    assert sorted(g.index for g in enc if g.src == "feature") == list(range(34))
 
 
 def test_main_section_matches_matrix_oracle():
     rng = np.random.default_rng(5)
-    thetas = rng.uniform(-np.pi, np.pi, 160)
-    feats = rng.uniform(0, 1, 34)
-    got = qs.main_section(feats, thetas)
-    circ = qs.build_main_circuit()
-    want = oracle_state(circ, thetas, feats)
-    assert np.allclose(got, want, atol=1e-11)
+    kernel = qs.ModelKernel()
+    circ = qs.Circuit(7, kernel.main_gates, 228, 36, measured=tuple(range(2, 7)))
+    params = rng.uniform(-np.pi, np.pi, 228)
+    feats = rng.uniform(0, 1, 36)
+    want = oracle_state(circ, params, feats)
+    assert np.allclose(qs.run(circ, params, feats), want, atol=1e-11)
 
 
 def test_model_config_counts():
@@ -103,13 +113,22 @@ def test_model_config_counts():
     assert cfg.n_params == 228
     with pytest.raises(qs.CircuitError):
         qs.ModelConfig(subvectors=6)  # 5 x 6 < 34
-    with pytest.raises(qs.CircuitError):
-        qs.ModelConfig(repeats=2)
 
 
 def test_full_forward_zero_everything():
-    out = qs.full_forward(np.zeros(34), np.zeros(2), np.zeros(228))
+    out = qs.ModelKernel().expectations(np.zeros(228), np.zeros(34), np.zeros(2))
+    assert out.shape == (1, 5)
     assert np.allclose(out, 1.0, atol=1e-12)
+
+
+def test_full_forward_rejects_wrong_shapes():
+    kernel = qs.ModelKernel()
+    with pytest.raises(qs.CircuitError):
+        kernel.expectations(np.zeros(227), np.zeros(34), np.zeros(2))
+    with pytest.raises(qs.CircuitError):
+        kernel.expectations(np.zeros(228), np.zeros(35), np.zeros(2))
+    with pytest.raises(qs.CircuitError):
+        kernel.grad(np.zeros(228), np.zeros((2, 34)), np.zeros((2, 3)), np.zeros((2, 5)))
 
 
 def test_full_forward_bounds():
@@ -117,7 +136,7 @@ def test_full_forward_bounds():
     params = rng.uniform(-np.pi, np.pi, 228)
     feats = rng.uniform(0, 1, (1000, 34))
     epi = rng.uniform(0, 1, (1000, 2))
-    out = qs.full_forward(feats, epi, params)
+    out = qs.ModelKernel().expectations(params, feats, epi)
     assert out.shape == (1000, 5)
     assert (np.abs(out) <= 1.0 + 1e-12).all()
 
@@ -125,11 +144,12 @@ def test_full_forward_bounds():
 def test_full_forward_matches_matrix_oracle():
     rng = np.random.default_rng(2)
     circ = qs.build_model_circuit()
+    kernel = qs.ModelKernel()
     for _ in range(3):
         params = rng.uniform(-np.pi, np.pi, 228)
         feats = rng.uniform(0, 1, 34)
         epi = rng.uniform(0, 1, 2)
-        got = qs.full_forward(feats, epi, params)
+        got = kernel.expectations(params, feats, epi)[0]
         want = oracle_expectations(circ, params, np.concatenate([feats, epi]))
         assert np.abs(got - want).max() < 1e-10
 
@@ -139,16 +159,50 @@ def test_norm_preserved():
     circ = qs.build_model_circuit()
     params = rng.uniform(-np.pi, np.pi, 228)
     feats = rng.uniform(0, 1, 36)
-    # gate by gate through the wrapper
-    st = qs.StateVector.zero(7)
-    for g in circ.gates:
-        if isinstance(g, qs.Rot):
-            angle = g.offset if g.src == "const" else (
-                g.scale * (params[g.index] if g.src == "param" else feats[g.index]))
-            g = qs.Rot(g.axis, g.qubit, "const", offset=float(angle))
-        st = qs.apply_gate(st, g)
-        assert abs(st.norm() - 1.0) < 1e-12
-    assert abs(st.norm() - 1.0) < 1e-9
+    # gate by gate: the cache holds the state before every gate and the last
+    states: list = []
+    qs._run_gates(qs.zero_state(7), 7, circ.gates, params, feats, cache=states)
+    assert len(states) == len(circ.gates) + 1
+    for state in states:
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-9
+
+
+@st.composite
+def _random_circuits(draw):
+    """A random gate list on 1-4 qubits, its parameters and a feature batch."""
+    n = draw(st.integers(1, 4))
+    n_params = draw(st.integers(0, 3))
+    n_features = draw(st.integers(0, 3))
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    sources = ["const"] + ["param"] * (n_params > 0) + ["feature"] * (n_features > 0)
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        if n > 1 and draw(st.booleans()):
+            control, target = draw(st.permutations(range(n)))[:2]
+            gates.append(qs.CNot(control, target))
+            continue
+        src = draw(st.sampled_from(sources))
+        size = {"const": 0, "param": n_params, "feature": n_features}[src]
+        gates.append(qs.Rot(draw(st.sampled_from("xyz")), draw(st.integers(0, n - 1)),
+                            src, draw(st.integers(0, size - 1)) if size else -1,
+                            scale=draw(st.floats(-2, 2)), offset=draw(angle)))
+    circuit = qs.Circuit(n, tuple(gates), n_params, n_features, tuple(range(n)))
+    batch = draw(st.integers(1, 3))
+    values = st.lists(angle, min_size=batch * n_features + n_params,
+                      max_size=batch * n_features + n_params)
+    flat = np.array(draw(values), float)
+    return circuit, flat[:n_params], flat[n_params:].reshape(batch, n_features)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_circuits())
+def test_run_matches_matrix_oracle_on_random_circuits(case):
+    circuit, params, features = case
+    got = qs.run(circuit, params, features)
+    assert got.shape == (len(features), 1 << circuit.n_qubits)
+    for state, row in zip(got, features):
+        assert np.abs(state - oracle_state(circuit, params, row)).max() < 1e-10
 
 
 def test_global_phase_invariance():
@@ -211,9 +265,9 @@ def test_param_shift_shared_slot_and_inert_pair():
 
 def test_prob_grad_sums_to_zero():
     rng = np.random.default_rng(6)
-    circ = qs.build_film_circuit()
-    params = rng.uniform(0, 2 * np.pi, 48)
-    feats = rng.uniform(0, 1, 2)
+    circ = _film_circuit()
+    params = rng.uniform(0, 2 * np.pi, 228)
+    feats = rng.uniform(0, 1, 36)
     dp = qs.prob_grad(circ, params, feats, index=3)
     assert dp.shape == (4,)
     assert abs(dp.sum()) < 1e-12  # probabilities stay normalized
@@ -221,9 +275,11 @@ def test_prob_grad_sums_to_zero():
 
 def test_shot_sampling_converges():
     rng = np.random.default_rng(10)
-    circ = qs.build_film_circuit()
-    params = rng.uniform(-np.pi, np.pi, 48)
-    state = qs.run(circ, params, np.array([0.4, 0.9]))
+    circ = _film_circuit()
+    params = rng.uniform(-np.pi, np.pi, 228)
+    feats = np.zeros(36)
+    feats[34:] = (0.4, 0.9)
+    state = qs.run(circ, params, feats)
     shots = 1_000_000
     bits = qs.sample_bitstrings(state, shots, rng)
     for q in range(2):
@@ -240,8 +296,50 @@ def test_kernel_matches_generic_engine():
     feats = rng.uniform(0, 1, (4, 34))
     epi = rng.uniform(0, 1, (4, 2))
     kernel = qs.ModelKernel(cfg)
-    assert np.abs(kernel.expectations(params, feats, epi)
-                  - qs.full_forward(feats, epi, params)).max() < 1e-12
+    circ = qs.build_model_circuit(cfg)
+    want = qs.measured_expectations(
+        circ, qs.run(circ, params, np.concatenate([feats, epi], axis=1)))
+    assert np.abs(kernel.expectations(params, feats, epi) - want).max() < 1e-12
+
+
+def test_kernel_sections_partition_the_circuit():
+    cfg = qs.ModelConfig()
+    circ = qs.build_model_circuit(cfg)
+    kernel = qs.ModelKernel(cfg)
+    film = set(range(cfg.film_qubits))
+    main = set(range(cfg.film_qubits, cfg.n_qubits))
+
+    def support(g):
+        return {g.qubit} if isinstance(g, qs.Rot) else {g.control, g.target}
+
+    # every gate in exactly one section, and in circuit order
+    assert kernel.film_gates + kernel.main_gates + kernel.tail_gates == circ.gates
+    assert all(support(g) <= film for g in kernel.film_gates)
+    assert all(support(g) <= main for g in kernel.main_gates)
+    bridge = kernel.tail_gates[0]
+    assert isinstance(bridge, qs.CNot) and support(bridge) & film and support(bridge) & main
+    assert len(kernel.film_gates) == 6 * 4 * (2 + 2) + 5 * 2
+    assert len(kernel.main_gates) == 8 * 4 * (5 + 5) + 35
+
+
+def test_kernel_non_default_config_matches_oracle_and_param_shift():
+    rng = np.random.default_rng(15)
+    cfg = qs.ModelConfig(sublayers=2, reuploads=3, subvectors=8)
+    circ = qs.build_model_circuit(cfg)
+    kernel = qs.ModelKernel(cfg)
+    assert kernel.n_params == cfg.n_params == circ.n_params
+    params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    feats = rng.uniform(0, 1, (3, 34))
+    epi = rng.uniform(0, 1, (3, 2))
+    joint = np.concatenate([feats, epi], axis=1)
+    got = kernel.expectations(params, feats, epi)
+    for b in range(3):
+        want = oracle_expectations(circ, params, joint[b])
+        assert np.abs(got[b] - want).max() < 1e-10
+    upstream = rng.normal(0, 1, (3, 5))
+    jac = qs.param_shift_grad(circ, params, joint)  # (n_params, 3, 5)
+    want = np.einsum("pbk,bk->p", jac, upstream)
+    assert np.abs(kernel.grad(params, feats, epi, upstream) - want).max() < 1e-10
 
 
 def test_kernel_grad_equals_param_shift_contraction():
