@@ -49,11 +49,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
                      "or export QRL_SEED)")
 
 
-def _default_jobs(args: argparse.Namespace) -> int:
-    jobs = getattr(args, "jobs", None)
-    return int(jobs) if jobs else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -96,7 +91,7 @@ def _cmd_dataset_generate(args) -> int:
     graph = dyngraph.load_graph(args.graph)
     dataset = features.generate_dataset(graph, args.n, seed,
                                         sigma_frac=args.sigma_frac,
-                                        jobs=_default_jobs(args))
+                                        jobs=int(args.jobs or os.cpu_count() or 1))
     dataset.save_jsonl(args.out)
     n_scen = len({s.scenario_id for s in dataset})
     print(f"dataset: {len(dataset)} samples from {n_scen} scenarios -> {args.out}")
@@ -127,7 +122,7 @@ def _cmd_eval(args) -> int:
     model = hybrid.HybridModel.load(args.ckpt)
     graph = dyngraph.load_graph(args.graph)
     report = hybrid.evaluate(model, graph, args.scenarios, seed,
-                             sigma_frac=args.sigma_frac, jobs=_default_jobs(args))
+                             sigma_frac=args.sigma_frac)
     report.save_json(args.out)
     csv_path = args.csv or str(FilePath(args.out).with_suffix(".paths.csv"))
     report.save_csv(csv_path)
@@ -200,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file filling unset options")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="scenario-level parallelism (default: all cores)")
 
     g = sub.add_parser("graph", help="synthetic city graphs")
     gsub = g.add_subparsers(dest="action", required=True)
@@ -233,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--n", type=int, required=True)
     dg.add_argument("--out", required=True)
     dg.add_argument("--sigma-frac", type=float, default=0.1)
+    dg.add_argument("--jobs", type=int, default=None,
+                    help="oracle labelling processes (default: all cores)")
     dg.set_defaults(func=_cmd_dataset_generate)
 
     t = sub.add_parser("train", help="train the hybrid (or classical-only) model")

@@ -148,6 +148,30 @@ def block_mask(features: np.ndarray) -> np.ndarray:
     return w > 0.0
 
 
+def _parse_sample(doc) -> Sample:
+    """One ``save_jsonl`` record as a Sample; anything else is a ValueError."""
+    keys = {"features", "label", "scenario_id", "t"}
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise ValueError(f"a sample needs exactly the keys {sorted(keys)}")
+    values = doc["features"]
+    if (not isinstance(values, list) or len(values) != N_FEATURES
+            or not all(type(x) in (int, float) for x in values)):
+        raise ValueError(f"features must be a list of {N_FEATURES} numbers")
+    features = np.asarray(values, float)
+    if not np.isfinite(features).all():
+        raise ValueError("features hold non-finite values")
+    label = doc["label"]
+    if type(label) is not int or not 0 <= label < N_BLOCKS:
+        raise ValueError(f"label {label!r} is not an integer in 0-{N_BLOCKS - 1}")
+    if not block_mask(features)[label]:
+        raise ValueError(f"label {label} points at a padding block")
+    for key in ("scenario_id", "t"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} {doc[key]!r} is not an integer")
+    return Sample(features=features, label=label, scenario_id=doc["scenario_id"],
+                  t=doc["t"])
+
+
 @dataclass
 class Dataset:
     samples: list[Sample]
@@ -185,18 +209,16 @@ class Dataset:
 
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
+        """Read a ``save_jsonl`` file; a malformed line raises ValueError naming it."""
         samples = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                doc = json.loads(line)
-                samples.append(Sample(
-                    features=np.asarray(doc["features"], float),
-                    label=int(doc["label"]),
-                    scenario_id=int(doc["scenario_id"]),
-                    t=int(doc["t"]),
-                ))
+                try:
+                    samples.append(_parse_sample(json.loads(line)))
+                except (ValueError, OverflowError) as exc:  # overflow: a huge integer
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return Dataset(samples)
 
     def split(self, val_fraction: float = 0.1, seed: int = 0):

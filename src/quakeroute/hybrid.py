@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path as FilePath
 
@@ -143,7 +142,7 @@ class HybridModel:
 
     @staticmethod
     def load(path: str | FilePath) -> "HybridModel":
-        """Read a ``save`` file; any other key set or array shape is a ValueError."""
+        """Read a ``save`` file; other keys, shapes or non-finite values raise ValueError."""
         doc = json.loads(FilePath(path).read_text())
         if not isinstance(doc, dict) or doc.get("format") != "quakeroute-checkpoint":
             raise ValueError(f"{path} is not a checkpoint file")
@@ -166,6 +165,8 @@ class HybridModel:
             if tuple(entry["shape"]) != shape or data.shape != (int(np.prod(shape)),):
                 raise ValueError(f"{path}: parameter {key} has shape {entry['shape']} "
                                  f"with {data.size} values, expected {list(shape)}")
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: parameter {key} holds non-finite values")
             value = data.reshape(shape)
             if key.startswith("classical."):
                 model.classical.params[key.split(".", 1)[1]] = value
@@ -192,7 +193,8 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
 
     Deterministic in the seed: the split, the shuffles, the dropout masks and
     the initialization all derive from it. The classical learning rate follows
-    the linear epoch schedule; the quantum rate stays constant.
+    the linear epoch schedule; the quantum rate stays constant. A non-finite
+    train or validation loss stops training with a ValueError.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
@@ -243,6 +245,9 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
             vloss, _ = cross_entropy(model.forward(xv), yv, mv)
             row["val_loss"] = vloss
             row["val_agreement"] = agreement(model, xv, yv, mv)
+        for key in ("train_loss", "val_loss"):
+            if not np.isfinite(row.get(key, 0.0)):
+                raise ValueError(f"epoch {epoch}: {key} is {row[key]}, training diverged")
         history.append(row)
         if epoch % 10 == 0 or epoch == config.epochs - 1:
             log.info("epoch %3d  train loss %.4f  val agreement %s", epoch,
@@ -261,28 +266,35 @@ def agreement(model: HybridModel, x, y, mask) -> float:
 # Rollouts and evaluation
 
 
-def rollout(model: HybridModel, graph: CityGraph, scenario: Scenario,
-            sigma_frac: float = 0.1, betweenness: np.ndarray | None = None) -> Path:
-    """Drive the model through a scenario, one masked-argmax step at a time."""
+def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
+            sigma_frac: float = 0.1, betweenness: np.ndarray | None = None) -> list[Path]:
+    """Drive the model through the scenarios in lockstep, by masked argmax.
+
+    Each world step advances every unfinished scenario's own state and scores
+    them all in one batched forward; each path is the one its scenario takes alone.
+    """
     if betweenness is None:
         betweenness = feat.edge_betweenness(graph)
-    state = dyngraph.initial_state(graph, scenario, sigma_frac)
-    dyngraph.apply_initial_quake(state)
-    u = scenario.start
-    nodes = [u]
-    costs: list[float] = []
-    while u != scenario.chosen_exit:
-        if state.t >= scenario.max_steps:
-            return Path(nodes, costs, reached=False)
-        dyngraph.advance(state)
-        vec, mask, neighbors = feat.build_feature_vector(state, scenario, u,
-                                                         betweenness)
-        logits = np.where(mask, model.forward(vec[None])[0], MASKED_LOGIT)
-        v = neighbors[int(np.argmax(logits))]
-        costs.append(float(state.weights[graph.edge_index(u, v)]))
-        nodes.append(v)
-        u = v
-    return Path(nodes, costs)
+    states = [dyngraph.apply_initial_quake(dyngraph.initial_state(graph, sc, sigma_frac))
+              for sc in scenarios]
+    nodes = [[sc.start] for sc in scenarios]
+    costs: list[list[float]] = [[] for _ in scenarios]
+    active = list(range(len(scenarios)))  # a start is never an exit
+    while active:
+        for i in active:
+            dyngraph.advance(states[i])
+        built = [feat.build_feature_vector(states[i], scenarios[i], nodes[i][-1],
+                                           betweenness) for i in active]
+        logits = model.forward(np.stack([vec for vec, _, _ in built]))
+        for i, row, (_, mask, neighbors) in zip(active, logits, built):
+            u = nodes[i][-1]
+            v = neighbors[int(np.argmax(np.where(mask, row, MASKED_LOGIT)))]
+            costs[i].append(float(states[i].weights[graph.edge_index(u, v)]))
+            nodes[i].append(v)
+        active = [i for i in active if nodes[i][-1] != scenarios[i].chosen_exit
+                  and states[i].t < scenarios[i].max_steps]
+    return [Path(n, c, reached=n[-1] == sc.chosen_exit)
+            for n, c, sc in zip(nodes, costs, scenarios)]
 
 
 @dataclass
@@ -327,29 +339,8 @@ class EvalReport:
                 writer.writerow(asdict(r))
 
 
-def _eval_one(model: HybridModel, graph: CityGraph, scenario: Scenario,
-              scenario_id: int, sigma_frac: float, betweenness) -> PathRecord:
-    model_path = rollout(model, graph, scenario, sigma_frac, betweenness)
-    dij_path = oracle.nodewise_dijkstra(graph, scenario, sigma_frac)
-    acc = None
-    if model_path.reached and dij_path.reached:
-        acc = oracle.path_accuracy(dij_path.total_cost, model_path.total_cost)
-    return PathRecord(
-        scenario_id=scenario_id, start=scenario.start, exit=scenario.chosen_exit,
-        model_reached=model_path.reached, model_cost=model_path.total_cost,
-        model_steps=len(model_path) - 1, dij_reached=dij_path.reached,
-        dij_cost=dij_path.total_cost, dij_steps=len(dij_path) - 1, accuracy=acc,
-    )
-
-
-def _eval_worker(args) -> PathRecord:
-    model, graph, seed, index, sigma_frac, betweenness, max_steps = args
-    scenario = feat._scenario_for_index(graph, seed, index, max_steps)
-    return _eval_one(model, graph, scenario, index, sigma_frac, betweenness)
-
-
 def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
-             sigma_frac: float = 0.1, max_steps=None, jobs: int = 1) -> EvalReport:
+             sigma_frac: float = 0.1, max_steps=None) -> EvalReport:
     """Run model and oracle over fresh random scenarios and score the paths.
 
     Failed model rollouts count against the arrival rate but are excluded
@@ -358,13 +349,20 @@ def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = feat.edge_betweenness(graph)
-    tasks = [(model, graph, seed, i, sigma_frac, betweenness, max_steps)
-             for i in range(n_scenarios)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_eval_worker, tasks, chunksize=4))
-    else:
-        records = [_eval_worker(t) for t in tasks]
+    scenarios = [feat._scenario_for_index(graph, seed, i, max_steps)
+                 for i in range(n_scenarios)]
+    model_paths = rollout(model, graph, scenarios, sigma_frac, betweenness)
+    records = []
+    for i, (scenario, model_path) in enumerate(zip(scenarios, model_paths)):
+        dij_path = oracle.nodewise_dijkstra(graph, scenario, sigma_frac)
+        acc = (oracle.path_accuracy(dij_path.total_cost, model_path.total_cost)
+               if model_path.reached and dij_path.reached else None)
+        records.append(PathRecord(
+            scenario_id=i, start=scenario.start, exit=scenario.chosen_exit,
+            model_reached=model_path.reached, model_cost=model_path.total_cost,
+            model_steps=len(model_path) - 1, dij_reached=dij_path.reached,
+            dij_cost=dij_path.total_cost, dij_steps=len(dij_path) - 1, accuracy=acc,
+        ))
     arrival = oracle.arrival_rate([r.model_reached for r in records])
     scored = [r for r in records if r.accuracy is not None]
     mean_acc = float(np.mean([r.accuracy for r in scored])) if scored else 0.0

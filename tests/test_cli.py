@@ -15,6 +15,11 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error():
     assert run(["graph", "synth", "--bogus", "1"]) == 2
+    # only dataset generate takes --jobs
+    assert run(["train", "--data", "d.jsonl", "--seed", "0", "--out", "m.json",
+                "--jobs", "2"]) == 2
+    assert run(["eval", "--ckpt", "m.json", "--graph", "g.json", "--scenarios",
+                "2", "--seed", "0", "--out", "r.json", "--jobs", "2"]) == 2
 
 
 def test_graph_synth_roundtrip(tmp_path):
@@ -106,7 +111,7 @@ def test_train_eval_export_pipeline(tmp_path):
     pcsv = tmp_path / "paths.csv"
     assert run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath),
                 "--scenarios", "4", "--seed", "5", "--out", str(report),
-                "--csv", str(pcsv), "--jobs", "1"]) == 0
+                "--csv", str(pcsv)]) == 0
     doc = json.loads(report.read_text())
     assert {"arrival_rate", "mean_accuracy", "better_or_equal_rate",
             "n_scenarios", "quantum_share", "records"} <= set(doc)
@@ -182,3 +187,14 @@ def test_analyze_fourier_and_fisher(tmp_path):
     assert run(["analyze", "fisher", "--N", "1", "--K", "1", "--nx", "4",
                 "--ntheta", "2", "--seed", "3", "--full",
                 "--out", str(full)]) == 0
+
+
+def test_train_rejects_malformed_dataset(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps({"features": [0.5] * 35, "label": 0,
+                                "scenario_id": 0, "t": 0}) + "\n")
+    code = run(["train", "--data", str(data), "--seed", "0",
+                "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert "line 1" in capsys.readouterr().err
+

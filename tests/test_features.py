@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -183,3 +184,38 @@ def test_generate_dataset_parallel_matches_serial():
     parallel = ft.generate_dataset(g, 12, seed=3, jobs=2)
     assert np.array_equal(serial.feature_matrix(), parallel.feature_matrix())
     assert np.array_equal(serial.labels(), parallel.labels())
+
+
+def _edit_padding_label(doc):
+    # a zero travel time marks block 4 as padding
+    doc["features"][ft.HEAD_SIZE + 4 * ft.BLOCK_SIZE + 2] = 0.0
+    doc["label"] = 4
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["features"].pop(), "36 numbers"),
+    (lambda doc: doc["features"].append(0.5), "36 numbers"),
+    (lambda doc: doc.update(features=[str(x) for x in doc["features"]]), "36 numbers"),
+    (lambda doc: doc["features"].__setitem__(3, float("nan")), "non-finite"),
+    (lambda doc: doc["features"].__setitem__(0, float("inf")), "non-finite"),
+    (lambda doc: doc["features"].__setitem__(0, 10**400), "too large"),
+    (lambda doc: doc.update(label=5), "label"),
+    (lambda doc: doc.update(label=-1), "label"),
+    (lambda doc: doc.update(label=1.0), "label"),
+    (_edit_padding_label, "padding"),
+    (lambda doc: doc.update(scenario_id="3"), "scenario_id"),
+    (lambda doc: doc.update(t=2.5), "t"),
+    (lambda doc: doc.pop("t"), "keys"),
+])
+def test_load_jsonl_rejects_malformed_sample(tmp_path, edit, message):
+    g = dg.synth_city(4, 4, seed=1)
+    path = tmp_path / "d.jsonl"
+    ft.generate_dataset(g, 2, seed=5).save_jsonl(path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    edit(doc)
+    lines[1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        ft.Dataset.load_jsonl(path)
+    assert f"{path}, line 2" in str(info.value)

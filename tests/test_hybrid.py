@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -182,6 +183,8 @@ def _edited_checkpoint(tmp_path, edit):
         head_b={"shape": [3], "data": [0.0, 0.0, 0.0]}),
     lambda doc: doc["params"]["quantum"].update(shape=[12, 19]),
     lambda doc: doc["params"]["head_w"]["data"].pop(),
+    lambda doc: doc["params"]["head_b"]["data"].__setitem__(0, float("nan")),  # non-finite
+    lambda doc: doc["params"]["quantum"]["data"].__setitem__(5, float("inf")),
 ])
 def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
     path = _edited_checkpoint(tmp_path, edit)
@@ -192,7 +195,7 @@ def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
 def test_rollout_on_forced_line(line3):
     sc = scenario_for(line3, start=0, exit_=2)
     model = hy.HybridModel(seed=0)  # untrained; the path is forced anyway
-    path = hy.rollout(model, line3, sc)
+    [path] = hy.rollout(model, line3, [sc])
     assert path.nodes == [0, 1, 2]
     assert path.reached
 
@@ -201,9 +204,9 @@ def test_rollout_respects_mask_and_adjacency():
     g = dg.synth_city(5, 5, seed=3)
     model = hy.HybridModel(seed=1)
     rng = np.random.default_rng(2)
-    for i in range(5):
-        sc = dg.random_scenario(g, rng)
-        path = hy.rollout(model, g, sc)
+    paths = hy.rollout(model, g, [dg.random_scenario(g, rng) for _ in range(5)])
+    assert len(paths) == 5
+    for path in paths:
         for u, v in zip(path.nodes, path.nodes[1:]):
             assert v in g.neighbors(u)
 
@@ -212,11 +215,53 @@ def test_rollout_argmax_scale_invariance():
     g = dg.synth_city(4, 4, seed=2)
     sc = dg.random_scenario(g, np.random.default_rng(1))
     model = hy.HybridModel(seed=3)
-    base = hy.rollout(model, g, sc)
+    [base] = hy.rollout(model, g, [sc])
     model.head_w *= 7.0  # positive rescaling of every logit
     model.head_b *= 7.0
-    again = hy.rollout(model, g, sc)
+    [again] = hy.rollout(model, g, [sc])
     assert base.nodes == again.nodes
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_rollout_lockstep_matches_sequential(trained):
+    g, ds = _tiny_dataset()
+    if trained:  # classical-only, so that many scenarios arrive at different steps
+        model, _ = hy.train(ds, hy.TrainConfig(epochs=30, batch_size=64, seed=0,
+                                               classical_only=True))
+    else:  # the quantum branch runs batched; most scenarios spend their budget
+        model = hy.HybridModel(seed=1)
+    rng = np.random.default_rng(4)
+    scenarios = [dg.random_scenario(g, rng) for _ in range(12)]
+    scenarios = [dataclasses.replace(sc, max_steps=2 + i) if i % 3 == 0 else sc
+                 for i, sc in enumerate(scenarios)]
+    lockstep = hy.rollout(model, g, scenarios)
+    sequential = [hy.rollout(model, g, [sc])[0] for sc in scenarios]
+    assert [(p.nodes, p.edge_costs, p.reached) for p in lockstep] == \
+        [(p.nodes, p.edge_costs, p.reached) for p in sequential]
+    # the batch mixes arrivals with default and short budgets that run out
+    spent = {sc.max_steps for p, sc in zip(lockstep, scenarios) if not p.reached}
+    assert any(p.reached for p in lockstep)
+    assert 2 * g.n_nodes in spent and {5, 8, 11} <= spent
+    assert all(len(p) - 1 == sc.max_steps for p, sc in zip(lockstep, scenarios)
+               if not p.reached)
+    assert len({len(p) for p in lockstep}) >= 4
+
+
+def test_evaluate_runs_one_forward_per_world_step(monkeypatch):
+    g = dg.synth_city(5, 5, seed=3)
+    model = hy.HybridModel(seed=1)
+    batches = []
+    forward = hy.HybridModel.forward
+
+    def counting_forward(self, features, *args, **kwargs):
+        batches.append(len(features))
+        return forward(self, features, *args, **kwargs)
+
+    monkeypatch.setattr(hy.HybridModel, "forward", counting_forward)
+    report = hy.evaluate(model, g, 8, seed=9)
+    steps = [r.model_steps for r in report.records]
+    assert len(batches) == max(steps) < sum(steps)
+    assert sum(batches) == sum(steps)
 
 
 def test_evaluate_report(tmp_path):
@@ -236,14 +281,16 @@ def test_evaluate_report(tmp_path):
     assert cpath.read_text().startswith("scenario_id,")
 
 
-def test_evaluate_parallel_matches_serial():
-    g, _ = _tiny_dataset()
-    model = hy.HybridModel(seed=0)
-    serial = hy.evaluate(model, g, 4, seed=9, jobs=1)
-    parallel = hy.evaluate(model, g, 4, seed=9, jobs=2)
-    assert [vars(r) for r in serial.records] == [vars(r) for r in parallel.records]
-
-
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError):
         hy.train(ft.Dataset([]), hy.TrainConfig(epochs=1))
+
+
+def test_train_stops_on_non_finite_loss():
+    ds = ft.generate_dataset(dg.synth_city(4, 4, seed=3), 6, seed=2)
+    for sample in ds:
+        sample.features[10] = 1e300  # a distance-to-exit value that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="epoch 1: val_loss is nan"):
+            hy.train(ds, hy.TrainConfig(epochs=3, batch_size=256, seed=0,
+                                        classical_only=True))
