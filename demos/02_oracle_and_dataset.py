@@ -36,7 +36,7 @@ labels = dataset.labels()
 print(f"dataset: {len(dataset)} samples, label histogram "
       f"{np.bincount(labels, minlength=5).tolist()}")
 
-vec = dataset[0].features
+vec = dataset.feature_matrix()[0]
 print("first sample head: epicenter", vec[:2].round(3),
       "current", vec[2:4].round(3), "dest", vec[4:6].round(3))
 train, val = dataset.split(val_fraction=0.1, seed=0)

@@ -17,8 +17,8 @@ from .oracle import (
     nodewise_dijkstra, path_accuracy,
 )
 from .features import (
-    Dataset, Sample, build_feature_vector, direction_cosine, edge_betweenness,
-    euclid, generate_dataset,
+    Dataset, build_feature_vector, direction_cosine, edge_betweenness, euclid,
+    generate_dataset,
 )
 from .qsim import (
     BindingError, Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,

@@ -93,7 +93,7 @@ def _cmd_dataset_generate(args) -> int:
                                         sigma_frac=args.sigma_frac,
                                         jobs=int(args.jobs or os.cpu_count() or 1))
     dataset.save_jsonl(args.out)
-    n_scen = len({s.scenario_id for s in dataset})
+    n_scen = len(np.unique(dataset.scenario_ids()))
     print(f"dataset: {len(dataset)} samples from {n_scen} scenarios -> {args.out}")
     return 0
 

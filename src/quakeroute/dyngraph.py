@@ -169,6 +169,9 @@ class DynamicState:
     """
 
     def __init__(self, graph: CityGraph, scenario: Scenario, weights: np.ndarray):
+        if not all(0 <= v < graph.n_nodes for v in (scenario.start, *scenario.exits)):
+            raise GraphError(f"scenario start {scenario.start} and exits {list(scenario.exits)} "
+                             f"must be node indices 0-{graph.n_nodes - 1} of the graph")
         self.graph = graph
         self.scenario = scenario
         self.weights = np.asarray(weights, float).copy()
@@ -180,9 +183,6 @@ class DynamicState:
         self._d_exit = {
             e: np.linalg.norm(centers - graph.xy[e], axis=1) for e in scenario.exits
         }
-
-    def weight_of(self, u: int, v: int) -> float:
-        return float(self.weights[self.graph.edge_index(u, v)])
 
 
 def initial_state(graph: CityGraph, scenario: Scenario, sigma_frac: float = 0.1) -> DynamicState:

@@ -29,16 +29,8 @@ HEAD_SIZE = 6
 # Travel times are divided by the global weight cap so they land in [0, 1]
 # (the uncapped initial x5 hit can push a little above 1).
 WEIGHT_SCALE = 5.0
-
-
-@dataclass
-class Sample:
-    """One oracle decision: input vector plus the chosen neighbor block index."""
-
-    features: np.ndarray  # (36,)
-    label: int
-    scenario_id: int
-    t: int
+# a Dataset's columns, which are also the keys of a JSON-lines record
+COLUMNS = ("features", "label", "scenario_id", "t")
 
 
 def euclid(p, q) -> float:
@@ -148,11 +140,10 @@ def block_mask(features: np.ndarray) -> np.ndarray:
     return w > 0.0
 
 
-def _parse_sample(doc) -> Sample:
-    """One ``save_jsonl`` record as a Sample; anything else is a ValueError."""
-    keys = {"features", "label", "scenario_id", "t"}
-    if not isinstance(doc, dict) or set(doc) != keys:
-        raise ValueError(f"a sample needs exactly the keys {sorted(keys)}")
+def _parse_row(doc) -> tuple:
+    """One ``save_jsonl`` record as a row of ``COLUMNS``; anything else is a ValueError."""
+    if not isinstance(doc, dict) or set(doc) != set(COLUMNS):
+        raise ValueError(f"a sample needs exactly the keys {sorted(COLUMNS)}")
     values = doc["features"]
     if (not isinstance(values, list) or len(values) != N_FEATURES
             or not all(type(x) in (int, float) for x in values)):
@@ -168,95 +159,110 @@ def _parse_sample(doc) -> Sample:
     for key in ("scenario_id", "t"):
         if type(doc[key]) is not int:
             raise ValueError(f"{key} {doc[key]!r} is not an integer")
-    return Sample(features=features, label=label, scenario_id=doc["scenario_id"],
-                  t=doc["t"])
+    return features, label, doc["scenario_id"], doc["t"]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: list[Sample]
+    """Oracle decisions as four read-only columns, one row per sample.
+
+    ``features`` is (n, 36); ``label`` (the chosen neighbor block),
+    ``scenario_id`` and ``t`` are (n,) integers. Indexing with a slice, an
+    index array or a boolean mask selects rows and returns a Dataset.
+    """
+
+    features: np.ndarray
+    label: np.ndarray
+    scenario_id: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.label)
+        for key, dtype, shape in zip(COLUMNS, (float, int, int, int),
+                                     ((n, N_FEATURES), (n,), (n,), (n,))):
+            column = np.array(getattr(self, key), dtype)
+            if column.shape != shape:
+                raise ValueError(f"{key} has shape {column.shape}, expected {shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, key, column)
+        object.__setattr__(self, "_masks", block_mask(self.features))
+        self._masks.setflags(write=False)
+
+    @staticmethod
+    def from_rows(rows) -> "Dataset":
+        """Columns from a sequence of rows in ``COLUMNS`` order."""
+        features, label, scenario_id, t = zip(*rows) if rows else ((), (), (), ())
+        return Dataset(np.reshape(features, (-1, N_FEATURES)), label, scenario_id, t)
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.label)
 
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
+    def __getitem__(self, rows) -> "Dataset":
+        return Dataset(*(getattr(self, key)[rows] for key in COLUMNS))
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples])
+        return self.features
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], int)
+        return self.label
 
     def masks(self) -> np.ndarray:
-        return block_mask(self.feature_matrix())
+        return self._masks
 
     def scenario_ids(self) -> np.ndarray:
-        return np.array([s.scenario_id for s in self.samples], int)
+        return self.scenario_id
 
     def save_jsonl(self, path: str | FilePath) -> None:
         with open(path, "w") as fh:
-            for s in self.samples:
-                fh.write(json.dumps({
-                    "features": [float(x) for x in s.features],
-                    "label": int(s.label),
-                    "scenario_id": int(s.scenario_id),
-                    "t": int(s.t),
-                }) + "\n")
+            for row in zip(*(getattr(self, key).tolist() for key in COLUMNS)):
+                fh.write(json.dumps(dict(zip(COLUMNS, row))) + "\n")
 
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
         """Read a ``save_jsonl`` file; a malformed line raises ValueError naming it."""
-        samples = []
+        rows = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    samples.append(_parse_sample(json.loads(line)))
+                    rows.append(_parse_row(json.loads(line)))
                 except (ValueError, OverflowError) as exc:  # overflow: a huge integer
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
-        return Dataset(samples)
+        return Dataset.from_rows(rows)
 
     def split(self, val_fraction: float = 0.1, seed: int = 0):
         """Train/validation split by scenario, so no rollout leaks across."""
-        ids = sorted({s.scenario_id for s in self.samples})
+        ids = np.unique(self.scenario_id)
         rng = np.random.default_rng(seed)
         rng.shuffle(ids)
         n_val = max(1, round(val_fraction * len(ids))) if len(ids) > 1 else 0
-        val_ids = set(ids[:n_val])
-        train = [s for s in self.samples if s.scenario_id not in val_ids]
-        val = [s for s in self.samples if s.scenario_id in val_ids]
-        return Dataset(train), Dataset(val)
+        val = np.isin(self.scenario_id, ids[:n_val])
+        return self[~val], self[val]
 
 
 def _roll_scenario(graph: CityGraph, scenario: Scenario, scenario_id: int,
-                   betweenness: np.ndarray, sigma_frac: float) -> list[Sample]:
-    samples: list[Sample] = []
+                   betweenness: np.ndarray, sigma_frac: float) -> list[tuple]:
+    rows: list[tuple] = []
 
     def record(state, node, chosen):
         feats, mask, neighbors = build_feature_vector(state, scenario, node, betweenness)
-        samples.append(Sample(features=feats, label=neighbors.index(chosen),
-                              scenario_id=scenario_id, t=state.t))
+        rows.append((feats, neighbors.index(chosen), scenario_id, state.t))
 
     path = oracle.nodewise_dijkstra(graph, scenario, sigma_frac, on_decision=record)
     if not path.reached:
         log.warning("scenario %d skipped: budget exhausted after %d steps",
                     scenario_id, len(path) - 1)
         return []
-    return samples
+    return rows
 
 
-def _scenario_for_index(graph: CityGraph, seed: int, index: int,
-                        max_steps) -> Scenario:
+def _scenario_for_index(graph: CityGraph, seed: int, index: int, max_steps) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     return dyngraph.random_scenario(graph, rng, max_steps=max_steps)
 
 
-def _gen_worker(args) -> list[Sample]:
+def _gen_worker(args) -> list[tuple]:
     graph, seed, index, max_steps, betweenness, sigma_frac = args
     scenario = _scenario_for_index(graph, seed, index, max_steps)
     try:
@@ -285,5 +291,4 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
             results = list(pool.map(_gen_worker, tasks, chunksize=8))
     else:
         results = [_gen_worker(t) for t in tasks]
-    samples = [s for scenario_samples in results for s in scenario_samples]
-    return Dataset(samples)
+    return Dataset.from_rows([row for rows in results for row in rows])

@@ -25,17 +25,15 @@ log = logging.getLogger(__name__)
 
 N_OUT = 5
 MASKED_LOGIT = -1e30
+CLASSICAL_LR = 1e-3  # scaled by neural.lr_schedule each epoch
+QUANTUM_LR = 1e-3
+WEIGHT_DECAY = 1e-5
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 2000
-    classical_lr: float = 1e-3
-    quantum_lr: float = 1e-3
-    weight_decay: float = 1e-5
-    start_factor: float = 1.0
-    end_factor: float = 0.1
     dropout: float = 0.5
     val_fraction: float = 0.1
     seed: int = 0
@@ -62,14 +60,13 @@ class HybridModel:
     """Trainable parameters of both branches plus the combining head."""
 
     def __init__(self, seed: int = 0, classical_only: bool = False,
-                 model_config: qsim.ModelConfig = qsim.ModelConfig(),
                  dropout: float = 0.5):
         rng = np.random.default_rng(seed)
         self.classical_only = classical_only
-        self.model_config = model_config
+        self.model_config = qsim.ModelConfig()
         self.classical = neural.ClassicalFilmNet(seed=int(rng.integers(2**32)),
                                                  dropout=dropout)
-        self.quantum_params = rng.uniform(-np.pi, np.pi, model_config.n_params)
+        self.quantum_params = rng.uniform(-np.pi, np.pi, self.model_config.n_params)
         self.head_w = neural.kaiming_uniform(rng, (N_OUT, 2 * N_OUT), 2 * N_OUT)
         if classical_only:
             self.head_w[:, N_OUT:] = 0.0
@@ -149,7 +146,10 @@ class HybridModel:
         if set(doc) != {"format", "classical_only", "params"}:
             raise ValueError(f"{path}: checkpoint keys {sorted(doc)} are not "
                              "format, classical_only and params")
-        model = HybridModel(seed=0, classical_only=bool(doc["classical_only"]))
+        if type(doc["classical_only"]) is not bool:
+            raise ValueError(f"{path}: classical_only is {doc['classical_only']!r}, "
+                             "not a boolean")
+        model = HybridModel(seed=0, classical_only=doc["classical_only"])
         expected = {f"classical.{k}": v.shape for k, v in model.classical.params.items()}
         expected.update(quantum=model.quantum_params.shape,
                         head_w=model.head_w.shape, head_b=model.head_b.shape)
@@ -160,11 +160,14 @@ class HybridModel:
                 f"{path}: checkpoint parameters missing {sorted(set(expected) - found)}, "
                 f"unexpected {sorted(found - set(expected))}")
         for key, shape in expected.items():
-            entry = params[key]
-            data = np.asarray(entry["data"], float)
-            if tuple(entry["shape"]) != shape or data.shape != (int(np.prod(shape)),):
-                raise ValueError(f"{path}: parameter {key} has shape {entry['shape']} "
-                                 f"with {data.size} values, expected {list(shape)}")
+            entry, size = params[key], int(np.prod(shape))
+            if (not isinstance(entry, dict) or set(entry) != {"shape", "data"}
+                    or entry["shape"] != list(shape)
+                    or not isinstance(entry["data"], list) or len(entry["data"]) != size
+                    or not all(type(x) is float for x in entry["data"])):
+                raise ValueError(f"{path}: parameter {key} is not shape {list(shape)} "
+                                 f"with a list of {size} floats as data")
+            data = np.asarray(entry["data"])
             if not np.isfinite(data).all():
                 raise ValueError(f"{path}: parameter {key} holds non-finite values")
             value = data.reshape(shape)
@@ -198,17 +201,16 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
+    for name in ("epochs", "batch_size"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
     train_ds, val_ds = dataset.split(config.val_fraction, seed=config.seed)
     if len(train_ds) == 0:
         train_ds = dataset
     model = HybridModel(seed=config.seed, classical_only=config.classical_only,
                         dropout=config.dropout)
-    x = train_ds.feature_matrix()
-    y = train_ds.labels()
-    m = train_ds.masks()
-    xv = val_ds.feature_matrix() if len(val_ds) else None
-    yv = val_ds.labels() if len(val_ds) else None
-    mv = val_ds.masks() if len(val_ds) else None
+    x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
+    xv, yv, mv = val_ds.feature_matrix(), val_ds.labels(), val_ds.masks()
 
     seq = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -218,8 +220,7 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     batch = min(config.batch_size, n)
     history: list[dict] = []
     for epoch in range(config.epochs):
-        factor = lr_schedule(epoch, config.epochs, config.start_factor,
-                             config.end_factor)
+        factor = lr_schedule(epoch, config.epochs)
         perm = shuffle_rng.permutation(n)
         losses = []
         for lo in range(0, n, batch):
@@ -227,24 +228,21 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
             loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx],
                                                 train=True, rng=dropout_rng)
             losses.append(loss)
-            group = dict(model.classical.params)
-            group["head_w"] = model.head_w
-            group["head_b"] = model.head_b
+            group = {**model.classical.params, "head_w": model.head_w,
+                     "head_b": model.head_b}
             adam_step(group, {**cg, **hg}, opt_classical,
-                      lr=config.classical_lr * factor,
-                      weight_decay=config.weight_decay)
+                      lr=CLASSICAL_LR * factor, weight_decay=WEIGHT_DECAY)
             if not config.classical_only:
                 adam_step({"quantum": model.quantum_params},
                           {"quantum": qg}, opt_quantum,
-                          lr=config.quantum_lr,
-                          weight_decay=config.weight_decay)
+                          lr=QUANTUM_LR, weight_decay=WEIGHT_DECAY)
         row = {"epoch": epoch, "lr_factor": factor,
                "train_loss": float(np.mean(losses)),
-               "train_agreement": agreement(model, x, y, m)}
-        if xv is not None:
-            vloss, _ = cross_entropy(model.forward(xv), yv, mv)
-            row["val_loss"] = vloss
-            row["val_agreement"] = agreement(model, xv, yv, mv)
+               "train_agreement": agreement(model.forward(x), y, m)}
+        if len(xv):
+            val_logits = model.forward(xv)
+            row["val_loss"], _ = cross_entropy(val_logits, yv, mv)
+            row["val_agreement"] = agreement(val_logits, yv, mv)
         for key in ("train_loss", "val_loss"):
             if not np.isfinite(row.get(key, 0.0)):
                 raise ValueError(f"epoch {epoch}: {key} is {row[key]}, training diverged")
@@ -255,9 +253,8 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     return model, history
 
 
-def agreement(model: HybridModel, x, y, mask) -> float:
-    """Fraction of samples whose masked argmax matches the oracle label."""
-    logits = model.forward(x)
+def agreement(logits, y, mask) -> float:
+    """Fraction of samples whose masked argmax of the logits matches the oracle label."""
     logits = np.where(mask, logits, MASKED_LOGIT)
     return float((logits.argmax(axis=1) == y).mean())
 
@@ -323,17 +320,14 @@ class EvalReport:
     records: list[PathRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["records"] = [asdict(r) for r in self.records]
-        return doc
+        return asdict(self)  # records included, each as a dict
 
     def save_json(self, path: str | FilePath) -> None:
         FilePath(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
 
     def save_csv(self, path: str | FilePath) -> None:
-        fields = [f for f in PathRecord.__dataclass_fields__]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=list(PathRecord.__dataclass_fields__))
             writer.writeheader()
             for r in self.records:
                 writer.writerow(asdict(r))

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# widths of the 34->100->100->5 stack and of the FiLM input (the epicenter)
+IN_DIM, HIDDEN, OUT_DIM, FILM_DIM = 34, 100, 5, 2
+# lr_schedule's factor at the first and at the last epoch
+LR_START_FACTOR, LR_END_FACTOR = 1.0, 0.1
+
 
 class ConfigError(ValueError):
     """Inconsistent layer shapes or bad arguments."""
@@ -30,26 +35,21 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 class ClassicalFilmNet:
     """Dense stack modulated by epicenter-conditioned scale and shift."""
 
-    def __init__(self, seed: int = 0, in_dim: int = 34, hidden: int = 100,
-                 out_dim: int = 5, film_dim: int = 2, dropout: float = 0.5):
+    def __init__(self, seed: int = 0, dropout: float = 0.5):
         rng = np.random.default_rng(seed)
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.out_dim = out_dim
-        self.film_dim = film_dim
         self.dropout = dropout
         self.params: dict[str, np.ndarray] = {
-            "w1": kaiming_uniform(rng, (hidden, in_dim), in_dim),
-            "b1": np.zeros(hidden),
-            "w2": kaiming_uniform(rng, (hidden, hidden), hidden),
-            "b2": np.zeros(hidden),
-            "w3": kaiming_uniform(rng, (out_dim, hidden), hidden),
-            "b3": np.zeros(out_dim),
-            "film_scale_w": kaiming_uniform(rng, (hidden, film_dim), film_dim),
+            "w1": kaiming_uniform(rng, (HIDDEN, IN_DIM), IN_DIM),
+            "b1": np.zeros(HIDDEN),
+            "w2": kaiming_uniform(rng, (HIDDEN, HIDDEN), HIDDEN),
+            "b2": np.zeros(HIDDEN),
+            "w3": kaiming_uniform(rng, (OUT_DIM, HIDDEN), HIDDEN),
+            "b3": np.zeros(OUT_DIM),
+            "film_scale_w": kaiming_uniform(rng, (HIDDEN, FILM_DIM), FILM_DIM),
             # start as an identity modulation: scale 1, shift 0
-            "film_scale_b": np.ones(hidden),
-            "film_shift_w": kaiming_uniform(rng, (hidden, film_dim), film_dim),
-            "film_shift_b": np.zeros(hidden),
+            "film_scale_b": np.ones(HIDDEN),
+            "film_shift_w": kaiming_uniform(rng, (HIDDEN, FILM_DIM), FILM_DIM),
+            "film_shift_b": np.zeros(HIDDEN),
         }
         self._cache = None
 
@@ -58,9 +58,9 @@ class ClassicalFilmNet:
         """Logits of shape (B, 5). Dropout is active only when ``train``."""
         x = np.atleast_2d(np.asarray(x, float))
         epi = np.atleast_2d(np.asarray(epi, float))
-        if x.shape[1] != self.in_dim or epi.shape[1] != self.film_dim:
+        if x.shape[1] != IN_DIM or epi.shape[1] != FILM_DIM:
             raise ConfigError(
-                f"expected inputs ({self.in_dim}, {self.film_dim}), "
+                f"expected inputs ({IN_DIM}, {FILM_DIM}), "
                 f"got ({x.shape[1]}, {epi.shape[1]})")
         if train and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")
@@ -175,12 +175,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         params[key] -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * params[key])
 
 
-def lr_schedule(epoch: float, n_epochs: int = 100, start_factor: float = 1.0,
-                end_factor: float = 0.1) -> float:
+def lr_schedule(epoch: float, n_epochs: int = 100) -> float:
     """Linear learning-rate factor from start to end over the epoch range."""
     if not 0 <= epoch < n_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {n_epochs})")
     if n_epochs == 1:
-        return start_factor
+        return LR_START_FACTOR
     frac = epoch / (n_epochs - 1)
-    return start_factor + (end_factor - start_factor) * frac
+    return LR_START_FACTOR + (LR_END_FACTOR - LR_START_FACTOR) * frac

@@ -22,6 +22,7 @@ import numpy as np
 
 N_MAIN_FEATURES = 34
 N_EPI_FEATURES = 2
+GRAD_CHUNK = 512  # ModelKernel.grad rows per pass, bounding the cached states
 
 
 class CircuitError(ValueError):
@@ -474,7 +475,7 @@ class ModelKernel:
 
     # -- upstream-contracted gradient ----------------------------------------
 
-    def grad(self, params, features, epi, upstream, chunk: int = 512) -> np.ndarray:
+    def grad(self, params, features, epi, upstream) -> np.ndarray:
         """Sum over the batch of upstream[b, k] * d<Z_k>_b / d theta.
 
         ``upstream`` is (B, 5); returns (n_params,). Exact parameter-shift,
@@ -483,8 +484,8 @@ class ModelKernel:
         params, x = self._inputs(params, features, epi)
         upstream = np.asarray(upstream, float)
         total = np.zeros(self.n_params)
-        for lo in range(0, x.shape[0], chunk):
-            sl = slice(lo, lo + chunk)
+        for lo in range(0, x.shape[0], GRAD_CHUNK):
+            sl = slice(lo, lo + GRAD_CHUNK)
             total += self._grad_chunk(params, x[sl], upstream[sl])
         return total
 

@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+
 import quakeroute.dyngraph as dg
 import quakeroute.features as ft
 import quakeroute.hybrid as hy
@@ -76,6 +78,20 @@ def test_env_simulate(tmp_path):
     lines = wpath.read_text().strip().splitlines()
     assert lines[0] == "t,u,v,weight"
     assert len(lines) == 1 + 6 * g.n_edges  # snapshot at t=0 plus 5 steps
+
+
+@pytest.mark.parametrize("exit_", [99, -1])
+def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3",
+         "--out", str(gpath)])
+    spath = tmp_path / "s.json"
+    dg.save_scenario(dg.Scenario(epicenter=(0.5, 0.5), start=0, exits=(exit_,),
+                                 chosen_exit=exit_, rng_seed=0, max_steps=10), spath)
+    wpath = tmp_path / "weights.csv"
+    assert run(["env", "simulate", "--graph", str(gpath), "--scenario",
+                str(spath), "--steps", "5", "--out", str(wpath)]) == 1
+    assert "node indices 0-15" in capsys.readouterr().err
 
 
 def test_dataset_generate_deterministic(tmp_path):
@@ -198,3 +214,17 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys):
     assert code == 1
     assert "line 1" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("option, name", [("--epochs", "epochs"),
+                                          ("--batch-size", "batch_size")])
+def test_train_rejects_zero_epochs_or_batch_size(tmp_path, capsys, option, name):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+         "--out", str(gpath)])
+    data = tmp_path / "d.jsonl"
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1",
+         "--out", str(data), "--jobs", "1"])
+    code = run(["train", "--data", str(data), "--seed", "0", option, "0",
+                "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert f"{name} must be at least 1" in capsys.readouterr().err

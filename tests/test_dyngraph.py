@@ -299,6 +299,13 @@ def test_scenario_validation():
                     rng_seed=0, max_steps=10)
 
 
+@pytest.mark.parametrize("start, exit_", [(0, 3), (0, -1), (3, 2), (-1, 2)])
+def test_scenario_nodes_must_be_graph_nodes(line3, start, exit_):
+    sc = scenario_for(line3, start=start, exit_=exit_)
+    with pytest.raises(dg.GraphError, match="node indices 0-2"):
+        dg.initial_state(line3, sc)
+
+
 def test_graph_and_scenario_files_roundtrip(tmp_path):
     g = dg.synth_city(4, 5, seed=1)
     path = tmp_path / "g.json"

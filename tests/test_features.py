@@ -132,19 +132,17 @@ def test_generate_dataset_counts_and_labels():
     assert ((labels >= 0) & (labels < 5)).all()
     assert masks[np.arange(len(ds)), labels].all()  # never a padded block
     # one sample per traversed edge of each successful scenario
-    by_scenario = {}
-    for s in ds:
-        by_scenario.setdefault(s.scenario_id, []).append(s)
-    for sid, samples in by_scenario.items():
+    for sid in np.unique(ds.scenario_ids()):
+        rows = ds[ds.scenario_ids() == sid]
         sc = ft._scenario_for_index(g, 9, sid, None)
         path = oc.nodewise_dijkstra(g, sc, sigma_frac=0.1)
         assert path.reached
-        assert len(samples) == len(path.nodes) - 1
+        assert len(rows) == len(path.nodes) - 1
         # the labeled block's coordinates are the oracle's next node
-        for sample, nxt in zip(sorted(samples, key=lambda s: s.t),
-                               path.nodes[1:]):
-            base = 6 + sample.label * 6
-            assert np.allclose(sample.features[base:base + 2], g.xy[nxt])
+        assert np.array_equal(rows.t, np.sort(rows.t))
+        for vec, label, nxt in zip(rows.features, rows.labels(), path.nodes[1:]):
+            base = 6 + label * 6
+            assert np.allclose(vec[base:base + 2], g.xy[nxt])
 
 
 def test_generate_dataset_deterministic_bytes(tmp_path):
@@ -164,12 +162,36 @@ def test_split_by_scenario_no_leakage():
     g = dg.synth_city(5, 5, seed=2)
     ds = ft.generate_dataset(g, 20, seed=3)
     train, val = ds.split(val_fraction=0.2, seed=1)
-    train_ids = {s.scenario_id for s in train}
-    val_ids = {s.scenario_id for s in val}
+    train_ids = set(train.scenario_ids().tolist())
+    val_ids = set(val.scenario_ids().tolist())
     assert train_ids.isdisjoint(val_ids)
     assert len(train) + len(val) == len(ds)
     train2, val2 = ds.split(val_fraction=0.2, seed=1)
-    assert {s.scenario_id for s in val2} == val_ids
+    assert set(val2.scenario_ids().tolist()) == val_ids
+
+
+def test_dataset_columns_and_row_selection():
+    g = dg.synth_city(5, 5, seed=2)
+    ds = ft.generate_dataset(g, 8, seed=3)
+    n = len(ds)
+    assert ds.feature_matrix().shape == (n, ft.N_FEATURES)
+    for column in (ds.labels(), ds.scenario_ids(), ds.t):
+        assert column.shape == (n,) and column.dtype.kind == "i"
+    assert ds.feature_matrix() is ds.feature_matrix() and ds.masks() is ds.masks()
+    with pytest.raises(ValueError):  # the columns are read-only
+        ds.feature_matrix()[0, 0] = 1.0
+    pick = np.array([3, 0, n - 1])
+    assert np.array_equal(ds[pick].feature_matrix(), ds.feature_matrix()[pick])
+    assert np.array_equal(ds[ds.t == 0].scenario_ids(),
+                          ds.scenario_ids()[ds.t == 0])
+    assert np.array_equal(ds[:0].feature_matrix(), np.empty((0, ft.N_FEATURES)))
+    # a split keeps each side's rows in dataset order
+    train, val = ds.split(val_fraction=0.25, seed=1)
+    in_val = np.isin(ds.scenario_ids(), val.scenario_ids())
+    assert np.array_equal(val.feature_matrix(), ds.feature_matrix()[in_val])
+    assert np.array_equal(train.t, ds.t[~in_val])
+    with pytest.raises(ValueError, match="t has shape"):
+        ft.Dataset(ds.feature_matrix(), ds.labels(), ds.scenario_ids(), ds.t[1:])
 
 
 def test_generate_dataset_argument_error():

@@ -127,7 +127,7 @@ def test_hybrid_gradients_match_finite_differences():
 def test_one_epoch_decreases_loss_for_most_seeds():
     # dropout off so the per-epoch losses are comparable
     _, ds = _tiny_dataset()
-    small = ft.Dataset(ds.samples[:10])
+    small = ds[:10]
     improved = 0
     for seed in range(5):
         cfg = hy.TrainConfig(epochs=2, batch_size=10, seed=seed,
@@ -185,6 +185,9 @@ def _edited_checkpoint(tmp_path, edit):
     lambda doc: doc["params"]["head_w"]["data"].pop(),
     lambda doc: doc["params"]["head_b"]["data"].__setitem__(0, float("nan")),  # non-finite
     lambda doc: doc["params"]["quantum"]["data"].__setitem__(5, float("inf")),
+    lambda doc: doc["params"]["head_b"]["data"].__setitem__(0, 10**400),
+    lambda doc: doc["params"].update(head_b=5),                    # not an object
+    lambda doc: doc.update(classical_only="no"),                   # not a boolean
 ])
 def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
     path = _edited_checkpoint(tmp_path, edit)
@@ -283,13 +286,14 @@ def test_evaluate_report(tmp_path):
 
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        hy.train(ft.Dataset([]), hy.TrainConfig(epochs=1))
+        hy.train(ft.Dataset.from_rows([]), hy.TrainConfig(epochs=1))
 
 
 def test_train_stops_on_non_finite_loss():
     ds = ft.generate_dataset(dg.synth_city(4, 4, seed=3), 6, seed=2)
-    for sample in ds:
-        sample.features[10] = 1e300  # a distance-to-exit value that overflows
+    x = ds.feature_matrix().copy()
+    x[:, 10] = 1e300  # a distance-to-exit value that overflows
+    ds = dataclasses.replace(ds, features=x)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="epoch 1: val_loss is nan"):
             hy.train(ds, hy.TrainConfig(epochs=3, batch_size=256, seed=0,
