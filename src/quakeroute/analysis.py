@@ -18,6 +18,9 @@ import numpy as np
 from . import qsim
 from .qsim import Circuit, CNot, Rot
 
+RANK_TOL = 1e-8  # eigenvalues above this share of the largest count toward the rank
+NEAR_ZERO_TOL = 1e-3  # |eigenvalue| below this share of the largest is near zero
+
 
 @dataclass(frozen=True)
 class MiniConfig:
@@ -194,8 +197,7 @@ class SpectrumReport:
     near_zero_fraction: float
 
 
-def fisher_spectrum(matrix: np.ndarray, rank_tol: float = 1e-8,
-                    near_zero_tol: float = 1e-3) -> SpectrumReport:
+def fisher_spectrum(matrix: np.ndarray) -> SpectrumReport:
     """Eigenvalues, numerical rank and the share of near-zero eigenvalues."""
     matrix = np.asarray(matrix, float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -204,16 +206,15 @@ def fisher_spectrum(matrix: np.ndarray, rank_tol: float = 1e-8,
         raise ValueError("Fisher matrix must be symmetric")
     ev = np.linalg.eigvalsh(matrix)[::-1]
     top = float(ev.max(initial=0.0))
-    rank = int(np.sum(ev > rank_tol * top)) if top > 0 else 0
-    near_zero = float(np.mean(np.abs(ev) < near_zero_tol * max(np.abs(ev).max(), 1e-300)))
+    rank = int(np.sum(ev > RANK_TOL * top)) if top > 0 else 0
+    near_zero = float(np.mean(np.abs(ev) < NEAR_ZERO_TOL * max(np.abs(ev).max(), 1e-300)))
     return SpectrumReport(eigenvalues=ev, rank=rank, near_zero_fraction=near_zero)
 
 
-def pooled_near_zero_fraction(result: FisherResult,
-                              near_zero_tol: float = 1e-3) -> float:
+def pooled_near_zero_fraction(result: FisherResult) -> float:
     """Near-zero share over the pooled per-realization eigenspectra."""
     ev = np.concatenate([np.linalg.eigvalsh(f) for f in result.per_realization])
-    return float(np.mean(np.abs(ev) < near_zero_tol * np.abs(ev).max()))
+    return float(np.mean(np.abs(ev) < NEAR_ZERO_TOL * np.abs(ev).max()))
 
 
 def write_spectrum_csv(report: SpectrumReport, path: str | FilePath) -> None:

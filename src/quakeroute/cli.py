@@ -28,15 +28,31 @@ _DOMAIN_ERRORS = (
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill options left at None from the JSON config file, if one was given."""
+    """Fill options left at None from the JSON config file, if one was given.
+
+    Each value goes through its option's argparse type, as if it had been
+    typed on the command line; one that does not convert raises ValueError.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
     doc = json.loads(FilePath(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a config file holds one JSON object, "
+                         f"not a {type(doc).__name__}")
+    types = {action.dest: action.type or str for action in args.parser._actions
+             if action.default is None}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if attr not in types or value is None or getattr(args, attr) is not None:
+            continue
+        try:
+            if type(value) not in (str, int, float):  # a bool, list or object
+                raise ValueError(type(value).__name__)
+            setattr(args, attr, types[attr](str(value)))
+        except ValueError:
+            raise ValueError(f"{path}: {key} = {json.dumps(value)} is not a valid "
+                             f"{types[attr].__name__} option value") from None
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -195,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file filling unset options")
         p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(parser=p)  # the config file reads the option types from it
 
     g = sub.add_parser("graph", help="synthetic city graphs")
     gsub = g.add_subparsers(dest="action", required=True)

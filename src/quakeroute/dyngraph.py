@@ -34,6 +34,9 @@ INITIAL_FACTORS = (5.0, 2.0, 1.3)
 
 SPEED_CHOICES_KMH = (30.0, 40.0, 50.0)
 
+# One exit sits nearest to each of these map border anchors.
+EXIT_ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
+
 
 class GraphError(ValueError):
     """Malformed graph, unknown edge, or bad construction arguments."""
@@ -371,11 +374,10 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
                      length_m=length, speed_kmh=speed)
 
 
-def pick_exits(graph: CityGraph, n_exits: int = 3) -> tuple[int, ...]:
+def pick_exits(graph: CityGraph) -> tuple[int, ...]:
     """Deterministic exit choice: nodes nearest to spread-out map border anchors."""
-    anchors = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.0, 1.0), (1.0, 1.0)][:n_exits]
     exits: list[int] = []
-    for ax, ay in anchors:
+    for ax, ay in EXIT_ANCHORS:
         d = np.linalg.norm(graph.xy - np.array([ax, ay]), axis=1)
         for i in np.argsort(d):
             if int(i) not in exits:

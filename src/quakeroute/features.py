@@ -257,14 +257,14 @@ def _roll_scenario(graph: CityGraph, scenario: Scenario, scenario_id: int,
     return rows
 
 
-def _scenario_for_index(graph: CityGraph, seed: int, index: int, max_steps) -> Scenario:
+def _scenario_for_index(graph: CityGraph, seed: int, index: int) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    return dyngraph.random_scenario(graph, rng, max_steps=max_steps)
+    return dyngraph.random_scenario(graph, rng)
 
 
 def _gen_worker(args) -> list[tuple]:
-    graph, seed, index, max_steps, betweenness, sigma_frac = args
-    scenario = _scenario_for_index(graph, seed, index, max_steps)
+    graph, seed, index, betweenness, sigma_frac = args
+    scenario = _scenario_for_index(graph, seed, index)
     try:
         return _roll_scenario(graph, scenario, index, betweenness, sigma_frac)
     except oracle.NoPathError as exc:
@@ -273,8 +273,7 @@ def _gen_worker(args) -> list[tuple]:
 
 
 def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
-                     sigma_frac: float = 0.1, max_steps=None,
-                     jobs: int = 1) -> Dataset:
+                     sigma_frac: float = 0.1, jobs: int = 1) -> Dataset:
     """Oracle-labeled corpus over randomized scenarios, deterministic in the seed.
 
     Each scenario draws a fresh epicenter, start and chosen exit; every node
@@ -284,7 +283,7 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = edge_betweenness(graph)
-    tasks = [(graph, seed, i, max_steps, betweenness, sigma_frac)
+    tasks = [(graph, seed, i, betweenness, sigma_frac)
              for i in range(n_scenarios)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,7 +3,7 @@
 Both branches see the same sample (epicenter conditioning plus 34 main
 features); their five-value outputs are concatenated and reduced to five
 logits by a trainable dense head. Classical gradients come from backprop,
-quantum gradients from the parameter-shift rule, and rollouts follow the
+quantum gradients from the kernel's adjoint sweep, and rollouts follow the
 mask-respecting argmax of the logits.
 """
 from __future__ import annotations
@@ -334,7 +334,7 @@ class EvalReport:
 
 
 def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
-             sigma_frac: float = 0.1, max_steps=None) -> EvalReport:
+             sigma_frac: float = 0.1) -> EvalReport:
     """Run model and oracle over fresh random scenarios and score the paths.
 
     Failed model rollouts count against the arrival rate but are excluded
@@ -343,8 +343,7 @@ def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = feat.edge_betweenness(graph)
-    scenarios = [feat._scenario_for_index(graph, seed, i, max_steps)
-                 for i in range(n_scenarios)]
+    scenarios = [feat._scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
     model_paths = rollout(model, graph, scenarios, sigma_frac, betweenness)
     records = []
     for i, (scenario, model_path) in enumerate(zip(scenarios, model_paths)):

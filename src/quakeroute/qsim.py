@@ -4,25 +4,26 @@ The circuit has a two-qubit section that re-uploads the epicenter coordinates
 and a five-qubit section that encodes the remaining features subvector by
 subvector, each interlaced with entangler layers; the sections are joined by
 a CNOT bridge and a final entangler before Z measurements of the five main
-qubits. Gradients use the exact two-term parameter-shift rule.
+qubits. The generic engine (``run``) applies one gate at a time and takes
+exact two-term parameter-shift gradients; the training kernel
+(``ModelKernel``) compiles each feature-free run of gates into one unitary
+and takes adjoint gradients, with parameter-shift as its reference.
 
 States are complex128 arrays of shape (..., 2**n); qubit 0 is the most
 significant bit of the amplitude index. Everything is batched over leading
-axes. A (..., 2**k) array may also stand for the last k qubits of an n-qubit
-register: gates on those qubits act on it under the register's own qubit
-indices (the training kernel simulates the main section this way).
+axes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 N_MAIN_FEATURES = 34
 N_EPI_FEATURES = 2
-GRAD_CHUNK = 512  # ModelKernel.grad rows per pass, bounding the cached states
 
 
 class CircuitError(ValueError):
@@ -140,10 +141,6 @@ def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
     return np.where(cbit == 1, idx ^ (1 << (n - 1 - target)), idx)
 
 
-def _apply_cx(state: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    return state[..., _cx_perm(n, control, target)[:state.shape[-1]]]
-
-
 def _gate_angle(gate: Rot, params, features):
     if gate.src == "const":
         return gate.offset
@@ -155,22 +152,16 @@ def _gate_angle(gate: Rot, params, features):
 
 
 def _run_gates(state: np.ndarray, n: int, gates, params, features,
-               override: tuple[int, float] | None = None,
-               cache: list | None = None) -> np.ndarray:
-    """Apply ``gates`` in order; ``cache`` (if given) collects the state before
-    every gate and the final one."""
+               override: tuple[int, float] | None = None) -> np.ndarray:
+    """Apply ``gates`` in order."""
     for pos, g in enumerate(gates):
-        if cache is not None:
-            cache.append(state)
         if isinstance(g, CNot):
-            state = _apply_cx(state, n, g.control, g.target)
+            state = state[..., _cx_perm(n, g.control, g.target)]
             continue
         angle = _gate_angle(g, params, features)
         if override is not None and pos == override[0]:
             angle = angle + override[1]
         state = _apply_rot(state, n, g.qubit, g.axis, angle)
-    if cache is not None:
-        cache.append(state)
     return state
 
 
@@ -396,137 +387,181 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fast expectation/gradient kernel for training
-
-
-def _apply_pauli(state: np.ndarray, n: int, qubit: int, axis: str) -> np.ndarray:
-    """X, Y or Z applied to one qubit of a (..., 2**n) state."""
-    dim = state.shape[-1]
-    signs = _z_signs(n, qubit)[:dim]
-    if axis == "z":
-        return state * signs
-    flipped = state[..., np.arange(dim) ^ (1 << (n - 1 - qubit))]
-    if axis == "x":
-        return flipped
-    return flipped * (-1j * signs)  # Y = -i |bit> sign convention after flip
+# Block-compiled expectation/gradient kernel for training
 
 
 def _support(gate) -> set[int]:
     return {gate.qubit} if isinstance(gate, Rot) else {gate.control, gate.target}
 
 
-class ModelKernel:
-    """Batched forward and parameter-shift gradients for the full model.
+class _Section:
+    """Gates on qubits ``first`` to ``first + k - 1``, run on (rows, 2**k) states.
 
-    The gates are those of ``build_model_circuit``, split at the first gate
-    that touches both registers (the first bridge CNOT): the gates before it
-    form the film and main sections by qubit support, the rest the tail.
-    Until the bridge the sections act on disjoint qubits, so their states are
-    simulated separately and joined as a tensor product; for gradients the
-    measured observables are pulled back through the circuit so that each
-    gate's shift-rule term stays in its section's small space.
+    A run of Z encodings (feature or constant angles) is a per-sample phase
+    vector exp(-i/2 * angles @ zsigns). Any other run is a block of RX
+    parameters and CNOTs, compiled into one unitary U: a CNOT permutes U's
+    rows, and RX(t) = cos(t/2) - i sin(t/2) X_q mixes each row with the one
+    whose bit q is flipped.
+    """
+
+    def __init__(self, gates, first: int, k: int):
+        self.k, self.dim = k, 1 << k
+        self.runs = []  # (is encoding, index of its phase vector or block)
+        self.steps = []  # per block: (row permutation, RX gate or None for CNOTs)
+        enc = []  # per encoding run: (features and 1, k) -> each qubit's angle
+        for encoding, run in groupby(gates, lambda g: isinstance(g, Rot)
+                                     and g.axis == "z" and g.src != "param"):
+            self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
+            if encoding:
+                enc.append(np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES + 1, k)))
+                for g in run:
+                    if g.src == "feature":
+                        enc[-1][g.index, g.qubit - first] += g.scale
+                    enc[-1][-1, g.qubit - first] += g.offset
+                continue
+            steps = []
+            for g in run:
+                if isinstance(g, CNot):
+                    perm = _cx_perm(k, g.control - first, g.target - first)
+                    if steps and steps[-1][1] is None:  # one permutation per CNOT run
+                        perm = steps.pop()[0][perm]
+                    steps.append((perm, None))
+                elif g.axis == "x" and g.src == "param":
+                    flip = np.arange(self.dim) ^ (1 << (k - 1 - g.qubit + first))
+                    steps.append((flip, g))
+                else:
+                    raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
+            self.steps.append(steps)
+        w = np.concatenate(enc or [np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES + 1, 0))], 1)
+        self._enc_w, self._enc_w0 = w[:-1], w[-1]
+        self._bits = (np.arange(self.dim) >> (k - 1 - np.arange(k))[:, None]) & 1
+
+    def phases(self, x) -> np.ndarray:
+        """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``: each
+        basis state's phase is the product of its qubits' exp(-/+ i/2 angle)."""
+        angles = (x @ self._enc_w + self._enc_w0).reshape(len(x), -1, self.k, 1)
+        bit0 = np.exp(-0.5j * angles)  # each qubit's phase on |0>; |1> takes the conjugate
+        pair = np.concatenate([bit0, bit0.conj()], axis=-1)
+        return pair[:, :, np.arange(self.k)[:, None], self._bits].prod(axis=2)
+
+    def compile(self, params) -> None:
+        """Set ``blocks``, the block unitaries at these parameters."""
+        self.blocks = []
+        for steps in self.steps:
+            u = np.eye(self.dim, dtype=complex)
+            for perm, g in steps:
+                if g is None:
+                    u = u[perm]
+                else:
+                    half = _gate_angle(g, params, None) / 2.0
+                    u = math.cos(half) * u - 1j * math.sin(half) * u[perm]
+            self.blocks.append(u)
+
+    def run(self, state, phases):
+        for encoding, j in self.runs:
+            state = state * phases[:, j] if encoding else state @ self.blocks[j].T
+        return state
+
+    def pullback(self, lam, state, phases, params, grad) -> np.ndarray:
+        """The costate before the section from the costate and state after it,
+        adding the section's gradient into ``grad`` (the adjoint method). Each
+        block carries Y = sum_b u_b lam_b^+ of its input rows through its gates
+        as Y -> G Y G^+; right after an RX on qubit q, d/dangle = Im tr(X_q Y)."""
+        rows = np.arange(self.dim)
+        for encoding, j in reversed(self.runs):
+            if encoding:
+                back = phases[:, j].conj()
+                state, lam = state * back, lam * back
+                continue
+            state, lam = state @ self.blocks[j].conj(), lam @ self.blocks[j].conj()
+            y = state.T @ lam.conj()
+            for perm, g in self.steps[j]:
+                if g is None:
+                    y = y[perm][:, perm]
+                    continue
+                half = _gate_angle(g, params, None) / 2.0
+                c, s = math.cos(half), math.sin(half)
+                y = c * y - 1j * s * y[perm]
+                y = c * y + 1j * s * y[:, perm]
+                grad[g.index] += g.scale * y[perm, rows].sum().imag
+        return lam
+
+
+class ModelKernel:
+    """Batched forward and adjoint gradients for the full model.
+
+    The gates of ``build_model_circuit`` fall into four runs by the registers
+    they touch: the film and main sections, simulated apart and joined as a
+    tensor product, then the tail (the bridge CNOTs, as one permutation, and a
+    final block on the main qubits). Block unitaries are compiled once per
+    distinct parameter vector. ``param_shift_grad`` is the reference for ``grad``.
     """
 
     def __init__(self, config: ModelConfig = ModelConfig()):
         self.config = config
         circuit = build_model_circuit(config)
-        gates = circuit.gates
-        film = set(range(config.film_qubits))
-        bridge = next(pos for pos, g in enumerate(gates)
-                      if _support(g) & film and _support(g) - film)
-        self.film_gates = tuple(g for g in gates[:bridge] if _support(g) <= film)
-        self.main_gates = tuple(g for g in gates[:bridge] if not _support(g) & film)
-        self.tail_gates = gates[bridge:]
+        n, f, m = config.n_qubits, config.film_qubits, config.main_qubits
+        film = set(range(f))
+        self.film_gates, self.main_gates, bridge, final = (tuple(run) for _, run in groupby(
+            circuit.gates, lambda g: (bool(_support(g) & film), bool(_support(g) - film))))
+        self.tail_gates = bridge + final
         self.n_params = circuit.n_params
-        n = config.n_qubits
+        self._bridge = np.arange(1 << n)
+        for g in bridge:
+            self._bridge = self._bridge[_cx_perm(n, g.control, g.target)]
+        self._sections = (_Section(self.film_gates, 0, f), _Section(self.main_gates, f, m),
+                          _Section(final, f, m))
         self._zsigns = np.stack([_z_signs(n, q) for q in circuit.measured])
+        self._compiled_for = None  # a copy of the parameters the blocks were compiled for
 
     def _inputs(self, params, features, epi):
         """Checked parameters and circuit feature rows [34 main, x_epi, y_epi]."""
         params = np.asarray(params, float)
-        if params.shape != (self.n_params,):
-            raise CircuitError(f"expected {self.n_params} parameters, got {params.shape}")
+        if params.shape != (self.n_params,) or not np.isfinite(params).all():
+            raise CircuitError(
+                f"expected {self.n_params} finite parameters, got shape {params.shape}")
         features = np.atleast_2d(np.asarray(features, float))
         epi = np.atleast_2d(np.asarray(epi, float))
         if features.shape[-1] != N_MAIN_FEATURES or epi.shape[-1] != N_EPI_FEATURES:
             raise CircuitError("expected 34 main features and 2 epicenter values")
         return params, np.concatenate([features, epi], axis=-1)
 
-    def _sections(self, params, x, caches=(None, None, None)):
-        """Film and final states. The film qubits lead the register, so the
-        film state is a register of its own; the main qubits trail it, so the
-        main state holds the low bits of the full register's index."""
-        cfg = self.config
-        n = cfg.n_qubits
-        film_cache, main_cache, tail_cache = caches
-        batch = x.shape[:-1]
-        film = _run_gates(zero_state(cfg.film_qubits, batch), cfg.film_qubits,
-                          self.film_gates, params, x, cache=film_cache)
-        main = _run_gates(zero_state(cfg.main_qubits, batch), n,
-                          self.main_gates, params, x, cache=main_cache)
-        joint = np.einsum("bi,bj->bij", film, main).reshape(film.shape[0], -1)
-        final = _run_gates(joint, n, self.tail_gates, params, x, cache=tail_cache)
-        return film, final
+    def _run(self, params, x):
+        """Film, main and final states (B, 2**n) of the feature rows ``x``, and
+        each section's phase vectors."""
+        # keyed on the values, not the array: optimizers update it in place
+        if self._compiled_for is None or not np.array_equal(self._compiled_for, params):
+            for section in self._sections:
+                section.compile(params)
+            self._compiled_for = params.copy()
+        phases = [section.phases(x) for section in self._sections]
+        film, main, tail = self._sections
+        f = film.run(zero_state(film.k, (len(x),)), phases[0])
+        m = main.run(zero_state(main.k, (len(x),)), phases[1])
+        joint = (f[:, :, None] * m[:, None, :]).reshape(len(x), -1)[:, self._bridge]
+        final = tail.run(joint.reshape(-1, tail.dim), phases[2]).reshape(len(x), -1)
+        return f, m, final, phases
 
     def expectations(self, params, features, epi) -> np.ndarray:
         """(B, 5) Z expectations of the main qubits."""
-        _, final = self._sections(*self._inputs(params, features, epi))
+        final = self._run(*self._inputs(params, features, epi))[2]
         return probabilities(final) @ self._zsigns.T
-
-    # -- upstream-contracted gradient ----------------------------------------
 
     def grad(self, params, features, epi, upstream) -> np.ndarray:
         """Sum over the batch of upstream[b, k] * d<Z_k>_b / d theta.
 
-        ``upstream`` is (B, 5); returns (n_params,). Exact parameter-shift,
-        evaluated section by section against pulled-back observables.
+        ``upstream`` is (B, 5); returns (n_params,). Exact adjoint gradient.
         """
         params, x = self._inputs(params, features, epi)
-        upstream = np.asarray(upstream, float)
-        total = np.zeros(self.n_params)
-        for lo in range(0, x.shape[0], GRAD_CHUNK):
-            sl = slice(lo, lo + GRAD_CHUNK)
-            total += self._grad_chunk(params, x[sl], upstream[sl])
-        return total
-
-    def _grad_chunk(self, params, x, upstream) -> np.ndarray:
-        cfg = self.config
-        n = cfg.n_qubits
-        dims = (x.shape[0], 1 << cfg.film_qubits, 1 << cfg.main_qubits)
+        f, m, final, phases = self._run(params, x)
+        film, main, tail = self._sections
         grad = np.zeros(self.n_params)
-        caches = ([], [], [])
-        film, final = self._sections(params, x, caches)
-        film_cache, main_cache, tail_cache = caches
-
-        # The shift-rule difference for a rotation gate collapses to
-        # Im <lam_g | P u_g>, with u_g the post-gate state, P the gate's Pauli
-        # generator and lam_g the batch observable (sum_k up[b,k] Z_k) applied
-        # to the final state and pulled back through every later gate. The
-        # pullback runs once over the whole circuit in reverse, in the full
-        # register; only the overlap with u_g depends on the section.
-        def tail_overlap(lam, pu):
-            return np.einsum("bi,bi->b", lam.conj(), pu)
-
-        def main_overlap(lam, pu):
-            # before the tail the film factor is already final
-            return np.einsum("bia,bi,ba->b", lam.reshape(dims).conj(), film, pu)
-
-        def film_overlap(lam, pu):
-            # film gates run first, with the main register still at |0...0>
-            return np.einsum("bi,bi->b", lam.reshape(dims)[:, :, 0].conj(), pu)
-
-        lam = (upstream @ self._zsigns) * final
-        for gates, cache, n_u, overlap in (
-                (self.tail_gates, tail_cache, n, tail_overlap),
-                (self.main_gates, main_cache, n, main_overlap),
-                (self.film_gates, film_cache, cfg.film_qubits, film_overlap)):
-            for pos in reversed(range(len(gates))):
-                g = gates[pos]
-                if isinstance(g, CNot):
-                    lam = _apply_cx(lam, n, g.control, g.target)
-                    continue
-                if g.src == "param":
-                    pu = _apply_pauli(cache[pos + 1], n_u, g.qubit, g.axis)
-                    grad[g.index] += g.scale * float(overlap(lam, pu).imag.sum())
-                lam = _apply_rot(lam, n, g.qubit, g.axis, -_gate_angle(g, params, x))
+        lam = (np.asarray(upstream, float) @ self._zsigns) * final
+        lam = tail.pullback(*(a.reshape(-1, tail.dim) for a in (lam, final)), phases[2],
+                            params, grad)
+        lam = lam.reshape(len(x), -1)[:, np.argsort(self._bridge)]
+        lam = lam.reshape(len(x), film.dim, main.dim)
+        # the state before the tail is film (x) main: contract out the other factor
+        main.pullback(np.einsum("bi,bia->ba", f.conj(), lam), m, phases[1], params, grad)
+        film.pullback(np.einsum("bia,ba->bi", lam, m.conj()), f, phases[0], params, grad)
         return grad

@@ -64,6 +64,29 @@ def test_config_file_fills_options(tmp_path):
     assert out.exists()
 
 
+def test_config_values_take_the_option_types(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+         "--out", str(gpath)])
+    data = tmp_path / "d.jsonl"
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1",
+         "--out", str(data), "--jobs", "1"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "2", "batch-size": 64, "seed": "0"}))
+    history = tmp_path / "h.json"
+    assert run(["train", "--data", str(data), "--config", str(cfg),
+                "--out", str(tmp_path / "m.json"), "--history-out", str(history)]) == 0
+    assert len(json.loads(history.read_text())) == 2
+    capsys.readouterr()
+    for doc, message in (({"epochs": "two"}, "epochs"), ({"epochs": 2.5}, "epochs"),
+                         ({"epochs": True}, "epochs"), ([{"epochs": 2}], "list")):
+        cfg.write_text(json.dumps(doc))
+        code = run(["train", "--data", str(data), "--config", str(cfg), "--seed", "0",
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
 def test_env_simulate(tmp_path):
     gpath = tmp_path / "g.json"
     run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3",

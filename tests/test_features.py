@@ -134,7 +134,7 @@ def test_generate_dataset_counts_and_labels():
     # one sample per traversed edge of each successful scenario
     for sid in np.unique(ds.scenario_ids()):
         rows = ds[ds.scenario_ids() == sid]
-        sc = ft._scenario_for_index(g, 9, sid, None)
+        sc = ft._scenario_for_index(g, 9, sid)
         path = oc.nodewise_dijkstra(g, sc, sigma_frac=0.1)
         assert path.reached
         assert len(rows) == len(path.nodes) - 1

@@ -8,12 +8,32 @@ import quakeroute.dyngraph as dg
 import quakeroute.features as ft
 import quakeroute.hybrid as hy
 import quakeroute.neural as nn
+import quakeroute.qsim as qs
 from conftest import scenario_for
 
 
 def _tiny_dataset(n_scenarios=8, seed=5):
     g = dg.synth_city(4, 4, seed=1)
     return g, ft.generate_dataset(g, n_scenarios, seed=seed)
+
+
+def test_kernel_recompiles_on_new_parameter_values(tmp_path):
+    """The compiled blocks follow the parameter values: an in-place optimizer
+    step or a loaded checkpoint gives exactly a fresh kernel's output."""
+    rng = np.random.default_rng(16)
+    feats, epi = rng.uniform(0, 1, (3, 34)), rng.uniform(0, 1, (3, 2))
+    model = hy.HybridModel(seed=3)
+    before = model.kernel.expectations(model.quantum_params, feats, epi)
+    nn.adam_step({"quantum": model.quantum_params}, {"quantum": rng.normal(size=228)},
+                 nn.AdamState(), lr=0.1)
+    after = model.kernel.expectations(model.quantum_params, feats, epi)
+    assert not np.allclose(after, before)
+    fresh = qs.ModelKernel().expectations(model.quantum_params, feats, epi)
+    assert np.array_equal(after, fresh)
+    hy.HybridModel(seed=4).save(tmp_path / "other.json")
+    loaded = hy.HybridModel.load(tmp_path / "other.json").quantum_params
+    assert np.array_equal(model.kernel.expectations(loaded, feats, epi),
+                          qs.ModelKernel().expectations(loaded, feats, epi))
 
 
 def test_quantum_share_values():

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import quakeroute.qsim as qs
 from helpers import oracle_expectations, oracle_state
@@ -129,6 +129,8 @@ def test_full_forward_rejects_wrong_shapes():
         kernel.expectations(np.zeros(228), np.zeros(35), np.zeros(2))
     with pytest.raises(qs.CircuitError):
         kernel.grad(np.zeros(228), np.zeros((2, 34)), np.zeros((2, 3)), np.zeros((2, 5)))
+    with pytest.raises(qs.CircuitError):
+        kernel.expectations(np.full(228, np.inf), np.zeros(34), np.zeros(2))
 
 
 def test_full_forward_bounds():
@@ -159,13 +161,10 @@ def test_norm_preserved():
     circ = qs.build_model_circuit()
     params = rng.uniform(-np.pi, np.pi, 228)
     feats = rng.uniform(0, 1, 36)
-    # gate by gate: the cache holds the state before every gate and the last
-    states: list = []
-    qs._run_gates(qs.zero_state(7), 7, circ.gates, params, feats, cache=states)
-    assert len(states) == len(circ.gates) + 1
-    for state in states:
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-9
+    # gate by gate: the state after every prefix of the gate list
+    for end in range(len(circ.gates) + 1):
+        prefix = qs.Circuit(7, circ.gates[:end], 228, 36, circ.measured)
+        assert abs(np.linalg.norm(qs.run(prefix, params, feats)) - 1.0) < 1e-12
 
 
 @st.composite
@@ -340,6 +339,37 @@ def test_kernel_non_default_config_matches_oracle_and_param_shift():
     jac = qs.param_shift_grad(circ, params, joint)  # (n_params, 3, 5)
     want = np.einsum("pbk,bk->p", jac, upstream)
     assert np.abs(kernel.grad(params, feats, epi, upstream) - want).max() < 1e-10
+
+
+# no shrinking: a failing example is already small, and shrinking it takes minutes
+@settings(max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(7, 9), st.integers(0, 2**32 - 1))
+def test_kernel_matches_oracle_and_param_shift_on_random_configs(
+        sublayers, reuploads, subvectors, seed):
+    rng = np.random.default_rng(seed)
+    cfg = qs.ModelConfig(sublayers=sublayers, reuploads=reuploads, subvectors=subvectors)
+    circ = qs.build_model_circuit(cfg)
+    kernel = qs.ModelKernel(cfg)
+    params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    feats = rng.uniform(0, 1, (2, 34))
+    epi = rng.uniform(0, 1, (2, 2))
+    joint = np.concatenate([feats, epi], axis=1)
+    got = kernel.expectations(params, feats, epi)
+    for b in range(2):
+        assert np.abs(got[b] - oracle_expectations(circ, params, joint[b])).max() < 1e-10
+    upstream = rng.normal(0, 1, (2, 5))
+    want = np.einsum("pbk,bk->p", qs.param_shift_grad(circ, params, joint), upstream)
+    assert np.abs(kernel.grad(params, feats, epi, upstream) - want).max() < 1e-10
+
+
+def test_kernel_blocks_are_unitary():
+    rng = np.random.default_rng(17)
+    kernel = qs.ModelKernel()
+    kernel.expectations(rng.uniform(-np.pi, np.pi, 228), np.zeros(34), np.zeros(2))
+    blocks = [u for section in kernel._sections for u in section.blocks]
+    assert [u.shape for u in blocks] == [(4, 4)] * 6 + [(32, 32)] * 9
+    for u in blocks:
+        assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-12
 
 
 def test_kernel_grad_equals_param_shift_contraction():
