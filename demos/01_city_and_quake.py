@@ -28,10 +28,11 @@ print(f"epicenter {np.round(scenario.epicenter, 3)}, start {scenario.start}, "
       f"chosen exit {scenario.chosen_exit}")
 qr.save_scenario(scenario, out / "scenario.json")
 
-state = qr.initial_state(graph, scenario, sigma_frac=0.1)
-base = state.weights.copy()
+# a world of one scenario row; state.weights[0] is that row's edge weights
+state = qr.initial_state(graph, [scenario], sigma_frac=0.1)
+base = state.weights[0].copy()
 qr.apply_initial_quake(state)
-hit = state.weights / base
+hit = state.weights[0] / base
 print(f"initial hit: {np.sum(hit > 1)} of {graph.n_edges} edges slowed, "
       f"max factor x{hit.max():.1f}")
 
@@ -39,11 +40,11 @@ print(f"initial hit: {np.sum(hit > 1)} of {graph.n_edges} edges slowed, "
 rows = ["t,u,v,weight"]
 for _ in range(40):
     qr.advance(state)
-    for (u, v), w in zip(graph.edges, state.weights):
+    for (u, v), w in zip(graph.edges, state.weights[0]):
         rows.append(f"{state.t},{u},{v},{w!r}")
 (out / "weights.csv").write_text("\n".join(rows) + "\n")
 
-growth = state.weights / base
+growth = state.weights[0] / base
 print(f"after {state.t} steps: median slowdown x{np.median(growth):.2f}, "
       f"max x{growth.max():.2f}")
 print(f"damage radius grew to {qr.damage_radius(state.t):.3f}, "

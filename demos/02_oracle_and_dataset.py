@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Label scenarios with the node-wise shortest-path oracle.
 
-Shows a single rollout (the oracle reruns Dijkstra at every node as the map
-shifts under it), then generates a training corpus and inspects it.
+Shows oracle rollouts (the oracle replans its shortest path at every node as
+the map shifts under it; a list of scenarios steps together in one world),
+then generates a training corpus and inspects it.
 """
 import pathlib
 
@@ -15,17 +16,20 @@ out.mkdir(exist_ok=True)
 
 graph = qr.synth_city(8, 8, seed=7)
 rng = np.random.default_rng(1)
-scenario = qr.random_scenario(graph, rng)
+scenarios = [qr.random_scenario(graph, rng) for _ in range(4)]
+scenario = scenarios[0]
 
-# --- one oracle rollout ------------------------------------------------------
-path = qr.nodewise_dijkstra(graph, scenario, sigma_frac=0.1)
+# --- oracle rollouts, all scenarios in one world ------------------------------
+paths = qr.nodewise_dijkstra(graph, scenarios, sigma_frac=0.1)
+path = paths[0]
 print(f"oracle path {scenario.start} -> {scenario.chosen_exit}: "
       f"{path.nodes} ({path.total_cost:.2f} min, reached={path.reached})")
+print(f"steps of all {len(paths)} rollouts: {[len(p) - 1 for p in paths]}")
 
 # what a static planner (frozen initial weights) would have done
-state = qr.initial_state(graph, scenario, sigma_frac=0.1)
+state = qr.initial_state(graph, [scenario], sigma_frac=0.1)
 qr.apply_initial_quake(state)
-frozen = qr.dijkstra(graph, state.weights, scenario.start, scenario.chosen_exit)
+frozen = qr.dijkstra(graph, state.weights[0], scenario.start, scenario.chosen_exit)
 print(f"static plan on the post-quake snapshot: {frozen.nodes} "
       f"({frozen.total_cost:.2f} min before any traffic builds)")
 

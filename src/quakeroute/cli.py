@@ -32,6 +32,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
     Each value goes through its option's argparse type, as if it had been
     typed on the command line; one that does not convert raises ValueError.
+    A key may name an option of another subcommand, since one file may serve
+    several, but a key that no subcommand defines raises ValueError.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -44,6 +46,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
              if action.default is None}
     for key, value in doc.items():
         attr = key.replace("-", "_")
+        if attr not in args.options:
+            raise ValueError(f"{path}: {key} is not an option of any subcommand")
         if attr not in types or value is None or getattr(args, attr) is not None:
             continue
         try:
@@ -81,16 +85,18 @@ def _cmd_graph_synth(args) -> int:
 def _cmd_env_simulate(args) -> int:
     graph = dyngraph.load_graph(args.graph)
     scenario = dyngraph.load_scenario(args.scenario)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {args.steps}")
     if scenario.max_steps < args.steps:
         scenario = dataclasses.replace(scenario, max_steps=args.steps)
-    state = dyngraph.initial_state(graph, scenario, sigma_frac=args.sigma_frac)
+    state = dyngraph.initial_state(graph, [scenario], sigma_frac=args.sigma_frac)
     dyngraph.apply_initial_quake(state)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "u", "v", "weight"])
 
         def snapshot():
-            for (u, v), w in zip(graph.edges, state.weights):
+            for (u, v), w in zip(graph.edges, state.weights[0]):
                 writer.writerow([state.t, int(graph.ids[u]), int(graph.ids[v]),
                                  repr(float(w))])
 
@@ -105,9 +111,7 @@ def _cmd_env_simulate(args) -> int:
 def _cmd_dataset_generate(args) -> int:
     seed = _resolve_seed(args)
     graph = dyngraph.load_graph(args.graph)
-    dataset = features.generate_dataset(graph, args.n, seed,
-                                        sigma_frac=args.sigma_frac,
-                                        jobs=int(args.jobs or os.cpu_count() or 1))
+    dataset = features.generate_dataset(graph, args.n, seed, sigma_frac=args.sigma_frac)
     dataset.save_jsonl(args.out)
     n_scen = len(np.unique(dataset.scenario_ids()))
     print(f"dataset: {len(dataset)} samples from {n_scen} scenarios -> {args.out}")
@@ -208,10 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "datasets, hybrid training and circuit diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    leaves = []
+
     def common(p):
         p.add_argument("--config", help="JSON file filling unset options")
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(parser=p)  # the config file reads the option types from it
+        leaves.append(p)
 
     g = sub.add_parser("graph", help="synthetic city graphs")
     gsub = g.add_subparsers(dest="action", required=True)
@@ -243,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--n", type=int, required=True)
     dg.add_argument("--out", required=True)
     dg.add_argument("--sigma-frac", type=float, default=0.1)
-    dg.add_argument("--jobs", type=int, default=None,
-                    help="oracle labelling processes (default: all cores)")
     dg.set_defaults(func=_cmd_dataset_generate)
 
     t = sub.add_parser("train", help="train the hybrid (or classical-only) model")
@@ -296,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--out", required=True)
     x.set_defaults(func=_cmd_export_qasm)
 
+    # every subcommand's option names, which a config file may use
+    parser.set_defaults(options={a.dest for p in leaves for a in p._actions} - {"help"})
     return parser
 
 

@@ -164,44 +164,58 @@ def edge_centers(graph: CityGraph) -> np.ndarray:
 
 
 class DynamicState:
-    """Per-scenario mutable overlay: current edge weights and the step counter.
+    """A world of S scenario rows on one graph: (S, E) edge weights, one step counter.
 
+    Row k belongs to ``scenarios[k]``; ``keep`` drops rows whose rollout ended.
     Weights only ever grow (ongoing growth saturates at the band caps); a
-    weight pushed above a cap by the initial static quake is left untouched
-    by the ongoing mechanisms.
+    weight pushed above a cap by the initial static quake is left untouched by
+    the ongoing mechanisms. The arithmetic is element-wise, so a row evolves
+    exactly as it would in a world of its own.
     """
 
-    def __init__(self, graph: CityGraph, scenario: Scenario, weights: np.ndarray):
-        if not all(0 <= v < graph.n_nodes for v in (scenario.start, *scenario.exits)):
-            raise GraphError(f"scenario start {scenario.start} and exits {list(scenario.exits)} "
-                             f"must be node indices 0-{graph.n_nodes - 1} of the graph")
+    def __init__(self, graph: CityGraph, scenarios, weights):
+        scenarios = tuple(scenarios)
+        for sc in scenarios:
+            if not all(0 <= v < graph.n_nodes for v in (sc.start, *sc.exits)):
+                raise GraphError(f"scenario start {sc.start} and exits {list(sc.exits)} "
+                                 f"must be node indices 0-{graph.n_nodes - 1} of the graph")
+        shape = (len(scenarios), graph.n_edges)
         self.graph = graph
-        self.scenario = scenario
-        self.weights = np.asarray(weights, float).copy()
-        self.base_weights = self.weights.copy()
+        self.scenarios = scenarios
+        self.weights = np.array(weights, float).reshape(shape)
         self.t = 0
         self.quake_applied = False
         centers = edge_centers(graph)
-        self._d_epi = np.linalg.norm(centers - np.asarray(scenario.epicenter), axis=1)
-        self._d_exit = {
-            e: np.linalg.norm(centers - graph.xy[e], axis=1) for e in scenario.exits
-        }
+        self._d_epi = np.array([np.linalg.norm(centers - np.asarray(sc.epicenter), axis=1)
+                                for sc in scenarios]).reshape(shape)
+        # one (S, E) slice per exit position; a row with fewer exits pads with
+        # inf, which lies in no band
+        n_slots = max((len(sc.exits) for sc in scenarios), default=0)
+        self._d_exit = np.full((n_slots, *shape), np.inf)
+        for k, sc in enumerate(scenarios):
+            for slot, e in enumerate(sc.exits):
+                self._d_exit[slot, k] = np.linalg.norm(centers - graph.xy[e], axis=1)
+
+    def keep(self, rows: list[bool]) -> None:
+        """Drop the rows that the boolean mask ``rows`` leaves out."""
+        self.scenarios = tuple(sc for sc, k in zip(self.scenarios, rows) if k)
+        self.weights, self._d_epi = self.weights[rows], self._d_epi[rows]
+        self._d_exit = self._d_exit[:, rows]
 
 
-def initial_state(graph: CityGraph, scenario: Scenario, sigma_frac: float = 0.1) -> DynamicState:
-    """Fresh state at t=0 with per-scenario Gaussian base travel times.
+def initial_state(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> DynamicState:
+    """World at t=0 with one row per scenario of Gaussian base travel times.
 
-    Base weights are sampled once here (seeded by the scenario) and stay
-    fixed for the whole rollout, so oracle labels are stable.
+    Each row's base weights are sampled once here (seeded by its scenario) and
+    stay fixed for the whole rollout, so oracle labels are stable.
     """
+    if not (math.isfinite(sigma_frac) and sigma_frac >= 0.0):
+        raise GraphError(f"sigma_frac must be finite and non-negative, got {sigma_frac}")
+    scenarios = tuple(scenarios)
     nominal = graph.nominal_minutes()
-    if sigma_frac == 0.0:
-        weights = nominal.copy()
-    else:
-        rng = np.random.default_rng(scenario.rng_seed)
-        draws = rng.normal(nominal, sigma_frac * nominal)
-        weights = np.maximum(draws, 0.1 * nominal)
-    return DynamicState(graph, scenario, weights)
+    draws = [np.random.default_rng(sc.rng_seed).normal(nominal, sigma_frac * nominal)
+             for sc in scenarios]  # sigma_frac 0 draws exactly the nominal times
+    return DynamicState(graph, scenarios, [np.maximum(d, 0.1 * nominal) for d in draws])
 
 
 def _band_masks(dist: np.ndarray, radius: float, bands: tuple) -> list[np.ndarray]:
@@ -215,7 +229,7 @@ def _band_masks(dist: np.ndarray, radius: float, bands: tuple) -> list[np.ndarra
 
 
 def apply_initial_quake(state: DynamicState) -> DynamicState:
-    """One-off static damage multiplication around the epicenter (uncapped)."""
+    """One-off static damage multiplication around each row's epicenter (uncapped)."""
     if state.quake_applied:
         raise StateError("initial quake already applied")
     r = damage_radius(0)
@@ -249,22 +263,22 @@ def step_quake(state: DynamicState) -> DynamicState:
 
 
 def step_traffic(state: DynamicState) -> DynamicState:
-    """Traffic growth around every exit's circle at the current step."""
+    """Traffic growth around every exit's circle at the current step, exit by exit."""
     r = exit_radius(state.t)
-    for e in state.scenario.exits:
-        _grow_banded(state.weights, state._d_exit[e], r, TRAFFIC_BANDS,
-                     TRAFFIC_RATES, state.t)
+    for dist in state._d_exit:
+        _grow_banded(state.weights, dist, r, TRAFFIC_BANDS, TRAFFIC_RATES, state.t)
     return state
 
 
 def advance(state: DynamicState) -> DynamicState:
-    """One world step: quake growth, then traffic growth, then t += 1.
+    """One world step for every row: quake growth, then traffic growth, then t += 1.
 
-    The caller travels one node between calls. Raises BudgetExhausted once
-    the scenario's step budget is spent.
+    The caller moves each row one node between calls. Raises BudgetExhausted
+    if any row's step budget is spent.
     """
-    if state.t >= state.scenario.max_steps:
-        raise BudgetExhausted(f"step budget of {state.scenario.max_steps} exhausted")
+    if any(state.t >= sc.max_steps for sc in state.scenarios):
+        budget = min(sc.max_steps for sc in state.scenarios)
+        raise BudgetExhausted(f"step budget of {budget} exhausted")
     step_quake(state)
     step_traffic(state)
     state.t += 1
@@ -425,7 +439,13 @@ def load_graph(path: str | FilePath) -> CityGraph:
     doc = json.loads(FilePath(path).read_text())
     nodes = doc["nodes"]
     ids = np.array([n["id"] for n in nodes], int)
-    index = {int(i): k for k, i in enumerate(ids)}
+    index = {i: k for k, i in enumerate(ids.tolist())}
+    if len(index) < len(ids):
+        repeated = next(i for k, i in enumerate(ids.tolist()) if index[i] != k)
+        raise GraphError(f"{path}: node id {repeated} appears twice")
+    missing = {int(e[end]) for e in doc["edges"] for end in "uv"} - index.keys()
+    if missing:
+        raise GraphError(f"{path}: an edge names node id {min(missing)}, which is not in nodes")
     xy = np.array([[n["x"], n["y"]] for n in nodes], float)
     edges = np.array(
         [sorted((index[int(e["u"])], index[int(e["v"])])) for e in doc["edges"]], int

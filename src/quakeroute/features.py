@@ -3,7 +3,9 @@
 Each decision point becomes a 36-value vector: the quake epicenter, the
 current node, the destination, and one six-value block per adjacent edge
 (neighbor coordinates, scaled travel time, edge betweenness, distance to the
-destination, heading cosine), zero-padded to five blocks.
+destination, heading cosine), zero-padded to five blocks, built for one row
+of a world with scalar arithmetic. ``generate_dataset`` runs the oracle over
+all of its scenarios in one ``oracle.lockstep`` world.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import heapq
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
@@ -98,20 +99,20 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     return cb / (n * (n - 1))
 
 
-def build_feature_vector(state: dyngraph.DynamicState, scenario: Scenario,
-                         current: int, betweenness: np.ndarray | None = None):
-    """Feature vector at a decision node.
+def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
+                         betweenness: np.ndarray):
+    """Feature vector of world row ``row`` at its decision node ``current``.
 
     Returns ``(features, mask, neighbors)``: the 36-value input, a boolean
     mask over the five blocks (False = zero padding) and the neighbor ids in
     block order (ascending id).
     """
     graph = state.graph
+    scenario = state.scenarios[row]
+    weights = state.weights[row]
     neighbors = graph.neighbors(current)
     if len(neighbors) > N_BLOCKS:
         raise GraphError(f"node {current} has degree {len(neighbors)} > {N_BLOCKS}")
-    if betweenness is None:
-        betweenness = edge_betweenness(graph)
     dest = scenario.chosen_exit
     dest_xy = graph.xy[dest]
     cur_xy = graph.xy[current]
@@ -125,7 +126,7 @@ def build_feature_vector(state: dyngraph.DynamicState, scenario: Scenario,
         e = graph.edge_index(current, v)
         base = HEAD_SIZE + j * BLOCK_SIZE
         feats[base:base + 2] = graph.xy[v]
-        feats[base + 2] = state.weights[e] / WEIGHT_SCALE
+        feats[base + 2] = weights[e] / WEIGHT_SCALE
         feats[base + 3] = betweenness[e]
         feats[base + 4] = euclid(graph.xy[v], dest_xy)
         feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
@@ -241,53 +242,43 @@ class Dataset:
         return self[~val], self[val]
 
 
-def _roll_scenario(graph: CityGraph, scenario: Scenario, scenario_id: int,
-                   betweenness: np.ndarray, sigma_frac: float) -> list[tuple]:
-    rows: list[tuple] = []
-
-    def record(state, node, chosen):
-        feats, mask, neighbors = build_feature_vector(state, scenario, node, betweenness)
-        rows.append((feats, neighbors.index(chosen), scenario_id, state.t))
-
-    path = oracle.nodewise_dijkstra(graph, scenario, sigma_frac, on_decision=record)
-    if not path.reached:
-        log.warning("scenario %d skipped: budget exhausted after %d steps",
-                    scenario_id, len(path) - 1)
-        return []
-    return rows
-
-
 def _scenario_for_index(graph: CityGraph, seed: int, index: int) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     return dyngraph.random_scenario(graph, rng)
 
 
-def _gen_worker(args) -> list[tuple]:
-    graph, seed, index, betweenness, sigma_frac = args
-    scenario = _scenario_for_index(graph, seed, index)
-    try:
-        return _roll_scenario(graph, scenario, index, betweenness, sigma_frac)
-    except oracle.NoPathError as exc:
-        log.warning("scenario %d skipped: %s", index, exc)
-        return []
-
-
 def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
-                     sigma_frac: float = 0.1, jobs: int = 1) -> Dataset:
+                     sigma_frac: float = 0.1) -> Dataset:
     """Oracle-labeled corpus over randomized scenarios, deterministic in the seed.
 
     Each scenario draws a fresh epicenter, start and chosen exit; every node
     the oracle visits emits one sample labeled with the block index of the
-    oracle's move. Scenarios whose oracle rollout fails are skipped.
+    oracle's move. Scenarios whose oracle rollout fails are skipped, with a
+    warning that gives the reason.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = edge_betweenness(graph)
-    tasks = [(graph, seed, i, betweenness, sigma_frac)
-             for i in range(n_scenarios)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gen_worker, tasks, chunksize=8))
-    else:
-        results = [_gen_worker(t) for t in tasks]
-    return Dataset.from_rows([row for rows in results for row in rows])
+    scenarios = [_scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
+    samples: list[list[tuple]] = [[] for _ in scenarios]
+
+    def label(world, rows, here):
+        going = oracle.oracle_next(world, rows, here)
+        for k, (i, u, v) in enumerate(zip(rows, here, going)):
+            if v >= 0:
+                feats, _, neighbors = build_feature_vector(world, k, u, betweenness)
+                samples[i].append((feats, neighbors.index(v), i, world.t))
+        return going
+
+    paths = oracle.lockstep(graph, scenarios, sigma_frac, label)
+    for i, (sc, path) in enumerate(zip(scenarios, paths)):
+        if path.reached:
+            continue
+        samples[i] = []
+        if len(path) - 1 < sc.max_steps:
+            log.warning("scenario %d skipped: exit %d unreachable from %d",
+                        i, sc.chosen_exit, path.nodes[-1])
+        else:
+            log.warning("scenario %d skipped: budget exhausted after %d steps",
+                        i, len(path) - 1)
+    return Dataset.from_rows([row for rows in samples for row in rows])

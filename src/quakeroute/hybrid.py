@@ -16,7 +16,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import dyngraph, features as feat, neural, oracle, qsim
+from . import features as feat, neural, oracle, qsim
 from .dyngraph import CityGraph, Scenario
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
@@ -264,34 +264,22 @@ def agreement(logits, y, mask) -> float:
 
 
 def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
-            sigma_frac: float = 0.1, betweenness: np.ndarray | None = None) -> list[Path]:
+            sigma_frac: float = 0.1) -> list[Path]:
     """Drive the model through the scenarios in lockstep, by masked argmax.
 
-    Each world step advances every unfinished scenario's own state and scores
-    them all in one batched forward; each path is the one its scenario takes alone.
+    Each world step scores every unfinished scenario in one batched forward;
+    each path is the one its scenario takes alone.
     """
-    if betweenness is None:
-        betweenness = feat.edge_betweenness(graph)
-    states = [dyngraph.apply_initial_quake(dyngraph.initial_state(graph, sc, sigma_frac))
-              for sc in scenarios]
-    nodes = [[sc.start] for sc in scenarios]
-    costs: list[list[float]] = [[] for _ in scenarios]
-    active = list(range(len(scenarios)))  # a start is never an exit
-    while active:
-        for i in active:
-            dyngraph.advance(states[i])
-        built = [feat.build_feature_vector(states[i], scenarios[i], nodes[i][-1],
-                                           betweenness) for i in active]
+    betweenness = feat.edge_betweenness(graph)
+
+    def argmax_next(world, rows, here):
+        built = [feat.build_feature_vector(world, k, u, betweenness)
+                 for k, u in enumerate(here)]
         logits = model.forward(np.stack([vec for vec, _, _ in built]))
-        for i, row, (_, mask, neighbors) in zip(active, logits, built):
-            u = nodes[i][-1]
-            v = neighbors[int(np.argmax(np.where(mask, row, MASKED_LOGIT)))]
-            costs[i].append(float(states[i].weights[graph.edge_index(u, v)]))
-            nodes[i].append(v)
-        active = [i for i in active if nodes[i][-1] != scenarios[i].chosen_exit
-                  and states[i].t < scenarios[i].max_steps]
-    return [Path(n, c, reached=n[-1] == sc.chosen_exit)
-            for n, c, sc in zip(nodes, costs, scenarios)]
+        return [neighbors[int(np.argmax(np.where(mask, row, MASKED_LOGIT)))]
+                for row, (_, mask, neighbors) in zip(logits, built)]
+
+    return oracle.lockstep(graph, scenarios, sigma_frac, argmax_next)
 
 
 @dataclass
@@ -342,12 +330,12 @@ def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
-    betweenness = feat.edge_betweenness(graph)
     scenarios = [feat._scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
-    model_paths = rollout(model, graph, scenarios, sigma_frac, betweenness)
+    model_paths = rollout(model, graph, scenarios, sigma_frac)
+    dij_paths = oracle.nodewise_dijkstra(graph, scenarios, sigma_frac)
     records = []
-    for i, (scenario, model_path) in enumerate(zip(scenarios, model_paths)):
-        dij_path = oracle.nodewise_dijkstra(graph, scenario, sigma_frac)
+    for i, (scenario, model_path, dij_path) in enumerate(
+            zip(scenarios, model_paths, dij_paths)):
         acc = (oracle.path_accuracy(dij_path.total_cost, model_path.total_cost)
                if model_path.reached and dij_path.reached else None)
         records.append(PathRecord(

@@ -1,8 +1,10 @@
-"""Shortest-path baselines and evaluation metrics.
+"""Shortest-path baselines, the one world-step loop, and evaluation metrics.
 
-``dijkstra`` solves the static problem on frozen weights. ``nodewise_dijkstra``
-replays it from scratch at every node of a dynamically reweighted rollout and
-is the labeling oracle the learned models imitate.
+``dijkstra`` solves the static problem on frozen weights with a binary heap.
+``lockstep`` steps a world with one row per scenario and asks a policy for the
+next node of every unfinished row. The labeling oracle ``nodewise_dijkstra``
+is ``lockstep`` with ``oracle_next``, which follows a shortest path on each
+row's current weights, all rows solved at once by ``distances_to``.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dyngraph
-from .dyngraph import CityGraph, Scenario
+from .dyngraph import CityGraph
 
 # Relative slack when testing whether an edge lies on a shortest path.
 _TIE_EPS = 1e-12
@@ -91,35 +93,78 @@ def dijkstra(graph: CityGraph, weights: np.ndarray, start: int, goal: int) -> Pa
     return Path(nodes, costs)
 
 
-def nodewise_dijkstra(graph: CityGraph, scenario: Scenario, sigma_frac: float = 0.1,
-                      on_decision=None) -> Path:
-    """Full Dijkstra rerun at every node of a dynamic rollout.
+def distances_to(graph: CityGraph, weights: np.ndarray, goals) -> np.ndarray:
+    """Shortest distances from every node to each row's goal, shape (S, n).
 
-    Each iteration first lets the world evolve one step (quake + traffic),
-    then recomputes the shortest path on current weights and follows its
-    first edge. Exhausting the step budget marks the rollout failed rather
-    than raising. ``on_decision(state, node, next_node)`` is called before
-    each move, which is how dataset generation taps the oracle.
+    ``weights`` is (S, E). Each sweep relaxes every arc of every row at once,
+    ``d[v] = min(d[v], w + d[u])``, until no distance falls. With positive
+    weights that fixpoint is unique, so a row equals ``_distances`` bit for
+    bit. Slot j of the (degree, n) arc table holds each node's j-th arc.
     """
-    state = dyngraph.initial_state(graph, scenario, sigma_frac)
-    dyngraph.apply_initial_quake(state)
-    u = scenario.start
-    nodes = [u]
-    costs: list[float] = []
-    while u != scenario.chosen_exit:
-        if state.t >= scenario.max_steps:
-            return Path(nodes, costs, reached=False)
-        dyngraph.advance(state)
-        dist = _distances(graph, state.weights, scenario.chosen_exit)
-        if not math.isfinite(dist[u]):
-            raise NoPathError(f"exit {scenario.chosen_exit} unreachable from {u}")
-        v = _greedy_next(graph, state.weights, dist, u)
-        if on_decision is not None:
-            on_decision(state, u, v)
-        costs.append(float(state.weights[graph.edge_index(u, v)]))
-        nodes.append(v)
-        u = v
-    return Path(nodes, costs)
+    tails = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+    order = np.argsort(tails, kind="stable")
+    tails = tails[order]
+    slot = np.arange(len(tails)) - np.searchsorted(tails, tails)
+    shape = (slot.max(initial=-1) + 1, graph.n_nodes)
+    heads = np.zeros(shape, int)
+    heads[slot, tails] = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])[order]
+    arcs = np.full(shape, graph.n_edges)  # the padding edge, of infinite weight
+    arcs[slot, tails] = np.tile(np.arange(graph.n_edges), 2)[order]
+    arc_weights = np.vstack([weights.T, np.full(len(weights), np.inf)])[arcs]
+    dist = np.full((graph.n_nodes, len(weights)), np.inf)
+    dist[goals, np.arange(len(weights))] = 0.0
+    while True:
+        via = (arc_weights + dist[heads]).min(axis=0, initial=np.inf)
+        if not (via < dist).any():
+            return dist.T
+        np.minimum(dist, via, out=dist)
+
+
+def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Path]:
+    """Step a world of scenarios until each row arrives, spends its budget or is stuck.
+
+    Each world step advances every unfinished row, then moves row k from
+    ``here[k]`` to ``policy(world, rows, here)[k]``, where ``rows[k]`` is its
+    index in ``scenarios``; -1 stops the row where it is. Rows never interact,
+    so each path is the one its scenario takes alone.
+    """
+    world = dyngraph.apply_initial_quake(dyngraph.initial_state(graph, scenarios, sigma_frac))
+    scenarios = world.scenarios
+    paths = [Path([sc.start]) for sc in scenarios]
+    rows = list(range(len(paths)))  # a start is never an exit
+    while rows:
+        dyngraph.advance(world)
+        here = [paths[i].nodes[-1] for i in rows]
+        going = policy(world, rows, here)
+        for k, (i, u, v) in enumerate(zip(rows, here, going)):
+            if v >= 0:
+                paths[i].edge_costs.append(float(world.weights[k, graph.edge_index(u, v)]))
+                paths[i].nodes.append(v)
+        keep = [v >= 0 and v != sc.chosen_exit and world.t < sc.max_steps
+                for v, sc in zip(going, world.scenarios)]
+        if not all(keep):
+            world.keep(keep)
+            rows = [i for i, k in zip(rows, keep) if k]
+    for path, sc in zip(paths, scenarios):
+        path.reached = path.nodes[-1] == sc.chosen_exit
+    return paths
+
+
+def oracle_next(world: dyngraph.DynamicState, rows, here) -> list[int]:
+    """Each row's first edge of a current shortest path; -1 if its exit is unreachable."""
+    graph = world.graph
+    dist = distances_to(graph, world.weights, [sc.chosen_exit for sc in world.scenarios])
+    return [_greedy_next(graph, w, d, u) if math.isfinite(d[u]) else -1
+            for w, d, u in zip(world.weights, dist, here)]
+
+
+def nodewise_dijkstra(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> list[Path]:
+    """Replan the shortest path at every node while the world evolves.
+
+    A rollout that spends its step budget, or stands where its exit cannot be
+    reached, ends unreached.
+    """
+    return lockstep(graph, scenarios, sigma_frac, oracle_next)
 
 
 # ---------------------------------------------------------------------------

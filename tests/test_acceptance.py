@@ -49,13 +49,13 @@ def test_02_environment_replay_fidelity():
         g = dg.synth_city(int(rng.integers(4, 8)), int(rng.integers(4, 8)),
                           seed=int(rng.integers(1 << 31)))
         sc = dg.random_scenario(g, rng, max_steps=100)
-        state = dg.initial_state(g, sc, sigma_frac=0.1)
-        base = state.weights.copy()
+        state = dg.initial_state(g, [sc], sigma_frac=0.1)
+        base = state.weights[0].copy()
         dg.apply_initial_quake(state)
-        got = [state.weights.copy()]
+        got = [state.weights[0].copy()]
         for _ in range(50):
             dg.advance(state)
-            got.append(state.weights.copy())
+            got.append(state.weights[0].copy())
         want = replay_trajectory(g, sc.epicenter, sc.exits, base, 50)
         for a, b in zip(got, want):
             worst = max(worst, float(np.abs(a - np.asarray(b)).max()))
@@ -73,7 +73,7 @@ def test_03_radius_values_and_cap_respect():
         g = dg.synth_city(int(rng.integers(4, 9)), int(rng.integers(4, 9)),
                           seed=int(rng.integers(1 << 31)))
         sc = dg.random_scenario(g, rng, max_steps=10_000)
-        state = dg.initial_state(g, sc, sigma_frac=0.1)
+        state = dg.initial_state(g, [sc], sigma_frac=0.1)
         dg.apply_initial_quake(state)
         after_initial = state.weights.copy()
         for _ in range(int(rng.integers(30, 60))):

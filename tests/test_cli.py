@@ -17,7 +17,9 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error():
     assert run(["graph", "synth", "--bogus", "1"]) == 2
-    # only dataset generate takes --jobs
+    # no subcommand takes --jobs
+    assert run(["dataset", "generate", "--graph", "g.json", "--n", "2", "--seed", "0",
+                "--out", "d.jsonl", "--jobs", "2"]) == 2
     assert run(["train", "--data", "d.jsonl", "--seed", "0", "--out", "m.json",
                 "--jobs", "2"]) == 2
     assert run(["eval", "--ckpt", "m.json", "--graph", "g.json", "--scenarios",
@@ -70,7 +72,7 @@ def test_config_values_take_the_option_types(tmp_path, capsys):
          "--out", str(gpath)])
     data = tmp_path / "d.jsonl"
     run(["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1",
-         "--out", str(data), "--jobs", "1"])
+         "--out", str(data)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": "2", "batch-size": 64, "seed": "0"}))
     history = tmp_path / "h.json"
@@ -85,6 +87,22 @@ def test_config_values_take_the_option_types(tmp_path, capsys):
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+def test_config_rejects_keys_that_no_subcommand_defines(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "g.json"
+    synth = ["graph", "synth", "--rows", "3", "--cols", "3", "--config", str(cfg),
+             "--out", str(out)]
+    for doc, key in (({"sed": 7, "delete_fraction": 0.9}, "sed"),
+                     ({"seed": 1, "jobs": 2}, "jobs")):
+        cfg.write_text(json.dumps(doc))
+        assert run(synth) == 1
+        assert f"{key} is not an option of any subcommand" in capsys.readouterr().err
+        assert not out.exists()
+    # a key of another subcommand is allowed, since one file may serve several
+    cfg.write_text(json.dumps({"seed": 1, "epochs": 3, "sigma-frac": 0.2}))
+    assert run(synth) == 0 and out.exists()
 
 
 def test_env_simulate(tmp_path):
@@ -117,6 +135,33 @@ def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
     assert "node indices 0-15" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+def test_bad_sigma_frac_is_a_domain_error(tmp_path, capsys, sigma):
+    gpath, spath, ckpt = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "m.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1", "--out", str(gpath)])
+    dg.save_scenario(dg.random_scenario(dg.load_graph(gpath), np.random.default_rng(0)), spath)
+    hy.HybridModel(seed=0).save(ckpt)
+    out = str(tmp_path / "out")
+    for argv in (["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1"],
+                 ["env", "simulate", "--graph", str(gpath), "--scenario", str(spath),
+                  "--steps", "2"],
+                 ["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
+                  "--seed", "0"]):
+        assert run(argv + ["--sigma-frac", sigma, "--out", out]) == 1
+        assert "sigma_frac must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_env_simulate_rejects_negative_steps(tmp_path, capsys):
+    gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1", "--out", str(gpath)])
+    dg.save_scenario(dg.random_scenario(dg.load_graph(gpath), np.random.default_rng(0)), spath)
+    wpath = tmp_path / "w.csv"
+    assert run(["env", "simulate", "--graph", str(gpath), "--scenario", str(spath),
+                "--steps", "-2", "--out", str(wpath)]) == 1
+    assert "--steps must be at least 0" in capsys.readouterr().err
+    assert not wpath.exists()
+
+
 def test_dataset_generate_deterministic(tmp_path):
     gpath = tmp_path / "g.json"
     run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3",
@@ -125,7 +170,7 @@ def test_dataset_generate_deterministic(tmp_path):
     b = tmp_path / "b.jsonl"
     for out in (a, b):
         assert run(["dataset", "generate", "--graph", str(gpath), "--n", "5",
-                    "--seed", "11", "--out", str(out), "--jobs", "1"]) == 0
+                    "--seed", "11", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
     ds = ft.Dataset.load_jsonl(a)
     assert len(ds) > 0
@@ -137,7 +182,7 @@ def test_train_eval_export_pipeline(tmp_path):
          "--out", str(gpath)])
     data = tmp_path / "data.jsonl"
     run(["dataset", "generate", "--graph", str(gpath), "--n", "6",
-         "--seed", "2", "--out", str(data), "--jobs", "1"])
+         "--seed", "2", "--out", str(data)])
     ckpt = tmp_path / "ckpt.json"
     hist = tmp_path / "history.json"
     assert run(["train", "--data", str(data), "--out", str(ckpt),
@@ -205,7 +250,7 @@ def test_dataset_generate_rejects_bad_edge_speed(tmp_path, capsys):
         doc["edges"][0]["speed_kmh"] = speed
         gpath.write_text(json.dumps(doc))
         code = run(["dataset", "generate", "--graph", str(gpath), "--n", "2",
-                    "--seed", "1", "--out", str(tmp_path / "d.jsonl"), "--jobs", "1"])
+                    "--seed", "1", "--out", str(tmp_path / "d.jsonl")])
         assert code == 1
         assert "speed_kmh" in capsys.readouterr().err
 
@@ -246,7 +291,7 @@ def test_train_rejects_zero_epochs_or_batch_size(tmp_path, capsys, option, name)
          "--out", str(gpath)])
     data = tmp_path / "d.jsonl"
     run(["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1",
-         "--out", str(data), "--jobs", "1"])
+         "--out", str(data)])
     code = run(["train", "--data", str(data), "--seed", "0", option, "0",
                 "--out", str(tmp_path / "m.json")])
     assert code == 1

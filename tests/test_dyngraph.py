@@ -53,19 +53,22 @@ def _banded_graph():
 
 
 def _state(graph, epicenter=(0.0, 0.0), exit_=7, max_steps=1000):
+    """A world of one scenario row."""
     sc = scenario_for(graph, start=0, exit_=exit_, epicenter=epicenter,
                       max_steps=max_steps)
-    return dg.initial_state(graph, sc, sigma_frac=0.0)
+    return dg.initial_state(graph, [sc], sigma_frac=0.0)
 
 
 def test_initial_quake_bands():
     st = _state(_banded_graph())
+    assert st.weights.shape == (1, 4)
     assert np.allclose(st.weights, 2.0)  # 2000 m at 60 km/h = 2 minutes
     dg.apply_initial_quake(st)
-    assert st.weights[0] == pytest.approx(10.0)   # x5
-    assert st.weights[1] == pytest.approx(4.0)    # x2
-    assert st.weights[2] == pytest.approx(2.6)    # x1.3 at d = r inclusive
-    assert st.weights[3] == pytest.approx(2.0)    # outside the damage circle
+    w = st.weights[0]
+    assert w[0] == pytest.approx(10.0)   # x5
+    assert w[1] == pytest.approx(4.0)    # x2
+    assert w[2] == pytest.approx(2.6)    # x1.3 at d = r inclusive
+    assert w[3] == pytest.approx(2.0)    # outside the damage circle
 
 
 def test_initial_quake_only_once():
@@ -87,31 +90,32 @@ def test_step_quake_t0_is_identity_even_above_cap():
     before = st.weights.copy()
     dg.step_quake(st)  # t = 0: every factor is sqrt(1); above-cap stays put
     assert np.array_equal(st.weights, before)
-    assert st.weights[0] == 10.0
+    assert st.weights[0, 0] == 10.0
 
 
 def test_step_quake_growth_and_caps():
     st = _state(_banded_graph())
     dg.apply_initial_quake(st)
-    st.weights[:] = [4.9, 2.0, 2.0, 2.0]
+    w = st.weights[0]
+    w[:] = [4.9, 2.0, 2.0, 2.0]
     st.t = 100
     dg.step_quake(st)
-    assert st.weights[0] == pytest.approx(5.0)  # innermost band capped at 5
+    assert w[0] == pytest.approx(5.0)  # innermost band capped at 5
     inner = 4.9  # check the uncapped value would exceed the cap
     assert inner * math.sqrt(0.003 * 100 + 1) > 5.0
     # at t=100 the damage radius is ~0.641: d=0.25 is band 2, d=0.5 band 3
-    assert st.weights[1] == pytest.approx(2.0 * math.sqrt(0.002 * 100 + 1))
-    assert st.weights[2] == pytest.approx(2.0 * math.sqrt(0.001 * 100 + 1))
-    assert st.weights[3] == 2.0
+    assert w[1] == pytest.approx(2.0 * math.sqrt(0.002 * 100 + 1))
+    assert w[2] == pytest.approx(2.0 * math.sqrt(0.001 * 100 + 1))
+    assert w[3] == 2.0
 
 
 def test_step_quake_never_lowers_above_cap_weights():
     st = _state(_banded_graph())
     dg.apply_initial_quake(st)
-    assert st.weights[0] == 10.0  # above every cap from the initial x5
+    assert st.weights[0, 0] == 10.0  # above every cap from the initial x5
     st.t = 50
     dg.step_quake(st)
-    assert st.weights[0] == 10.0
+    assert st.weights[0, 0] == 10.0
 
 
 def test_step_traffic_zero_radius_then_growth():
@@ -122,14 +126,14 @@ def test_step_traffic_zero_radius_then_growth():
     g = make_graph(coords, [(1, 2), (0, 3)], lengths=[2000.0, 2000.0],
                    speeds=[60.0, 60.0])
     sc = scenario_for(g, start=3, exit_=0, epicenter=(0.99, 0.99), max_steps=99)
-    st = dg.initial_state(g, sc, sigma_frac=0.0)
+    st = dg.initial_state(g, [sc], sigma_frac=0.0)
     st.quake_applied = True
     before = st.weights.copy()
     dg.step_traffic(st)  # t = 0: radius zero, nothing happens
     assert np.array_equal(st.weights, before)
     st.t = 3
     dg.step_traffic(st)
-    assert st.weights[0] == pytest.approx(2.0 * math.sqrt(0.03 * 3 + 1))
+    assert st.weights[0, 0] == pytest.approx(2.0 * math.sqrt(0.03 * 3 + 1))
 
 
 def test_step_traffic_mid_band_cap():
@@ -138,16 +142,16 @@ def test_step_traffic_mid_band_cap():
     coords = [(0.3, 0.5), (0.3 + d, 0.25), (0.3 + d, 0.75), (0.9, 0.9)]
     g = make_graph(coords, [(1, 2), (0, 3)])
     sc = scenario_for(g, start=3, exit_=0, epicenter=(0.99, 0.99), max_steps=9999)
-    st = dg.initial_state(g, sc, sigma_frac=0.0)
+    st = dg.initial_state(g, [sc], sigma_frac=0.0)
     st.weights[:] = [4.0, 1.0]
     st.t = 1000
     dg.step_traffic(st)
-    assert st.weights[0] == 4.0  # already at the band cap
+    assert st.weights[0, 0] == 4.0  # already at the band cap
 
 
 def test_advance_counts_and_budget(line3):
     sc = scenario_for(line3, start=0, exit_=2, max_steps=2)
-    st = dg.initial_state(line3, sc, sigma_frac=0.0)
+    st = dg.initial_state(line3, [sc], sigma_frac=0.0)
     dg.apply_initial_quake(st)
     dg.advance(st)
     assert st.t == 1
@@ -161,7 +165,7 @@ def test_advance_monotone_weights():
     g = dg.synth_city(5, 5, seed=3)
     rng = np.random.default_rng(0)
     sc = dg.random_scenario(g, rng)
-    st = dg.initial_state(g, sc, sigma_frac=0.1)
+    st = dg.initial_state(g, [sc], sigma_frac=0.1)
     dg.apply_initial_quake(st)
     prev = st.weights.copy()
     for _ in range(30):
@@ -174,13 +178,13 @@ def test_two_advances_match_pure_python_replay():
     g = dg.synth_city(4, 4, seed=9)
     rng = np.random.default_rng(1)
     sc = dg.random_scenario(g, rng)
-    st = dg.initial_state(g, sc, sigma_frac=0.0)
-    base = st.weights.copy()
+    st = dg.initial_state(g, [sc], sigma_frac=0.0)
+    base = st.weights[0].copy()
     dg.apply_initial_quake(st)
-    traj = [st.weights.copy()]
+    traj = [st.weights[0].copy()]
     for _ in range(2):
         dg.advance(st)
-        traj.append(st.weights.copy())
+        traj.append(st.weights[0].copy())
     expected = replay_trajectory(g, sc.epicenter, sc.exits, base, 2)
     for got, want in zip(traj, expected):
         assert np.allclose(got, want, atol=1e-12, rtol=0)
@@ -190,7 +194,8 @@ def test_locality_far_edges_untouched():
     g = dg.synth_city(6, 6, seed=5)
     sc = dg.Scenario(epicenter=(0.1, 0.1), start=14, exits=(0,),
                      chosen_exit=0, rng_seed=0, max_steps=100)
-    st = dg.initial_state(g, sc, sigma_frac=0.0)
+    st = dg.initial_state(g, [sc], sigma_frac=0.0)
+    base = st.weights.copy()
     dg.apply_initial_quake(st)
     for _ in range(20):
         dg.advance(st)
@@ -200,7 +205,7 @@ def test_locality_far_edges_untouched():
     d_exit = np.linalg.norm(centers - g.xy[0], axis=1)
     far = (d_epi > reach) & (d_exit > reach)
     assert far.any()
-    assert np.array_equal(st.weights[far], st.base_weights[far])
+    assert np.array_equal(st.weights[0, far], base[0, far])
 
 
 def test_trajectory_determinism():
@@ -208,7 +213,7 @@ def test_trajectory_determinism():
     sc = dg.random_scenario(g, np.random.default_rng(8))
     runs = []
     for _ in range(2):
-        st = dg.initial_state(g, sc, sigma_frac=0.1)
+        st = dg.initial_state(g, [sc], sigma_frac=0.1)
         dg.apply_initial_quake(st)
         for _ in range(10):
             dg.advance(st)
@@ -253,16 +258,16 @@ def test_base_travel_time():
                    lengths=[1000.0] * (n - 1), speeds=[60.0] * (n - 1))
     assert np.allclose(g.nominal_minutes(), 1.0)
     sc = scenario_for(g, start=0, exit_=n - 1)
-    assert np.array_equal(dg.initial_state(g, sc, sigma_frac=0.0).weights,
+    assert np.array_equal(dg.initial_state(g, [sc], sigma_frac=0.0).weights[0],
                           g.nominal_minutes())
-    draws = np.concatenate([
-        dg.initial_state(g, scenario_for(g, start=0, seed=s), sigma_frac=0.1).weights
-        for s in range(10)])
+    draws = dg.initial_state(g, [scenario_for(g, start=0, seed=s) for s in range(10)],
+                             sigma_frac=0.1).weights
+    assert draws.shape == (10, n - 1)
     assert np.mean(draws) == pytest.approx(1.0, rel=0.02)
     assert draws.min() >= 0.1
     # a wide spread reaches the floor at 10% of nominal and stops there
     floor = 0.1 * g.nominal_minutes()
-    wide = dg.initial_state(g, sc, sigma_frac=1.0).weights
+    wide = dg.initial_state(g, [sc], sigma_frac=1.0).weights[0]
     assert (wide >= floor).all()
     assert (wide == floor).any()
 
@@ -303,7 +308,7 @@ def test_scenario_validation():
 def test_scenario_nodes_must_be_graph_nodes(line3, start, exit_):
     sc = scenario_for(line3, start=start, exit_=exit_)
     with pytest.raises(dg.GraphError, match="node indices 0-2"):
-        dg.initial_state(line3, sc)
+        dg.initial_state(line3, [scenario_for(line3), sc])
 
 
 def test_graph_and_scenario_files_roundtrip(tmp_path):
@@ -319,3 +324,62 @@ def test_graph_and_scenario_files_roundtrip(tmp_path):
     spath = tmp_path / "s.json"
     dg.save_scenario(sc, spath)
     assert dg.load_scenario(spath) == sc
+
+
+@pytest.mark.parametrize("sigma_frac", [np.nan, np.inf, -0.5])
+def test_initial_state_rejects_bad_sigma_frac(line3, sigma_frac):
+    with pytest.raises(dg.GraphError, match="sigma_frac"):
+        dg.initial_state(line3, [scenario_for(line3)], sigma_frac=sigma_frac)
+
+
+def test_world_rows_evolve_as_worlds_of_their_own():
+    """One advance steps every row of a world exactly as a one-row world steps
+    its scenario, with rows of different exit counts and after rows are dropped."""
+    g = dg.synth_city(6, 6, seed=4)
+    rng = np.random.default_rng(2)
+    scenarios = [dg.random_scenario(g, rng) for _ in range(5)]
+    scenarios[1] = dg.Scenario(epicenter=(0.2, 0.7), start=14, exits=(3,),
+                               chosen_exit=3, rng_seed=5, max_steps=40)
+    world = dg.apply_initial_quake(dg.initial_state(g, scenarios, sigma_frac=0.1))
+    alone = [dg.apply_initial_quake(dg.initial_state(g, [sc], sigma_frac=0.1))
+             for sc in scenarios]
+    rows = np.arange(len(scenarios))
+    for step in range(12):
+        dg.advance(world)
+        for st in alone:
+            dg.advance(st)
+        for k, i in enumerate(rows):
+            assert np.array_equal(world.weights[k], alone[i].weights[0])
+        if step in (3, 7):  # drop a row each time
+            keep = np.arange(len(rows)) != 1
+            world.keep(keep)
+            rows = rows[keep]
+    assert [scenarios[i] for i in rows] == list(world.scenarios)
+    assert world.weights.shape == (3, g.n_edges) and world.t == 12
+
+
+def test_advance_stops_at_the_smallest_budget_of_the_world(line3):
+    world = dg.initial_state(line3, [scenario_for(line3, max_steps=3),
+                                     scenario_for(line3, max_steps=1)], sigma_frac=0.0)
+    dg.apply_initial_quake(world)
+    dg.advance(world)
+    with pytest.raises(dg.BudgetExhausted, match="budget of 1"):
+        dg.advance(world)
+    world.keep(np.array([True, False]))
+    dg.advance(world)
+    assert world.t == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["edges"][2].update(v=999), "node id 999, which is not in nodes"),
+    (lambda doc: doc["nodes"][4].update(id=1), "node id 1 appears twice"),
+])
+def test_graph_rejects_unknown_or_repeated_node_ids(tmp_path, edit, message):
+    path = tmp_path / "g.json"
+    dg.save_graph(dg.synth_city(3, 3, seed=2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(dg.GraphError, match=message) as info:
+        dg.load_graph(path)
+    assert str(path) in str(info.value)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -70,20 +72,20 @@ def _fixture_state():
     g = make_graph([(0.5, 0.5), (0.5, 0.25), (1.0, 0.5)], [(0, 1), (0, 2)],
                    lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc = scenario_for(g, start=1, exit_=2, epicenter=(0.1, 0.2), max_steps=10)
-    state = dg.initial_state(g, sc, sigma_frac=0.0)
+    state = dg.initial_state(g, [sc], sigma_frac=0.0)
     return g, sc, state
 
 
 def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
-    vec, mask, neighbors = ft.build_feature_vector(state, sc, 0)
+    btw = ft.edge_betweenness(g)
+    vec, mask, neighbors = ft.build_feature_vector(state, 0, 0, btw)
     assert vec.shape == (36,)
     assert neighbors == [1, 2]
     assert mask.tolist() == [True, True, False, False, False]
     assert np.allclose(vec[0:2], [0.1, 0.2])    # epicenter
     assert np.allclose(vec[2:4], [0.5, 0.5])    # current node
     assert np.allclose(vec[4:6], [1.0, 0.5])    # destination
-    btw = ft.edge_betweenness(g)
     # block for neighbor 1 at (0.5, 0.25): w=0.5min/5, betweenness, distance
     # from the neighbor to the exit, and the heading cosine (orthogonal -> 0)
     assert np.allclose(vec[6:12], [0.5, 0.25, 0.1, btw[0],
@@ -97,27 +99,27 @@ def test_build_feature_vector_rejects_degree_over_five():
     coords = [(0.5, 0.5)] + [(i / 6.0, 0.0) for i in range(6)]
     g = make_graph(coords, [(0, i) for i in range(1, 7)])
     sc = scenario_for(g, start=1, exit_=2, max_steps=5)
-    state = dg.initial_state(g, sc, sigma_frac=0.0)
+    state = dg.initial_state(g, [sc], sigma_frac=0.0)
     with pytest.raises(dg.GraphError):
-        ft.build_feature_vector(state, sc, 0)
+        ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
 
 
 def test_block_mask_roundtrip():
     g, sc, state = _fixture_state()
-    vec, mask, _ = ft.build_feature_vector(state, sc, 0)
+    vec, mask, _ = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
     assert np.array_equal(ft.block_mask(vec), mask)
 
 
 def test_feature_blocks_follow_node_relabeling():
     """Relabeling nodes permutes the blocks and the oracle label coherently."""
     g, sc, state = _fixture_state()
-    vec, _, neighbors = ft.build_feature_vector(state, sc, 0)
+    vec, _, neighbors = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
     # same geometry with the two neighbor ids swapped (1 <-> 2)
     g2 = make_graph([(0.5, 0.5), (1.0, 0.5), (0.5, 0.25)], [(0, 2), (0, 1)],
                     lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
-    state2 = dg.initial_state(g2, sc2, sigma_frac=0.0)
-    vec2, _, neighbors2 = ft.build_feature_vector(state2, sc2, 0)
+    state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
+    vec2, _, neighbors2 = ft.build_feature_vector(state2, 0, 0, ft.edge_betweenness(g2))
     assert neighbors2 == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
@@ -135,7 +137,7 @@ def test_generate_dataset_counts_and_labels():
     for sid in np.unique(ds.scenario_ids()):
         rows = ds[ds.scenario_ids() == sid]
         sc = ft._scenario_for_index(g, 9, sid)
-        path = oc.nodewise_dijkstra(g, sc, sigma_frac=0.1)
+        [path] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.1)
         assert path.reached
         assert len(rows) == len(path.nodes) - 1
         # the labeled block's coordinates are the oracle's next node
@@ -200,12 +202,51 @@ def test_generate_dataset_argument_error():
         ft.generate_dataset(g, 0, seed=1)
 
 
-def test_generate_dataset_parallel_matches_serial():
-    g = dg.synth_city(5, 5, seed=2)
-    serial = ft.generate_dataset(g, 12, seed=3, jobs=1)
-    parallel = ft.generate_dataset(g, 12, seed=3, jobs=2)
-    assert np.array_equal(serial.feature_matrix(), parallel.feature_matrix())
-    assert np.array_equal(serial.labels(), parallel.labels())
+def _replayed_dataset(graph, scenarios, sigma_frac):
+    """One scenario at a time: advance its own world, then take the first edge
+    of the heap Dijkstra path on the current weights; failed scenarios drop out."""
+    betweenness = ft.edge_betweenness(graph)
+    rows = []
+    for i, sc in enumerate(scenarios):
+        state = dg.apply_initial_quake(dg.initial_state(graph, [sc], sigma_frac))
+        u, mine = sc.start, []
+        while u != sc.chosen_exit and state.t < sc.max_steps:
+            dg.advance(state)
+            try:
+                v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
+            except oc.NoPathError:
+                break
+            vec, _, neighbors = ft.build_feature_vector(state, 0, u, betweenness)
+            mine.append((vec, neighbors.index(v), i, state.t))
+            u = v
+        if u == sc.chosen_exit:
+            rows += mine
+    return ft.Dataset.from_rows(rows)
+
+
+def test_generate_dataset_matches_per_scenario_replay(monkeypatch, caplog):
+    city = dg.synth_city(5, 5, seed=2)
+    # the city plus a two-node island that no exit can be reached from
+    g = make_graph(np.vstack([city.xy, [(0.45, 0.55), (0.55, 0.55)]]),
+                   [*city.edges.tolist(), (25, 26)],
+                   [*city.length_m, 300.0], [*city.speed_kmh, 40.0])
+    rng = np.random.default_rng(6)
+    scenarios = [dg.random_scenario(city, rng) for _ in range(6)]
+    far = scenarios[0].exits[0]
+    start = int(np.argmax(np.linalg.norm(city.xy - city.xy[far], axis=1)))
+    scenarios[2] = dataclasses.replace(scenarios[2], start=start, chosen_exit=far,
+                                       max_steps=2)
+    scenarios[4] = dataclasses.replace(scenarios[4], start=25)
+    monkeypatch.setattr(ft, "_scenario_for_index", lambda graph, seed, i: scenarios[i])
+    with caplog.at_level(logging.WARNING, logger=ft.__name__):
+        got = ft.generate_dataset(g, len(scenarios), seed=0)
+    want = _replayed_dataset(g, scenarios, 0.1)
+    for key in ft.COLUMNS:
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert set(got.scenario_ids().tolist()) == {0, 1, 3, 5}
+    assert caplog.messages == [
+        "scenario 2 skipped: budget exhausted after 2 steps",
+        f"scenario 4 skipped: exit {scenarios[4].chosen_exit} unreachable from 25"]
 
 
 def _edit_padding_label(doc):

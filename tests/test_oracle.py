@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quakeroute.dyngraph as dg
 import quakeroute.oracle as oc
@@ -49,7 +52,7 @@ def test_dijkstra_matches_enumeration_on_random_graphs():
 
 def test_nodewise_on_line_is_the_line(line3):
     sc = scenario_for(line3, start=0, exit_=2)
-    path = oc.nodewise_dijkstra(line3, sc, sigma_frac=0.1)
+    [path] = oc.nodewise_dijkstra(line3, [sc], sigma_frac=0.1)
     assert path.nodes == [0, 1, 2]
     assert path.reached
     assert len(path.edge_costs) == 2
@@ -63,7 +66,7 @@ def test_nodewise_degenerates_to_static_dijkstra(monkeypatch):
                             setattr(state, "quake_applied", True) or state))
     monkeypatch.setattr(dg, "step_quake", lambda state: state)
     monkeypatch.setattr(dg, "step_traffic", lambda state, exits=None: state)
-    rolled = oc.nodewise_dijkstra(g, sc, sigma_frac=0.0)
+    [rolled] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.0)
     static = oc.dijkstra(g, g.nominal_minutes(), sc.start, sc.chosen_exit)
     assert rolled.nodes == static.nodes
     assert rolled.total_cost == pytest.approx(static.total_cost)
@@ -71,7 +74,7 @@ def test_nodewise_degenerates_to_static_dijkstra(monkeypatch):
 
 def test_nodewise_budget_marks_failed(line3):
     sc = scenario_for(line3, start=0, exit_=2, max_steps=1)
-    path = oc.nodewise_dijkstra(line3, sc, sigma_frac=0.0)
+    [path] = oc.nodewise_dijkstra(line3, [sc], sigma_frac=0.0)
     assert not path.reached
     assert len(path.nodes) == 2  # got one step in before the budget died
 
@@ -81,22 +84,78 @@ def test_nodewise_matches_manual_replay():
     shortest path one edge."""
     g = dg.synth_city(8, 8, seed=7)
     sc = dg.random_scenario(g, np.random.default_rng(5))
-    got = oc.nodewise_dijkstra(g, sc, sigma_frac=0.1)
+    [got] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.1)
 
-    state = dg.initial_state(g, sc, sigma_frac=0.1)
+    state = dg.initial_state(g, [sc], sigma_frac=0.1)
     dg.apply_initial_quake(state)
     u = sc.start
     nodes = [u]
     costs = []
     while u != sc.chosen_exit and state.t < sc.max_steps:
         dg.advance(state)
-        best = oc.dijkstra(g, state.weights, u, sc.chosen_exit)
+        best = oc.dijkstra(g, state.weights[0], u, sc.chosen_exit)
         v = best.nodes[1]
-        costs.append(state.weights[g.edge_index(u, v)])
+        costs.append(state.weights[0, g.edge_index(u, v)])
         nodes.append(v)
         u = v
     assert got.nodes == nodes
     assert np.allclose(got.edge_costs, costs, atol=1e-15)
+
+
+def test_nodewise_lockstep_matches_one_scenario_calls():
+    g = dg.synth_city(6, 6, seed=3)
+    rng = np.random.default_rng(8)
+    scenarios = [dg.random_scenario(g, rng) for _ in range(10)]
+    scenarios = [dataclasses.replace(sc, max_steps=1 + i) if i % 4 == 0 else sc
+                 for i, sc in enumerate(scenarios)]
+    together = oc.nodewise_dijkstra(g, scenarios, sigma_frac=0.1)
+    alone = [oc.nodewise_dijkstra(g, [sc], sigma_frac=0.1)[0] for sc in scenarios]
+    assert [(p.nodes, p.edge_costs, p.reached) for p in together] == \
+        [(p.nodes, p.edge_costs, p.reached) for p in alone]
+    # arrivals after different numbers of steps, and budgets that run out
+    assert any(p.reached for p in together) and not all(p.reached for p in together)
+    assert len({len(p) for p in together if p.reached}) >= 3
+
+
+def test_nodewise_stops_where_the_exit_is_unreachable():
+    # 0 - 1 - 2, and 3 - 4 apart from them
+    g = make_graph([(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (0.2, 0.9), (0.4, 0.9)],
+                   [(0, 1), (1, 2), (3, 4)])
+    [cut, fine] = oc.nodewise_dijkstra(
+        g, [scenario_for(g, start=3, exit_=2), scenario_for(g, start=0, exit_=2)])
+    assert (cut.nodes, cut.reached) == ([3], False)
+    assert (fine.nodes, fine.reached) == ([0, 1, 2], True)
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """A random connected graph, maybe with isolated nodes, and (S, E) weights:
+    small integers, so that equal-cost routes tie, or floats."""
+    n = draw(st.integers(2, 10))
+    edges = {(i - 1, i) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.permutations(range(n)))[:2]
+        edges.add((min(u, v), max(u, v)))
+    n_all = n + draw(st.integers(0, 2))
+    coords = [(i / n_all, (i * 7 % n_all) / n_all) for i in range(n_all)]
+    g = make_graph(coords, sorted(edges))
+    rows = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        value = st.integers(1, 3).map(float)
+    else:
+        value = st.floats(0.01, 100.0)
+    weights = draw(st.lists(value, min_size=rows * g.n_edges, max_size=rows * g.n_edges))
+    goals = draw(st.lists(st.integers(0, n_all - 1), min_size=rows, max_size=rows))
+    return g, np.reshape(weights, (rows, g.n_edges)), goals
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_weighted_graphs())
+def test_distances_to_matches_heap_distances(case):
+    g, weights, goals = case
+    got = oc.distances_to(g, weights, goals)
+    want = [oc._distances(g, w, goal) for w, goal in zip(weights, goals)]
+    assert np.array_equal(got, want)
 
 
 def test_arrival_rate():
