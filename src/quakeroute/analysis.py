@@ -18,6 +18,7 @@ import numpy as np
 from . import qsim
 from .qsim import Circuit, CNot, Rot
 
+RUN_AMPLITUDES = 8192  # sample_fourier simulates at most about this many amplitudes per run
 RANK_TOL = 1e-8  # eigenvalues above this share of the largest count toward the rank
 NEAR_ZERO_TOL = 1e-3  # |eigenvalue| below this share of the largest is near zero
 
@@ -111,12 +112,11 @@ def sample_fourier(config: MiniConfig, n_theta: int,
     omegas = np.arange(-d, d + 1)
     # c_w = (1/m^2) sum_jk f[j,k] exp(+i(wx x_j + wy y_k))
     dft = np.exp(1j * np.outer(omegas, xs)) / m
-    coeffs = np.empty((n_theta, len(omegas), len(omegas)), complex)
-    for r in range(n_theta):
-        theta = rng.uniform(0.0, 2 * np.pi, circuit.n_params)
-        state = qsim.run(circuit, theta, grid)
-        f = np.asarray(qsim.expectation_z(state, observable_qubit, 3)).reshape(m, m)
-        coeffs[r] = dft @ f @ dft.T
+    thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, circuit.n_params))
+    step = max(1, RUN_AMPLITUDES // (len(grid) << circuit.n_qubits))
+    f = np.concatenate([qsim.expectation_z(qsim.run(circuit, thetas[i:i + step, None], grid),
+                                           observable_qubit, 3) for i in range(0, n_theta, step)])
+    coeffs = dft @ f.reshape(n_theta, m, m) @ dft.T
     return FourierSamples(coeffs=coeffs, omegas=omegas, config=config,
                           observable_qubit=observable_qubit)
 
@@ -171,14 +171,14 @@ def fisher_matrix(config: MiniConfig, n_x: int = 20, n_theta: int = 20,
     if rng is None:
         rng = np.random.default_rng(0)
     circuit = build_mini_circuit(config)
-    idx = list(range(circuit.n_params if include_main else config.n_film_params))
+    n_params = circuit.n_params if include_main else config.n_film_params
     per_real: list[np.ndarray] = []
     clamped = 0
     for _ in range(n_theta):
         theta = rng.uniform(0.0, 2 * np.pi, circuit.n_params)
         x = rng.normal(0.0, 1.0, (n_x, 4))
         probs = qsim.probabilities(qsim.run(circuit, theta, x))
-        dprobs = np.stack([qsim.prob_grad(circuit, theta, x, index=i) for i in idx])
+        dprobs = qsim.prob_grad(circuit, theta, x)[:n_params]
         clamped += int((probs < 1e-12).sum())
         floor = np.maximum(probs, 1e-12)
         f = np.einsum("ixy,jxy->ij", dprobs / floor, dprobs) / n_x

@@ -174,7 +174,8 @@ def _cmd_analyze_fisher(args) -> int:
     report = analysis.fisher_spectrum(result.matrix)
     analysis.write_spectrum_csv(report, args.out)
     line = (f"fisher: rank {report.rank} of {result.n_params}, near-zero "
-            f"fraction {report.near_zero_fraction:.3f}")
+            f"fraction {report.near_zero_fraction:.3f}, probability-floor clamps "
+            f"{result.clamped}")
     if args.full:
         ratio = analysis.block_ratio(result.matrix, config.n_film_params)
         line += f", block coupling {ratio:.4f}"

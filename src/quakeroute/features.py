@@ -32,6 +32,7 @@ HEAD_SIZE = 6
 WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
+WORLD_ROWS = 256  # generate_dataset steps at most this many scenarios in one world
 
 
 def euclid(p, q) -> float:
@@ -254,23 +255,26 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     Each scenario draws a fresh epicenter, start and chosen exit; every node
     the oracle visits emits one sample labeled with the block index of the
     oracle's move. Scenarios whose oracle rollout fails are skipped, with a
-    warning that gives the reason.
+    warning that gives the reason. Consecutive worlds of at most
+    ``WORLD_ROWS`` scenarios bound the memory; rows never interact, so the
+    output does not depend on it.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = edge_betweenness(graph)
     scenarios = [_scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
     samples: list[list[tuple]] = [[] for _ in scenarios]
+    paths = []
+    for first in range(0, n_scenarios, WORLD_ROWS):
+        def label(world, rows, here, first=first):
+            going = oracle.oracle_next(world, rows, here)
+            for k, (i, u, v) in enumerate(zip(rows, here, going)):
+                if v >= 0:
+                    feats, _, neighbors = build_feature_vector(world, k, u, betweenness)
+                    samples[first + i].append((feats, neighbors.index(v), first + i, world.t))
+            return going
 
-    def label(world, rows, here):
-        going = oracle.oracle_next(world, rows, here)
-        for k, (i, u, v) in enumerate(zip(rows, here, going)):
-            if v >= 0:
-                feats, _, neighbors = build_feature_vector(world, k, u, betweenness)
-                samples[i].append((feats, neighbors.index(v), i, world.t))
-        return going
-
-    paths = oracle.lockstep(graph, scenarios, sigma_frac, label)
+        paths += oracle.lockstep(graph, scenarios[first:first + WORLD_ROWS], sigma_frac, label)
     for i, (sc, path) in enumerate(zip(scenarios, paths)):
         if path.reached:
             continue

@@ -4,8 +4,10 @@ The circuit has a two-qubit section that re-uploads the epicenter coordinates
 and a five-qubit section that encodes the remaining features subvector by
 subvector, each interlaced with entangler layers; the sections are joined by
 a CNOT bridge and a final entangler before Z measurements of the five main
-qubits. The generic engine (``run``) applies one gate at a time and takes
-exact two-term parameter-shift gradients; the training kernel
+qubits. The generic engine (``run``) applies one gate at a time to a batch
+of states, with parameters (..., n_params) broadcast against features
+(..., n_features), and takes exact two-term parameter-shift gradients in one
+run: every shifted setting is a row of the batch. The training kernel
 (``ModelKernel``) compiles each feature-free run of gates into one unitary
 and takes adjoint gradients, with parameter-shift as its reference.
 
@@ -88,11 +90,6 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"measured qubit {q} out of range")
 
-    def param_occurrences(self, index: int) -> list[tuple[int, float]]:
-        """Gate positions (and angle scales) where parameter ``index`` enters."""
-        return [(pos, g.scale) for pos, g in enumerate(self.gates)
-                if isinstance(g, Rot) and g.src == "param" and g.index == index]
-
     def census(self) -> dict[str, int]:
         counts = {"rx": 0, "ry": 0, "rz": 0, "cx": 0}
         for g in self.gates:
@@ -112,7 +109,7 @@ def zero_state(n_qubits: int, batch_shape: tuple = ()) -> np.ndarray:
 
 def _apply_rot(state: np.ndarray, n: int, qubit: int, axis: str, theta) -> np.ndarray:
     trail = 1 << (n - qubit - 1)
-    s = state.reshape(state.shape[:-1] + (-1, 2, trail))
+    s = state.reshape(state.shape[:-1] + (1 << qubit, 2, trail))
     theta = np.asarray(theta)
     half = theta / 2.0
     c = np.cos(half)
@@ -144,43 +141,35 @@ def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
 def _gate_angle(gate: Rot, params, features):
     if gate.src == "const":
         return gate.offset
-    if gate.src == "param":
-        return gate.scale * params[gate.index] + gate.offset
-    if features is None:
+    if gate.src == "feature" and features is None:
         raise BindingError(f"feature slot {gate.index} is unbound")
-    return gate.scale * np.asarray(features)[..., gate.index] + gate.offset
+    source = params if gate.src == "param" else np.asarray(features)
+    return gate.scale * source[..., gate.index] + gate.offset
 
 
-def _run_gates(state: np.ndarray, n: int, gates, params, features,
-               override: tuple[int, float] | None = None) -> np.ndarray:
-    """Apply ``gates`` in order."""
-    for pos, g in enumerate(gates):
-        if isinstance(g, CNot):
-            state = state[..., _cx_perm(n, g.control, g.target)]
-            continue
-        angle = _gate_angle(g, params, features)
-        if override is not None and pos == override[0]:
-            angle = angle + override[1]
-        state = _apply_rot(state, n, g.qubit, g.axis, angle)
-    return state
-
-
-def run(circuit: Circuit, params, features=None,
-        override: tuple[int, float] | None = None) -> np.ndarray:
-    """Simulate the circuit; returns amplitudes of shape (batch..., 2**n)."""
+def run(circuit: Circuit, params, features=None) -> np.ndarray:
+    """Simulate the circuit; returns amplitudes of shape (batch..., 2**n), where
+    the batch broadcasts the leading axes of params and features."""
     params = np.asarray(params, float)
-    if params.shape != (circuit.n_params,):
-        raise CircuitError(
-            f"expected {circuit.n_params} parameters, got {params.shape}")
-    batch = ()
+    if params.shape[-1:] != (circuit.n_params,):
+        raise CircuitError(f"expected {circuit.n_params} parameters, got {params.shape}")
+    batch = params.shape[:-1]
     if features is not None:
         features = np.asarray(features, float)
-        if features.shape[-1] != circuit.n_features:
-            raise CircuitError(
-                f"expected {circuit.n_features} features, got {features.shape[-1]}")
-        batch = features.shape[:-1]
-    state = zero_state(circuit.n_qubits, batch)
-    return _run_gates(state, circuit.n_qubits, circuit.gates, params, features, override)
+        if features.shape[-1:] != (circuit.n_features,):
+            raise CircuitError(f"expected {circuit.n_features} features, got {features.shape}")
+        try:
+            batch = np.broadcast_shapes(batch, features.shape[:-1])
+        except ValueError:
+            raise CircuitError(f"parameters {params.shape} and features {features.shape} "
+                               "do not broadcast") from None
+    state, n = zero_state(circuit.n_qubits, batch), circuit.n_qubits
+    for g in circuit.gates:
+        if isinstance(g, CNot):
+            state = state[..., _cx_perm(n, g.control, g.target)]
+        else:
+            state = _apply_rot(state, n, g.qubit, g.axis, _gate_angle(g, params, features))
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -193,16 +182,13 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def expectation_z(state: np.ndarray, qubit: int, n_qubits: int | None = None):
+def expectation_z(state: np.ndarray, qubit: int, n_qubits: int):
     """Pauli-Z expectation of one qubit from the amplitudes."""
-    if n_qubits is None:
-        n_qubits = int(round(math.log2(state.shape[-1])))
     return probabilities(state) @ _z_signs(n_qubits, qubit)
 
 
 def measured_expectations(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    vals = [expectation_z(state, q, circuit.n_qubits) for q in circuit.measured]
-    return np.stack([np.asarray(v) for v in vals], axis=-1)
+    return np.stack([expectation_z(state, q, circuit.n_qubits) for q in circuit.measured], -1)
 
 
 def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator,
@@ -314,17 +300,34 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
 # Parameter-shift gradients
 
 
-def _shift_outputs(circuit: Circuit, params, features, outputs_fn, index: int):
-    grad = None
-    for pos, scale in circuit.param_occurrences(index):
-        plus = outputs_fn(run(circuit, params, features, override=(pos, +np.pi / 2)))
-        minus = outputs_fn(run(circuit, params, features, override=(pos, -np.pi / 2)))
-        term = scale * (plus - minus) / 2.0
-        grad = term if grad is None else grad + term
-    if grad is None:  # parameter not used by any gate
-        probe = outputs_fn(run(circuit, params, features))
-        grad = np.zeros_like(probe)
-    return grad
+def _shift(circuit: Circuit, params, features, outputs, index: int | None):
+    """Parameter-shift derivatives of ``outputs(state)`` in one run: each gate of
+    parameter ``index`` (of all of them for None) reads its angle from a slot of
+    its own, and rows j and K + j shift slot j by +pi/2 and -pi/2. A parameter
+    sums its gates' terms times their scales; None stacks all parameters."""
+    params = np.asarray(params, float)
+    p = circuit.n_params
+    if params.shape != (p,):
+        raise CircuitError(f"expected {p} parameters, got {params.shape}")
+    if index is not None and not 0 <= index < p:
+        raise CircuitError(f"parameter index {index} out of range")
+    gates, shifted = list(circuit.gates), []
+    for pos, g in enumerate(gates):
+        if isinstance(g, Rot) and g.src == "param" and index in (None, g.index):
+            gates[pos] = Rot(g.axis, g.qubit, "param", p + len(shifted))
+            shifted.append(g)
+    k = len(shifted)
+    slots = np.concatenate([params, [_gate_angle(g, params, None) for g in shifted]])
+    eye = np.pi / 2 * np.eye(k)
+    slots = slots + np.concatenate([np.zeros((2, k, p)), [eye, -eye]], axis=-1)
+    batch = () if features is None else np.shape(features)[:-1]
+    plus, minus = outputs(run(
+        Circuit(circuit.n_qubits, tuple(gates), p + k, circuit.n_features, circuit.measured),
+        slots.reshape((2, k) + (1,) * len(batch) + (p + k,)), features))
+    scales = np.reshape([g.scale for g in shifted], (k,) + (1,) * (plus.ndim - 1))
+    grad = np.zeros((p,) + plus.shape[1:])
+    np.add.at(grad, np.array([g.index for g in shifted], int), scales * (plus - minus) / 2.0)
+    return grad if index is None else grad[index]
 
 
 def param_shift_grad(circuit: Circuit, params, features=None, index: int | None = None):
@@ -333,25 +336,12 @@ def param_shift_grad(circuit: Circuit, params, features=None, index: int | None 
     For one index returns (..., n_measured); for index=None the full Jacobian
     stacked over parameters. Shared parameter slots sum their shift terms.
     """
-    params = np.asarray(params, float)
-    outputs = lambda s: measured_expectations(circuit, s)
-    if index is not None:
-        if not 0 <= index < circuit.n_params:
-            raise CircuitError(f"parameter index {index} out of range")
-        return _shift_outputs(circuit, params, features, outputs, index)
-    return np.stack([_shift_outputs(circuit, params, features, outputs, i)
-                     for i in range(circuit.n_params)])
+    return _shift(circuit, params, features, lambda s: measured_expectations(circuit, s), index)
 
 
 def prob_grad(circuit: Circuit, params, features=None, index: int | None = None):
     """Parameter-shift gradient of all basis-state probabilities."""
-    params = np.asarray(params, float)
-    if index is not None:
-        if not 0 <= index < circuit.n_params:
-            raise CircuitError(f"parameter index {index} out of range")
-        return _shift_outputs(circuit, params, features, probabilities, index)
-    return np.stack([_shift_outputs(circuit, params, features, probabilities, i)
-                     for i in range(circuit.n_params)])
+    return _shift(circuit, params, features, probabilities, index)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +359,8 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
         features = np.asarray(features, float)
         if features.ndim != 1 or features.shape[0] != circuit.n_features:
             raise BindingError(f"expected {circuit.n_features} bound features")
+    if not all(np.isfinite(a).all() for a in (params, features) if a is not None):
+        raise BindingError("bound parameters and features must be finite")
     lines = [
         "OPENQASM 3.0;",
         'include "stdgates.inc";',

@@ -126,11 +126,20 @@ def test_fisher_inert_parameter_row_is_zero():
         theta = rng.uniform(0, 2 * np.pi, 3)
         x = rng.normal(0, 1, (5, 1))
         probs = np.maximum(qs.probabilities(qs.run(circ, theta, x)), 1e-12)
-        dp = np.stack([qs.prob_grad(circ, theta, x, index=i) for i in range(3)])
+        dp = qs.prob_grad(circ, theta, x, index=None)
         f += np.einsum("ixy,jxy->ij", dp / probs, dp) / len(x)
     assert np.abs(f[1, :]).max() < 1e-12
     assert np.abs(f[:, 1]).max() < 1e-12
     assert f[0, 0] > 1e-3 and f[2, 2] > 1e-3
+
+
+def test_fisher_realization_is_two_runs(monkeypatch):
+    runs = []
+    real_run = qs.run
+    monkeypatch.setattr(qs, "run", lambda *args: runs.append(args) or real_run(*args))
+    res = an.fisher_matrix(an.MiniConfig(sublayers=2, reuploads=3), n_x=5, n_theta=1,
+                           rng=np.random.default_rng(4), include_main=True)
+    assert res.matrix.shape == (20, 20) and len(runs) == 2
 
 
 def test_fisher_spectrum_basics():

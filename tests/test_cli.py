@@ -215,6 +215,20 @@ def test_train_eval_export_pipeline(tmp_path):
                    or l.startswith(f"{kind} ")) == count
 
 
+def test_export_qasm_rejects_non_finite_input(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    hy.HybridModel(seed=0).save(ckpt)
+    sample = tmp_path / "sample.json"
+    features = [0.5] * ft.N_FEATURES
+    features[7] = float("nan")
+    sample.write_text(json.dumps({"features": features}))  # json writes a NaN literal
+    qasm = tmp_path / "circuit.qasm"
+    assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
+                "--out", str(qasm)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not qasm.exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
@@ -255,7 +269,7 @@ def test_dataset_generate_rejects_bad_edge_speed(tmp_path, capsys):
         assert "speed_kmh" in capsys.readouterr().err
 
 
-def test_analyze_fourier_and_fisher(tmp_path):
+def test_analyze_fourier_and_fisher(tmp_path, capsys):
     violin = tmp_path / "violin.csv"
     assert run(["analyze", "fourier", "--N", "1", "--K", "2", "--samples",
                 "20", "--seed", "3", "--out", str(violin)]) == 0
@@ -267,6 +281,7 @@ def test_analyze_fourier_and_fisher(tmp_path):
     assert run(["analyze", "fisher", "--N", "1", "--K", "1", "--nx", "5",
                 "--ntheta", "3", "--seed", "3", "--out", str(fisher)]) == 0
     assert fisher.read_text().startswith("index,eigenvalue")
+    assert ", probability-floor clamps 0 ->" in capsys.readouterr().out
     full = tmp_path / "fisher_full.csv"
     assert run(["analyze", "fisher", "--N", "1", "--K", "1", "--nx", "4",
                 "--ntheta", "2", "--seed", "3", "--full",

@@ -224,7 +224,10 @@ def _replayed_dataset(graph, scenarios, sigma_frac):
     return ft.Dataset.from_rows(rows)
 
 
-def test_generate_dataset_matches_per_scenario_replay(monkeypatch, caplog):
+def _skipping_case(monkeypatch):
+    """A city with an unreachable island and six scenarios, of which scenario 2
+    spends its budget and scenario 4 starts where no exit can be reached;
+    generate_dataset draws these scenarios."""
     city = dg.synth_city(5, 5, seed=2)
     # the city plus a two-node island that no exit can be reached from
     g = make_graph(np.vstack([city.xy, [(0.45, 0.55), (0.55, 0.55)]]),
@@ -238,6 +241,11 @@ def test_generate_dataset_matches_per_scenario_replay(monkeypatch, caplog):
                                        max_steps=2)
     scenarios[4] = dataclasses.replace(scenarios[4], start=25)
     monkeypatch.setattr(ft, "_scenario_for_index", lambda graph, seed, i: scenarios[i])
+    return g, scenarios
+
+
+def test_generate_dataset_matches_per_scenario_replay(monkeypatch, caplog):
+    g, scenarios = _skipping_case(monkeypatch)
     with caplog.at_level(logging.WARNING, logger=ft.__name__):
         got = ft.generate_dataset(g, len(scenarios), seed=0)
     want = _replayed_dataset(g, scenarios, 0.1)
@@ -247,6 +255,24 @@ def test_generate_dataset_matches_per_scenario_replay(monkeypatch, caplog):
     assert caplog.messages == [
         "scenario 2 skipped: budget exhausted after 2 steps",
         f"scenario 4 skipped: exit {scenarios[4].chosen_exit} unreachable from 25"]
+
+
+def test_generate_dataset_worlds_do_not_change_the_output(monkeypatch, caplog):
+    g, scenarios = _skipping_case(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger=ft.__name__):
+        one_world = ft.generate_dataset(g, len(scenarios), seed=0)
+        messages = list(caplog.messages)
+        caplog.clear()
+        monkeypatch.setattr(ft, "WORLD_ROWS", 3)  # scenarios 0-2, then 3-5
+        worlds = []
+        lockstep = oc.lockstep
+        monkeypatch.setattr(oc, "lockstep", lambda graph, part, *rest:
+                            worlds.append(len(part)) or lockstep(graph, part, *rest))
+        two_worlds = ft.generate_dataset(g, len(scenarios), seed=0)
+    assert worlds == [3, 3]
+    for key in ft.COLUMNS:
+        assert np.array_equal(getattr(two_worlds, key), getattr(one_world, key))
+    assert caplog.messages == messages and len(messages) == 2
 
 
 def _edit_padding_label(doc):

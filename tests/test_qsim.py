@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -169,7 +170,9 @@ def test_norm_preserved():
 
 @st.composite
 def _random_circuits(draw):
-    """A random gate list on 1-4 qubits, its parameters and a feature batch."""
+    """A random gate list on 1-4 qubits, a batch of parameter vectors and a
+    feature batch. Parameters may share slots, have negative or zero scales
+    or be unused."""
     n = draw(st.integers(1, 4))
     n_params = draw(st.integers(0, 3))
     n_features = draw(st.integers(0, 3))
@@ -187,21 +190,59 @@ def _random_circuits(draw):
                             src, draw(st.integers(0, size - 1)) if size else -1,
                             scale=draw(st.floats(-2, 2)), offset=draw(angle)))
     circuit = qs.Circuit(n, tuple(gates), n_params, n_features, tuple(range(n)))
-    batch = draw(st.integers(1, 3))
-    values = st.lists(angle, min_size=batch * n_features + n_params,
-                      max_size=batch * n_features + n_params)
-    flat = np.array(draw(values), float)
-    return circuit, flat[:n_params], flat[n_params:].reshape(batch, n_features)
+    draws, batch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = draws * n_params + batch * n_features
+    flat = np.array(draw(st.lists(angle, min_size=size, max_size=size)), float)
+    return (circuit, flat[:draws * n_params].reshape(draws, n_params),
+            flat[draws * n_params:].reshape(batch, n_features))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_random_circuits())
 def test_run_matches_matrix_oracle_on_random_circuits(case):
     circuit, params, features = case
-    got = qs.run(circuit, params, features)
-    assert got.shape == (len(features), 1 << circuit.n_qubits)
-    for state, row in zip(got, features):
-        assert np.abs(state - oracle_state(circuit, params, row)).max() < 1e-10
+    got = qs.run(circuit, params[:, None], features)
+    assert got.shape == (len(params), len(features), 1 << circuit.n_qubits)
+    # the parameter batch changes no row beyond rounding: numpy picks a fused
+    # multiply-add complex product for some operand shapes and not for others
+    stacked = np.stack([qs.run(circuit, theta, features) for theta in params])
+    assert np.abs(got - stacked).max(initial=0.0) < 1e-14
+    for theta, states in zip(params, got):
+        for state, row in zip(states, features):
+            assert np.abs(state - oracle_state(circuit, theta, row)).max() < 1e-10
+
+
+def test_run_rejects_parameter_batch_that_does_not_broadcast():
+    circ = qs.Circuit(1, (qs.Rot("x", 0, "param", 0), qs.Rot("z", 0, "feature", 0)),
+                      1, 1, measured=(0,))
+    assert qs.run(circ, np.zeros((2, 1, 1)), np.zeros((3, 1))).shape == (2, 3, 2)
+    with pytest.raises(qs.CircuitError, match="broadcast"):
+        qs.run(circ, np.zeros((2, 1)), np.zeros((3, 1)))
+
+
+def _oracle_shift_jacobian(circuit, params, row):
+    """(n_params, n_measured) derivatives from the dense oracle: each parameter
+    gate in turn becomes a constant rotation at its angle +/- pi/2."""
+    jac = np.zeros((circuit.n_params, len(circuit.measured)))
+    for pos, g in enumerate(circuit.gates):
+        if isinstance(g, qs.Rot) and g.src == "param":
+            angle = g.scale * params[g.index] + g.offset
+            plus, minus = (oracle_expectations(dataclasses.replace(circuit, gates=(
+                *circuit.gates[:pos], qs.Rot(g.axis, g.qubit, "const", offset=angle + shift),
+                *circuit.gates[pos + 1:])), params, row) for shift in (np.pi / 2, -np.pi / 2))
+            jac[g.index] += g.scale * (plus - minus) / 2
+    return jac
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_circuits())
+def test_param_shift_matches_oracle_shifts_on_random_circuits(case):
+    circuit, params, features = case
+    jac = qs.param_shift_grad(circuit, params[0], features, index=None)
+    assert jac.shape == (circuit.n_params, len(features), circuit.n_qubits)
+    for b, row in enumerate(features):
+        want = _oracle_shift_jacobian(circuit, params[0], row)
+        assert np.abs(jac[:, b] - want).max(initial=0.0) < 1e-10
 
 
 def test_global_phase_invariance():
@@ -224,6 +265,8 @@ def test_param_shift_single_qubit():
     assert g0[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(qs.CircuitError):
         qs.param_shift_grad(circ, [0.0], index=1)
+    with pytest.raises(qs.CircuitError, match="expected 1 parameters"):
+        qs.param_shift_grad(circ, [0.0, 0.0])
 
 
 def test_param_shift_matches_finite_differences_subset():
@@ -260,6 +303,15 @@ def test_param_shift_shared_slot_and_inert_pair():
     ), 1, 0, measured=(0,))
     g2 = qs.param_shift_grad(doubled, [0.3], index=0)
     assert g2[0] == pytest.approx(-2 * math.sin(0.6), abs=1e-12)
+
+
+def test_param_shift_jacobian_is_one_run(monkeypatch):
+    circ = qs.build_model_circuit()
+    runs = []
+    real_run = qs.run
+    monkeypatch.setattr(qs, "run", lambda *args: runs.append(args) or real_run(*args))
+    jac = qs.param_shift_grad(circ, np.zeros(228), np.zeros(36), index=None)
+    assert jac.shape == (228, 5) and len(runs) == 1
 
 
 def test_prob_grad_sums_to_zero():
@@ -383,10 +435,9 @@ def test_kernel_grad_equals_param_shift_contraction():
     kernel = qs.ModelKernel(cfg)
     got = kernel.grad(params, feats, epi, upstream)
     joint = np.concatenate([feats, epi], axis=1)
-    for i in (0, 20, 48, 100, 207, 208, 227):
-        per_sample = qs.param_shift_grad(circ, params, joint, index=i)  # (3, 5)
-        want = float(np.sum(per_sample * upstream))
-        assert got[i] == pytest.approx(want, abs=1e-10)
+    jac = qs.param_shift_grad(circ, params, joint, index=None)  # (228, 3, 5)
+    want = np.einsum("pbk,bk->p", jac, upstream)
+    assert np.abs(got - want).max() < 1e-10
 
 
 def test_export_qasm_single_gate():
@@ -426,3 +477,9 @@ def test_export_qasm_unbound_features_rejected():
         qs.export_qasm3(circ, np.zeros(228))
     with pytest.raises(qs.BindingError):
         qs.export_qasm3(circ, np.zeros(10), np.zeros(36))
+    nan_feature = np.zeros(36)
+    nan_feature[5] = np.nan
+    with pytest.raises(qs.BindingError, match="finite"):
+        qs.export_qasm3(circ, np.zeros(228), nan_feature)
+    with pytest.raises(qs.BindingError, match="finite"):
+        qs.export_qasm3(circ, np.full(228, np.inf), np.zeros(36))
