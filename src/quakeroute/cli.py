@@ -3,7 +3,8 @@
 Subcommands: graph synth, env simulate, dataset generate, train, eval,
 analyze fourier|fisher, export-qasm. Exit codes: 0 success, 1 domain error,
 2 usage error. The QRL_SEED environment variable overrides any configured
-seed; a JSON --config file fills unset options.
+seed; a JSON --config file may set every option of the subcommand that is not
+required, and the command line wins over it.
 """
 from __future__ import annotations
 
@@ -27,36 +28,39 @@ _DOMAIN_ERRORS = (
 )
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill options left at None from the JSON config file, if one was given.
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The subcommand's option values in the JSON config file ``args.config``.
 
-    Each value goes through its option's argparse type, as if it had been
-    typed on the command line; one that does not convert raises ValueError.
-    A key may name an option of another subcommand, since one file may serve
-    several, but a key that no subcommand defines raises ValueError.
+    A flag takes a JSON boolean. Any other value goes through its option's
+    argparse type, as if it had been typed on the command line; one that does
+    not convert raises ValueError. A key may name an option of another
+    subcommand, since one file may serve several, but a key that no
+    subcommand defines raises ValueError.
     """
-    path = getattr(args, "config", None)
-    if not path:
-        return
+    path = args.config
     doc = json.loads(FilePath(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a config file holds one JSON object, "
                          f"not a {type(doc).__name__}")
-    types = {action.dest: action.type or str for action in args.parser._actions
-             if action.default is None}
+    actions = {action.dest: action for action in args.parser._actions}
+    values = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in args.options:
             raise ValueError(f"{path}: {key} is not an option of any subcommand")
-        if attr not in types or value is None or getattr(args, attr) is not None:
+        action = actions.get(attr)
+        if action is None or value is None:
             continue
+        flag = action.nargs == 0
+        convert = bool if flag else action.type or str
         try:
-            if type(value) not in (str, int, float):  # a bool, list or object
+            if type(value) not in ((bool,) if flag else (str, int, float)):
                 raise ValueError(type(value).__name__)
-            setattr(args, attr, types[attr](str(value)))
+            values[attr] = value if flag else convert(str(value))
         except ValueError:
             raise ValueError(f"{path}: {key} = {json.dumps(value)} is not a valid "
-                             f"{types[attr].__name__} option value") from None
+                             f"{convert.__name__} option value") from None
+    return values
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -121,11 +125,8 @@ def _cmd_dataset_generate(args) -> int:
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
     dataset = features.Dataset.load_jsonl(args.data)
-    config = hybrid.TrainConfig(
-        epochs=100 if args.epochs is None else args.epochs,
-        batch_size=2000 if args.batch_size is None else args.batch_size,
-        seed=seed, classical_only=args.classical_only,
-    )
+    config = hybrid.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                                seed=seed, classical_only=args.classical_only)
     model, history = hybrid.train(dataset, config)
     model.save(args.out)
     if args.history_out:
@@ -186,15 +187,13 @@ def _cmd_analyze_fisher(args) -> int:
 def _cmd_export_qasm(args) -> int:
     model = hybrid.HybridModel.load(args.params)
     doc = json.loads(FilePath(args.input).read_text())
-    if "features" in doc:
-        vec = np.asarray(doc["features"], float)
-        main, epi = vec[2:], vec[:2]
-    else:
-        main = np.asarray(doc["main"], float)
-        epi = np.asarray(doc["epi"], float)
+    vec = doc.get("features") if isinstance(doc, dict) else None
+    if np.ndim(vec) != 1:
+        raise ValueError(f"{args.input}: a sample is a JSON object whose features "
+                         f"are a list of {features.N_FEATURES} numbers")
+    main, epi = hybrid.HybridModel.split_inputs(vec)
     circuit = qsim.build_model_circuit(model.model_config)
-    bound = np.concatenate([main, epi])
-    text = qsim.export_qasm3(circuit, model.quantum_params, bound)
+    text = qsim.export_qasm3(circuit, model.quantum_params, np.concatenate([main[0], epi[0]]))
     FilePath(args.out).write_text(text)
     census = circuit.census()
     print(f"qasm: {sum(census.values())} gate statements "
@@ -215,16 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     leaves = []
 
-    def common(p):
-        p.add_argument("--config", help="JSON file filling unset options")
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, seeded: bool):
+        p.add_argument("--config", help="JSON file of option values")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.set_defaults(parser=p)  # the config file reads the option types from it
         leaves.append(p)
 
     g = sub.add_parser("graph", help="synthetic city graphs")
     gsub = g.add_subparsers(dest="action", required=True)
     gs = gsub.add_parser("synth", help="generate a random city")
-    common(gs)
+    common(gs, seeded=True)
     gs.add_argument("--rows", type=int, required=True)
     gs.add_argument("--cols", type=int, required=True)
     gs.add_argument("--out", required=True)
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("env", help="environment simulation")
     esub = e.add_subparsers(dest="action", required=True)
     es = esub.add_parser("simulate", help="dump a weight trajectory as CSV")
-    common(es)
+    common(es, seeded=False)
     es.add_argument("--graph", required=True)
     es.add_argument("--scenario", required=True)
     es.add_argument("--steps", type=int, required=True)
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dataset", help="oracle-labeled datasets")
     dsub = d.add_subparsers(dest="action", required=True)
     dg = dsub.add_parser("generate")
-    common(dg)
+    common(dg, seeded=True)
     dg.add_argument("--graph", required=True)
     dg.add_argument("--n", type=int, required=True)
     dg.add_argument("--out", required=True)
@@ -254,17 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     dg.set_defaults(func=_cmd_dataset_generate)
 
     t = sub.add_parser("train", help="train the hybrid (or classical-only) model")
-    common(t)
+    common(t, seeded=True)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=None, help="default 100")
-    t.add_argument("--batch-size", type=int, default=None, help="default 2000")
+    t.add_argument("--epochs", type=int, default=hybrid.TrainConfig.epochs)
+    t.add_argument("--batch-size", type=int, default=hybrid.TrainConfig.batch_size)
     t.add_argument("--classical-only", action="store_true")
     t.add_argument("--history-out", default=None)
     t.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("eval", help="rollout evaluation against the oracle")
-    common(ev)
+    common(ev, seeded=True)
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--graph", required=True)
     ev.add_argument("--scenarios", type=int, required=True)
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="mini-circuit diagnostics")
     asub = a.add_subparsers(dest="action", required=True)
     af = asub.add_parser("fourier")
-    common(af)
+    common(af, seeded=True)
     af.add_argument("--N", type=int, required=True, help="entangler sublayers")
     af.add_argument("--K", type=int, required=True, help="coordinate reuploads")
     af.add_argument("--samples", type=int, default=1000)
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     af.add_argument("--out", required=True)
     af.set_defaults(func=_cmd_analyze_fourier)
     afi = asub.add_parser("fisher")
-    common(afi)
+    common(afi, seeded=True)
     afi.add_argument("--N", type=int, required=True)
     afi.add_argument("--K", type=int, required=True)
     afi.add_argument("--nx", type=int, default=20)
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     afi.set_defaults(func=_cmd_analyze_fisher)
 
     x = sub.add_parser("export-qasm", help="bind a sample and emit OpenQASM 3")
-    common(x)
+    common(x, seeded=False)
     x.add_argument("--params", required=True, help="checkpoint JSON")
     x.add_argument("--input", required=True, help="sample JSON to bind")
     x.add_argument("--out", required=True)
@@ -314,7 +314,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _apply_config_file(args)
+        if args.config:
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)

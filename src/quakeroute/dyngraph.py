@@ -39,7 +39,7 @@ EXIT_ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
 
 
 class GraphError(ValueError):
-    """Malformed graph, unknown edge, or bad construction arguments."""
+    """Malformed graph or bad construction arguments."""
 
 
 class StateError(RuntimeError):
@@ -56,6 +56,11 @@ class CityGraph:
 
     ``ids[i]`` is the public id of node index ``i``; generated graphs use
     ids 0..n-1. ``edges`` holds node *indices* with u < v.
+
+    ``adj[u]`` lists u's arcs ``(head, edge id)`` by ascending head; a move
+    out of u is a slot j of it. ``arcs[:, j, u]`` holds the same arc in a
+    (2, max degree, n) array, padded with arcs to a dummy node ``n_nodes``
+    over a phantom edge ``n_edges`` that callers weigh as infinite.
     """
 
     ids: np.ndarray        # (n_nodes,) int
@@ -64,6 +69,7 @@ class CityGraph:
     length_m: np.ndarray   # (n_edges,) float
     speed_kmh: np.ndarray  # (n_edges,) float
     adj: tuple = field(default=None, repr=False, compare=False)
+    arcs: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         xy = np.asarray(self.xy, float)
@@ -91,7 +97,13 @@ class CityGraph:
         for e, (u, v) in enumerate(edges):
             adjacency[u].append((int(v), e))
             adjacency[v].append((int(u), e))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adjacency))
+        adj = tuple(tuple(sorted(a)) for a in adjacency)
+        arcs = np.empty((2, max(map(len, adj), default=0), len(xy)), int)
+        arcs[0], arcs[1] = len(xy), len(edges)
+        for u, a in enumerate(adj):
+            arcs[:, :len(a), u] = np.reshape(a, (-1, 2)).T
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "ids", np.asarray(self.ids, int))
@@ -106,15 +118,6 @@ class CityGraph:
 
     def degree(self, node: int) -> int:
         return len(self.adj[node])
-
-    def edge_index(self, u: int, v: int) -> int:
-        for nbr, e in self.adj[u]:
-            if nbr == v:
-                return e
-        raise GraphError(f"no edge between nodes {u} and {v}")
-
-    def neighbors(self, node: int) -> list[int]:
-        return [nbr for nbr, _ in self.adj[node]]
 
     def nominal_minutes(self) -> np.ndarray:
         """Noise-free travel times: length over speed limit, in minutes."""

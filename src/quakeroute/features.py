@@ -4,12 +4,12 @@ Each decision point becomes a 36-value vector: the quake epicenter, the
 current node, the destination, and one six-value block per adjacent edge
 (neighbor coordinates, scaled travel time, edge betweenness, distance to the
 destination, heading cosine), zero-padded to five blocks, built for one row
-of a world with scalar arithmetic. ``generate_dataset`` runs the oracle over
-all of its scenarios in one ``oracle.lockstep`` world.
+of a world with scalar arithmetic; block j describes the arc in slot j of
+``graph.adj[u]``. Edge betweenness runs Brandes' accumulation for all sources
+at once. ``generate_dataset`` labels each oracle move with its slot.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -32,7 +32,6 @@ HEAD_SIZE = 6
 WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
-WORLD_ROWS = 256  # generate_dataset steps at most this many scenarios in one world
 
 
 def euclid(p, q) -> float:
@@ -57,46 +56,44 @@ def direction_cosine(current, neighbor, target) -> float:
 def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.ndarray:
     """Per-edge betweenness: fraction of all ordered shortest paths using the edge.
 
-    Brandes accumulation over every source with the undamaged travel times;
-    equal-cost paths split their count. Normalized by n(n-1), so cross-pairs
-    of a disconnected graph simply contribute nothing.
+    Brandes accumulation from every source with the undamaged travel times;
+    equal-cost paths split their count. All sources go at once: row s holds
+    source s, ``oracle.distances_to`` gives the distances, and two sweeps over
+    the arc table visit the nodes in heap-pop order (distance, then id). Path
+    counts go forward, dependencies backward. An arc u -> v lies on a shortest
+    path when ``|d[u] + w - d[v]| <= 1e-12 * max(1, d[u] + w)``. Normalized by
+    n(n-1), so cross-pairs of a disconnected graph simply contribute nothing.
     """
     if weights is None:
         weights = graph.nominal_minutes()
     n = graph.n_nodes
-    cb = np.zeros(graph.n_edges)
-    for s in range(n):
-        dist = np.full(n, np.inf)
-        sigma = np.zeros(n)
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        dist[s] = 0.0
-        sigma[s] = 1.0
-        done = np.zeros(n, bool)
-        heap = [(0.0, s)]
-        order: list[int] = []
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            order.append(u)
-            for v, e in graph.adj[u]:
-                nd = d + weights[e]
-                tol = 1e-12 * max(1.0, nd)
-                if nd < dist[v] - tol:
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [(u, e)]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - dist[v]) <= tol and not done[v]:
-                    sigma[v] += sigma[u]
-                    preds[v].append((u, e))
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for v, e in preds[w]:
-                share = sigma[v] / sigma[w] * (1.0 + delta[w])
-                cb[e] += share
-                delta[v] += share
+    heads, arcs = graph.arcs.transpose(0, 2, 1)  # (n, degree): node u's arcs
+    arc_w = np.append(weights, np.inf)[arcs]
+    rows = np.arange(n)
+    dist = oracle.distances_to(graph, np.broadcast_to(weights, (n, len(weights))), rows)
+    order = np.argsort(dist, axis=1, kind="stable").T  # pop order: distance, then id
+    dist = np.hstack([dist, np.full((n, 1), np.nan)])  # so no padding arc is on a path
+    col = rows[:, None]
+    sigma = np.eye(n, n + 1)  # shortest-path counts from each source
+    delta = np.zeros((n, n + 1))
+    part = np.zeros((n, len(weights) + 1))  # each source's dependency on each edge
+    with np.errstate(invalid="ignore", divide="ignore"):  # at unreachable nodes
+        for u in order:  # the k-th node popped from every source, and its arcs
+            v = heads[u]
+            nd = dist[rows, u, None] + arc_w[u]
+            on = abs(nd - dist[col, v]) <= 1e-12 * np.maximum(1.0, nd)
+            sigma[col, v] += np.where(on, sigma[rows, u, None], 0.0)
+        for w in order[::-1]:  # back again, crediting the arcs into each node
+            v = heads[w]
+            nd = dist[col, v] + arc_w[w]
+            on = abs(nd - dist[rows, w, None]) <= 1e-12 * np.maximum(1.0, nd)
+            share = np.where(
+                on, sigma[col, v] / sigma[rows, w, None] * (1.0 + delta[rows, w, None]), 0.0)
+            delta[col, v] += share
+            part[col, arcs[w]] += share
+    cb = np.zeros(len(weights))
+    for row in part[:, :-1]:  # source by source, as Brandes adds them up
+        cb += row
     return cb / (n * (n - 1))
 
 
@@ -104,16 +101,16 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
                          betweenness: np.ndarray):
     """Feature vector of world row ``row`` at its decision node ``current``.
 
-    Returns ``(features, mask, neighbors)``: the 36-value input, a boolean
-    mask over the five blocks (False = zero padding) and the neighbor ids in
-    block order (ascending id).
+    Returns ``(features, mask)``: the 36-value input and a boolean mask over
+    the five blocks (False = zero padding). Block j describes the arc in slot
+    j of ``graph.adj[current]``.
     """
     graph = state.graph
     scenario = state.scenarios[row]
     weights = state.weights[row]
-    neighbors = graph.neighbors(current)
-    if len(neighbors) > N_BLOCKS:
-        raise GraphError(f"node {current} has degree {len(neighbors)} > {N_BLOCKS}")
+    arcs = graph.adj[current]
+    if len(arcs) > N_BLOCKS:
+        raise GraphError(f"node {current} has degree {len(arcs)} > {N_BLOCKS}")
     dest = scenario.chosen_exit
     dest_xy = graph.xy[dest]
     cur_xy = graph.xy[current]
@@ -123,8 +120,7 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
     feats[2:4] = cur_xy
     feats[4:6] = dest_xy
     mask = np.zeros(N_BLOCKS, bool)
-    for j, v in enumerate(neighbors):
-        e = graph.edge_index(current, v)
+    for j, (v, e) in enumerate(arcs):
         base = HEAD_SIZE + j * BLOCK_SIZE
         feats[base:base + 2] = graph.xy[v]
         feats[base + 2] = weights[e] / WEIGHT_SCALE
@@ -132,7 +128,7 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
         feats[base + 4] = euclid(graph.xy[v], dest_xy)
         feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
         mask[j] = True
-    return feats, mask, neighbors
+    return feats, mask
 
 
 def block_mask(features: np.ndarray) -> np.ndarray:
@@ -253,28 +249,25 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     """Oracle-labeled corpus over randomized scenarios, deterministic in the seed.
 
     Each scenario draws a fresh epicenter, start and chosen exit; every node
-    the oracle visits emits one sample labeled with the block index of the
-    oracle's move. Scenarios whose oracle rollout fails are skipped, with a
-    warning that gives the reason. Consecutive worlds of at most
-    ``WORLD_ROWS`` scenarios bound the memory; rows never interact, so the
-    output does not depend on it.
+    the oracle visits emits one sample labeled with the slot of the oracle's
+    move. Scenarios whose oracle rollout fails are skipped, with a warning
+    that gives the reason.
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
     betweenness = edge_betweenness(graph)
     scenarios = [_scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
     samples: list[list[tuple]] = [[] for _ in scenarios]
-    paths = []
-    for first in range(0, n_scenarios, WORLD_ROWS):
-        def label(world, rows, here, first=first):
-            going = oracle.oracle_next(world, rows, here)
-            for k, (i, u, v) in enumerate(zip(rows, here, going)):
-                if v >= 0:
-                    feats, _, neighbors = build_feature_vector(world, k, u, betweenness)
-                    samples[first + i].append((feats, neighbors.index(v), first + i, world.t))
-            return going
 
-        paths += oracle.lockstep(graph, scenarios[first:first + WORLD_ROWS], sigma_frac, label)
+    def label(world, rows, here):
+        going = oracle.oracle_next(world, rows, here)
+        for k, (i, u, j) in enumerate(zip(rows, here, going)):
+            if j >= 0:
+                feats, _ = build_feature_vector(world, k, u, betweenness)
+                samples[i].append((feats, j, i, world.t))
+        return going
+
+    paths = oracle.lockstep(graph, scenarios, sigma_frac, label)
     for i, (sc, path) in enumerate(zip(scenarios, paths)):
         if path.reached:
             continue

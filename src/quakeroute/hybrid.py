@@ -275,9 +275,9 @@ def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
     def argmax_next(world, rows, here):
         built = [feat.build_feature_vector(world, k, u, betweenness)
                  for k, u in enumerate(here)]
-        logits = model.forward(np.stack([vec for vec, _, _ in built]))
-        return [neighbors[int(np.argmax(np.where(mask, row, MASKED_LOGIT)))]
-                for row, (_, mask, neighbors) in zip(logits, built)]
+        logits = model.forward(np.stack([vec for vec, _ in built]))
+        return [int(np.argmax(np.where(mask, row, MASKED_LOGIT)))
+                for row, (_, mask) in zip(logits, built)]
 
     return oracle.lockstep(graph, scenarios, sigma_frac, argmax_next)
 

@@ -1,10 +1,12 @@
 """Shortest-path baselines, the one world-step loop, and evaluation metrics.
 
-``dijkstra`` solves the static problem on frozen weights with a binary heap.
-``lockstep`` steps a world with one row per scenario and asks a policy for the
-next node of every unfinished row. The labeling oracle ``nodewise_dijkstra``
-is ``lockstep`` with ``oracle_next``, which follows a shortest path on each
-row's current weights, all rows solved at once by ``distances_to``.
+``dijkstra`` solves the static problem on frozen weights with a binary heap;
+``distances_to`` relaxes ``graph.arcs`` for many rows at once. A move out of u
+is a slot: the index j of its arc in ``graph.adj[u]``. ``lockstep`` steps
+worlds with one row per scenario and asks a policy for the slot of every
+unfinished row. The labeling oracle ``nodewise_dijkstra`` is ``lockstep`` with
+``oracle_next``, which follows a shortest path on each row's current weights,
+all rows solved at once by ``distances_to``.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .dyngraph import CityGraph
 
 # Relative slack when testing whether an edge lies on a shortest path.
 _TIE_EPS = 1e-12
+WORLD_ROWS = 256  # lockstep steps at most this many scenarios in one world
 
 
 class NoPathError(ValueError):
@@ -62,12 +65,12 @@ def _distances(graph: CityGraph, weights: np.ndarray, source: int) -> np.ndarray
 
 def _greedy_next(graph: CityGraph, weights: np.ndarray, dist_to_goal: np.ndarray,
                  u: int) -> int:
-    """Smallest-id neighbor lying on a shortest path from u to the goal."""
+    """Slot of u's smallest-id neighbor lying on a shortest path to the goal."""
     du = dist_to_goal[u]
     tol = _TIE_EPS * max(1.0, du)
-    for v, e in graph.adj[u]:  # adj is sorted by neighbor id
+    for j, (v, e) in enumerate(graph.adj[u]):  # adj is sorted by neighbor id
         if weights[e] + dist_to_goal[v] <= du + tol:
-            return v
+            return j
     raise NoPathError(f"no shortest-path step out of node {u}")
 
 
@@ -84,8 +87,8 @@ def dijkstra(graph: CityGraph, weights: np.ndarray, start: int, goal: int) -> Pa
     costs: list[float] = []
     u = start
     while u != goal:
-        v = _greedy_next(graph, weights, dist, u)
-        costs.append(float(weights[graph.edge_index(u, v)]))
+        v, e = graph.adj[u][_greedy_next(graph, weights, dist, u)]
+        costs.append(float(weights[e]))
         nodes.append(v)
         u = v
         if len(nodes) > graph.n_nodes:
@@ -99,59 +102,56 @@ def distances_to(graph: CityGraph, weights: np.ndarray, goals) -> np.ndarray:
     ``weights`` is (S, E). Each sweep relaxes every arc of every row at once,
     ``d[v] = min(d[v], w + d[u])``, until no distance falls. With positive
     weights that fixpoint is unique, so a row equals ``_distances`` bit for
-    bit. Slot j of the (degree, n) arc table holds each node's j-th arc.
+    bit. The sweeps read ``graph.arcs``; its phantom edge weighs inf.
     """
-    tails = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    order = np.argsort(tails, kind="stable")
-    tails = tails[order]
-    slot = np.arange(len(tails)) - np.searchsorted(tails, tails)
-    shape = (slot.max(initial=-1) + 1, graph.n_nodes)
-    heads = np.zeros(shape, int)
-    heads[slot, tails] = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])[order]
-    arcs = np.full(shape, graph.n_edges)  # the padding edge, of infinite weight
-    arcs[slot, tails] = np.tile(np.arange(graph.n_edges), 2)[order]
+    heads, arcs = graph.arcs
     arc_weights = np.vstack([weights.T, np.full(len(weights), np.inf)])[arcs]
-    dist = np.full((graph.n_nodes, len(weights)), np.inf)
+    dist = np.full((graph.n_nodes + 1, len(weights)), np.inf)  # and the dummy node
     dist[goals, np.arange(len(weights))] = 0.0
+    nodes = dist[:-1]
     while True:
         via = (arc_weights + dist[heads]).min(axis=0, initial=np.inf)
-        if not (via < dist).any():
-            return dist.T
-        np.minimum(dist, via, out=dist)
+        if not (via < nodes).any():
+            return nodes.T
+        np.minimum(nodes, via, out=nodes)
 
 
 def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Path]:
-    """Step a world of scenarios until each row arrives, spends its budget or is stuck.
+    """Step worlds of scenarios until each row arrives, spends its budget or is stuck.
 
-    Each world step advances every unfinished row, then moves row k from
-    ``here[k]`` to ``policy(world, rows, here)[k]``, where ``rows[k]`` is its
-    index in ``scenarios``; -1 stops the row where it is. Rows never interact,
-    so each path is the one its scenario takes alone.
+    Consecutive worlds of at most ``WORLD_ROWS`` scenarios bound the memory.
+    Each world step advances every unfinished row, then moves row k out of
+    ``here[k]`` by slot ``policy(world, rows, here)[k]``, where ``rows[k]`` is
+    its index in ``scenarios``; -1 stops the row where it is. Rows never
+    interact, so each path is the one its scenario takes alone.
     """
-    world = dyngraph.apply_initial_quake(dyngraph.initial_state(graph, scenarios, sigma_frac))
-    scenarios = world.scenarios
+    scenarios = tuple(scenarios)
     paths = [Path([sc.start]) for sc in scenarios]
-    rows = list(range(len(paths)))  # a start is never an exit
-    while rows:
-        dyngraph.advance(world)
-        here = [paths[i].nodes[-1] for i in rows]
-        going = policy(world, rows, here)
-        for k, (i, u, v) in enumerate(zip(rows, here, going)):
-            if v >= 0:
-                paths[i].edge_costs.append(float(world.weights[k, graph.edge_index(u, v)]))
-                paths[i].nodes.append(v)
-        keep = [v >= 0 and v != sc.chosen_exit and world.t < sc.max_steps
-                for v, sc in zip(going, world.scenarios)]
-        if not all(keep):
-            world.keep(keep)
-            rows = [i for i, k in zip(rows, keep) if k]
+    for first in range(0, len(scenarios), WORLD_ROWS):
+        world = dyngraph.apply_initial_quake(dyngraph.initial_state(
+            graph, scenarios[first:first + WORLD_ROWS], sigma_frac))
+        rows = list(range(first, first + len(world.scenarios)))  # a start is never an exit
+        while rows:
+            dyngraph.advance(world)
+            here = [paths[i].nodes[-1] for i in rows]
+            going = policy(world, rows, here)
+            for k, (i, u, j) in enumerate(zip(rows, here, going)):
+                if j >= 0:
+                    v, e = graph.adj[u][j]
+                    paths[i].edge_costs.append(float(world.weights[k, e]))
+                    paths[i].nodes.append(v)
+            keep = [j >= 0 and paths[i].nodes[-1] != sc.chosen_exit and world.t < sc.max_steps
+                    for i, j, sc in zip(rows, going, world.scenarios)]
+            if not all(keep):
+                world.keep(keep)
+                rows = [i for i, k in zip(rows, keep) if k]
     for path, sc in zip(paths, scenarios):
         path.reached = path.nodes[-1] == sc.chosen_exit
     return paths
 
 
 def oracle_next(world: dyngraph.DynamicState, rows, here) -> list[int]:
-    """Each row's first edge of a current shortest path; -1 if its exit is unreachable."""
+    """Each row's slot of a current shortest path; -1 if its exit is unreachable."""
     graph = world.graph
     dist = distances_to(graph, world.weights, [sc.chosen_exit for sc in world.scenarios])
     return [_greedy_next(graph, w, d, u) if math.isfinite(d[u]) else -1

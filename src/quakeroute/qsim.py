@@ -183,8 +183,9 @@ def probabilities(state: np.ndarray) -> np.ndarray:
 
 
 def expectation_z(state: np.ndarray, qubit: int, n_qubits: int):
-    """Pauli-Z expectation of one qubit from the amplitudes."""
-    return probabilities(state) @ _z_signs(n_qubits, qubit)
+    """Pauli-Z expectation of one qubit from the amplitudes; a multiply-and-sum
+    over a C-ordered copy, unlike a BLAS product, reads the same bits in any batch."""
+    return (np.ascontiguousarray(probabilities(state)) * _z_signs(n_qubits, qubit)).sum(-1)
 
 
 def measured_expectations(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from quakeroute.dyngraph import CityGraph, Scenario
 
@@ -56,3 +57,25 @@ def random_connected_graph(rng: np.random.Generator, n_nodes: int) -> CityGraph:
     lengths = rng.uniform(200.0, 3000.0, len(edges))
     speeds = rng.choice([30.0, 40.0, 50.0], len(edges))
     return make_graph(coords, edges, lengths, speeds)
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=10, max_rows=4):
+    """A random connected graph, maybe with isolated nodes, and (S, E) weights:
+    small integers, so that equal-cost routes tie, or floats."""
+    n = draw(st.integers(2, max_nodes))
+    edges = {(i - 1, i) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.permutations(range(n)))[:2]
+        edges.add((min(u, v), max(u, v)))
+    n_all = n + draw(st.integers(0, 2))
+    coords = [(i / n_all, (i * 7 % n_all) / n_all) for i in range(n_all)]
+    g = make_graph(coords, sorted(edges))
+    rows = draw(st.integers(1, max_rows))
+    if draw(st.booleans()):
+        value = st.integers(1, 3).map(float)
+    else:
+        value = st.floats(0.01, 100.0)
+    weights = draw(st.lists(value, min_size=rows * g.n_edges, max_size=rows * g.n_edges))
+    goals = draw(st.lists(st.integers(0, n_all - 1), min_size=rows, max_size=rows))
+    return g, np.reshape(weights, (rows, g.n_edges)), goals

@@ -56,10 +56,10 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
     All cost-minimal simple paths of a pair share the credit equally.
     """
     adj = {u: [v for v, _ in graph.adj[u]] for u in range(graph.n_nodes)}
-    ew = {}
+    ew, eid = {}, {}
     for e, (u, v) in enumerate(graph.edges):
-        ew[(int(u), int(v))] = float(weights[e])
-        ew[(int(v), int(u))] = float(weights[e])
+        ew[(int(u), int(v))] = ew[(int(v), int(u))] = float(weights[e])
+        eid[(int(u), int(v))] = eid[(int(v), int(u))] = e
     n = graph.n_nodes
     cb = np.zeros(graph.n_edges)
     for s in range(n):
@@ -74,7 +74,7 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
             shortest = [p for p, c in zip(paths, costs) if c <= lo + 1e-12 * max(1.0, lo)]
             for p in shortest:
                 for a, b in zip(p, p[1:]):
-                    cb[graph.edge_index(a, b)] += 1.0 / len(shortest)
+                    cb[eid[(a, b)]] += 1.0 / len(shortest)
     return cb / (n * (n - 1))
 
 

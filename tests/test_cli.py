@@ -24,6 +24,11 @@ def test_unknown_flag_is_usage_error():
                 "--jobs", "2"]) == 2
     assert run(["eval", "--ckpt", "m.json", "--graph", "g.json", "--scenarios",
                 "2", "--seed", "0", "--out", "r.json", "--jobs", "2"]) == 2
+    # only the subcommands that draw random numbers take --seed
+    assert run(["env", "simulate", "--graph", "g.json", "--scenario", "s.json",
+                "--steps", "2", "--out", "w.csv", "--seed", "1"]) == 2
+    assert run(["export-qasm", "--params", "m.json", "--input", "x.json",
+                "--out", "q.qasm", "--seed", "1"]) == 2
 
 
 def test_graph_synth_roundtrip(tmp_path):
@@ -74,19 +79,38 @@ def test_config_values_take_the_option_types(tmp_path, capsys):
     run(["dataset", "generate", "--graph", str(gpath), "--n", "2", "--seed", "1",
          "--out", str(data)])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": "2", "batch-size": 64, "seed": "0"}))
+    cfg.write_text(json.dumps({"epochs": "2", "batch-size": 64, "seed": "0",
+                               "classical-only": True}))
     history = tmp_path / "h.json"
     assert run(["train", "--data", str(data), "--config", str(cfg),
                 "--out", str(tmp_path / "m.json"), "--history-out", str(history)]) == 0
     assert len(json.loads(history.read_text())) == 2
+    assert json.loads((tmp_path / "m.json").read_text())["classical_only"] is True
     capsys.readouterr()
     for doc, message in (({"epochs": "two"}, "epochs"), ({"epochs": 2.5}, "epochs"),
-                         ({"epochs": True}, "epochs"), ([{"epochs": 2}], "list")):
+                         ({"epochs": True}, "epochs"), ([{"epochs": 2}], "list"),
+                         ({"classical-only": "true"}, "classical-only")):
         cfg.write_text(json.dumps(doc))
         code = run(["train", "--data", str(data), "--config", str(cfg), "--seed", "0",
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+def test_config_sets_options_that_have_a_default(tmp_path):
+    gpath, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    cfg.write_text(json.dumps({"sigma-frac": 5.0}))
+    data = {}
+    for name, extra in (("flag", ["--sigma-frac", "5.0"]), ("config", ["--config", str(cfg)]),
+                        ("default", []),
+                        ("both", ["--config", str(cfg), "--sigma-frac", "0.1"])):
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["dataset", "generate", "--graph", str(gpath), "--n", "5", "--seed", "11",
+                    "--out", str(out), *extra]) == 0
+        data[name] = out.read_bytes()
+    assert data["config"] == data["flag"] != data["default"]
+    assert data["both"] == data["default"]  # the command line wins over the file
 
 
 def test_config_rejects_keys_that_no_subcommand_defines(tmp_path, capsys):
@@ -114,8 +138,10 @@ def test_env_simulate(tmp_path):
     spath = tmp_path / "s.json"
     dg.save_scenario(sc, spath)
     wpath = tmp_path / "weights.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))  # a shared file may set other subcommands' seed
     assert run(["env", "simulate", "--graph", str(gpath), "--scenario",
-                str(spath), "--steps", "5", "--out", str(wpath)]) == 0
+                str(spath), "--steps", "5", "--out", str(wpath), "--config", str(cfg)]) == 0
     lines = wpath.read_text().strip().splitlines()
     assert lines[0] == "t,u,v,weight"
     assert len(lines) == 1 + 6 * g.n_edges  # snapshot at t=0 plus 5 steps
@@ -226,6 +252,18 @@ def test_export_qasm_rejects_non_finite_input(tmp_path, capsys):
     assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
                 "--out", str(qasm)]) == 1
     assert "finite" in capsys.readouterr().err
+    assert not qasm.exists()
+
+
+def test_export_qasm_takes_only_a_features_document(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    hy.HybridModel(seed=0).save(ckpt)
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"main": [0.5] * 34, "epi": [0.5, 0.5]}))
+    qasm = tmp_path / "circuit.qasm"
+    assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
+                "--out", str(qasm)]) == 1
+    assert "features" in capsys.readouterr().err
     assert not qasm.exists()
 
 

@@ -24,10 +24,18 @@ def test_edge_center():
                    [(0, 1), (2, 3)])
     centers = dg.edge_centers(g)
     assert centers.shape == (2, 2)
-    assert tuple(centers[g.edge_index(0, 1)]) == (0.5, 0.5)
-    assert centers[g.edge_index(2, 3)] == pytest.approx((0.2, 0.0))
-    with pytest.raises(dg.GraphError):
-        g.edge_index(0, 3)
+    assert tuple(centers[0]) == (0.5, 0.5)  # edge 0 joins nodes 0 and 1
+    assert centers[1] == pytest.approx((0.2, 0.0))
+
+
+def test_arc_table_pads_to_a_dummy_node_over_a_phantom_edge():
+    # edges 0: (0, 1), 1: (0, 2), 2: (2, 3); node 4 has no edge
+    g = make_graph([(0.0, 0.0), (1.0, 1.0), (0.1, 0.0), (0.3, 0.0), (0.5, 0.5)],
+                   [(0, 1), (0, 2), (2, 3)])
+    assert g.adj == (((1, 0), (2, 1)), ((0, 0),), ((0, 1), (3, 2)), ((2, 2),), ())
+    heads, edges = g.arcs  # slot j of node u is column u of row j
+    assert heads.tolist() == [[1, 0, 0, 2, 5], [2, 5, 3, 5, 5]]
+    assert edges.tolist() == [[0, 0, 1, 2, 3], [1, 3, 2, 3, 3]]
 
 
 def test_graph_invariants_rejected():

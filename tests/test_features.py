@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import quakeroute.dyngraph as dg
 import quakeroute.features as ft
 import quakeroute.oracle as oc
-from conftest import make_graph, random_connected_graph, scenario_for
+from conftest import make_graph, random_connected_graph, scenario_for, weighted_graphs
 from helpers import brute_force_edge_betweenness
 
 
@@ -51,13 +52,41 @@ def test_edge_betweenness_star_matches_enumeration():
     assert np.allclose(btw, 0.5)
 
 
+def _lattice(k: int, rng) -> dg.CityGraph:
+    """k x k rook lattice plus a random diagonal in every other cell."""
+    coords = [(r / (k - 1), c / (k - 1)) for r in range(k) for c in range(k)]
+    edges = [(u, u + 1) for u in range(k * k) if u % k < k - 1]
+    edges += [(u, u + k) for u in range(k * (k - 1))]
+    edges += [(u, u + k + 1) for u in range(k * (k - 1))
+              if u % k < k - 1 and rng.random() < 0.5]
+    return make_graph(coords, edges)
+
+
 def test_edge_betweenness_random_graphs_match_enumeration():
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(6):
         g = random_connected_graph(rng, int(rng.integers(4, 7)))
-        w = rng.uniform(0.5, 3.0, g.n_edges)
+        cases.append((g, rng.uniform(0.5, 3.0, g.n_edges)))
+    for k in (3, 4):  # equal weights, and near-ties such as 0.1 + 0.2 against 0.3
+        for values in ([1.0], [0.1, 0.2, 0.3]):
+            g = _lattice(k, rng)
+            cases.append((g, rng.choice(values, g.n_edges)))
+    # two components and an isolated node
+    g = make_graph([(0, 0), (0.3, 0.3), (0.7, 0.7), (1.0, 1.0), (0.5, 0.1), (0.9, 0.2)],
+                   [(0, 1), (1, 2), (0, 2), (3, 4)])
+    cases.append((g, np.array([1.0, 1.0, 2.0, 0.5])))
+    for g, w in cases:
         assert np.allclose(ft.edge_betweenness(g, w),
                            brute_force_edge_betweenness(g, w), atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weighted_graphs(max_nodes=6, max_rows=1))
+def test_edge_betweenness_matches_enumeration_on_random_graphs(case):
+    g, weights, _ = case
+    assert np.allclose(ft.edge_betweenness(g, weights[0]),
+                       brute_force_edge_betweenness(g, weights[0]), atol=1e-9)
 
 
 def test_edge_betweenness_disconnected():
@@ -79,9 +108,9 @@ def _fixture_state():
 def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
     btw = ft.edge_betweenness(g)
-    vec, mask, neighbors = ft.build_feature_vector(state, 0, 0, btw)
+    vec, mask = ft.build_feature_vector(state, 0, 0, btw)
     assert vec.shape == (36,)
-    assert neighbors == [1, 2]
+    assert g.adj[0] == ((1, 0), (2, 1))  # block j is the arc in slot j
     assert mask.tolist() == [True, True, False, False, False]
     assert np.allclose(vec[0:2], [0.1, 0.2])    # epicenter
     assert np.allclose(vec[2:4], [0.5, 0.5])    # current node
@@ -106,21 +135,21 @@ def test_build_feature_vector_rejects_degree_over_five():
 
 def test_block_mask_roundtrip():
     g, sc, state = _fixture_state()
-    vec, mask, _ = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
+    vec, mask = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
     assert np.array_equal(ft.block_mask(vec), mask)
 
 
 def test_feature_blocks_follow_node_relabeling():
     """Relabeling nodes permutes the blocks and the oracle label coherently."""
     g, sc, state = _fixture_state()
-    vec, _, neighbors = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
+    vec, _ = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
     # same geometry with the two neighbor ids swapped (1 <-> 2)
     g2 = make_graph([(0.5, 0.5), (1.0, 0.5), (0.5, 0.25)], [(0, 2), (0, 1)],
                     lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
     state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
-    vec2, _, neighbors2 = ft.build_feature_vector(state2, 0, 0, ft.edge_betweenness(g2))
-    assert neighbors2 == [1, 2]
+    vec2, _ = ft.build_feature_vector(state2, 0, 0, ft.edge_betweenness(g2))
+    assert [v for v, _ in g2.adj[0]] == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
 
@@ -216,8 +245,8 @@ def _replayed_dataset(graph, scenarios, sigma_frac):
                 v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
             except oc.NoPathError:
                 break
-            vec, _, neighbors = ft.build_feature_vector(state, 0, u, betweenness)
-            mine.append((vec, neighbors.index(v), i, state.t))
+            vec, _ = ft.build_feature_vector(state, 0, u, betweenness)
+            mine.append((vec, [nbr for nbr, _ in graph.adj[u]].index(v), i, state.t))
             u = v
         if u == sc.chosen_exit:
             rows += mine
@@ -263,11 +292,11 @@ def test_generate_dataset_worlds_do_not_change_the_output(monkeypatch, caplog):
         one_world = ft.generate_dataset(g, len(scenarios), seed=0)
         messages = list(caplog.messages)
         caplog.clear()
-        monkeypatch.setattr(ft, "WORLD_ROWS", 3)  # scenarios 0-2, then 3-5
+        monkeypatch.setattr(oc, "WORLD_ROWS", 3)  # scenarios 0-2, then 3-5
         worlds = []
-        lockstep = oc.lockstep
-        monkeypatch.setattr(oc, "lockstep", lambda graph, part, *rest:
-                            worlds.append(len(part)) or lockstep(graph, part, *rest))
+        initial_state = dg.initial_state
+        monkeypatch.setattr(dg, "initial_state", lambda graph, part, *rest:
+                            worlds.append(len(part)) or initial_state(graph, part, *rest))
         two_worlds = ft.generate_dataset(g, len(scenarios), seed=0)
     assert worlds == [3, 3]
     for key in ft.COLUMNS:

@@ -231,7 +231,7 @@ def test_rollout_respects_mask_and_adjacency():
     assert len(paths) == 5
     for path in paths:
         for u, v in zip(path.nodes, path.nodes[1:]):
-            assert v in g.neighbors(u)
+            assert v in [nbr for nbr, _ in g.adj[u]]
 
 
 def test_rollout_argmax_scale_invariance():

@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import quakeroute.dyngraph as dg
 import quakeroute.oracle as oc
-from conftest import make_graph, random_connected_graph, scenario_for
+from conftest import make_graph, random_connected_graph, scenario_for, weighted_graphs
 from helpers import brute_force_shortest
 
 
@@ -65,7 +65,7 @@ def test_nodewise_degenerates_to_static_dijkstra(monkeypatch):
                         lambda state, epicenter=None: (
                             setattr(state, "quake_applied", True) or state))
     monkeypatch.setattr(dg, "step_quake", lambda state: state)
-    monkeypatch.setattr(dg, "step_traffic", lambda state, exits=None: state)
+    monkeypatch.setattr(dg, "step_traffic", lambda state: state)
     [rolled] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.0)
     static = oc.dijkstra(g, g.nominal_minutes(), sc.start, sc.chosen_exit)
     assert rolled.nodes == static.nodes
@@ -95,7 +95,7 @@ def test_nodewise_matches_manual_replay():
         dg.advance(state)
         best = oc.dijkstra(g, state.weights[0], u, sc.chosen_exit)
         v = best.nodes[1]
-        costs.append(state.weights[0, g.edge_index(u, v)])
+        costs.append(best.edge_costs[0])
         nodes.append(v)
         u = v
     assert got.nodes == nodes
@@ -117,6 +117,47 @@ def test_nodewise_lockstep_matches_one_scenario_calls():
     assert len({len(p) for p in together if p.reached}) >= 3
 
 
+def _city_scenarios():
+    g = dg.synth_city(6, 6, seed=3)
+    rng = np.random.default_rng(8)
+    return g, [dg.random_scenario(g, rng) for _ in range(10)]
+
+
+def test_nodewise_worlds_do_not_change_the_paths(monkeypatch):
+    g, scenarios = _city_scenarios()
+    one_world = oc.nodewise_dijkstra(g, scenarios)
+    monkeypatch.setattr(oc, "WORLD_ROWS", 3)
+    worlds = []
+    initial_state = dg.initial_state
+    monkeypatch.setattr(dg, "initial_state", lambda graph, part, *rest:
+                        worlds.append(len(part)) or initial_state(graph, part, *rest))
+    four_worlds = oc.nodewise_dijkstra(g, scenarios)
+    assert worlds == [3, 3, 3, 1]
+    assert [(p.nodes, p.edge_costs, p.reached) for p in four_worlds] == \
+        [(p.nodes, p.edge_costs, p.reached) for p in one_world]
+
+
+def test_lockstep_with_heap_oracle_slots_reproduces_nodewise(monkeypatch):
+    """A policy that takes each row's first arc of its own heap Dijkstra path,
+    given as a slot of ``adj``, drives the same paths as the batched oracle."""
+    g, scenarios = _city_scenarios()
+    monkeypatch.setattr(oc, "WORLD_ROWS", 4)  # rows are global indices across worlds
+
+    def heap_slots(world, rows, here):
+        slots = []
+        for k, (i, u) in enumerate(zip(rows, here)):
+            assert world.scenarios[k] == scenarios[i]
+            v = oc.dijkstra(g, world.weights[k], u, scenarios[i].chosen_exit).nodes[1]
+            slots.append([nbr for nbr, _ in g.adj[u]].index(v))
+        return slots
+
+    got = oc.lockstep(g, scenarios, 0.1, heap_slots)
+    want = oc.nodewise_dijkstra(g, scenarios)
+    assert [(p.nodes, p.edge_costs, p.reached) for p in got] == \
+        [(p.nodes, p.edge_costs, p.reached) for p in want]
+    assert any(p.reached for p in got)
+
+
 def test_nodewise_stops_where_the_exit_is_unreachable():
     # 0 - 1 - 2, and 3 - 4 apart from them
     g = make_graph([(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (0.2, 0.9), (0.4, 0.9)],
@@ -127,30 +168,8 @@ def test_nodewise_stops_where_the_exit_is_unreachable():
     assert (fine.nodes, fine.reached) == ([0, 1, 2], True)
 
 
-@st.composite
-def _weighted_graphs(draw):
-    """A random connected graph, maybe with isolated nodes, and (S, E) weights:
-    small integers, so that equal-cost routes tie, or floats."""
-    n = draw(st.integers(2, 10))
-    edges = {(i - 1, i) for i in range(1, n)}
-    for _ in range(draw(st.integers(0, 2 * n))):
-        u, v = draw(st.permutations(range(n)))[:2]
-        edges.add((min(u, v), max(u, v)))
-    n_all = n + draw(st.integers(0, 2))
-    coords = [(i / n_all, (i * 7 % n_all) / n_all) for i in range(n_all)]
-    g = make_graph(coords, sorted(edges))
-    rows = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        value = st.integers(1, 3).map(float)
-    else:
-        value = st.floats(0.01, 100.0)
-    weights = draw(st.lists(value, min_size=rows * g.n_edges, max_size=rows * g.n_edges))
-    goals = draw(st.lists(st.integers(0, n_all - 1), min_size=rows, max_size=rows))
-    return g, np.reshape(weights, (rows, g.n_edges)), goals
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_weighted_graphs())
+@given(weighted_graphs())
 def test_distances_to_matches_heap_distances(case):
     g, weights, goals = case
     got = oc.distances_to(g, weights, goals)

@@ -257,6 +257,14 @@ def test_global_phase_invariance():
     assert np.allclose(a, b, atol=1e-14)
 
 
+def test_batched_readout_equals_per_row_readouts_bit_for_bit():
+    rng = np.random.default_rng(9)
+    circ = qs.build_model_circuit()
+    states = qs.run(circ, rng.uniform(-np.pi, np.pi, 228), rng.uniform(0, 1, (64, 36)))
+    batched = qs.measured_expectations(circ, states)
+    assert np.array_equal(batched, [qs.measured_expectations(circ, s) for s in states])
+
+
 def test_param_shift_single_qubit():
     circ = qs.Circuit(1, (qs.Rot("x", 0, "param", 0),), 1, 0, measured=(0,))
     g = qs.param_shift_grad(circ, [np.pi / 2], index=0)
