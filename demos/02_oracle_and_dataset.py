@@ -28,7 +28,6 @@ print(f"steps of all {len(paths)} rollouts: {[len(p) - 1 for p in paths]}")
 
 # what a static planner (frozen initial weights) would have done
 state = qr.initial_state(graph, [scenario], sigma_frac=0.1)
-qr.apply_initial_quake(state)
 frozen = qr.dijkstra(graph, state.weights[0], scenario.start, scenario.chosen_exit)
 print(f"static plan on the post-quake snapshot: {frozen.nodes} "
       f"({frozen.total_cost:.2f} min before any traffic builds)")

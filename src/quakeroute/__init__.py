@@ -7,10 +7,9 @@ Fisher information, OpenQASM 3 export).
 """
 
 from .dyngraph import (
-    BudgetExhausted, CityGraph, DynamicState, GraphError, Scenario, StateError,
-    advance, apply_initial_quake, damage_radius, exit_radius, initial_state,
-    load_graph, load_scenario, pick_exits, random_scenario, save_graph,
-    save_scenario, step_quake, step_traffic, synth_city,
+    BudgetExhausted, CityGraph, DynamicState, GraphError, Scenario, advance,
+    damage_radius, exit_radius, initial_state, load_graph, load_scenario,
+    pick_exits, random_scenario, save_graph, save_scenario, synth_city,
 )
 from .oracle import (
     NoPathError, Path, arrival_rate, better_or_equal_rate, dijkstra,

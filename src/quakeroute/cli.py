@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, dyngraph, features, hybrid, neural, oracle, qsim
 
 _DOMAIN_ERRORS = (
-    dyngraph.GraphError, dyngraph.StateError, dyngraph.BudgetExhausted,
+    dyngraph.GraphError, dyngraph.BudgetExhausted,
     oracle.NoPathError, qsim.CircuitError, qsim.BindingError,
     neural.ConfigError, neural.StateError,
     ValueError, KeyError, OSError, json.JSONDecodeError,
@@ -94,7 +94,6 @@ def _cmd_env_simulate(args) -> int:
     if scenario.max_steps < args.steps:
         scenario = dataclasses.replace(scenario, max_steps=args.steps)
     state = dyngraph.initial_state(graph, [scenario], sigma_frac=args.sigma_frac)
-    dyngraph.apply_initial_quake(state)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "u", "v", "weight"])

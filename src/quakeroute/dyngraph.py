@@ -1,13 +1,16 @@
 """City road network and its evolution under an earthquake and exit-point traffic.
 
 The map lives in the unit square. Edge weights are travel times in minutes.
-After an initial static hit around the epicenter, two ongoing mechanisms grow
-weights every step: the quake's damage circle (slowly expanding) and traffic
-circles around the exit nodes (expanding from radius zero). Growth saturates
-at per-band caps.
+A world is made already hit: ``initial_state`` multiplies the weights around
+the epicenter once. After that, ``advance`` is the only world step. It grows
+weights with two mechanisms: the quake's damage circle (slowly expanding) and
+traffic circles around the exit nodes (expanding from radius zero). Each
+mechanism is one band lookup: an edge's distance to the circle's center picks
+a band of the circle, and the band picks a factor and a saturation cap.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,10 +45,6 @@ class GraphError(ValueError):
     """Malformed graph or bad construction arguments."""
 
 
-class StateError(RuntimeError):
-    """Dynamic state used out of protocol (e.g. initial quake applied twice)."""
-
-
 class BudgetExhausted(RuntimeError):
     """advance() called after the scenario's step budget was spent."""
 
@@ -61,6 +60,7 @@ class CityGraph:
     out of u is a slot j of it. ``arcs[:, j, u]`` holds the same arc in a
     (2, max degree, n) array, padded with arcs to a dummy node ``n_nodes``
     over a phantom edge ``n_edges`` that callers weigh as infinite.
+    ``betweenness`` is computed on first use and kept.
     """
 
     ids: np.ndarray        # (n_nodes,) int
@@ -75,6 +75,8 @@ class CityGraph:
         xy = np.asarray(self.xy, float)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise GraphError("node coordinates must be an (n, 2) array")
+        if not np.isfinite(xy).all():
+            raise GraphError("node coordinates must be finite")
         if xy.size and (xy.min() < -1e-9 or xy.max() > 1 + 1e-9):
             raise GraphError("node coordinates must lie in the unit square")
         edges = np.asarray(self.edges, int).reshape(-1, 2)
@@ -123,6 +125,14 @@ class CityGraph:
         """Noise-free travel times: length over speed limit, in minutes."""
         return (self.length_m / 1000.0) / self.speed_kmh * 60.0
 
+    @functools.cached_property
+    def betweenness(self) -> np.ndarray:
+        """``features.edge_betweenness`` of the undamaged graph, read-only."""
+        from . import features
+        betweenness = features.edge_betweenness(self)
+        betweenness.setflags(write=False)
+        return betweenness
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -170,13 +180,14 @@ class DynamicState:
     """A world of S scenario rows on one graph: (S, E) edge weights, one step counter.
 
     Row k belongs to ``scenarios[k]``; ``keep`` drops rows whose rollout ended.
-    Weights only ever grow (ongoing growth saturates at the band caps); a
-    weight pushed above a cap by the initial static quake is left untouched by
-    the ongoing mechanisms. The arithmetic is element-wise, so a row evolves
-    exactly as it would in a world of its own.
+    ``weights`` are the rows' base travel times after the initial hit, which
+    the constructor applies. Weights only ever grow: ongoing growth saturates
+    at the band caps, and a weight that the hit pushed above a cap is left
+    untouched. The arithmetic is element-wise, so a row evolves exactly as it
+    would in a world of its own.
     """
 
-    def __init__(self, graph: CityGraph, scenarios, weights):
+    def __init__(self, graph: CityGraph, scenarios, base_weights):
         scenarios = tuple(scenarios)
         for sc in scenarios:
             if not all(0 <= v < graph.n_nodes for v in (sc.start, *sc.exits)):
@@ -185,19 +196,21 @@ class DynamicState:
         shape = (len(scenarios), graph.n_edges)
         self.graph = graph
         self.scenarios = scenarios
-        self.weights = np.array(weights, float).reshape(shape)
+        self.weights = np.array(base_weights, float).reshape(shape)
         self.t = 0
-        self.quake_applied = False
         centers = edge_centers(graph)
         self._d_epi = np.array([np.linalg.norm(centers - np.asarray(sc.epicenter), axis=1)
                                 for sc in scenarios]).reshape(shape)
         # one (S, E) slice per exit position; a row with fewer exits pads with
-        # inf, which lies in no band
+        # inf, which lies outside every circle
         n_slots = max((len(sc.exits) for sc in scenarios), default=0)
         self._d_exit = np.full((n_slots, *shape), np.inf)
         for k, sc in enumerate(scenarios):
             for slot, e in enumerate(sc.exits):
                 self._d_exit[slot, k] = np.linalg.norm(centers - graph.xy[e], axis=1)
+        # the one-off static hit is uncapped
+        _grow(self.weights, self._d_epi, damage_radius(0), QUAKE_BANDS, INITIAL_FACTORS,
+              (math.inf,) * len(QUAKE_BANDS))
 
     def keep(self, rows: list[bool]) -> None:
         """Drop the rows that the boolean mask ``rows`` leaves out."""
@@ -207,10 +220,10 @@ class DynamicState:
 
 
 def initial_state(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> DynamicState:
-    """World at t=0 with one row per scenario of Gaussian base travel times.
+    """World at t=0, after the initial hit, with one row per scenario.
 
-    Each row's base weights are sampled once here (seeded by its scenario) and
-    stay fixed for the whole rollout, so oracle labels are stable.
+    Each row's Gaussian base weights are sampled once here (seeded by its
+    scenario) and stay fixed for the whole rollout, so oracle labels are stable.
     """
     if not (math.isfinite(sigma_frac) and sigma_frac >= 0.0):
         raise GraphError(f"sigma_frac must be finite and non-negative, got {sigma_frac}")
@@ -221,60 +234,25 @@ def initial_state(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> Dynam
     return DynamicState(graph, scenarios, [np.maximum(d, 0.1 * nominal) for d in draws])
 
 
-def _band_masks(dist: np.ndarray, radius: float, bands: tuple) -> list[np.ndarray]:
-    masks = []
-    lo = -1.0
-    for frac in bands:
-        hi = frac * radius
-        masks.append((dist > lo) & (dist <= hi))
-        lo = hi
-    return masks
+def _grow(weights: np.ndarray, dist: np.ndarray, radius: float, bands: tuple,
+          factors, caps) -> None:
+    """Multiply each weight by its band's factor, saturating at the band's cap.
 
-
-def apply_initial_quake(state: DynamicState) -> DynamicState:
-    """One-off static damage multiplication around each row's epicenter (uncapped)."""
-    if state.quake_applied:
-        raise StateError("initial quake already applied")
-    r = damage_radius(0)
-    for mask, factor in zip(_band_masks(state._d_epi, r, QUAKE_BANDS), INITIAL_FACTORS):
-        state.weights[mask] *= factor
-    state.quake_applied = True
-    return state
-
-
-def _grow_banded(weights: np.ndarray, dist: np.ndarray, radius: float,
-                 bands: tuple, rates: tuple, t: int) -> None:
-    # Growth saturates at the band cap; weights already above a cap (possible
-    # only through the initial x5 hit) are left alone, never pulled down.
-    if radius <= 0:
-        return
-    for mask, rate, cap in zip(_band_masks(dist, radius, bands), rates, BAND_CAPS):
-        if not mask.any():
-            continue
-        w = weights[mask]
-        factor = math.sqrt(rate * t + 1.0)
-        weights[mask] = np.where(w > cap, w, np.minimum(w * factor, cap))
-
-
-def step_quake(state: DynamicState) -> DynamicState:
-    """Ongoing quake growth in the three damage bands at the current step."""
-    if not state.quake_applied:
-        raise StateError("initial quake must be applied before stepping")
-    _grow_banded(state.weights, state._d_epi, damage_radius(state.t),
-                 QUAKE_BANDS, QUAKE_RATES, state.t)
-    return state
-
-
-def step_traffic(state: DynamicState) -> DynamicState:
-    """Traffic growth around every exit's circle at the current step, exit by exit."""
-    r = exit_radius(state.t)
-    for dist in state._d_exit:
-        _grow_banded(state.weights, dist, r, TRAFFIC_BANDS, TRAFFIC_RATES, state.t)
-    return state
+    An edge's band is the number of band edges ``bands * radius`` below its
+    distance: band i < 3 holds ``(bands[i-1], bands[i]] * radius``, and band
+    3 lies outside the circle, with factor 1 and no cap, so it keeps its
+    weights exactly. A weight already above its cap is left alone, never
+    pulled down.
+    """
+    band = np.less.outer(np.multiply(bands, radius), dist).sum(axis=0)
+    grown = np.append(factors, 1.0)[band]
+    cap = np.append(caps, np.inf)[band]
+    np.minimum(np.multiply(weights, grown, out=grown), cap, out=grown)
+    np.copyto(weights, grown, where=weights <= cap)
 
 
 def advance(state: DynamicState) -> DynamicState:
-    """One world step for every row: quake growth, then traffic growth, then t += 1.
+    """One world step for every row: quake growth, then each exit's traffic, then t += 1.
 
     The caller moves each row one node between calls. Raises BudgetExhausted
     if any row's step budget is spent.
@@ -282,8 +260,12 @@ def advance(state: DynamicState) -> DynamicState:
     if any(state.t >= sc.max_steps for sc in state.scenarios):
         budget = min(sc.max_steps for sc in state.scenarios)
         raise BudgetExhausted(f"step budget of {budget} exhausted")
-    step_quake(state)
-    step_traffic(state)
+    t = state.t
+    _grow(state.weights, state._d_epi, damage_radius(t), QUAKE_BANDS,
+          np.sqrt(np.multiply(QUAKE_RATES, t) + 1.0), BAND_CAPS)
+    traffic = np.sqrt(np.multiply(TRAFFIC_RATES, t) + 1.0)
+    for dist in state._d_exit:
+        _grow(state.weights, dist, exit_radius(t), TRAFFIC_BANDS, traffic, BAND_CAPS)
     state.t += 1
     return state
 

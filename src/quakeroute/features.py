@@ -6,7 +6,8 @@ current node, the destination, and one six-value block per adjacent edge
 destination, heading cosine), zero-padded to five blocks, built for one row
 of a world with scalar arithmetic; block j describes the arc in slot j of
 ``graph.adj[u]``. Edge betweenness runs Brandes' accumulation for all sources
-at once. ``generate_dataset`` labels each oracle move with its slot.
+at once, once per graph (``CityGraph.betweenness``). ``generate_dataset``
+labels each oracle move with its slot.
 """
 from __future__ import annotations
 
@@ -97,8 +98,7 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     return cb / (n * (n - 1))
 
 
-def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
-                         betweenness: np.ndarray):
+def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int):
     """Feature vector of world row ``row`` at its decision node ``current``.
 
     Returns ``(features, mask)``: the 36-value input and a boolean mask over
@@ -124,7 +124,7 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int,
         base = HEAD_SIZE + j * BLOCK_SIZE
         feats[base:base + 2] = graph.xy[v]
         feats[base + 2] = weights[e] / WEIGHT_SCALE
-        feats[base + 3] = betweenness[e]
+        feats[base + 3] = graph.betweenness[e]
         feats[base + 4] = euclid(graph.xy[v], dest_xy)
         feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
         mask[j] = True
@@ -255,7 +255,6 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be at least 1")
-    betweenness = edge_betweenness(graph)
     scenarios = [_scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
     samples: list[list[tuple]] = [[] for _ in scenarios]
 
@@ -263,7 +262,7 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
         going = oracle.oracle_next(world, rows, here)
         for k, (i, u, j) in enumerate(zip(rows, here, going)):
             if j >= 0:
-                feats, _ = build_feature_vector(world, k, u, betweenness)
+                feats, _ = build_feature_vector(world, k, u)
                 samples[i].append((feats, j, i, world.t))
         return going
 

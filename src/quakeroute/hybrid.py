@@ -270,11 +270,8 @@ def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
     Each world step scores every unfinished scenario in one batched forward;
     each path is the one its scenario takes alone.
     """
-    betweenness = feat.edge_betweenness(graph)
-
     def argmax_next(world, rows, here):
-        built = [feat.build_feature_vector(world, k, u, betweenness)
-                 for k, u in enumerate(here)]
+        built = [feat.build_feature_vector(world, k, u) for k, u in enumerate(here)]
         logits = model.forward(np.stack([vec for vec, _ in built]))
         return [int(np.argmax(np.where(mask, row, MASKED_LOGIT)))
                 for row, (_, mask) in zip(logits, built)]

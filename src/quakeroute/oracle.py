@@ -128,8 +128,7 @@ def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Pat
     scenarios = tuple(scenarios)
     paths = [Path([sc.start]) for sc in scenarios]
     for first in range(0, len(scenarios), WORLD_ROWS):
-        world = dyngraph.apply_initial_quake(dyngraph.initial_state(
-            graph, scenarios[first:first + WORLD_ROWS], sigma_frac))
+        world = dyngraph.initial_state(graph, scenarios[first:first + WORLD_ROWS], sigma_frac)
         rows = list(range(first, first + len(world.scenarios)))  # a start is never an exit
         while rows:
             dyngraph.advance(world)

@@ -82,6 +82,13 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
 # Pure-Python environment replay
 
 
+def base_weights(graph: CityGraph, scenario, sigma_frac: float) -> np.ndarray:
+    """A scenario's travel times before the initial hit, drawn again from its seed."""
+    nominal = graph.nominal_minutes()
+    draw = np.random.default_rng(scenario.rng_seed).normal(nominal, sigma_frac * nominal)
+    return np.maximum(draw, 0.1 * nominal)
+
+
 def replay_trajectory(graph: CityGraph, epicenter, exits, base_weights,
                       n_steps: int):
     """Step-by-step reimplementation of the weight dynamics with plain loops.

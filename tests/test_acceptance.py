@@ -17,7 +17,7 @@ import quakeroute.neural as nn
 import quakeroute.oracle as oc
 import quakeroute.qsim as qs
 from conftest import random_connected_graph
-from helpers import (brute_force_shortest, oracle_expectations,
+from helpers import (base_weights, brute_force_shortest, oracle_expectations,
                      replay_trajectory)
 
 
@@ -50,8 +50,7 @@ def test_02_environment_replay_fidelity():
                           seed=int(rng.integers(1 << 31)))
         sc = dg.random_scenario(g, rng, max_steps=100)
         state = dg.initial_state(g, [sc], sigma_frac=0.1)
-        base = state.weights[0].copy()
-        dg.apply_initial_quake(state)
+        base = base_weights(g, sc, sigma_frac=0.1)
         got = [state.weights[0].copy()]
         for _ in range(50):
             dg.advance(state)
@@ -74,7 +73,6 @@ def test_03_radius_values_and_cap_respect():
                           seed=int(rng.integers(1 << 31)))
         sc = dg.random_scenario(g, rng, max_steps=10_000)
         state = dg.initial_state(g, [sc], sigma_frac=0.1)
-        dg.apply_initial_quake(state)
         after_initial = state.weights.copy()
         for _ in range(int(rng.integers(30, 60))):
             before = state.weights.copy()

@@ -307,6 +307,20 @@ def test_dataset_generate_rejects_bad_edge_speed(tmp_path, capsys):
         assert "speed_kmh" in capsys.readouterr().err
 
 
+def test_dataset_generate_rejects_non_finite_node_coordinate(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+         "--out", str(gpath)])
+    doc = json.loads(gpath.read_text())
+    doc["nodes"][4]["x"] = float("nan")
+    gpath.write_text(json.dumps(doc))
+    out = tmp_path / "d.jsonl"
+    assert run(["dataset", "generate", "--graph", str(gpath), "--n", "2",
+                "--seed", "1", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_fourier_and_fisher(tmp_path, capsys):
     violin = tmp_path / "violin.csv"
     assert run(["analyze", "fourier", "--N", "1", "--K", "2", "--samples",

@@ -47,20 +47,30 @@ def test_graph_invariants_rejected():
         make_graph([(0, 0), (2.0, 0.5)], [(0, 1)])  # outside unit square
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_graph_rejects_non_finite_coordinates(value):
+    with pytest.raises(dg.GraphError, match="finite"):
+        make_graph([(0.2, 0.4), (value, 0.5)], [(0, 1)])
+
+
 def _banded_graph():
-    """Four disjoint edges whose centers sit in each initial-quake band
-    relative to an epicenter at the origin (r = 0.5)."""
+    """Disjoint edges whose centers sit in each initial-quake band relative to
+    an epicenter at the origin (r = 0.5), two of them exactly on the inner band
+    edges 0.3 r and 0.75 r, and an isolated node 10 that serves as an exit no
+    traffic circle reaches before t = 333."""
     coords = [
         (0.05, 0.0), (0.15, 0.0),    # center (0.10, 0) -> d = 0.10 <= 0.15
         (0.125, 0.0), (0.375, 0.0),  # center (0.25, 0) -> 0.15 < d <= 0.375
         (0.25, 0.0), (0.75, 0.0),    # center (0.50, 0) -> d = 0.5 = r exactly
         (0.75, 0.75), (1.0, 1.0),    # center far outside
+        (0.0, 0.0), (0.3, 0.0),      # center (0.15, 0) -> d = 0.3 r exactly
+        (1.0, 0.0),
     ]
-    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    return make_graph(coords, edges, lengths=[2000.0] * 4, speeds=[60.0] * 4)
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (8, 5)]  # (8, 5): d = 0.75 r
+    return make_graph(coords, edges, lengths=[2000.0] * 6, speeds=[60.0] * 6)
 
 
-def _state(graph, epicenter=(0.0, 0.0), exit_=7, max_steps=1000):
+def _state(graph, epicenter=(0.0, 0.0), exit_=10, max_steps=1000):
     """A world of one scenario row."""
     sc = scenario_for(graph, start=0, exit_=exit_, epicenter=epicenter,
                       max_steps=max_steps)
@@ -68,46 +78,34 @@ def _state(graph, epicenter=(0.0, 0.0), exit_=7, max_steps=1000):
 
 
 def test_initial_quake_bands():
-    st = _state(_banded_graph())
-    assert st.weights.shape == (1, 4)
-    assert np.allclose(st.weights, 2.0)  # 2000 m at 60 km/h = 2 minutes
-    dg.apply_initial_quake(st)
+    g = _banded_graph()
+    assert np.allclose(g.nominal_minutes(), 2.0)  # 2000 m at 60 km/h = 2 minutes
+    assert dg.edge_centers(g)[4:, 0].tolist() == [0.3 * 0.5, 0.75 * 0.5]
+    st = _state(g)
+    assert st.weights.shape == (1, 6) and st.t == 0
     w = st.weights[0]
     assert w[0] == pytest.approx(10.0)   # x5
     assert w[1] == pytest.approx(4.0)    # x2
     assert w[2] == pytest.approx(2.6)    # x1.3 at d = r inclusive
     assert w[3] == pytest.approx(2.0)    # outside the damage circle
-
-
-def test_initial_quake_only_once():
-    st = _state(_banded_graph())
-    dg.apply_initial_quake(st)
-    with pytest.raises(dg.StateError):
-        dg.apply_initial_quake(st)
-
-
-def test_step_quake_requires_initial():
-    st = _state(_banded_graph())
-    with pytest.raises(dg.StateError):
-        dg.step_quake(st)
+    assert w[4] == pytest.approx(10.0)   # x5 at d = 0.3 r inclusive
+    assert w[5] == pytest.approx(4.0)    # x2 at d = 0.75 r inclusive
 
 
 def test_step_quake_t0_is_identity_even_above_cap():
     st = _state(_banded_graph())
-    dg.apply_initial_quake(st)
     before = st.weights.copy()
-    dg.step_quake(st)  # t = 0: every factor is sqrt(1); above-cap stays put
+    dg.advance(st)  # t = 0: every factor is sqrt(1); above-cap stays put
     assert np.array_equal(st.weights, before)
     assert st.weights[0, 0] == 10.0
 
 
 def test_step_quake_growth_and_caps():
     st = _state(_banded_graph())
-    dg.apply_initial_quake(st)
     w = st.weights[0]
-    w[:] = [4.9, 2.0, 2.0, 2.0]
+    w[:] = [4.9, 2.0, 2.0, 2.0, 2.0, 2.0]
     st.t = 100
-    dg.step_quake(st)
+    dg.advance(st)  # the exit's traffic circle reaches no edge yet
     assert w[0] == pytest.approx(5.0)  # innermost band capped at 5
     inner = 4.9  # check the uncapped value would exceed the cap
     assert inner * math.sqrt(0.003 * 100 + 1) > 5.0
@@ -115,19 +113,40 @@ def test_step_quake_growth_and_caps():
     assert w[1] == pytest.approx(2.0 * math.sqrt(0.002 * 100 + 1))
     assert w[2] == pytest.approx(2.0 * math.sqrt(0.001 * 100 + 1))
     assert w[3] == 2.0
+    assert w[4] == pytest.approx(2.0 * math.sqrt(0.003 * 100 + 1))
+    assert w[5] == pytest.approx(2.0 * math.sqrt(0.002 * 100 + 1))
 
 
 def test_step_quake_never_lowers_above_cap_weights():
     st = _state(_banded_graph())
-    dg.apply_initial_quake(st)
     assert st.weights[0, 0] == 10.0  # above every cap from the initial x5
     st.t = 50
-    dg.step_quake(st)
+    dg.advance(st)
     assert st.weights[0, 0] == 10.0
 
 
+def test_growth_on_the_band_edges_matches_the_replay():
+    """Edges centered exactly on 0.3 r and 0.75 r of the damage circle at
+    t = 50 grow by their inner band's factor, as the pure-Python replay says."""
+    x = np.multiply((0.3, 0.75), dg.damage_radius(50))
+    coords = [(0.0, 0.0), (2 * x[0], 0.0), (2 * x[1], 0.0), (1.0, 1.0)]
+    g = make_graph(coords, [(0, 1), (0, 2)], lengths=[1000.0, 1000.0],
+                   speeds=[60.0, 60.0])
+    assert dg.edge_centers(g)[:, 0].tolist() == x.tolist()
+    sc = scenario_for(g, start=0, exit_=3, epicenter=(0.0, 0.0), max_steps=100)
+    st = dg.initial_state(g, [sc], sigma_frac=0.0)
+    for _ in range(51):
+        before = st.weights[0].copy()
+        dg.advance(st)
+    assert st.weights[0].tolist() == [before[0] * math.sqrt(0.003 * 50 + 1),
+                                      before[1] * math.sqrt(0.002 * 50 + 1)]
+    want = replay_trajectory(g, sc.epicenter, sc.exits, g.nominal_minutes(), 51)
+    assert st.weights[0].tolist() == want[-1]
+
+
 def test_step_traffic_zero_radius_then_growth():
-    # exit node at (0.5, 0.5); one edge centered 0.4 * r_exit(3) away
+    # exit node at (0.5, 0.5); one edge centered 0.4 * r_exit(3) away; the
+    # damage circle around (0.99, 0.99) reaches neither edge by t = 3
     r3 = math.sqrt(0.00075 * 3)
     d = 0.4 * r3
     coords = [(0.5, 0.5), (0.5 + d, 0.25), (0.5 + d, 0.75), (0.0, 0.0)]
@@ -135,32 +154,35 @@ def test_step_traffic_zero_radius_then_growth():
                    speeds=[60.0, 60.0])
     sc = scenario_for(g, start=3, exit_=0, epicenter=(0.99, 0.99), max_steps=99)
     st = dg.initial_state(g, [sc], sigma_frac=0.0)
-    st.quake_applied = True
-    before = st.weights.copy()
-    dg.step_traffic(st)  # t = 0: radius zero, nothing happens
-    assert np.array_equal(st.weights, before)
+    assert np.array_equal(st.weights[0], g.nominal_minutes())  # no edge hit
+    dg.advance(st)  # t = 0: radius zero, nothing happens
+    assert np.array_equal(st.weights[0], g.nominal_minutes())
     st.t = 3
-    dg.step_traffic(st)
+    dg.advance(st)
     assert st.weights[0, 0] == pytest.approx(2.0 * math.sqrt(0.03 * 3 + 1))
+    assert st.weights[0, 1] == 2.0
 
 
 def test_step_traffic_mid_band_cap():
+    # exit node at (0.05, 0.05); the edge centered 0.6 r away lies outside
+    # the damage circle around (0.99, 0.99) even at t = 1000
     r = math.sqrt(0.00075 * 1000)
     d = 0.6 * r  # second band: 0.5 r < d <= 0.75 r
-    coords = [(0.3, 0.5), (0.3 + d, 0.25), (0.3 + d, 0.75), (0.9, 0.9)]
+    coords = [(0.05, 0.05), (0.05 + d, 0.0), (0.05 + d, 0.1), (0.05, 0.3)]
     g = make_graph(coords, [(1, 2), (0, 3)])
     sc = scenario_for(g, start=3, exit_=0, epicenter=(0.99, 0.99), max_steps=9999)
     st = dg.initial_state(g, [sc], sigma_frac=0.0)
+    assert dg.damage_radius(1000) < np.linalg.norm(dg.edge_centers(g) - 0.99, axis=1).min()
     st.weights[:] = [4.0, 1.0]
     st.t = 1000
-    dg.step_traffic(st)
+    dg.advance(st)
     assert st.weights[0, 0] == 4.0  # already at the band cap
+    assert st.weights[0, 1] == 5.0  # first band, capped at 5
 
 
 def test_advance_counts_and_budget(line3):
     sc = scenario_for(line3, start=0, exit_=2, max_steps=2)
     st = dg.initial_state(line3, [sc], sigma_frac=0.0)
-    dg.apply_initial_quake(st)
     dg.advance(st)
     assert st.t == 1
     dg.advance(st)
@@ -174,7 +196,6 @@ def test_advance_monotone_weights():
     rng = np.random.default_rng(0)
     sc = dg.random_scenario(g, rng)
     st = dg.initial_state(g, [sc], sigma_frac=0.1)
-    dg.apply_initial_quake(st)
     prev = st.weights.copy()
     for _ in range(30):
         dg.advance(st)
@@ -187,13 +208,11 @@ def test_two_advances_match_pure_python_replay():
     rng = np.random.default_rng(1)
     sc = dg.random_scenario(g, rng)
     st = dg.initial_state(g, [sc], sigma_frac=0.0)
-    base = st.weights[0].copy()
-    dg.apply_initial_quake(st)
     traj = [st.weights[0].copy()]
     for _ in range(2):
         dg.advance(st)
         traj.append(st.weights[0].copy())
-    expected = replay_trajectory(g, sc.epicenter, sc.exits, base, 2)
+    expected = replay_trajectory(g, sc.epicenter, sc.exits, g.nominal_minutes(), 2)
     for got, want in zip(traj, expected):
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
@@ -203,8 +222,6 @@ def test_locality_far_edges_untouched():
     sc = dg.Scenario(epicenter=(0.1, 0.1), start=14, exits=(0,),
                      chosen_exit=0, rng_seed=0, max_steps=100)
     st = dg.initial_state(g, [sc], sigma_frac=0.0)
-    base = st.weights.copy()
-    dg.apply_initial_quake(st)
     for _ in range(20):
         dg.advance(st)
     centers = dg.edge_centers(g)
@@ -213,7 +230,7 @@ def test_locality_far_edges_untouched():
     d_exit = np.linalg.norm(centers - g.xy[0], axis=1)
     far = (d_epi > reach) & (d_exit > reach)
     assert far.any()
-    assert np.array_equal(st.weights[0, far], base[0, far])
+    assert np.array_equal(st.weights[0, far], g.nominal_minutes()[far])
 
 
 def test_trajectory_determinism():
@@ -222,7 +239,6 @@ def test_trajectory_determinism():
     runs = []
     for _ in range(2):
         st = dg.initial_state(g, [sc], sigma_frac=0.1)
-        dg.apply_initial_quake(st)
         for _ in range(10):
             dg.advance(st)
         runs.append(st.weights.copy())
@@ -265,6 +281,7 @@ def test_base_travel_time():
                    [(i, i + 1) for i in range(n - 1)],
                    lengths=[1000.0] * (n - 1), speeds=[60.0] * (n - 1))
     assert np.allclose(g.nominal_minutes(), 1.0)
+    # every edge center lies beyond r = 0.5 of the epicenter (0, 0): no edge is hit
     sc = scenario_for(g, start=0, exit_=n - 1)
     assert np.array_equal(dg.initial_state(g, [sc], sigma_frac=0.0).weights[0],
                           g.nominal_minutes())
@@ -348,9 +365,8 @@ def test_world_rows_evolve_as_worlds_of_their_own():
     scenarios = [dg.random_scenario(g, rng) for _ in range(5)]
     scenarios[1] = dg.Scenario(epicenter=(0.2, 0.7), start=14, exits=(3,),
                                chosen_exit=3, rng_seed=5, max_steps=40)
-    world = dg.apply_initial_quake(dg.initial_state(g, scenarios, sigma_frac=0.1))
-    alone = [dg.apply_initial_quake(dg.initial_state(g, [sc], sigma_frac=0.1))
-             for sc in scenarios]
+    world = dg.initial_state(g, scenarios, sigma_frac=0.1)
+    alone = [dg.initial_state(g, [sc], sigma_frac=0.1) for sc in scenarios]
     rows = np.arange(len(scenarios))
     for step in range(12):
         dg.advance(world)
@@ -369,7 +385,6 @@ def test_world_rows_evolve_as_worlds_of_their_own():
 def test_advance_stops_at_the_smallest_budget_of_the_world(line3):
     world = dg.initial_state(line3, [scenario_for(line3, max_steps=3),
                                      scenario_for(line3, max_steps=1)], sigma_frac=0.0)
-    dg.apply_initial_quake(world)
     dg.advance(world)
     with pytest.raises(dg.BudgetExhausted, match="budget of 1"):
         dg.advance(world)

@@ -108,16 +108,18 @@ def _fixture_state():
 def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
     btw = ft.edge_betweenness(g)
-    vec, mask = ft.build_feature_vector(state, 0, 0, btw)
+    assert np.array_equal(g.betweenness, btw)
+    vec, mask = ft.build_feature_vector(state, 0, 0)
     assert vec.shape == (36,)
     assert g.adj[0] == ((1, 0), (2, 1))  # block j is the arc in slot j
     assert mask.tolist() == [True, True, False, False, False]
     assert np.allclose(vec[0:2], [0.1, 0.2])    # epicenter
     assert np.allclose(vec[2:4], [0.5, 0.5])    # current node
     assert np.allclose(vec[4:6], [1.0, 0.5])    # destination
-    # block for neighbor 1 at (0.5, 0.25): w=0.5min/5, betweenness, distance
-    # from the neighbor to the exit, and the heading cosine (orthogonal -> 0)
-    assert np.allclose(vec[6:12], [0.5, 0.25, 0.1, btw[0],
+    # block for neighbor 1 at (0.5, 0.25): w=0.5min x1.3/5 (the edge's center
+    # lies in the initial hit's outer band), betweenness, distance from the
+    # neighbor to the exit, and the heading cosine (orthogonal -> 0)
+    assert np.allclose(vec[6:12], [0.5, 0.25, 0.5 * 1.3 / 5.0, btw[0],
                                    math.hypot(0.5, 0.25), 0.0])
     # block for neighbor 2 at the exit itself: distance 0, heading cosine 1
     assert np.allclose(vec[12:18], [1.0, 0.5, 1.0 / 5.0, btw[1], 0.0, 1.0])
@@ -130,25 +132,25 @@ def test_build_feature_vector_rejects_degree_over_five():
     sc = scenario_for(g, start=1, exit_=2, max_steps=5)
     state = dg.initial_state(g, [sc], sigma_frac=0.0)
     with pytest.raises(dg.GraphError):
-        ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
+        ft.build_feature_vector(state, 0, 0)
 
 
 def test_block_mask_roundtrip():
     g, sc, state = _fixture_state()
-    vec, mask = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
+    vec, mask = ft.build_feature_vector(state, 0, 0)
     assert np.array_equal(ft.block_mask(vec), mask)
 
 
 def test_feature_blocks_follow_node_relabeling():
     """Relabeling nodes permutes the blocks and the oracle label coherently."""
     g, sc, state = _fixture_state()
-    vec, _ = ft.build_feature_vector(state, 0, 0, ft.edge_betweenness(g))
+    vec, _ = ft.build_feature_vector(state, 0, 0)
     # same geometry with the two neighbor ids swapped (1 <-> 2)
     g2 = make_graph([(0.5, 0.5), (1.0, 0.5), (0.5, 0.25)], [(0, 2), (0, 1)],
                     lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
     state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
-    vec2, _ = ft.build_feature_vector(state2, 0, 0, ft.edge_betweenness(g2))
+    vec2, _ = ft.build_feature_vector(state2, 0, 0)
     assert [v for v, _ in g2.adj[0]] == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
@@ -234,10 +236,9 @@ def test_generate_dataset_argument_error():
 def _replayed_dataset(graph, scenarios, sigma_frac):
     """One scenario at a time: advance its own world, then take the first edge
     of the heap Dijkstra path on the current weights; failed scenarios drop out."""
-    betweenness = ft.edge_betweenness(graph)
     rows = []
     for i, sc in enumerate(scenarios):
-        state = dg.apply_initial_quake(dg.initial_state(graph, [sc], sigma_frac))
+        state = dg.initial_state(graph, [sc], sigma_frac)
         u, mine = sc.start, []
         while u != sc.chosen_exit and state.t < sc.max_steps:
             dg.advance(state)
@@ -245,7 +246,7 @@ def _replayed_dataset(graph, scenarios, sigma_frac):
                 v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
             except oc.NoPathError:
                 break
-            vec, _ = ft.build_feature_vector(state, 0, u, betweenness)
+            vec, _ = ft.build_feature_vector(state, 0, u)
             mine.append((vec, [nbr for nbr, _ in graph.adj[u]].index(v), i, state.t))
             u = v
         if u == sc.chosen_exit:

@@ -287,6 +287,19 @@ def test_evaluate_runs_one_forward_per_world_step(monkeypatch):
     assert sum(batches) == sum(steps)
 
 
+def test_evaluate_computes_betweenness_once_per_graph(monkeypatch):
+    calls = []
+    betweenness = ft.edge_betweenness
+    monkeypatch.setattr(ft, "edge_betweenness",
+                        lambda graph: calls.append(graph) or betweenness(graph))
+    g = dg.synth_city(4, 4, seed=2)
+    model = hy.HybridModel(seed=1)
+    hy.evaluate(model, g, 1, seed=3)
+    hy.evaluate(model, g, 1, seed=4)
+    assert calls == [g]
+    assert np.array_equal(g.betweenness, betweenness(g))
+
+
 def test_evaluate_report(tmp_path):
     g, ds = _tiny_dataset()
     model, _ = hy.train(ds, hy.TrainConfig(epochs=2, batch_size=64, seed=0))

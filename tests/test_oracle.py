@@ -61,11 +61,9 @@ def test_nodewise_on_line_is_the_line(line3):
 def test_nodewise_degenerates_to_static_dijkstra(monkeypatch):
     g = dg.synth_city(5, 5, seed=13)
     sc = dg.random_scenario(g, np.random.default_rng(3))
-    monkeypatch.setattr(dg, "apply_initial_quake",
-                        lambda state, epicenter=None: (
-                            setattr(state, "quake_applied", True) or state))
-    monkeypatch.setattr(dg, "step_quake", lambda state: state)
-    monkeypatch.setattr(dg, "step_traffic", lambda state: state)
+    # no initial hit, and world steps that only count
+    monkeypatch.setattr(dg, "INITIAL_FACTORS", (1.0, 1.0, 1.0))
+    monkeypatch.setattr(dg, "advance", lambda state: setattr(state, "t", state.t + 1) or state)
     [rolled] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.0)
     static = oc.dijkstra(g, g.nominal_minutes(), sc.start, sc.chosen_exit)
     assert rolled.nodes == static.nodes
@@ -87,7 +85,6 @@ def test_nodewise_matches_manual_replay():
     [got] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.1)
 
     state = dg.initial_state(g, [sc], sigma_frac=0.1)
-    dg.apply_initial_quake(state)
     u = sc.start
     nodes = [u]
     costs = []
