@@ -3,8 +3,9 @@
 Subcommands: graph synth, env simulate, dataset generate, train, eval,
 analyze fourier|fisher, export-qasm. Exit codes: 0 success, 1 domain error,
 2 usage error. The QRL_SEED environment variable overrides any configured
-seed; a JSON --config file may set every option of the subcommand that is not
-required, and the command line wins over it.
+seed; a JSON --config file may set every option of the subcommand, required
+ones included, and the command line wins over it. Required options are
+checked after the file is merged.
 """
 from __future__ import annotations
 
@@ -303,20 +304,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     # every subcommand's option names, which a config file may use
     parser.set_defaults(options={a.dest for p in leaves for a in p._actions} - {"help"})
+    # a config file may set required options too, so run() checks them after
+    # merging it; usage lines show them in brackets, as optional on the command line
+    for p in leaves:
+        p.set_defaults(required=[a for a in p._actions if a.required])
+        for action in p._actions:
+            action.required = False
     return parser
+
+
+def _check_required(args: argparse.Namespace) -> None:
+    """Exit 2 with argparse's message if a required option is still unset."""
+    missing = [a for a in args.required if getattr(args, a.dest) is None]
+    if missing:
+        args.parser.error("the following arguments are required: "
+                          + ", ".join("/".join(a.option_strings) for a in missing))
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         if args.config:
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        _check_required(args)
         return args.func(args)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,10 @@ qubits. The generic engine (``run``) applies one gate at a time to a batch
 of states, with parameters (..., n_params) broadcast against features
 (..., n_features), and takes exact two-term parameter-shift gradients in one
 run: every shifted setting is a row of the batch. The training kernel
-(``ModelKernel``) compiles each feature-free run of gates into one unitary
-and takes adjoint gradients, with parameter-shift as its reference.
+(``ModelKernel``) compiles each feature-free run of gates into one unitary,
+built from whole layers of RX gates, and takes adjoint gradients one layer at
+a time from the states of its last forward, with parameter-shift as its
+reference.
 
 States are complex128 arrays of shape (..., 2**n); qubit 0 is the most
 significant bit of the amplitude index. Everything is batched over leading
@@ -380,7 +382,7 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Block-compiled expectation/gradient kernel for training
+# Layer-compiled expectation/gradient kernel for training
 
 
 def _support(gate) -> set[int]:
@@ -392,16 +394,20 @@ class _Section:
 
     A run of Z encodings (feature or constant angles) is a per-sample phase
     vector exp(-i/2 * angles @ zsigns). Any other run is a block of RX
-    parameters and CNOTs, compiled into one unitary U: a CNOT permutes U's
-    rows, and RX(t) = cos(t/2) - i sin(t/2) X_q mixes each row with the one
-    whose bit q is flipped.
+    parameters and CNOTs, compiled into one unitary. Its RX gates fall into
+    layers: consecutive RX on distinct qubits, closed by a CNOT or by a second
+    RX on one of the layer's qubits. A layer is one unitary,
+    R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
+    with t_q = 0 on the qubits it leaves alone; a run of CNOTs is one row
+    permutation.
     """
 
     def __init__(self, gates, first: int, k: int):
         self.k, self.dim = k, 1 << k
         self.runs = []  # (is encoding, index of its phase vector or block)
-        self.steps = []  # per block: (row permutation, RX gate or None for CNOTs)
+        self.steps = []  # per block, in order: a layer's index or a CNOT run's permutation
         enc = []  # per encoding run: (features and 1, k) -> each qubit's angle
+        layers = []  # per layer: {local qubit: its RX gate}
         for encoding, run in groupby(gates, lambda g: isinstance(g, Rot)
                                      and g.axis == "z" and g.src != "param"):
             self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
@@ -416,18 +422,31 @@ class _Section:
             for g in run:
                 if isinstance(g, CNot):
                     perm = _cx_perm(k, g.control - first, g.target - first)
-                    if steps and steps[-1][1] is None:  # one permutation per CNOT run
-                        perm = steps.pop()[0][perm]
-                    steps.append((perm, None))
+                    if steps and not isinstance(steps[-1], int):  # one permutation per CNOT run
+                        perm = steps.pop()[perm]
+                    steps.append(perm)
                 elif g.axis == "x" and g.src == "param":
-                    flip = np.arange(self.dim) ^ (1 << (k - 1 - g.qubit + first))
-                    steps.append((flip, g))
+                    if not steps or not isinstance(steps[-1], int) or g.qubit - first in layers[-1]:
+                        steps.append(len(layers))
+                        layers.append({})
+                    layers[-1][g.qubit - first] = g
                 else:
                     raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
             self.steps.append(steps)
         w = np.concatenate(enc or [np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES + 1, 0))], 1)
         self._enc_w, self._enc_w0 = w[:-1], w[-1]
-        self._bits = (np.arange(self.dim) >> (k - 1 - np.arange(k))[:, None]) & 1
+        rows = np.arange(self.dim)
+        self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
+        self._xor = rows[:, None] ^ rows  # R[i, j] reads flip pattern i ^ j
+        self._flips = rows ^ (1 << (k - 1 - np.arange(k)))[:, None]  # X_q as (k, 2**k) rows
+        # each RX gate's (layer, qubit) position and angle = scale * params[index] + offset
+        at = [(l, q) for l, layer in enumerate(layers) for q in layer]
+        rx = [layers[l][q] for l, q in at]
+        self._at = tuple(np.array(at, int).reshape(-1, 2).T)
+        self._index = np.array([g.index for g in rx], int)
+        self._scale = np.array([g.scale for g in rx])
+        self._offset = np.array([g.offset for g in rx])
+        self._n_layers = len(layers)
 
     def phases(self, x) -> np.ndarray:
         """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``: each
@@ -438,16 +457,19 @@ class _Section:
         return pair[:, :, np.arange(self.k)[:, None], self._bits].prod(axis=2)
 
     def compile(self, params) -> None:
-        """Set ``blocks``, the block unitaries at these parameters."""
+        """Set ``layers`` and ``blocks``, the layer and block unitaries at these
+        parameters. All layers come from one expression: each layer's value on
+        every flip pattern, gathered through the i ^ j table."""
+        half = np.zeros((self._n_layers, self.k))
+        half[self._at] = (self._scale * params[self._index] + self._offset) / 2.0
+        pair = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # bit of i^j: 0, 1
+        values = pair[:, np.arange(self.k)[:, None], self._bits].prod(axis=1)
+        self.layers = values[:, self._xor]
         self.blocks = []
         for steps in self.steps:
             u = np.eye(self.dim, dtype=complex)
-            for perm, g in steps:
-                if g is None:
-                    u = u[perm]
-                else:
-                    half = _gate_angle(g, params, None) / 2.0
-                    u = math.cos(half) * u - 1j * math.sin(half) * u[perm]
+            for step in steps:
+                u = self.layers[step] @ u if isinstance(step, int) else u[step]
             self.blocks.append(u)
 
     def run(self, state, phases):
@@ -455,12 +477,14 @@ class _Section:
             state = state * phases[:, j] if encoding else state @ self.blocks[j].T
         return state
 
-    def pullback(self, lam, state, phases, params, grad) -> np.ndarray:
+    def pullback(self, lam, state, phases, grad) -> np.ndarray:
         """The costate before the section from the costate and state after it,
         adding the section's gradient into ``grad`` (the adjoint method). Each
-        block carries Y = sum_b u_b lam_b^+ of its input rows through its gates
-        as Y -> G Y G^+; right after an RX on qubit q, d/dangle = Im tr(X_q Y)."""
-        rows = np.arange(self.dim)
+        block carries Y = sum_b u_b lam_b^+ of its input rows through its steps
+        as Y -> R Y R^+. Right after a layer, d/dt_q = Im tr(X_q Y) for each of
+        its qubits at once: X_q commutes with every RX of the layer, so the
+        layer's later gates leave the trace alone."""
+        reads, rows = np.zeros((self._n_layers, self.k)), np.arange(self.dim)
         for encoding, j in reversed(self.runs):
             if encoding:
                 back = phases[:, j].conj()
@@ -468,15 +492,14 @@ class _Section:
                 continue
             state, lam = state @ self.blocks[j].conj(), lam @ self.blocks[j].conj()
             y = state.T @ lam.conj()
-            for perm, g in self.steps[j]:
-                if g is None:
-                    y = y[perm][:, perm]
-                    continue
-                half = _gate_angle(g, params, None) / 2.0
-                c, s = math.cos(half), math.sin(half)
-                y = c * y - 1j * s * y[perm]
-                y = c * y + 1j * s * y[:, perm]
-                grad[g.index] += g.scale * y[perm, rows].sum().imag
+            for step in self.steps[j]:
+                if isinstance(step, int):
+                    r = self.layers[step]  # symmetric, so R^+ is its conjugate
+                    y = r @ y @ r.conj()
+                    reads[step] = y[self._flips, rows].sum(-1).imag
+                else:
+                    y = y[step][:, step]
+        np.add.at(grad, self._index, self._scale * reads[self._at])
         return lam
 
 
@@ -486,8 +509,11 @@ class ModelKernel:
     The gates of ``build_model_circuit`` fall into four runs by the registers
     they touch: the film and main sections, simulated apart and joined as a
     tensor product, then the tail (the bridge CNOTs, as one permutation, and a
-    final block on the main qubits). Block unitaries are compiled once per
-    distinct parameter vector. ``param_shift_grad`` is the reference for ``grad``.
+    final block on the main qubits). Layer and block unitaries are compiled
+    once per distinct parameter vector. Every forward keeps its feature rows,
+    states and phases (references, no copies), and ``grad`` at the same
+    parameters and rows starts from them, so a training step simulates the
+    circuit once. ``param_shift_grad`` is the reference for ``grad``.
     """
 
     def __init__(self, config: ModelConfig = ModelConfig()):
@@ -506,6 +532,7 @@ class ModelKernel:
                           _Section(final, f, m))
         self._zsigns = np.stack([_z_signs(n, q) for q in circuit.measured])
         self._compiled_for = None  # a copy of the parameters the blocks were compiled for
+        self._forward = None  # the last forward: (rows, film, main, final, phases)
 
     def _inputs(self, params, features, epi):
         """Checked parameters and circuit feature rows [34 main, x_epi, y_epi]."""
@@ -521,7 +548,8 @@ class ModelKernel:
 
     def _run(self, params, x):
         """Film, main and final states (B, 2**n) of the feature rows ``x``, and
-        each section's phase vectors."""
+        each section's phase vectors; kept as the last forward."""
+        self._forward = None  # hold one forward at a time
         # keyed on the values, not the array: optimizers update it in place
         if self._compiled_for is None or not np.array_equal(self._compiled_for, params):
             for section in self._sections:
@@ -533,28 +561,34 @@ class ModelKernel:
         m = main.run(zero_state(main.k, (len(x),)), phases[1])
         joint = (f[:, :, None] * m[:, None, :]).reshape(len(x), -1)[:, self._bridge]
         final = tail.run(joint.reshape(-1, tail.dim), phases[2]).reshape(len(x), -1)
-        return f, m, final, phases
+        self._forward = x, f, m, final, phases
+        return self._forward
 
     def expectations(self, params, features, epi) -> np.ndarray:
-        """(B, 5) Z expectations of the main qubits."""
-        final = self._run(*self._inputs(params, features, epi))[2]
+        """(B, m) Z expectations of the m main qubits (5 by default)."""
+        final = self._run(*self._inputs(params, features, epi))[3]
         return probabilities(final) @ self._zsigns.T
 
     def grad(self, params, features, epi, upstream) -> np.ndarray:
         """Sum over the batch of upstream[b, k] * d<Z_k>_b / d theta.
 
-        ``upstream`` is (B, 5); returns (n_params,). Exact adjoint gradient.
+        ``upstream`` is (B, m); returns (n_params,). Exact adjoint gradient.
+        Starts from the last forward if it ran at these parameter values on
+        these feature rows, and runs its own forward otherwise.
         """
         params, x = self._inputs(params, features, epi)
-        f, m, final, phases = self._run(params, x)
+        forward = self._forward
+        if (forward is None or not np.array_equal(self._compiled_for, params)
+                or not np.array_equal(forward[0], x)):
+            forward = self._run(params, x)
+        _, f, m, final, phases = forward
         film, main, tail = self._sections
         grad = np.zeros(self.n_params)
         lam = (np.asarray(upstream, float) @ self._zsigns) * final
-        lam = tail.pullback(*(a.reshape(-1, tail.dim) for a in (lam, final)), phases[2],
-                            params, grad)
+        lam = tail.pullback(*(a.reshape(-1, tail.dim) for a in (lam, final)), phases[2], grad)
         lam = lam.reshape(len(x), -1)[:, np.argsort(self._bridge)]
         lam = lam.reshape(len(x), film.dim, main.dim)
         # the state before the tail is film (x) main: contract out the other factor
-        main.pullback(np.einsum("bi,bia->ba", f.conj(), lam), m, phases[1], params, grad)
-        film.pullback(np.einsum("bia,ba->bi", lam, m.conj()), f, phases[0], params, grad)
+        main.pullback(np.einsum("bi,bia->ba", f.conj(), lam), m, phases[1], grad)
+        film.pullback(np.einsum("bia,ba->bi", lam, m.conj()), f, phases[0], grad)
         return grad

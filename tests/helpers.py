@@ -204,10 +204,12 @@ def circuit_unitary(circuit: Circuit, params, features=None) -> np.ndarray:
 
 
 def oracle_state(circuit: Circuit, params, features=None) -> np.ndarray:
-    dim = 1 << circuit.n_qubits
-    ket = np.zeros(dim, dtype=complex)
+    """|0...0> carried through the dense matrix of each gate in turn."""
+    ket = np.zeros(1 << circuit.n_qubits, dtype=complex)
     ket[0] = 1.0
-    return circuit_unitary(circuit, params, features) @ ket
+    for gate in circuit.gates:
+        ket = gate_matrix(gate, circuit.n_qubits, params, features) @ ket
+    return ket
 
 
 def oracle_expectations(circuit: Circuit, params, features=None) -> np.ndarray:

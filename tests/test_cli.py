@@ -113,6 +113,32 @@ def test_config_sets_options_that_have_a_default(tmp_path):
     assert data["both"] == data["default"]  # the command line wins over the file
 
 
+def test_config_sets_required_options(tmp_path):
+    gpath, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    flag, config, wins = (tmp_path / f"{name}.jsonl" for name in ("flag", "config", "wins"))
+    assert run(["dataset", "generate", "--graph", str(gpath), "--n", "5", "--seed", "11",
+                "--out", str(flag)]) == 0
+    cfg.write_text(json.dumps({"graph": str(gpath), "n": 5, "seed": 11, "out": str(config)}))
+    assert run(["dataset", "generate", "--config", str(cfg)]) == 0
+    assert config.read_bytes() == flag.read_bytes()
+    config.unlink()
+    # the command line wins over the file for required options too
+    assert run(["dataset", "generate", "--config", str(cfg), "--out", str(wins)]) == 0
+    assert wins.read_bytes() == flag.read_bytes() and not config.exists()
+
+
+def test_required_option_missing_from_command_line_and_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": "g.json", "seed": 11}))
+    assert run(["dataset", "generate", "--config", str(cfg), "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --out" in err
+    assert "usage: quakeroute dataset generate" in err
+    assert run(["dataset", "generate", "--graph", "g.json", "--seed", "11"]) == 2
+    assert "the following arguments are required: --n, --out" in capsys.readouterr().err
+
+
 def test_config_rejects_keys_that_no_subcommand_defines(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     out = tmp_path / "g.json"

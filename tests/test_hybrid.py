@@ -36,6 +36,40 @@ def test_kernel_recompiles_on_new_parameter_values(tmp_path):
                           qs.ModelKernel().expectations(loaded, feats, epi))
 
 
+def test_loss_grads_simulates_the_circuit_once(monkeypatch):
+    """The quantum gradient starts from the forward's states: a training step
+    computes each of the three sections' phase vectors once."""
+    rows = []
+    phases = qs._Section.phases
+    monkeypatch.setattr(qs._Section, "phases",
+                        lambda section, x: rows.append(len(x)) or phases(section, x))
+    rng = np.random.default_rng(8)
+    model = hy.HybridModel(seed=2)
+    model.loss_grads(rng.uniform(0, 1, (6, 36)), rng.integers(0, 5, 6), np.ones((6, 5), bool),
+                     rng=rng)
+    assert rows == [6, 6, 6]
+
+
+@pytest.mark.parametrize("change", ["nothing", "params", "features"])
+def test_grad_after_a_forward_equals_a_fresh_kernel(change):
+    """A gradient that reuses the last forward, or has to run its own because an
+    in-place optimizer step or other feature rows made that forward stale, is
+    bit for bit a fresh kernel's gradient."""
+    rng = np.random.default_rng(21)
+    feats, epi = rng.uniform(0, 1, (4, 34)), rng.uniform(0, 1, (4, 2))
+    upstream = rng.normal(size=(4, 5))
+    model = hy.HybridModel(seed=5)
+    model.kernel.expectations(model.quantum_params, feats, epi)
+    if change == "params":
+        nn.adam_step({"quantum": model.quantum_params}, {"quantum": rng.normal(size=228)},
+                     nn.AdamState(), lr=0.1)
+    elif change == "features":
+        feats = rng.uniform(0, 1, feats.shape)
+    got = model.kernel.grad(model.quantum_params, feats, epi, upstream)
+    want = qs.ModelKernel().grad(model.quantum_params, feats, epi, upstream)
+    assert np.array_equal(got, want)
+
+
 def test_quantum_share_values():
     w = np.ones((5, 10))
     assert hy.quantum_share(w) == 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import quakeroute.qsim as qs
-from helpers import oracle_expectations, oracle_state
+from helpers import circuit_unitary, oracle_expectations, oracle_state
 
 
 def _one_circuit(n, gates, n_params=0):
@@ -403,11 +404,13 @@ def test_kernel_non_default_config_matches_oracle_and_param_shift():
 
 # no shrinking: a failing example is already small, and shrinking it takes minutes
 @settings(max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate])
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(7, 9), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 3), st.integers(5, 6), st.integers(1, 3), st.integers(1, 3),
+       st.integers(7, 9), st.integers(0, 2**32 - 1))
 def test_kernel_matches_oracle_and_param_shift_on_random_configs(
-        sublayers, reuploads, subvectors, seed):
+        film_qubits, main_qubits, sublayers, reuploads, subvectors, seed):
     rng = np.random.default_rng(seed)
-    cfg = qs.ModelConfig(sublayers=sublayers, reuploads=reuploads, subvectors=subvectors)
+    cfg = qs.ModelConfig(film_qubits=film_qubits, main_qubits=main_qubits, sublayers=sublayers,
+                         reuploads=reuploads, subvectors=subvectors)
     circ = qs.build_model_circuit(cfg)
     kernel = qs.ModelKernel(cfg)
     params = rng.uniform(-np.pi, np.pi, cfg.n_params)
@@ -417,9 +420,34 @@ def test_kernel_matches_oracle_and_param_shift_on_random_configs(
     got = kernel.expectations(params, feats, epi)
     for b in range(2):
         assert np.abs(got[b] - oracle_expectations(circ, params, joint[b])).max() < 1e-10
-    upstream = rng.normal(0, 1, (2, 5))
+    upstream = rng.normal(0, 1, (2, main_qubits))
     want = np.einsum("pbk,bk->p", qs.param_shift_grad(circ, params, joint), upstream)
     assert np.abs(kernel.grad(params, feats, epi, upstream) - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("cfg", [qs.ModelConfig(),
+                                 qs.ModelConfig(film_qubits=1, main_qubits=6, sublayers=2)])
+def test_kernel_blocks_match_dense_oracle_of_their_gate_runs(cfg):
+    """Each compiled block of the film, main and final sections equals the dense
+    product of its run of RX and CNOT gates; with one film qubit the film blocks
+    hold no CNOT, so their RX gates on one qubit fall into separate layers."""
+    rng = np.random.default_rng(18)
+    params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    kernel = qs.ModelKernel(cfg)
+    kernel.expectations(params, np.zeros(34), np.zeros(2))
+    f, m = cfg.film_qubits, cfg.main_qubits
+    final = tuple(g for g in kernel.tail_gates
+                  if not (isinstance(g, qs.CNot) and g.control < f))
+    sections = ((kernel.film_gates, 0, f), (kernel.main_gates, f, m), (final, f, m))
+    for section, (gates, first, k) in zip(kernel._sections, sections):
+        runs = [tuple(run) for encoding, run in itertools.groupby(
+            gates, lambda g: isinstance(g, qs.Rot) and g.axis == "z") if not encoding]
+        assert len(runs) == len(section.blocks)
+        for run, block in zip(runs, section.blocks):
+            local = tuple(dataclasses.replace(g, qubit=g.qubit - first) if isinstance(g, qs.Rot)
+                          else qs.CNot(g.control - first, g.target - first) for g in run)
+            want = circuit_unitary(qs.Circuit(k, local, cfg.n_params, 0, ()), params)
+            assert np.abs(block - want).max() < 1e-12
 
 
 def test_kernel_blocks_are_unitary():
