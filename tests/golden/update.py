@@ -1,0 +1,83 @@
+"""Golden outputs of a fixed-seed CLI pipeline on a 6x6 city and a lattice.
+
+``pipeline(workdir)`` runs graph synth, env simulate, dataset generate,
+train, eval and analyze fourier|fisher through ``quakeroute.cli.run`` and
+returns what ``tests/golden/smoke.json`` holds: the sha256 of every file
+they write, and for the checkpoint a summary per parameter group (sum, norm
+and the first values), because the kernel's arithmetic may move it in the
+last bits. ``tests/test_golden.py`` compares a fresh run against the file.
+
+Run ``PYTHONPATH=src python tests/golden/update.py`` to rewrite the file,
+only when a change is meant to alter outputs, and say why in CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from quakeroute.cli import run
+
+GOLDEN = Path(__file__).with_name("smoke.json")
+FIRST_VALUES = 3
+# env simulate runs past this scenario's budget of 32 steps
+SCENARIO = {"epicenter": [0.4, 0.6], "start": 14, "exits": [0, 35],
+            "chosen_exit": 35, "rng_seed": 1, "max_steps": 32}
+# a 5x5 lattice of equal edges, so that equal-cost routes tie without noise
+LATTICE = {"nodes": [{"id": 5 * r + c, "x": r / 4, "y": c / 4}
+                     for r in range(5) for c in range(5)],
+           "edges": [{"u": u, "v": v, "length_m": 500.0, "speed_kmh": 40.0}
+                     for r in range(5) for c in range(5) for u, v in
+                     ((5 * r + c, 5 * r + c + 1), (5 * r + c, 5 * r + c + 5))
+                     if v < 25 and (v == u + 5 or c < 4)]}
+FILES = ("city.json", "weights.csv", "data.jsonl", "ties.jsonl", "report.json",
+         "report.paths.csv", "fourier.csv", "fisher.csv")
+
+
+def pipeline(workdir: str | Path) -> dict:
+    """Run the pipeline in ``workdir``; digests of its files and a checkpoint summary."""
+    w = Path(workdir)
+    (w / "scenario.json").write_text(json.dumps(SCENARIO))
+    (w / "lattice.json").write_text(json.dumps(LATTICE))
+    commands = [
+        "graph synth --rows 6 --cols 6 --seed 7 --out {w}/city.json",
+        "env simulate --graph {w}/city.json --scenario {w}/scenario.json "
+        "--steps 40 --out {w}/weights.csv",
+        "dataset generate --graph {w}/city.json --n 30 --seed 11 --out {w}/data.jsonl",
+        "dataset generate --graph {w}/lattice.json --n 20 --seed 5 --sigma-frac 0 "
+        "--out {w}/ties.jsonl",
+        "train --data {w}/data.jsonl --epochs 2 --batch-size 64 --seed 0 "
+        "--out {w}/ckpt.json",
+        "eval --ckpt {w}/ckpt.json --graph {w}/city.json --scenarios 10 --seed 123 "
+        "--out {w}/report.json",
+        "analyze fourier --N 1 --K 2 --samples 20 --seed 3 --out {w}/fourier.csv",
+        "analyze fisher --N 1 --K 1 --nx 5 --ntheta 4 --full --seed 3 "
+        "--out {w}/fisher.csv",
+    ]
+    for command in commands:
+        if run([arg.format(w=w) for arg in command.split()]) != 0:
+            raise RuntimeError(f"quakeroute {command} failed")
+    params = json.loads((w / "ckpt.json").read_text())["params"]
+    checkpoint = {}
+    for key, entry in params.items():
+        data = np.asarray(entry["data"])
+        checkpoint[key] = {"sum": float(data.sum()), "norm": float(np.linalg.norm(data)),
+                           "first": data[:FIRST_VALUES].tolist()}
+    return {"sha256": {name: hashlib.sha256((w / name).read_bytes()).hexdigest()
+                       for name in FILES},
+            "checkpoint": checkpoint}
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        doc = pipeline(workdir)
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"golden outputs -> {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
