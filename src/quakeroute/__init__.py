@@ -7,17 +7,16 @@ Fisher information, OpenQASM 3 export).
 """
 
 from .dyngraph import (
-    BudgetExhausted, CityGraph, DynamicState, GraphError, Scenario, advance,
-    damage_radius, exit_radius, initial_state, load_graph, load_scenario,
-    pick_exits, random_scenario, save_graph, save_scenario, synth_city,
+    CityGraph, DynamicState, GraphError, Scenario, advance, damage_radius,
+    exit_radius, initial_state, load_graph, load_scenario, pick_exits,
+    random_scenario, save_graph, save_scenario, synth_city,
 )
 from .oracle import (
     NoPathError, Path, arrival_rate, better_or_equal_rate, dijkstra,
     nodewise_dijkstra, path_accuracy,
 )
 from .features import (
-    Dataset, build_feature_vector, direction_cosine, edge_betweenness, euclid,
-    generate_dataset,
+    Dataset, build_feature_vector, edge_betweenness, generate_dataset,
 )
 from .qsim import (
     BindingError, Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,
@@ -25,8 +24,7 @@ from .qsim import (
     prob_grad, probabilities, run, sample_bitstrings,
 )
 from .neural import (
-    AdamState, ClassicalFilmNet, adam_step, cross_entropy, kaiming_uniform,
-    lr_schedule,
+    AdamState, ClassicalFilmNet, adam_step, cross_entropy, lr_schedule,
 )
 from .hybrid import (
     EvalReport, HybridModel, PathRecord, TrainConfig, evaluate, hybrid_forward,
@@ -34,8 +32,8 @@ from .hybrid import (
 )
 from .analysis import (
     FisherResult, FourierSamples, MiniConfig, SpectrumReport, block_ratio,
-    build_mini_circuit, fisher_matrix, fisher_spectrum, pooled_near_zero_fraction,
-    sample_fourier, write_spectrum_csv, write_violin_csv,
+    build_mini_circuit, fisher_matrix, fisher_spectrum, sample_fourier,
+    write_spectrum_csv, write_violin_csv,
 )
 
 __version__ = "0.1.0"

@@ -211,12 +211,6 @@ def fisher_spectrum(matrix: np.ndarray) -> SpectrumReport:
     return SpectrumReport(eigenvalues=ev, rank=rank, near_zero_fraction=near_zero)
 
 
-def pooled_near_zero_fraction(result: FisherResult) -> float:
-    """Near-zero share over the pooled per-realization eigenspectra."""
-    ev = np.concatenate([np.linalg.eigvalsh(f) for f in result.per_realization])
-    return float(np.mean(np.abs(ev) < NEAR_ZERO_TOL * np.abs(ev).max()))
-
-
 def write_spectrum_csv(report: SpectrumReport, path: str | FilePath) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

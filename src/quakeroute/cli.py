@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -22,8 +21,7 @@ import numpy as np
 from . import analysis, dyngraph, features, hybrid, neural, oracle, qsim
 
 _DOMAIN_ERRORS = (
-    dyngraph.GraphError, dyngraph.BudgetExhausted,
-    oracle.NoPathError, qsim.CircuitError, qsim.BindingError,
+    dyngraph.GraphError, oracle.NoPathError, qsim.CircuitError, qsim.BindingError,
     neural.ConfigError, neural.StateError,
     ValueError, KeyError, OSError, json.JSONDecodeError,
 )
@@ -92,8 +90,6 @@ def _cmd_env_simulate(args) -> int:
     scenario = dyngraph.load_scenario(args.scenario)
     if args.steps < 0:
         raise ValueError(f"--steps must be at least 0, got {args.steps}")
-    if scenario.max_steps < args.steps:
-        scenario = dataclasses.replace(scenario, max_steps=args.steps)
     state = dyngraph.initial_state(graph, [scenario], sigma_frac=args.sigma_frac)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

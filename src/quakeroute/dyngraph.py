@@ -35,6 +35,12 @@ BAND_CAPS = (5.0, 4.0, 3.0)
 # Initial static quake multipliers over the same three quake bands.
 INITIAL_FACTORS = (5.0, 2.0, 1.3)
 
+# The growth tables with the outside band appended: its rate of 0 gives
+# factor 1, and it has no cap, so weights outside the circle stay exact.
+_QUAKE_RATES = np.append(QUAKE_RATES, 0.0)
+_TRAFFIC_RATES = np.append(TRAFFIC_RATES, 0.0)
+_CAPS = np.append(BAND_CAPS, np.inf)
+
 SPEED_CHOICES_KMH = (30.0, 40.0, 50.0)
 
 # One exit sits nearest to each of these map border anchors.
@@ -43,10 +49,6 @@ EXIT_ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
 
 class GraphError(ValueError):
     """Malformed graph or bad construction arguments."""
-
-
-class BudgetExhausted(RuntimeError):
-    """advance() called after the scenario's step budget was spent."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ class DynamicState:
             for slot, e in enumerate(sc.exits):
                 self._d_exit[slot, k] = np.linalg.norm(centers - graph.xy[e], axis=1)
         # the one-off static hit is uncapped
-        _grow(self.weights, self._d_epi, damage_radius(0), QUAKE_BANDS, INITIAL_FACTORS,
-              (math.inf,) * len(QUAKE_BANDS))
+        _grow(self.weights, self._d_epi, damage_radius(0), QUAKE_BANDS,
+              np.append(INITIAL_FACTORS, 1.0), np.full(len(_CAPS), np.inf))
 
     def keep(self, rows: list[bool]) -> None:
         """Drop the rows that the boolean mask ``rows`` leaves out."""
@@ -235,18 +237,18 @@ def initial_state(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> Dynam
 
 
 def _grow(weights: np.ndarray, dist: np.ndarray, radius: float, bands: tuple,
-          factors, caps) -> None:
+          factors: np.ndarray, caps: np.ndarray) -> None:
     """Multiply each weight by its band's factor, saturating at the band's cap.
 
     An edge's band is the number of band edges ``bands * radius`` below its
     distance: band i < 3 holds ``(bands[i-1], bands[i]] * radius``, and band
-    3 lies outside the circle, with factor 1 and no cap, so it keeps its
-    weights exactly. A weight already above its cap is left alone, never
-    pulled down.
+    3 lies outside the circle. ``factors`` and ``caps`` hold one entry per
+    band, the outside band's last (factor 1, cap inf, so those weights stay
+    exact). A weight already above its cap is left alone, never pulled down.
     """
     band = np.less.outer(np.multiply(bands, radius), dist).sum(axis=0)
-    grown = np.append(factors, 1.0)[band]
-    cap = np.append(caps, np.inf)[band]
+    grown = factors[band]
+    cap = caps[band]
     np.minimum(np.multiply(weights, grown, out=grown), cap, out=grown)
     np.copyto(weights, grown, where=weights <= cap)
 
@@ -254,18 +256,16 @@ def _grow(weights: np.ndarray, dist: np.ndarray, radius: float, bands: tuple,
 def advance(state: DynamicState) -> DynamicState:
     """One world step for every row: quake growth, then each exit's traffic, then t += 1.
 
-    The caller moves each row one node between calls. Raises BudgetExhausted
-    if any row's step budget is spent.
+    The caller moves each row one node between calls. Every row steps,
+    whatever its scenario's ``max_steps``: ``oracle.lockstep`` ends a
+    rollout on its budget.
     """
-    if any(state.t >= sc.max_steps for sc in state.scenarios):
-        budget = min(sc.max_steps for sc in state.scenarios)
-        raise BudgetExhausted(f"step budget of {budget} exhausted")
     t = state.t
     _grow(state.weights, state._d_epi, damage_radius(t), QUAKE_BANDS,
-          np.sqrt(np.multiply(QUAKE_RATES, t) + 1.0), BAND_CAPS)
-    traffic = np.sqrt(np.multiply(TRAFFIC_RATES, t) + 1.0)
+          np.sqrt(_QUAKE_RATES * t + 1.0), _CAPS)
+    traffic = np.sqrt(_TRAFFIC_RATES * t + 1.0)
     for dist in state._d_exit:
-        _grow(state.weights, dist, exit_radius(t), TRAFFIC_BANDS, traffic, BAND_CAPS)
+        _grow(state.weights, dist, exit_radius(t), TRAFFIC_BANDS, traffic, _CAPS)
     state.t += 1
     return state
 

@@ -62,8 +62,9 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     source s, ``oracle.distances_to`` gives the distances, and two sweeps over
     the arc table visit the nodes in heap-pop order (distance, then id). Path
     counts go forward, dependencies backward. An arc u -> v lies on a shortest
-    path when ``|d[u] + w - d[v]| <= 1e-12 * max(1, d[u] + w)``. Normalized by
-    n(n-1), so cross-pairs of a disconnected graph simply contribute nothing.
+    path when ``|d[u] + w - d[v]| <= oracle._TIE_EPS * max(1, d[u] + w)``,
+    the oracle's own tie slack. Normalized by n(n-1), so cross-pairs of a
+    disconnected graph simply contribute nothing.
     """
     if weights is None:
         weights = graph.nominal_minutes()
@@ -82,12 +83,12 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
         for u in order:  # the k-th node popped from every source, and its arcs
             v = heads[u]
             nd = dist[rows, u, None] + arc_w[u]
-            on = abs(nd - dist[col, v]) <= 1e-12 * np.maximum(1.0, nd)
+            on = abs(nd - dist[col, v]) <= oracle._TIE_EPS * np.maximum(1.0, nd)
             sigma[col, v] += np.where(on, sigma[rows, u, None], 0.0)
         for w in order[::-1]:  # back again, crediting the arcs into each node
             v = heads[w]
             nd = dist[col, v] + arc_w[w]
-            on = abs(nd - dist[rows, w, None]) <= 1e-12 * np.maximum(1.0, nd)
+            on = abs(nd - dist[rows, w, None]) <= oracle._TIE_EPS * np.maximum(1.0, nd)
             share = np.where(
                 on, sigma[col, v] / sigma[rows, w, None] * (1.0 + delta[rows, w, None]), 0.0)
             delta[col, v] += share
@@ -98,12 +99,12 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     return cb / (n * (n - 1))
 
 
-def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int):
-    """Feature vector of world row ``row`` at its decision node ``current``.
+def build_feature_vector(state: dyngraph.DynamicState, row: int,
+                         current: int) -> np.ndarray:
+    """The 36-value input of world row ``row`` at its decision node ``current``.
 
-    Returns ``(features, mask)``: the 36-value input and a boolean mask over
-    the five blocks (False = zero padding). Block j describes the arc in slot
-    j of ``graph.adj[current]``.
+    Block j describes the arc in slot j of ``graph.adj[current]``; the blocks
+    past the node's degree are zero padding, which ``block_mask`` tells apart.
     """
     graph = state.graph
     scenario = state.scenarios[row]
@@ -119,7 +120,6 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int):
     feats[0:2] = scenario.epicenter
     feats[2:4] = cur_xy
     feats[4:6] = dest_xy
-    mask = np.zeros(N_BLOCKS, bool)
     for j, (v, e) in enumerate(arcs):
         base = HEAD_SIZE + j * BLOCK_SIZE
         feats[base:base + 2] = graph.xy[v]
@@ -127,12 +127,14 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int, current: int):
         feats[base + 3] = graph.betweenness[e]
         feats[base + 4] = euclid(graph.xy[v], dest_xy)
         feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
-        mask[j] = True
-    return feats, mask
+    return feats
 
 
 def block_mask(features: np.ndarray) -> np.ndarray:
-    """Recover the neighbor mask from a stored vector (padding blocks have w == 0)."""
+    """The neighbor mask of feature vectors, False at zero padding.
+
+    A real block's travel time is positive, and a padding block's is 0.
+    """
     feats = np.asarray(features)
     w = feats[..., HEAD_SIZE + 2::BLOCK_SIZE]
     return w > 0.0
@@ -262,8 +264,7 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
         going = oracle.oracle_next(world, rows, here)
         for k, (i, u, j) in enumerate(zip(rows, here, going)):
             if j >= 0:
-                feats, _ = build_feature_vector(world, k, u)
-                samples[i].append((feats, j, i, world.t))
+                samples[i].append((build_feature_vector(world, k, u), j, i, world.t))
         return going
 
     paths = oracle.lockstep(graph, scenarios, sigma_frac, label)

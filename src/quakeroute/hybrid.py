@@ -34,7 +34,6 @@ WEIGHT_DECAY = 1e-5
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 2000
-    dropout: float = 0.5
     val_fraction: float = 0.1
     seed: int = 0
     classical_only: bool = False
@@ -59,13 +58,11 @@ def quantum_share(head_w: np.ndarray) -> float:
 class HybridModel:
     """Trainable parameters of both branches plus the combining head."""
 
-    def __init__(self, seed: int = 0, classical_only: bool = False,
-                 dropout: float = 0.5):
+    def __init__(self, seed: int = 0, classical_only: bool = False):
         rng = np.random.default_rng(seed)
         self.classical_only = classical_only
         self.model_config = qsim.ModelConfig()
-        self.classical = neural.ClassicalFilmNet(seed=int(rng.integers(2**32)),
-                                                 dropout=dropout)
+        self.classical = neural.ClassicalFilmNet(seed=int(rng.integers(2**32)))
         self.quantum_params = rng.uniform(-np.pi, np.pi, self.model_config.n_params)
         self.head_w = neural.kaiming_uniform(rng, (N_OUT, 2 * N_OUT), 2 * N_OUT)
         if classical_only:
@@ -207,8 +204,7 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     train_ds, val_ds = dataset.split(config.val_fraction, seed=config.seed)
     if len(train_ds) == 0:
         train_ds = dataset
-    model = HybridModel(seed=config.seed, classical_only=config.classical_only,
-                        dropout=config.dropout)
+    model = HybridModel(seed=config.seed, classical_only=config.classical_only)
     x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
     xv, yv, mv = val_ds.feature_matrix(), val_ds.labels(), val_ds.masks()
 
@@ -271,10 +267,9 @@ def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
     each path is the one its scenario takes alone.
     """
     def argmax_next(world, rows, here):
-        built = [feat.build_feature_vector(world, k, u) for k, u in enumerate(here)]
-        logits = model.forward(np.stack([vec for vec, _ in built]))
-        return [int(np.argmax(np.where(mask, row, MASKED_LOGIT)))
-                for row, (_, mask) in zip(logits, built)]
+        x = np.stack([feat.build_feature_vector(world, k, u) for k, u in enumerate(here)])
+        logits = np.where(feat.block_mask(x), model.forward(x), MASKED_LOGIT)
+        return logits.argmax(axis=1).tolist()
 
     return oracle.lockstep(graph, scenarios, sigma_frac, argmax_next)
 

@@ -1,9 +1,9 @@
 """Classical FiLM network with built-in reverse-mode gradients.
 
-A 34->100->100->5 ReLU stack with dropout 0.5; the penultimate activation is
-scaled and shifted element-wise by two dense maps of the epicenter
-coordinates. Gradients are exact hand-rolled backprop, checked against
-finite differences in the tests.
+A 34->100->100->5 ReLU stack with dropout ``DROPOUT``; the penultimate
+activation is scaled and shifted element-wise by two dense maps of the
+epicenter coordinates. Gradients are exact hand-rolled backprop, checked
+against finite differences in the tests.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import numpy as np
 
 # widths of the 34->100->100->5 stack and of the FiLM input (the epicenter)
 IN_DIM, HIDDEN, OUT_DIM, FILM_DIM = 34, 100, 5, 2
+# share of the hidden units that a training-mode forward drops at each site
+DROPOUT = 0.5
 # lr_schedule's factor at the first and at the last epoch
 LR_START_FACTOR, LR_END_FACTOR = 1.0, 0.1
 
@@ -35,9 +37,8 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 class ClassicalFilmNet:
     """Dense stack modulated by epicenter-conditioned scale and shift."""
 
-    def __init__(self, seed: int = 0, dropout: float = 0.5):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.dropout = dropout
         self.params: dict[str, np.ndarray] = {
             "w1": kaiming_uniform(rng, (HIDDEN, IN_DIM), IN_DIM),
             "b1": np.zeros(HIDDEN),
@@ -55,7 +56,8 @@ class ClassicalFilmNet:
 
     def forward(self, x: np.ndarray, epi: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Logits of shape (B, 5). Dropout is active only when ``train``."""
+        """Logits of shape (B, 5). Dropout is active only when ``train``; the
+        eval-mode masks are 1.0, and ``x * 1.0`` is exact."""
         x = np.atleast_2d(np.asarray(x, float))
         epi = np.atleast_2d(np.asarray(epi, float))
         if x.shape[1] != IN_DIM or epi.shape[1] != FILM_DIM:
@@ -67,20 +69,14 @@ class ClassicalFilmNet:
         p = self.params
         z1 = x @ p["w1"].T + p["b1"]
         h1 = np.maximum(z1, 0.0)
-        if train and self.dropout > 0:
-            m1 = (rng.random(h1.shape) >= self.dropout) / (1.0 - self.dropout)
-        else:
-            m1 = np.ones_like(h1)
+        m1 = (rng.random(h1.shape) >= DROPOUT) / (1.0 - DROPOUT) if train else 1.0
         h1d = h1 * m1
         z2 = h1d @ p["w2"].T + p["b2"]
         h2 = np.maximum(z2, 0.0)
         gamma = epi @ p["film_scale_w"].T + p["film_scale_b"]
         beta = epi @ p["film_shift_w"].T + p["film_shift_b"]
         h2m = gamma * h2 + beta
-        if train and self.dropout > 0:
-            m2 = (rng.random(h2m.shape) >= self.dropout) / (1.0 - self.dropout)
-        else:
-            m2 = np.ones_like(h2m)
+        m2 = (rng.random(h2m.shape) >= DROPOUT) / (1.0 - DROPOUT) if train else 1.0
         h2d = h2m * m2
         logits = h2d @ p["w3"].T + p["b3"]
         self._cache = dict(x=x, epi=epi, z1=z1, h1=h1, m1=m1, h1d=h1d, z2=z2,

@@ -179,11 +179,3 @@ def test_block_ratio_on_mini_circuit():
     assert res.matrix.shape == (cfg.n_params,) * 2
     ratio = an.block_ratio(res.matrix, cfg.n_film_params)
     assert ratio >= 0.0
-
-
-def test_pooled_near_zero_fraction():
-    cfg = an.MiniConfig(sublayers=2, reuploads=1)
-    res = an.fisher_matrix(cfg, n_x=6, n_theta=4, rng=np.random.default_rng(2))
-    frac = an.pooled_near_zero_fraction(res)
-    assert 0.0 <= frac <= 1.0
-    assert frac >= 2 / 8 - 1e-9  # at least the structurally dead directions

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -178,17 +179,6 @@ def test_step_traffic_mid_band_cap():
     dg.advance(st)
     assert st.weights[0, 0] == 4.0  # already at the band cap
     assert st.weights[0, 1] == 5.0  # first band, capped at 5
-
-
-def test_advance_counts_and_budget(line3):
-    sc = scenario_for(line3, start=0, exit_=2, max_steps=2)
-    st = dg.initial_state(line3, [sc], sigma_frac=0.0)
-    dg.advance(st)
-    assert st.t == 1
-    dg.advance(st)
-    assert st.t == 2
-    with pytest.raises(dg.BudgetExhausted):
-        dg.advance(st)
 
 
 def test_advance_monotone_weights():
@@ -382,15 +372,18 @@ def test_world_rows_evolve_as_worlds_of_their_own():
     assert world.weights.shape == (3, g.n_edges) and world.t == 12
 
 
-def test_advance_stops_at_the_smallest_budget_of_the_world(line3):
-    world = dg.initial_state(line3, [scenario_for(line3, max_steps=3),
-                                     scenario_for(line3, max_steps=1)], sigma_frac=0.0)
-    dg.advance(world)
-    with pytest.raises(dg.BudgetExhausted, match="budget of 1"):
-        dg.advance(world)
-    world.keep(np.array([True, False]))
-    dg.advance(world)
-    assert world.t == 2
+def test_advance_past_the_budget_equals_a_world_with_a_larger_one():
+    """advance ignores max_steps (lockstep ends rollouts on it): rows past
+    their budgets evolve bit for bit as the same rows with a larger one."""
+    g = dg.synth_city(5, 5, seed=3)
+    sc = dg.random_scenario(g, np.random.default_rng(0), max_steps=3)
+    spent = dg.initial_state(g, [sc, dataclasses.replace(sc, max_steps=1)])
+    roomy = dg.initial_state(g, [dataclasses.replace(sc, max_steps=100)] * 2)
+    for _ in range(20):
+        dg.advance(spent)
+        dg.advance(roomy)
+    assert spent.t == roomy.t == 20
+    assert np.array_equal(spent.weights, roomy.weights)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -109,10 +109,10 @@ def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
     btw = ft.edge_betweenness(g)
     assert np.array_equal(g.betweenness, btw)
-    vec, mask = ft.build_feature_vector(state, 0, 0)
+    vec = ft.build_feature_vector(state, 0, 0)
     assert vec.shape == (36,)
     assert g.adj[0] == ((1, 0), (2, 1))  # block j is the arc in slot j
-    assert mask.tolist() == [True, True, False, False, False]
+    assert ft.block_mask(vec).tolist() == [True, True, False, False, False]
     assert np.allclose(vec[0:2], [0.1, 0.2])    # epicenter
     assert np.allclose(vec[2:4], [0.5, 0.5])    # current node
     assert np.allclose(vec[4:6], [1.0, 0.5])    # destination
@@ -136,21 +136,24 @@ def test_build_feature_vector_rejects_degree_over_five():
 
 
 def test_block_mask_roundtrip():
-    g, sc, state = _fixture_state()
-    vec, mask = ft.build_feature_vector(state, 0, 0)
-    assert np.array_equal(ft.block_mask(vec), mask)
+    """The mask read back from each node's vector marks one block per arc."""
+    g = dg.synth_city(5, 5, seed=2)
+    state = dg.initial_state(g, [dg.random_scenario(g, np.random.default_rng(1))])
+    for u in range(g.n_nodes):
+        mask = ft.block_mask(ft.build_feature_vector(state, 0, u))
+        assert mask.tolist() == [j < g.degree(u) for j in range(ft.N_BLOCKS)]
 
 
 def test_feature_blocks_follow_node_relabeling():
     """Relabeling nodes permutes the blocks and the oracle label coherently."""
     g, sc, state = _fixture_state()
-    vec, _ = ft.build_feature_vector(state, 0, 0)
+    vec = ft.build_feature_vector(state, 0, 0)
     # same geometry with the two neighbor ids swapped (1 <-> 2)
     g2 = make_graph([(0.5, 0.5), (1.0, 0.5), (0.5, 0.25)], [(0, 2), (0, 1)],
                     lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
     state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
-    vec2, _ = ft.build_feature_vector(state2, 0, 0)
+    vec2 = ft.build_feature_vector(state2, 0, 0)
     assert [v for v, _ in g2.adj[0]] == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
@@ -246,7 +249,7 @@ def _replayed_dataset(graph, scenarios, sigma_frac):
                 v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
             except oc.NoPathError:
                 break
-            vec, _ = ft.build_feature_vector(state, 0, u)
+            vec = ft.build_feature_vector(state, 0, u)
             mine.append((vec, [nbr for nbr, _ in graph.adj[u]].index(v), i, state.t))
             u = v
         if u == sc.chosen_exit:
