@@ -81,19 +81,17 @@ class FourierSamples:
 
     coeffs: np.ndarray        # (n_theta, 2d+1, 2d+1) complex
     omegas: np.ndarray        # (2d+1,) integer frequencies -d..d
-    config: MiniConfig
-    observable_qubit: int
 
 
 def sample_fourier(config: MiniConfig, n_theta: int,
-                   rng: np.random.Generator, grid_points: int | None = None,
-                   observable_qubit: int = 0,
-                   main_features: tuple[float, float] = (0.0, 0.0)) -> FourierSamples:
-    """Fourier coefficients of f(x, y) = <Z> over random parameter draws.
+                   rng: np.random.Generator, grid_points: int | None = None) -> FourierSamples:
+    """Fourier coefficients of f(x, y) = <Z_0> over random parameter draws.
 
-    f is evaluated on an equidistant grid over [0, 2pi)^2 and transformed
-    exactly; K reuploads bound the degree per axis at K, so the minimal
-    alias-free grid has 2K+1 points per axis. A coarser grid is refused.
+    f is qubit 0's expectation as a function of the epicenter coordinates,
+    with both main features held at 0. It is evaluated on an equidistant grid
+    over [0, 2pi)^2 and transformed exactly; K reuploads bound the degree per
+    axis at K, so the minimal alias-free grid has 2K+1 points per axis. A
+    coarser grid is refused.
     """
     if n_theta < 1:
         raise ValueError("need at least one parameter draw")
@@ -105,20 +103,17 @@ def sample_fourier(config: MiniConfig, n_theta: int,
         raise ValueError(f"grid of {m} points aliases a degree-{d} spectrum")
     xs = 2 * np.pi * np.arange(m) / m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    grid = np.stack([
-        gx.ravel(), gy.ravel(),
-        np.full(m * m, main_features[0]), np.full(m * m, main_features[1]),
-    ], axis=1)
+    grid = np.zeros((m * m, 4))
+    grid[:, 0], grid[:, 1] = gx.ravel(), gy.ravel()
     omegas = np.arange(-d, d + 1)
     # c_w = (1/m^2) sum_jk f[j,k] exp(+i(wx x_j + wy y_k))
     dft = np.exp(1j * np.outer(omegas, xs)) / m
     thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, circuit.n_params))
     step = max(1, RUN_AMPLITUDES // (len(grid) << circuit.n_qubits))
-    f = np.concatenate([qsim.expectation_z(qsim.run(circuit, thetas[i:i + step, None], grid),
-                                           observable_qubit, 3) for i in range(0, n_theta, step)])
+    f = np.concatenate([qsim.expectation_z(qsim.run(circuit, thetas[i:i + step, None], grid), 0)
+                        for i in range(0, n_theta, step)])
     coeffs = dft @ f.reshape(n_theta, m, m) @ dft.T
-    return FourierSamples(coeffs=coeffs, omegas=omegas, config=config,
-                          observable_qubit=observable_qubit)
+    return FourierSamples(coeffs=coeffs, omegas=omegas)
 
 
 def write_violin_csv(samples: FourierSamples, path: str | FilePath) -> None:
@@ -144,19 +139,14 @@ class FisherResult:
 
     matrix: np.ndarray
     per_realization: list[np.ndarray]
-    config: MiniConfig
-    include_main: bool
-    n_x: int
-    n_theta: int
-    clamped: int = 0  # probability floor hits during score computation
+    clamped: int  # probability floor hits during score computation
 
     @property
     def n_params(self) -> int:
         return self.matrix.shape[0]
 
 
-def fisher_matrix(config: MiniConfig, n_x: int = 20, n_theta: int = 20,
-                  rng: np.random.Generator | None = None,
+def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Generator,
                   include_main: bool = False) -> FisherResult:
     """Fisher information of the basis-state distribution P(y | x, theta).
 
@@ -168,8 +158,6 @@ def fisher_matrix(config: MiniConfig, n_x: int = 20, n_theta: int = 20,
     """
     if n_x < 1 or n_theta < 1:
         raise ValueError("sample counts must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     circuit = build_mini_circuit(config)
     n_params = circuit.n_params if include_main else config.n_film_params
     per_real: list[np.ndarray] = []
@@ -185,9 +173,7 @@ def fisher_matrix(config: MiniConfig, n_x: int = 20, n_theta: int = 20,
         per_real.append((f + f.T) / 2)
     avg = np.mean(per_real, axis=0)
     avg = (avg + avg.T) / 2
-    return FisherResult(matrix=avg, per_realization=per_real, config=config,
-                        include_main=include_main, n_x=n_x, n_theta=n_theta,
-                        clamped=clamped)
+    return FisherResult(matrix=avg, per_realization=per_real, clamped=clamped)
 
 
 @dataclass

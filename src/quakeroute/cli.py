@@ -18,13 +18,10 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import analysis, dyngraph, features, hybrid, neural, oracle, qsim
+from . import analysis, dyngraph, features, hybrid, qsim
 
-_DOMAIN_ERRORS = (
-    dyngraph.GraphError, oracle.NoPathError, qsim.CircuitError, qsim.BindingError,
-    neural.ConfigError, neural.StateError,
-    ValueError, KeyError, OSError, json.JSONDecodeError,
-)
+# every bad-input error of the package is a ValueError; anything else is a bug
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -148,9 +148,8 @@ class Scenario:
     max_steps: int
 
     def __post_init__(self):
-        x, y = self.epicenter
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise GraphError("epicenter must lie in the unit square")
+        if len(self.epicenter) != 2 or not all(0.0 <= c <= 1.0 for c in self.epicenter):
+            raise GraphError("epicenter must be a point in the unit square")
         if not self.exits:
             raise GraphError("at least one exit is required")
         if self.chosen_exit not in self.exits:
@@ -160,7 +159,7 @@ class Scenario:
         if self.max_steps < 1:
             raise GraphError("max_steps must be positive")
         object.__setattr__(self, "exits", tuple(int(e) for e in self.exits))
-        object.__setattr__(self, "epicenter", (float(x), float(y)))
+        object.__setattr__(self, "epicenter", tuple(map(float, self.epicenter)))
 
 
 def damage_radius(t: int | float) -> float:
@@ -361,8 +360,6 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
                 deg = degrees(edges)
                 changed = True
                 break
-        if not changed:
-            break
 
     edges_arr = np.array([(min(u, v), max(u, v)) for u, v in edges], int)
     order = np.lexsort((edges_arr[:, 1], edges_arr[:, 0]))
@@ -385,20 +382,17 @@ def pick_exits(graph: CityGraph) -> tuple[int, ...]:
     return tuple(exits)
 
 
-def random_scenario(graph: CityGraph, rng: np.random.Generator,
-                    max_steps: int | None = None) -> Scenario:
+def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
     """Random epicenter, start and chosen exit among the ``pick_exits`` nodes;
-    the step budget defaults to 2x node count."""
+    the step budget is 2x node count."""
     exits = pick_exits(graph)
     epicenter = (float(rng.uniform()), float(rng.uniform()))
     candidates = [i for i in range(graph.n_nodes) if i not in exits]
     start = int(rng.choice(candidates))
     chosen = int(rng.choice(list(exits)))
-    if max_steps is None:
-        max_steps = 2 * graph.n_nodes
     seed = int(rng.integers(0, 2**32))
     return Scenario(epicenter=epicenter, start=start, exits=tuple(exits),
-                    chosen_exit=chosen, rng_seed=seed, max_steps=max_steps)
+                    chosen_exit=chosen, rng_seed=seed, max_steps=2 * graph.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -421,41 +415,64 @@ def save_graph(graph: CityGraph, path: str | FilePath) -> None:
 
 
 def load_graph(path: str | FilePath) -> CityGraph:
+    """Read a ``save_graph`` file; anything but its layout raises GraphError."""
     doc = json.loads(FilePath(path).read_text())
+    _check_layout(path, "", doc, _GRAPH_FILE)
     nodes = doc["nodes"]
     ids = np.array([n["id"] for n in nodes], int)
     index = {i: k for k, i in enumerate(ids.tolist())}
     if len(index) < len(ids):
         repeated = next(i for k, i in enumerate(ids.tolist()) if index[i] != k)
         raise GraphError(f"{path}: node id {repeated} appears twice")
-    missing = {int(e[end]) for e in doc["edges"] for end in "uv"} - index.keys()
+    missing = {e[end] for e in doc["edges"] for end in "uv"} - index.keys()
     if missing:
         raise GraphError(f"{path}: an edge names node id {min(missing)}, which is not in nodes")
     xy = np.array([[n["x"], n["y"]] for n in nodes], float)
-    edges = np.array(
-        [sorted((index[int(e["u"])], index[int(e["v"])])) for e in doc["edges"]], int
-    ).reshape(-1, 2)
+    edges = np.array([sorted((index[e["u"]], index[e["v"]])) for e in doc["edges"]],
+                     int).reshape(-1, 2)
     length = np.array([e["length_m"] for e in doc["edges"]], float)
     speed = np.array([e["speed_kmh"] for e in doc["edges"]], float)
     return CityGraph(ids=ids, xy=xy, edges=edges, length_m=length, speed_kmh=speed)
 
 
 def save_scenario(scenario: Scenario, path: str | FilePath) -> None:
-    doc = {
-        "epicenter": list(scenario.epicenter),
-        "start": scenario.start,
-        "exits": list(scenario.exits),
-        "chosen_exit": scenario.chosen_exit,
-        "rng_seed": scenario.rng_seed,
-        "max_steps": scenario.max_steps,
-    }
-    FilePath(path).write_text(json.dumps(doc, indent=1) + "\n")
+    """Write the scenario's fields as one JSON object, in field order."""
+    FilePath(path).write_text(json.dumps(asdict(scenario), indent=1) + "\n")
 
 
 def load_scenario(path: str | FilePath) -> Scenario:
+    """Read a ``save_scenario`` file; anything but its layout raises GraphError.
+    A world built from the scenario checks that its nodes are graph nodes."""
     doc = json.loads(FilePath(path).read_text())
-    return Scenario(
-        epicenter=tuple(doc["epicenter"]), start=int(doc["start"]),
-        exits=tuple(doc["exits"]), chosen_exit=int(doc["chosen_exit"]),
-        rng_seed=int(doc["rng_seed"]), max_steps=int(doc["max_steps"]),
-    )
+    _check_layout(path, "", doc, _SCENARIO_FILE)
+    return Scenario(**doc)
+
+
+# File layouts for _check_layout: the keys of each JSON object, [item] for a
+# JSON list, and the kind of each value
+_NUMBER, _INTEGER, _NATURAL = "a number", "an integer", "a non-negative integer"
+_GRAPH_FILE = {"nodes": [{"id": _NATURAL, "x": _NUMBER, "y": _NUMBER}],
+               "edges": [{"u": _NATURAL, "v": _NATURAL, "length_m": _NUMBER, "speed_kmh": _NUMBER}]}
+_SCENARIO_FILE = {"epicenter": [_NUMBER], "start": _INTEGER, "exits": [_INTEGER],
+                  "chosen_exit": _INTEGER, "rng_seed": _NATURAL, "max_steps": _NATURAL}
+
+
+def _check_layout(path, key: str, value, layout) -> None:
+    """Raise GraphError naming the file and ``key`` unless ``value`` has ``layout``:
+    a dict is a JSON object with exactly its keys, [item] a JSON list of items,
+    and a kind a number, an integer, or a non-negative integer below 2**63 (so
+    that it fits an int64 array)."""
+    where = f"{path}: {key or 'the file'}"
+    if isinstance(layout, dict):
+        if not isinstance(value, dict) or set(value) != set(layout):
+            raise GraphError(f"{where} is not a JSON object with the keys {list(layout)}")
+        for k in layout:
+            _check_layout(path, f"{key}.{k}" if key else k, value[k], layout[k])
+    elif isinstance(layout, list):
+        if not isinstance(value, list):
+            raise GraphError(f"{where} is not a JSON list")
+        for i, item in enumerate(value):
+            _check_layout(path, f"{key}[{i}]", item, layout[0])
+    elif (type(value) not in ((int, float) if layout == _NUMBER else (int,))
+          or layout == _NATURAL and not 0 <= value < 2**63):
+        raise GraphError(f"{where} is {value!r}, not {layout}")

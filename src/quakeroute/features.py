@@ -231,7 +231,7 @@ class Dataset:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return Dataset.from_rows(rows)
 
-    def split(self, val_fraction: float = 0.1, seed: int = 0):
+    def split(self, val_fraction: float, seed: int):
         """Train/validation split by scenario, so no rollout leaks across."""
         ids = np.unique(self.scenario_id)
         rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ import json
 import logging
 from dataclasses import dataclass, field, asdict
 from pathlib import Path as FilePath
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,16 +28,15 @@ N_OUT = 5
 MASKED_LOGIT = -1e30
 CLASSICAL_LR = 1e-3  # scaled by neural.lr_schedule each epoch
 QUANTUM_LR = 1e-3
-WEIGHT_DECAY = 1e-5
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 2000
-    val_fraction: float = 0.1
     seed: int = 0
     classical_only: bool = False
+    val_fraction: ClassVar[float] = 0.1  # share of the scenarios held out for validation
 
 
 def quantum_share(head_w: np.ndarray) -> float:
@@ -202,8 +202,6 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
     train_ds, val_ds = dataset.split(config.val_fraction, seed=config.seed)
-    if len(train_ds) == 0:
-        train_ds = dataset
     model = HybridModel(seed=config.seed, classical_only=config.classical_only)
     x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
     xv, yv, mv = val_ds.feature_matrix(), val_ds.labels(), val_ds.masks()
@@ -226,12 +224,10 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
             losses.append(loss)
             group = {**model.classical.params, "head_w": model.head_w,
                      "head_b": model.head_b}
-            adam_step(group, {**cg, **hg}, opt_classical,
-                      lr=CLASSICAL_LR * factor, weight_decay=WEIGHT_DECAY)
+            adam_step(group, {**cg, **hg}, opt_classical, lr=CLASSICAL_LR * factor)
             if not config.classical_only:
                 adam_step({"quantum": model.quantum_params},
-                          {"quantum": qg}, opt_quantum,
-                          lr=QUANTUM_LR, weight_decay=WEIGHT_DECAY)
+                          {"quantum": qg}, opt_quantum, lr=QUANTUM_LR)
         row = {"epoch": epoch, "lr_factor": factor,
                "train_loss": float(np.mean(losses)),
                "train_agreement": agreement(model.forward(x), y, m)}

@@ -18,6 +18,10 @@ IN_DIM, HIDDEN, OUT_DIM, FILM_DIM = 34, 100, 5, 2
 DROPOUT = 0.5
 # lr_schedule's factor at the first and at the last epoch
 LR_START_FACTOR, LR_END_FACTOR = 1.0, 0.1
+# Adam's decay rates of the first and second moments, its denominator guard,
+# and the decoupled weight decay of every parameter group
+ADAM_DECAY, ADAM_EPS = (0.9, 0.999), 1e-8
+WEIGHT_DECAY = 1e-5
 
 
 class ConfigError(ValueError):
@@ -152,26 +156,25 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              weight_decay: float = 1e-5, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update with decoupled weight decay, in place."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One Adam update with decoupled weight decay ``WEIGHT_DECAY``, in place."""
     state.step += 1
     t = state.step
+    d1, d2 = ADAM_DECAY
     for key, g in grads.items():
         if key not in state.m:
             state.m[key] = np.zeros_like(params[key])
             state.v[key] = np.zeros_like(params[key])
         m = state.m[key]
         v = state.v[key]
-        m += (1 - beta1) * (g - m)
-        v += (1 - beta2) * (g * g - v)
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        params[key] -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * params[key])
+        m += (1 - d1) * (g - m)
+        v += (1 - d2) * (g * g - v)
+        mhat = m / (1 - d1 ** t)
+        vhat = v / (1 - d2 ** t)
+        params[key] -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * params[key])
 
 
-def lr_schedule(epoch: float, n_epochs: int = 100) -> float:
+def lr_schedule(epoch: float, n_epochs: int) -> float:
     """Linear learning-rate factor from start to end over the epoch range."""
     if not 0 <= epoch < n_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {n_epochs})")

@@ -170,12 +170,12 @@ def nodewise_dijkstra(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> l
 # Metrics
 
 
-def arrival_rate(outcomes) -> float:
-    """Fraction of rollouts that reached the exit."""
-    flags = [bool(getattr(o, "reached", o)) for o in outcomes]
-    if not flags:
+def arrival_rate(reached) -> float:
+    """Fraction of rollouts that reached the exit, from one bool per rollout."""
+    reached = list(reached)
+    if not reached:
         raise ValueError("arrival_rate needs at least one rollout")
-    return sum(flags) / len(flags)
+    return sum(reached) / len(reached)
 
 
 def path_accuracy(dij_cost: float, model_cost: float) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 N_MAIN_FEATURES = 34
 N_EPI_FEATURES = 2
+FEATURE_SCALE = math.pi  # Z encodings map inputs in [0, 1] to angles in [0, pi]
 
 
 class CircuitError(ValueError):
@@ -184,14 +185,15 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def expectation_z(state: np.ndarray, qubit: int, n_qubits: int):
+def expectation_z(state: np.ndarray, qubit: int):
     """Pauli-Z expectation of one qubit from the amplitudes; a multiply-and-sum
     over a C-ordered copy, unlike a BLAS product, reads the same bits in any batch."""
+    n_qubits = state.shape[-1].bit_length() - 1
     return (np.ascontiguousarray(probabilities(state)) * _z_signs(n_qubits, qubit)).sum(-1)
 
 
 def measured_expectations(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    return np.stack([expectation_z(state, q, circuit.n_qubits) for q in circuit.measured], -1)
+    return np.stack([expectation_z(state, q) for q in circuit.measured], -1)
 
 
 def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator,
@@ -221,7 +223,6 @@ class ModelConfig:
     sublayers: int = 4
     reuploads: int = 5
     subvectors: int = 7
-    feature_scale: float = math.pi  # inputs in [0,1] map to [0, pi]
 
     def __post_init__(self):
         if self.main_qubits * self.subvectors < N_MAIN_FEATURES:
@@ -277,7 +278,7 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
     gates, p = entangler_gates(film, config.sublayers, 0)
     for _ in range(config.reuploads):
         for q, f in zip(film, (N_MAIN_FEATURES, N_MAIN_FEATURES + 1)):
-            gates.append(Rot("z", q, "feature", f, scale=config.feature_scale))
+            gates.append(Rot("z", q, "feature", f, scale=FEATURE_SCALE))
         block, p = entangler_gates(film, config.sublayers, p)
         gates.extend(block)
     block, p = entangler_gates(main, config.sublayers, p)
@@ -286,7 +287,7 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
         for t, q in enumerate(main):
             f = l * len(main) + t
             if f < N_MAIN_FEATURES:
-                gates.append(Rot("z", q, "feature", f, scale=config.feature_scale))
+                gates.append(Rot("z", q, "feature", f, scale=FEATURE_SCALE))
             else:
                 gates.append(Rot("z", q, "const", offset=0.0))
         block, p = entangler_gates(main, config.sublayers, p)
@@ -517,7 +518,6 @@ class ModelKernel:
     """
 
     def __init__(self, config: ModelConfig = ModelConfig()):
-        self.config = config
         circuit = build_model_circuit(config)
         n, f, m = config.n_qubits, config.film_qubits, config.main_qubits
         film = set(range(f))

@@ -48,7 +48,7 @@ def test_02_environment_replay_fidelity():
     for k in range(10):
         g = dg.synth_city(int(rng.integers(4, 8)), int(rng.integers(4, 8)),
                           seed=int(rng.integers(1 << 31)))
-        sc = dg.random_scenario(g, rng, max_steps=100)
+        sc = dg.random_scenario(g, rng)
         state = dg.initial_state(g, [sc], sigma_frac=0.1)
         base = base_weights(g, sc, sigma_frac=0.1)
         got = [state.weights[0].copy()]
@@ -71,7 +71,7 @@ def test_03_radius_values_and_cap_respect():
     while steps_checked < 10_000:
         g = dg.synth_city(int(rng.integers(4, 9)), int(rng.integers(4, 9)),
                           seed=int(rng.integers(1 << 31)))
-        sc = dg.random_scenario(g, rng, max_steps=10_000)
+        sc = dg.random_scenario(g, rng)
         state = dg.initial_state(g, [sc], sigma_frac=0.1)
         after_initial = state.weights.copy()
         for _ in range(int(rng.integers(30, 60))):
@@ -166,7 +166,7 @@ def test_06_fourier_truncation_and_symmetry():
         beyond = np.abs(wide) > k
         mid = 2 * k  # index of omega = 0 in the wide table
         for theta in thetas:
-            f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0, 3))
+            f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
             table = dft @ f.reshape(m, m) @ dft.T
             assert np.abs(table[beyond, :]).max() < 1e-10
             assert np.abs(table[:, beyond]).max() < 1e-10

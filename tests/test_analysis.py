@@ -28,7 +28,7 @@ def test_fourier_one_frequency_hand_circuit():
     d = 1
     m = 2 * d + 1
     xs = 2 * np.pi * np.arange(m) / m
-    f = np.array([float(qs.expectation_z(qs.run(circ, [], np.array([x])), 0, 1))
+    f = np.array([float(qs.expectation_z(qs.run(circ, [], np.array([x])), 0))
                   for x in xs])
     omegas = np.arange(-d, d + 1)
     dft = np.exp(1j * np.outer(omegas, xs)) / m
@@ -55,7 +55,7 @@ def test_fourier_truncation_and_symmetry(k):
     dft = np.exp(1j * np.outer(wide, xs)) / oversampled
     for _ in range(10):
         theta = rng2.uniform(0, 2 * np.pi, circuit.n_params)
-        f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0, 3))
+        f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
         table = dft @ f.reshape(oversampled, oversampled) @ dft.T
         beyond = np.abs(wide) > k
         assert np.abs(table[beyond, :]).max() < 1e-10

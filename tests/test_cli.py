@@ -187,6 +187,48 @@ def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
     assert "node indices 0-15" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, at, value, key", [
+    ("graph", (), None, "the file"),  # the graph document inside a JSON list
+    ("graph", ("nodes", 1, "id"), 1.6, "nodes[1].id"),
+    ("graph", ("edges", 0, "u"), 1.2, "edges[0].u"),
+    ("graph", ("edges", 0, "speed_kmh"), None, "edges[0]"),  # None: the key is left out
+    ("scenario", ("start",), 3.7, "start"),
+    ("scenario", ("exits", 0), 0.9, "exits[0]"),
+    ("scenario", ("rng_seed",), 1.5, "rng_seed"),
+    ("scenario", ("rng_seed",), -1, "rng_seed"),
+    ("scenario", ("max_steps",), 32.9, "max_steps"),
+    ("scenario", ("max_steps",), 1e400, "max_steps"),
+])
+def test_env_simulate_rejects_malformed_files(tmp_path, capsys, name, at, value, key):
+    """Graph and scenario files are checked at load: a value of the wrong kind or
+    a wrong layout exits 1 naming the file and the key, never runs on a
+    truncated value and never shows a traceback."""
+    paths = {"graph": tmp_path / "g.json", "scenario": tmp_path / "s.json"}
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3",
+         "--out", str(paths["graph"])])
+    dg.save_scenario(dg.Scenario(epicenter=(0.5, 0.5), start=5, exits=(0, 15), chosen_exit=15,
+                                 rng_seed=1, max_steps=32), paths["scenario"])
+    doc = json.loads(paths[name].read_text())
+    if at:
+        *outer, last = at
+        record = doc
+        for k in outer:
+            record = record[k]
+        if value is None:
+            del record[last]
+        else:
+            record[last] = value
+    else:
+        doc = [doc]
+    paths[name].write_text(json.dumps(doc))
+    wpath = tmp_path / "w.csv"
+    assert run(["env", "simulate", "--graph", str(paths["graph"]), "--scenario",
+                str(paths["scenario"]), "--steps", "2", "--out", str(wpath)]) == 1
+    err = capsys.readouterr().err
+    assert str(paths[name]) in err and key in err
+    assert not wpath.exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
 def test_bad_sigma_frac_is_a_domain_error(tmp_path, capsys, sigma):
     gpath, spath, ckpt = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "m.json"

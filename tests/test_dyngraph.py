@@ -376,7 +376,7 @@ def test_advance_past_the_budget_equals_a_world_with_a_larger_one():
     """advance ignores max_steps (lockstep ends rollouts on it): rows past
     their budgets evolve bit for bit as the same rows with a larger one."""
     g = dg.synth_city(5, 5, seed=3)
-    sc = dg.random_scenario(g, np.random.default_rng(0), max_steps=3)
+    sc = dataclasses.replace(dg.random_scenario(g, np.random.default_rng(0)), max_steps=3)
     spent = dg.initial_state(g, [sc, dataclasses.replace(sc, max_steps=1)])
     roomy = dg.initial_state(g, [dataclasses.replace(sc, max_steps=100)] * 2)
     for _ in range(20):

@@ -181,12 +181,12 @@ def test_hybrid_gradients_match_finite_differences():
 def test_one_epoch_decreases_loss_for_most_seeds(monkeypatch):
     # dropout off so the per-epoch losses are comparable
     monkeypatch.setattr(nn, "DROPOUT", 0.0)
+    monkeypatch.setattr(hy.TrainConfig, "val_fraction", 0.0)
     _, ds = _tiny_dataset()
     small = ds[:10]
     improved = 0
     for seed in range(5):
-        cfg = hy.TrainConfig(epochs=2, batch_size=10, seed=seed,
-                             val_fraction=0.0)
+        cfg = hy.TrainConfig(epochs=2, batch_size=10, seed=seed)
         _, hist = hy.train(small, cfg)
         if hist[-1]["train_loss"] < hist[0]["train_loss"]:
             improved += 1

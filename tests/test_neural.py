@@ -137,17 +137,18 @@ def test_cross_entropy_grad_matches_fd():
             assert grad[b, j] == pytest.approx(fd, abs=1e-6)
 
 
-def test_adam_step_behaviour():
+def test_adam_step_behaviour(monkeypatch):
+    monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.0)
     params = {"w": np.array([1.0, -2.0])}
     state = nn.AdamState()
-    nn.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1, weight_decay=0.0)
+    nn.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
     assert np.allclose(params["w"], [1.0, -2.0])
     params = {"w": np.array([0.0])}
     state = nn.AdamState()
-    nn.adam_step(params, {"w": np.array([3.0])}, state, lr=1e-3,
-                 weight_decay=0.0)
+    nn.adam_step(params, {"w": np.array([3.0])}, state, lr=1e-3)
     # first Adam step moves by ~lr regardless of gradient scale
     assert abs(params["w"][0]) == pytest.approx(1e-3, rel=1e-6)
+    monkeypatch.undo()  # weight decay on again
     a = {"w": np.array([0.5])}
     b = {"w": np.array([0.5])}
     sa, sb = nn.AdamState(), nn.AdamState()
@@ -158,13 +159,13 @@ def test_adam_step_behaviour():
 
 
 def test_lr_schedule():
-    assert nn.lr_schedule(0) == 1.0
-    assert nn.lr_schedule(99) == pytest.approx(0.1)
-    assert nn.lr_schedule(49.5) == pytest.approx(0.55)
+    assert nn.lr_schedule(0, 100) == 1.0
+    assert nn.lr_schedule(99, 100) == pytest.approx(0.1)
+    assert nn.lr_schedule(49.5, 100) == pytest.approx(0.55)
     with pytest.raises(ValueError):
-        nn.lr_schedule(100)
+        nn.lr_schedule(100, 100)
     with pytest.raises(ValueError):
-        nn.lr_schedule(-1)
+        nn.lr_schedule(-1, 100)
 
 
 def test_forward_shape_validation():

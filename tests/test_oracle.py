@@ -178,8 +178,8 @@ def test_arrival_rate():
     assert oc.arrival_rate([True] * 5) == 1.0
     assert oc.arrival_rate([True] * 19 + [False]) == pytest.approx(0.95)
     assert oc.arrival_rate([False, False]) == 0.0
-    assert oc.arrival_rate([oc.Path([0], [], reached=True),
-                            oc.Path([0], [], reached=False)]) == 0.5
+    paths = [oc.Path([0], [], reached=True), oc.Path([0], [], reached=False)]
+    assert oc.arrival_rate([p.reached for p in paths]) == 0.5
     with pytest.raises(ValueError):
         oc.arrival_rate([])
 

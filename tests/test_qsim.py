@@ -24,7 +24,7 @@ def test_apply_gate_rx_expectation():
     for theta in (0.0, 0.3, 1.2, np.pi / 2):
         circ = _one_circuit(1, [qs.Rot("x", 0, "const", offset=theta)])
         state = qs.run(circ, [])
-        assert qs.expectation_z(state, 0, 1) == pytest.approx(
+        assert qs.expectation_z(state, 0) == pytest.approx(
             math.cos(theta), abs=1e-12)
 
 
@@ -344,7 +344,7 @@ def test_shot_sampling_converges():
     bits = qs.sample_bitstrings(state, shots, rng)
     for q in range(2):
         z_hat = 1.0 - 2.0 * bits[:, q].mean()
-        z = qs.expectation_z(state, q, 2)
+        z = qs.expectation_z(state, q)
         se = math.sqrt(max(1.0 - z * z, 1e-12) / shots)
         assert abs(z_hat - z) < 3 * se + 1e-9
 
