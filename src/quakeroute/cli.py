@@ -181,9 +181,7 @@ def _cmd_export_qasm(args) -> int:
     model = hybrid.HybridModel.load(args.params)
     doc = json.loads(FilePath(args.input).read_text())
     vec = doc.get("features") if isinstance(doc, dict) else None
-    if np.ndim(vec) != 1:
-        raise ValueError(f"{args.input}: a sample is a JSON object whose features "
-                         f"are a list of {features.N_FEATURES} numbers")
+    dyngraph.check_layout(args.input, "features", vec, features._SAMPLE["features"], ValueError)
     main, epi = hybrid.HybridModel.split_inputs(vec)
     circuit = qsim.build_model_circuit(model.model_config)
     text = qsim.export_qasm3(circuit, model.quantum_params, np.concatenate([main[0], epi[0]]))

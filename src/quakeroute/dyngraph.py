@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path as FilePath
 
@@ -152,6 +153,8 @@ class Scenario:
             raise GraphError("epicenter must be a point in the unit square")
         if not self.exits:
             raise GraphError("at least one exit is required")
+        if len(set(self.exits)) < len(self.exits):
+            raise GraphError(f"exits {list(self.exits)} repeat a node")
         if self.chosen_exit not in self.exits:
             raise GraphError("chosen exit must be one of the exits")
         if self.start in self.exits:
@@ -415,9 +418,10 @@ def save_graph(graph: CityGraph, path: str | FilePath) -> None:
 
 
 def load_graph(path: str | FilePath) -> CityGraph:
-    """Read a ``save_graph`` file; anything but its layout raises GraphError."""
+    """Read a ``save_graph`` file; ``check_layout`` rejects anything but its layout,
+    and a repeated or unknown node id is a GraphError too."""
     doc = json.loads(FilePath(path).read_text())
-    _check_layout(path, "", doc, _GRAPH_FILE)
+    check_layout(path, "", doc, _GRAPH_FILE, GraphError)
     nodes = doc["nodes"]
     ids = np.array([n["id"] for n in nodes], int)
     index = {i: k for k, i in enumerate(ids.tolist())}
@@ -444,35 +448,61 @@ def load_scenario(path: str | FilePath) -> Scenario:
     """Read a ``save_scenario`` file; anything but its layout raises GraphError.
     A world built from the scenario checks that its nodes are graph nodes."""
     doc = json.loads(FilePath(path).read_text())
-    _check_layout(path, "", doc, _SCENARIO_FILE)
+    check_layout(path, "", doc, _SCENARIO_FILE, GraphError)
     return Scenario(**doc)
 
 
-# File layouts for _check_layout: the keys of each JSON object, [item] for a
-# JSON list, and the kind of each value
-_NUMBER, _INTEGER, _NATURAL = "a number", "an integer", "a non-negative integer"
-_GRAPH_FILE = {"nodes": [{"id": _NATURAL, "x": _NUMBER, "y": _NUMBER}],
-               "edges": [{"u": _NATURAL, "v": _NATURAL, "length_m": _NUMBER, "speed_kmh": _NUMBER}]}
-_SCENARIO_FILE = {"epicenter": [_NUMBER], "start": _INTEGER, "exits": [_INTEGER],
-                  "chosen_exit": _INTEGER, "rng_seed": _NATURAL, "max_steps": _NATURAL}
+# The value kinds that a layout names: the Python types that JSON decoding
+# gives each and its inclusive range. NaN lies in no range, the finite kinds
+# stop at the largest float, and non-negative integers stay below 2**63, so
+# that they fit an int64 array.
+_FLOAT_MAX = sys.float_info.max
+_KINDS = {"a finite number": ((int, float), -_FLOAT_MAX, _FLOAT_MAX),
+          "a finite float": ((float,), -_FLOAT_MAX, _FLOAT_MAX),
+          "an integer": ((int,), -math.inf, math.inf),
+          "a non-negative integer": ((int,), 0, 2**63 - 1),
+          "a boolean": ((bool,), False, True)}
+_GRAPH_FILE = {"nodes": [{"id": "a non-negative integer", "x": "a finite number",
+                          "y": "a finite number"}],
+               "edges": [{"u": "a non-negative integer", "v": "a non-negative integer",
+                          "length_m": "a finite number", "speed_kmh": "a finite number"}]}
+_SCENARIO_FILE = {"epicenter": ["a finite number"], "start": "an integer",
+                  "exits": ["an integer"], "chosen_exit": "an integer",
+                  "rng_seed": "a non-negative integer", "max_steps": "a non-negative integer"}
 
 
-def _check_layout(path, key: str, value, layout) -> None:
-    """Raise GraphError naming the file and ``key`` unless ``value`` has ``layout``:
-    a dict is a JSON object with exactly its keys, [item] a JSON list of items,
-    and a kind a number, an integer, or a non-negative integer below 2**63 (so
-    that it fits an int64 array)."""
-    where = f"{path}: {key or 'the file'}"
-    if isinstance(layout, dict):
-        if not isinstance(value, dict) or set(value) != set(layout):
-            raise GraphError(f"{where} is not a JSON object with the keys {list(layout)}")
-        for k in layout:
-            _check_layout(path, f"{key}.{k}" if key else k, value[k], layout[k])
-    elif isinstance(layout, list):
-        if not isinstance(value, list):
-            raise GraphError(f"{where} is not a JSON list")
-        for i, item in enumerate(value):
-            _check_layout(path, f"{key}[{i}]", item, layout[0])
-    elif (type(value) not in ((int, float) if layout == _NUMBER else (int,))
-          or layout == _NATURAL and not 0 <= value < 2**63):
-        raise GraphError(f"{where} is {value!r}, not {layout}")
+def check_layout(source, key: str, value, layout, error: type[ValueError]) -> None:
+    """Raise ``error`` naming ``source`` and ``key`` unless JSON ``value`` has ``layout``.
+
+    A dict is a JSON object with exactly its keys, ``[item]`` a JSON list of
+    items, a tuple a JSON list with one item per entry, a string the name of
+    a value kind in ``_KINDS``, and anything else a value equal to it. Graph,
+    scenario, dataset and checkpoint files and the export sample pass this check.
+    """
+    if isinstance(layout, str):
+        types, lo, hi = _KINDS[layout]
+        if type(value) in types and lo <= value <= hi:
+            return
+        problem = f"is {value!r}, not {layout}"
+    elif isinstance(layout, dict):
+        if not isinstance(value, dict):
+            problem = f"is not a JSON object with the keys {list(layout)}"
+        elif value.keys() != layout.keys():
+            problem = (f"lacks the keys {sorted(layout.keys() - value.keys())} "
+                       f"and has the extra keys {sorted(value.keys() - layout.keys())}")
+        else:
+            for k in layout:
+                check_layout(source, f"{key}.{k}" if key else k, value[k], layout[k], error)
+            return
+    elif isinstance(layout, (list, tuple)):
+        exact = isinstance(layout, tuple)
+        if isinstance(value, list) and (not exact or len(value) == len(layout)):
+            for i, item in enumerate(value):
+                check_layout(source, f"{key}[{i}]", item, layout[i if exact else 0], error)
+            return
+        problem = f"is not a {f'length-{len(layout)} ' if exact else ''}JSON list"
+    elif value == layout:
+        return
+    else:
+        problem = f"is {value!r}, not {layout!r}"
+    raise error(f"{source}: {key} {problem}" if key else f"{source} {problem}")

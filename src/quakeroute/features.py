@@ -33,6 +33,9 @@ HEAD_SIZE = 6
 WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
+# the layout of one JSON-lines record, for dyngraph.check_layout
+_SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
+           "scenario_id": "a non-negative integer", "t": "a non-negative integer"}
 
 
 def euclid(p, q) -> float:
@@ -140,28 +143,6 @@ def block_mask(features: np.ndarray) -> np.ndarray:
     return w > 0.0
 
 
-def _parse_row(doc) -> tuple:
-    """One ``save_jsonl`` record as a row of ``COLUMNS``; anything else is a ValueError."""
-    if not isinstance(doc, dict) or set(doc) != set(COLUMNS):
-        raise ValueError(f"a sample needs exactly the keys {sorted(COLUMNS)}")
-    values = doc["features"]
-    if (not isinstance(values, list) or len(values) != N_FEATURES
-            or not all(type(x) in (int, float) for x in values)):
-        raise ValueError(f"features must be a list of {N_FEATURES} numbers")
-    features = np.asarray(values, float)
-    if not np.isfinite(features).all():
-        raise ValueError("features hold non-finite values")
-    label = doc["label"]
-    if type(label) is not int or not 0 <= label < N_BLOCKS:
-        raise ValueError(f"label {label!r} is not an integer in 0-{N_BLOCKS - 1}")
-    if not block_mask(features)[label]:
-        raise ValueError(f"label {label} points at a padding block")
-    for key in ("scenario_id", "t"):
-        if type(doc[key]) is not int:
-            raise ValueError(f"{key} {doc[key]!r} is not an integer")
-    return features, label, doc["scenario_id"], doc["t"]
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Oracle decisions as four read-only columns, one row per sample.
@@ -219,24 +200,36 @@ class Dataset:
 
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
-        """Read a ``save_jsonl`` file; a malformed line raises ValueError naming it."""
+        """Read a ``save_jsonl`` file; ``dyngraph.check_layout`` rejects a line off the
+        record layout, and a label outside 0-4 or on padding is a ValueError too."""
         rows = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
+                where = f"{path}, line {lineno}"
                 try:
-                    rows.append(_parse_row(json.loads(line)))
-                except (ValueError, OverflowError) as exc:  # overflow: a huge integer
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                    doc = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                dyngraph.check_layout(where, "", doc, _SAMPLE, ValueError)
+                features, label = np.array(doc["features"], float), doc["label"]
+                if not 0 <= label < N_BLOCKS:
+                    raise ValueError(f"{where}: label is {label}, not in 0-{N_BLOCKS - 1}")
+                if not block_mask(features)[label]:
+                    raise ValueError(f"{where}: label {label} points at a padding block")
+                rows.append((features, label, doc["scenario_id"], doc["t"]))
         return Dataset.from_rows(rows)
 
     def split(self, val_fraction: float, seed: int):
-        """Train/validation split by scenario, so no rollout leaks across."""
+        """Train/validation split by scenario, so no rollout leaks across.
+
+        A positive fraction holds out at least one scenario when there are
+        two or more; a fraction of 0 holds out none."""
         ids = np.unique(self.scenario_id)
         rng = np.random.default_rng(seed)
         rng.shuffle(ids)
-        n_val = max(1, round(val_fraction * len(ids))) if len(ids) > 1 else 0
+        n_val = max(1, round(val_fraction * len(ids))) if val_fraction and len(ids) > 1 else 0
         val = np.isin(self.scenario_id, ids[:n_val])
         return self[~val], self[val]
 

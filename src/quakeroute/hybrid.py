@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import features as feat, neural, oracle, qsim
-from .dyngraph import CityGraph, Scenario
+from .dyngraph import CityGraph, Scenario, check_layout
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
 
@@ -118,62 +118,35 @@ class HybridModel:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def save(self, path: str | FilePath) -> None:
-        def pack(a):
-            return {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter array under its checkpoint key."""
+        return {**{f"classical.{k}": v for k, v in self.classical.params.items()},
+                "quantum": self.quantum_params, "head_w": self.head_w, "head_b": self.head_b}
 
+    def save(self, path: str | FilePath) -> None:
         doc = {
             "format": "quakeroute-checkpoint",
             "classical_only": self.classical_only,
-            "params": {
-                **{f"classical.{k}": pack(v) for k, v in self.classical.params.items()},
-                "quantum": pack(self.quantum_params),
-                "head_w": pack(self.head_w),
-                "head_b": pack(self.head_b),
-            },
+            "params": {key: {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
+                       for key, a in self._arrays().items()},
         }
         FilePath(path).write_text(json.dumps(doc) + "\n")
 
     @staticmethod
     def load(path: str | FilePath) -> "HybridModel":
-        """Read a ``save`` file; other keys, shapes or non-finite values raise ValueError."""
+        """Read a ``save`` file; ``dyngraph.check_layout`` rejects anything but the
+        layout that ``save`` writes for the model's shapes with a ValueError."""
         doc = json.loads(FilePath(path).read_text())
-        if not isinstance(doc, dict) or doc.get("format") != "quakeroute-checkpoint":
+        if not isinstance(doc, dict) or doc.pop("format", None) != "quakeroute-checkpoint":
             raise ValueError(f"{path} is not a checkpoint file")
-        if set(doc) != {"format", "classical_only", "params"}:
-            raise ValueError(f"{path}: checkpoint keys {sorted(doc)} are not "
-                             "format, classical_only and params")
-        if type(doc["classical_only"]) is not bool:
-            raise ValueError(f"{path}: classical_only is {doc['classical_only']!r}, "
-                             "not a boolean")
-        model = HybridModel(seed=0, classical_only=doc["classical_only"])
-        expected = {f"classical.{k}": v.shape for k, v in model.classical.params.items()}
-        expected.update(quantum=model.quantum_params.shape,
-                        head_w=model.head_w.shape, head_b=model.head_b.shape)
-        params = doc["params"]
-        found = set(params) if isinstance(params, dict) else set()
-        if found != set(expected):
-            raise ValueError(
-                f"{path}: checkpoint parameters missing {sorted(set(expected) - found)}, "
-                f"unexpected {sorted(found - set(expected))}")
-        for key, shape in expected.items():
-            entry, size = params[key], int(np.prod(shape))
-            if (not isinstance(entry, dict) or set(entry) != {"shape", "data"}
-                    or entry["shape"] != list(shape)
-                    or not isinstance(entry["data"], list) or len(entry["data"]) != size
-                    or not all(type(x) is float for x in entry["data"])):
-                raise ValueError(f"{path}: parameter {key} is not shape {list(shape)} "
-                                 f"with a list of {size} floats as data")
-            data = np.asarray(entry["data"])
-            if not np.isfinite(data).all():
-                raise ValueError(f"{path}: parameter {key} holds non-finite values")
-            value = data.reshape(shape)
-            if key.startswith("classical."):
-                model.classical.params[key.split(".", 1)[1]] = value
-            elif key == "quantum":
-                model.quantum_params = value
-            else:  # head_w, head_b
-                setattr(model, key, value)
+        model = HybridModel(seed=0)
+        arrays = model._arrays()
+        check_layout(path, "", doc, {"classical_only": "a boolean", "params": {
+            key: {"shape": a.shape, "data": ("a finite float",) * a.size}
+            for key, a in arrays.items()}}, ValueError)
+        model.classical_only = doc["classical_only"]
+        for key, a in arrays.items():
+            a[...] = np.reshape(doc["params"][key]["data"], a.shape)
         return model
 
 

@@ -188,7 +188,7 @@ def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
 
 
 @pytest.mark.parametrize("name, at, value, key", [
-    ("graph", (), None, "the file"),  # the graph document inside a JSON list
+    ("graph", (), None, "is not a JSON object"),  # the graph document inside a JSON list
     ("graph", ("nodes", 1, "id"), 1.6, "nodes[1].id"),
     ("graph", ("edges", 0, "u"), 1.2, "edges[0].u"),
     ("graph", ("edges", 0, "speed_kmh"), None, "edges[0]"),  # None: the key is left out
@@ -310,17 +310,22 @@ def test_train_eval_export_pipeline(tmp_path):
 
 
 def test_export_qasm_rejects_non_finite_input(tmp_path, capsys):
+    """The sample's features obey the dataset's rule: 36 finite JSON numbers."""
     ckpt = tmp_path / "ckpt.json"
     hy.HybridModel(seed=0).save(ckpt)
     sample = tmp_path / "sample.json"
-    features = [0.5] * ft.N_FEATURES
-    features[7] = float("nan")
-    sample.write_text(json.dumps({"features": features}))  # json writes a NaN literal
+    with_nan = [0.5] * ft.N_FEATURES
+    with_nan[7] = float("nan")  # json writes a NaN literal
     qasm = tmp_path / "circuit.qasm"
-    assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
-                "--out", str(qasm)]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not qasm.exists()
+    for features, message in ((with_nan, "features[7] is nan, not a finite number"),
+                              ([True] * ft.N_FEATURES, "features[0] is True"),
+                              (["0.5"] * ft.N_FEATURES, "features[0] is '0.5'")):
+        sample.write_text(json.dumps({"features": features}))
+        assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
+                    "--out", str(qasm)]) == 1
+        err = capsys.readouterr().err
+        assert str(sample) in err and message in err
+        assert not qasm.exists()
 
 
 def test_export_qasm_takes_only_a_features_document(tmp_path, capsys):

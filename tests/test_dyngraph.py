@@ -317,6 +317,9 @@ def test_scenario_validation():
     with pytest.raises(dg.GraphError):
         dg.Scenario(epicenter=(0.5, 0.5), start=0, exits=(1,), chosen_exit=2,
                     rng_seed=0, max_steps=10)
+    with pytest.raises(dg.GraphError, match="repeat"):
+        dg.Scenario(epicenter=(0.5, 0.5), start=0, exits=(1, 2, 2), chosen_exit=2,
+                    rng_seed=0, max_steps=10)
 
 
 @pytest.mark.parametrize("start, exit_", [(0, 3), (0, -1), (3, 2), (-1, 2)])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,8 @@ def test_split_by_scenario_no_leakage():
     assert len(train) + len(val) == len(ds)
     train2, val2 = ds.split(val_fraction=0.2, seed=1)
     assert set(val2.scenario_ids().tolist()) == val_ids
+    everything, nothing = ds.split(val_fraction=0.0, seed=1)
+    assert len(everything) == len(ds) and len(nothing) == 0
 
 
 def test_dataset_columns_and_row_selection():
@@ -315,18 +318,20 @@ def _edit_padding_label(doc):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["features"].pop(), "36 numbers"),
-    (lambda doc: doc["features"].append(0.5), "36 numbers"),
-    (lambda doc: doc.update(features=[str(x) for x in doc["features"]]), "36 numbers"),
-    (lambda doc: doc["features"].__setitem__(3, float("nan")), "non-finite"),
-    (lambda doc: doc["features"].__setitem__(0, float("inf")), "non-finite"),
-    (lambda doc: doc["features"].__setitem__(0, 10**400), "too large"),
+    (lambda doc: doc["features"].pop(), "length-36 JSON list"),
+    (lambda doc: doc["features"].append(0.5), "length-36 JSON list"),
+    (lambda doc: doc.update(features=[str(x) for x in doc["features"]]), "features[0] is '"),
+    (lambda doc: doc["features"].__setitem__(3, float("nan")), "features[3] is nan"),
+    (lambda doc: doc["features"].__setitem__(0, float("inf")), "features[0] is inf"),
+    (lambda doc: doc["features"].__setitem__(0, 10**400), "features[0] is 1000"),
     (lambda doc: doc.update(label=5), "label"),
     (lambda doc: doc.update(label=-1), "label"),
     (lambda doc: doc.update(label=1.0), "label"),
     (_edit_padding_label, "padding"),
     (lambda doc: doc.update(scenario_id="3"), "scenario_id"),
+    (lambda doc: doc.update(scenario_id=-1), "scenario_id is -1"),
     (lambda doc: doc.update(t=2.5), "t"),
+    (lambda doc: doc.update(t=-1), "t is -1"),
     (lambda doc: doc.pop("t"), "keys"),
 ])
 def test_load_jsonl_rejects_malformed_sample(tmp_path, edit, message):
@@ -338,6 +343,6 @@ def test_load_jsonl_rejects_malformed_sample(tmp_path, edit, message):
     edit(doc)
     lines[1] = json.dumps(doc)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         ft.Dataset.load_jsonl(path)
     assert f"{path}, line 2" in str(info.value)

@@ -246,8 +246,9 @@ def _edited_checkpoint(tmp_path, edit):
 ])
 def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
     path = _edited_checkpoint(tmp_path, edit)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         hy.HybridModel.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_rollout_on_forced_line(line3):
