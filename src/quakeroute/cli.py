@@ -24,8 +24,8 @@ from . import analysis, dyngraph, features, hybrid, qsim
 _DOMAIN_ERRORS = (ValueError, OSError)
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The subcommand's option values in the JSON config file ``args.config``.
+def _config_defaults(args: argparse.Namespace, doc) -> dict:
+    """The subcommand's option values in ``doc``, the JSON of config file ``args.config``.
 
     A flag takes a JSON boolean. Any other value goes through its option's
     argparse type, as if it had been typed on the command line; one that does
@@ -33,17 +33,14 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     subcommand, since one file may serve several, but a key that no
     subcommand defines raises ValueError.
     """
-    path = args.config
-    doc = json.loads(FilePath(path).read_text())
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a config file holds one JSON object, "
-                         f"not a {type(doc).__name__}")
+        raise ValueError(f"a config file holds one JSON object, not a {type(doc).__name__}")
     actions = {action.dest: action for action in args.parser._actions}
     values = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in args.options:
-            raise ValueError(f"{path}: {key} is not an option of any subcommand")
+            raise ValueError(f"{key} is not an option of any subcommand")
         action = actions.get(attr)
         if action is None or value is None:
             continue
@@ -54,7 +51,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
                 raise ValueError(type(value).__name__)
             values[attr] = value if flag else convert(str(value))
         except ValueError:
-            raise ValueError(f"{path}: {key} = {json.dumps(value)} is not a valid "
+            raise ValueError(f"{key} = {json.dumps(value)} is not a valid "
                              f"{convert.__name__} option value") from None
     return values
 
@@ -94,8 +91,7 @@ def _cmd_env_simulate(args) -> int:
 
         def snapshot():
             for (u, v), w in zip(graph.edges, state.weights[0]):
-                writer.writerow([state.t, int(graph.ids[u]), int(graph.ids[v]),
-                                 repr(float(w))])
+                writer.writerow([state.t, int(u), int(v), repr(float(w))])
 
         snapshot()
         for _ in range(args.steps):
@@ -179,9 +175,10 @@ def _cmd_analyze_fisher(args) -> int:
 
 def _cmd_export_qasm(args) -> int:
     model = hybrid.HybridModel.load(args.params)
-    doc = json.loads(FilePath(args.input).read_text())
-    vec = doc.get("features") if isinstance(doc, dict) else None
-    dyngraph.check_layout(args.input, "features", vec, features._SAMPLE["features"], ValueError)
+    # any JSON object whose features obey the dataset's rule
+    vec = dyngraph.read_json(args.input, None, lambda doc: dyngraph.check_layout(
+        "features", doc.get("features") if isinstance(doc, dict) else None,
+        features._SAMPLE["features"]))
     main, epi = hybrid.HybridModel.split_inputs(vec)
     circuit = qsim.build_model_circuit(model.model_config)
     text = qsim.export_qasm3(circuit, model.quantum_params, np.concatenate([main[0], epi[0]]))
@@ -317,7 +314,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args.parser.set_defaults(**_config_defaults(args))
+            args.parser.set_defaults(**dyngraph.read_json(
+                args.config, None, lambda doc: _config_defaults(args, doc)))
             args = parser.parse_args(argv)
         _check_required(args)
         return args.func(args)

@@ -56,8 +56,8 @@ class GraphError(ValueError):
 class CityGraph:
     """Immutable road network: node coordinates plus undirected edges.
 
-    ``ids[i]`` is the public id of node index ``i``; generated graphs use
-    ids 0..n-1. ``edges`` holds node *indices* with u < v.
+    A node is its position in ``xy``, and ``edges`` holds those positions
+    with u < v.
 
     ``adj[u]`` lists u's arcs ``(head, edge id)`` by ascending head; a move
     out of u is a slot j of it. ``arcs[:, j, u]`` holds the same arc in a
@@ -66,7 +66,6 @@ class CityGraph:
     ``betweenness`` is computed on first use and kept.
     """
 
-    ids: np.ndarray        # (n_nodes,) int
     xy: np.ndarray         # (n_nodes, 2) float, unit square
     edges: np.ndarray      # (n_edges, 2) int node indices, u < v
     length_m: np.ndarray   # (n_edges,) float
@@ -90,7 +89,7 @@ class CityGraph:
         if len({(int(u), int(v)) for u, v in edges}) != len(edges):
             raise GraphError("duplicate undirected edges")
         if edges.size and edges.max() >= len(xy):
-            raise GraphError("edge endpoint out of range")
+            raise GraphError(f"edge end {edges.max()} is not a node 0-{len(xy) - 1}")
         for name in ("length_m", "speed_kmh"):
             values = np.asarray(getattr(self, name), float)
             if values.shape != (len(edges),):
@@ -111,7 +110,6 @@ class CityGraph:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "ids", np.asarray(self.ids, int))
 
     @property
     def n_nodes(self) -> int:
@@ -369,8 +367,7 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     edges_arr = edges_arr[order]
     length = np.linalg.norm(xy[edges_arr[:, 0]] - xy[edges_arr[:, 1]], axis=1) * span_m
     speed = rng.choice(SPEED_CHOICES_KMH, size=len(edges_arr))
-    return CityGraph(ids=np.arange(n), xy=xy, edges=edges_arr,
-                     length_m=length, speed_kmh=speed)
+    return CityGraph(xy=xy, edges=edges_arr, length_m=length, speed_kmh=speed)
 
 
 def pick_exits(graph: CityGraph) -> tuple[int, ...]:
@@ -403,40 +400,32 @@ def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
 
 
 def save_graph(graph: CityGraph, path: str | FilePath) -> None:
+    """Write the graph as JSON; a node's ``id`` is its position in ``nodes``."""
     doc = {
-        "nodes": [
-            {"id": int(i), "x": float(x), "y": float(y)}
-            for i, (x, y) in zip(graph.ids, graph.xy)
-        ],
+        "nodes": [{"id": i, "x": float(x), "y": float(y)} for i, (x, y) in enumerate(graph.xy)],
         "edges": [
-            {"u": int(graph.ids[u]), "v": int(graph.ids[v]),
-             "length_m": float(l), "speed_kmh": float(s)}
+            {"u": int(u), "v": int(v), "length_m": float(l), "speed_kmh": float(s)}
             for (u, v), l, s in zip(graph.edges, graph.length_m, graph.speed_kmh)
         ],
     }
     FilePath(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _graph_from_doc(doc: dict) -> CityGraph:
+    for k, node in enumerate(doc["nodes"]):
+        if node["id"] != k:
+            raise GraphError(f"nodes[{k}].id is {node['id']}, not its position {k}")
+    edges = doc["edges"]
+    return CityGraph(xy=np.array([[n["x"], n["y"]] for n in doc["nodes"]], float),
+                     edges=np.array([sorted((e["u"], e["v"])) for e in edges], int),
+                     length_m=np.array([e["length_m"] for e in edges], float),
+                     speed_kmh=np.array([e["speed_kmh"] for e in edges], float))
+
+
 def load_graph(path: str | FilePath) -> CityGraph:
-    """Read a ``save_graph`` file; ``check_layout`` rejects anything but its layout,
-    and a repeated or unknown node id is a GraphError too."""
-    doc = json.loads(FilePath(path).read_text())
-    check_layout(path, "", doc, _GRAPH_FILE, GraphError)
-    nodes = doc["nodes"]
-    ids = np.array([n["id"] for n in nodes], int)
-    index = {i: k for k, i in enumerate(ids.tolist())}
-    if len(index) < len(ids):
-        repeated = next(i for k, i in enumerate(ids.tolist()) if index[i] != k)
-        raise GraphError(f"{path}: node id {repeated} appears twice")
-    missing = {e[end] for e in doc["edges"] for end in "uv"} - index.keys()
-    if missing:
-        raise GraphError(f"{path}: an edge names node id {min(missing)}, which is not in nodes")
-    xy = np.array([[n["x"], n["y"]] for n in nodes], float)
-    edges = np.array([sorted((index[e["u"]], index[e["v"]])) for e in doc["edges"]],
-                     int).reshape(-1, 2)
-    length = np.array([e["length_m"] for e in doc["edges"]], float)
-    speed = np.array([e["speed_kmh"] for e in doc["edges"]], float)
-    return CityGraph(ids=ids, xy=xy, edges=edges, length_m=length, speed_kmh=speed)
+    """Read a ``save_graph`` file with ``read_json``: a layout error, a node id that is
+    not its position or a ``CityGraph`` error raises GraphError naming the file."""
+    return read_json(path, _GRAPH_FILE, _graph_from_doc, GraphError)
 
 
 def save_scenario(scenario: Scenario, path: str | FilePath) -> None:
@@ -445,11 +434,9 @@ def save_scenario(scenario: Scenario, path: str | FilePath) -> None:
 
 
 def load_scenario(path: str | FilePath) -> Scenario:
-    """Read a ``save_scenario`` file; anything but its layout raises GraphError.
-    A world built from the scenario checks that its nodes are graph nodes."""
-    doc = json.loads(FilePath(path).read_text())
-    check_layout(path, "", doc, _SCENARIO_FILE, GraphError)
-    return Scenario(**doc)
+    """Read a ``save_scenario`` file with ``read_json``: a layout or ``Scenario`` error
+    raises GraphError naming the file. A world checks that its nodes are graph nodes."""
+    return read_json(path, _SCENARIO_FILE, lambda doc: Scenario(**doc), GraphError)
 
 
 # The value kinds that a layout names: the Python types that JSON decoding
@@ -471,18 +458,37 @@ _SCENARIO_FILE = {"epicenter": ["a finite number"], "start": "an integer",
                   "rng_seed": "a non-negative integer", "max_steps": "a non-negative integer"}
 
 
-def check_layout(source, key: str, value, layout, error: type[ValueError]) -> None:
-    """Raise ``error`` naming ``source`` and ``key`` unless JSON ``value`` has ``layout``.
+def read_json(path: str | FilePath, layout, build, error: type[ValueError] = ValueError,
+              lines: bool = False):
+    """The one reader of input files: ``build(doc)`` for the UTF-8 JSON ``doc`` in ``path``,
+    or with ``lines`` a list of them, one per non-blank line. ``doc`` must have
+    ``layout`` (``None`` leaves that to ``build``); a ValueError of any step is
+    raised as ``error`` after ``<path>:`` or ``<path>, line N:``."""
+    built = []
+    with open(path, "rb") as fh:
+        for lineno, chunk in enumerate(fh if lines else [fh.read()], 1):
+            if lines and not chunk.strip():
+                continue
+            try:
+                doc = json.loads(chunk.decode("utf-8"))
+                built.append(build(doc if layout is None else check_layout("", doc, layout)))
+            except ValueError as exc:
+                raise error(f"{path}{f', line {lineno}' if lines else ''}: {exc}") from None
+    return built if lines else built[0]
+
+
+def check_layout(key: str, value, layout):
+    """Return JSON ``value`` if it has ``layout``, else raise ValueError naming ``key``.
 
     A dict is a JSON object with exactly its keys, ``[item]`` a JSON list of
-    items, a tuple a JSON list with one item per entry, a string the name of
-    a value kind in ``_KINDS``, and anything else a value equal to it. Graph,
-    scenario, dataset and checkpoint files and the export sample pass this check.
+    items, a tuple a JSON list with one item per entry, a kind name of
+    ``_KINDS`` a value of that kind, and anything else (another string too) a
+    value equal to it. ``read_json`` runs this check and names the file.
     """
-    if isinstance(layout, str):
+    if isinstance(layout, str) and layout in _KINDS:
         types, lo, hi = _KINDS[layout]
         if type(value) in types and lo <= value <= hi:
-            return
+            return value
         problem = f"is {value!r}, not {layout}"
     elif isinstance(layout, dict):
         if not isinstance(value, dict):
@@ -492,17 +498,17 @@ def check_layout(source, key: str, value, layout, error: type[ValueError]) -> No
                        f"and has the extra keys {sorted(value.keys() - layout.keys())}")
         else:
             for k in layout:
-                check_layout(source, f"{key}.{k}" if key else k, value[k], layout[k], error)
-            return
+                check_layout(f"{key}.{k}" if key else k, value[k], layout[k])
+            return value
     elif isinstance(layout, (list, tuple)):
         exact = isinstance(layout, tuple)
         if isinstance(value, list) and (not exact or len(value) == len(layout)):
             for i, item in enumerate(value):
-                check_layout(source, f"{key}[{i}]", item, layout[i if exact else 0], error)
-            return
+                check_layout(f"{key}[{i}]", item, layout[i if exact else 0])
+            return value
         problem = f"is not a {f'length-{len(layout)} ' if exact else ''}JSON list"
     elif value == layout:
-        return
+        return value
     else:
         problem = f"is {value!r}, not {layout!r}"
-    raise error(f"{source}: {key} {problem}" if key else f"{source} {problem}")
+    raise ValueError(f"{key or 'the document'} {problem}")

@@ -33,7 +33,7 @@ HEAD_SIZE = 6
 WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
-# the layout of one JSON-lines record, for dyngraph.check_layout
+# the layout of one JSON-lines record, for dyngraph.read_json
 _SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
            "scenario_id": "a non-negative integer", "t": "a non-negative integer"}
 
@@ -108,13 +108,15 @@ def build_feature_vector(state: dyngraph.DynamicState, row: int,
 
     Block j describes the arc in slot j of ``graph.adj[current]``; the blocks
     past the node's degree are zero padding, which ``block_mask`` tells apart.
+    A graph with any node of degree over five raises GraphError at every node.
     """
     graph = state.graph
     scenario = state.scenarios[row]
     weights = state.weights[row]
+    if graph.arcs.shape[1] > N_BLOCKS:  # the graph's largest degree
+        node = max(range(graph.n_nodes), key=graph.degree)
+        raise GraphError(f"node {node} has degree {graph.degree(node)} > {N_BLOCKS}")
     arcs = graph.adj[current]
-    if len(arcs) > N_BLOCKS:
-        raise GraphError(f"node {current} has degree {len(arcs)} > {N_BLOCKS}")
     dest = scenario.chosen_exit
     dest_xy = graph.xy[dest]
     cur_xy = graph.xy[current]
@@ -200,26 +202,9 @@ class Dataset:
 
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
-        """Read a ``save_jsonl`` file; ``dyngraph.check_layout`` rejects a line off the
-        record layout, and a label outside 0-4 or on padding is a ValueError too."""
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                where = f"{path}, line {lineno}"
-                try:
-                    doc = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                dyngraph.check_layout(where, "", doc, _SAMPLE, ValueError)
-                features, label = np.array(doc["features"], float), doc["label"]
-                if not 0 <= label < N_BLOCKS:
-                    raise ValueError(f"{where}: label is {label}, not in 0-{N_BLOCKS - 1}")
-                if not block_mask(features)[label]:
-                    raise ValueError(f"{where}: label {label} points at a padding block")
-                rows.append((features, label, doc["scenario_id"], doc["t"]))
-        return Dataset.from_rows(rows)
+        """Read a ``save_jsonl`` file with ``dyngraph.read_json``: a line off the record
+        layout, or labelled outside 0-4 or on padding, raises a ValueError."""
+        return Dataset.from_rows(dyngraph.read_json(path, _SAMPLE, _sample_row, lines=True))
 
     def split(self, val_fraction: float, seed: int):
         """Train/validation split by scenario, so no rollout leaks across.
@@ -232,6 +217,16 @@ class Dataset:
         n_val = max(1, round(val_fraction * len(ids))) if val_fraction and len(ids) > 1 else 0
         val = np.isin(self.scenario_id, ids[:n_val])
         return self[~val], self[val]
+
+
+def _sample_row(doc: dict) -> tuple:
+    """One JSON-lines record as a row in ``COLUMNS`` order."""
+    features, label = np.array(doc["features"], float), doc["label"]
+    if not 0 <= label < N_BLOCKS:
+        raise ValueError(f"label is {label}, not in 0-{N_BLOCKS - 1}")
+    if not block_mask(features)[label]:
+        raise ValueError(f"label {label} points at a padding block")
+    return features, label, doc["scenario_id"], doc["t"]
 
 
 def _scenario_for_index(graph: CityGraph, seed: int, index: int) -> Scenario:

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import features as feat, neural, oracle, qsim
-from .dyngraph import CityGraph, Scenario, check_layout
+from .dyngraph import CityGraph, Scenario, read_json
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
 
@@ -134,20 +134,20 @@ class HybridModel:
 
     @staticmethod
     def load(path: str | FilePath) -> "HybridModel":
-        """Read a ``save`` file; ``dyngraph.check_layout`` rejects anything but the
-        layout that ``save`` writes for the model's shapes with a ValueError."""
-        doc = json.loads(FilePath(path).read_text())
-        if not isinstance(doc, dict) or doc.pop("format", None) != "quakeroute-checkpoint":
-            raise ValueError(f"{path} is not a checkpoint file")
+        """Read a ``save`` file with ``dyngraph.read_json``: anything but the layout that
+        ``save`` writes for the model's shapes and ``format`` tag raises a ValueError."""
         model = HybridModel(seed=0)
         arrays = model._arrays()
-        check_layout(path, "", doc, {"classical_only": "a boolean", "params": {
-            key: {"shape": a.shape, "data": ("a finite float",) * a.size}
-            for key, a in arrays.items()}}, ValueError)
-        model.classical_only = doc["classical_only"]
-        for key, a in arrays.items():
-            a[...] = np.reshape(doc["params"][key]["data"], a.shape)
-        return model
+
+        def build(doc):
+            model.classical_only = doc["classical_only"]
+            for key, a in arrays.items():
+                a[...] = np.reshape(doc["params"][key]["data"], a.shape)
+            return model
+
+        return read_json(path, {"format": "quakeroute-checkpoint", "classical_only": "a boolean",
+                                "params": {key: {"shape": a.shape, "data": ("a finite float",)
+                                                 * a.size} for key, a in arrays.items()}}, build)
 
 
 def hybrid_forward(model: HybridModel, features) -> np.ndarray:

@@ -15,7 +15,7 @@ def make_graph(coords, edges, lengths=None, speeds=None) -> CityGraph:
                                  axis=1) * 2000.0
     if speeds is None:
         speeds = np.full(len(edges), 60.0)
-    return CityGraph(ids=np.arange(len(coords)), xy=coords, edges=edges,
+    return CityGraph(xy=coords, edges=edges,
                      length_m=np.asarray(lengths, float),
                      speed_kmh=np.asarray(speeds, float))
 

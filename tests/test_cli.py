@@ -198,11 +198,14 @@ def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
     ("scenario", ("rng_seed",), -1, "rng_seed"),
     ("scenario", ("max_steps",), 32.9, "max_steps"),
     ("scenario", ("max_steps",), 1e400, "max_steps"),
+    ("graph", ("edges", 0, "v"), 0, "self-loops are not allowed"),  # edge 0 is (0, 4)
+    ("scenario", ("chosen_exit",), 3, "chosen exit must be one of the exits"),
 ])
 def test_env_simulate_rejects_malformed_files(tmp_path, capsys, name, at, value, key):
-    """Graph and scenario files are checked at load: a value of the wrong kind or
-    a wrong layout exits 1 naming the file and the key, never runs on a
-    truncated value and never shows a traceback."""
+    """Graph and scenario files are checked at load: a value of the wrong kind,
+    a wrong layout or a graph or scenario that its class rejects exits 1 naming
+    the file once and the key, never runs on a truncated value and never shows
+    a traceback."""
     paths = {"graph": tmp_path / "g.json", "scenario": tmp_path / "s.json"}
     run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3",
          "--out", str(paths["graph"])])
@@ -225,8 +228,66 @@ def test_env_simulate_rejects_malformed_files(tmp_path, capsys, name, at, value,
     assert run(["env", "simulate", "--graph", str(paths["graph"]), "--scenario",
                 str(paths["scenario"]), "--steps", "2", "--out", str(wpath)]) == 1
     err = capsys.readouterr().err
-    assert str(paths[name]) in err and key in err
+    assert err.count(str(paths[name])) == 1 and key in err
     assert not wpath.exists()
+
+
+@pytest.mark.parametrize("name", ["graph", "scenario", "ckpt", "data", "sample", "config"])
+def test_truncated_input_file_is_named(tmp_path, capsys, name):
+    """Every input file goes through one reader: a JSON syntax error exits 1 and
+    names the file (and, in a JSON-lines file, the line)."""
+    paths = {key: tmp_path / f"{key}.json" for key in
+             ("graph", "scenario", "ckpt", "data", "sample", "config")}
+    graph = dg.synth_city(3, 3, seed=1)
+    dg.save_graph(graph, paths["graph"])
+    dg.save_scenario(dg.random_scenario(graph, np.random.default_rng(0)), paths["scenario"])
+    hy.HybridModel(seed=0).save(paths["ckpt"])
+    ft.generate_dataset(graph, 1, seed=0).save_jsonl(paths["data"])
+    good_line = paths["data"].read_text().splitlines()[0]
+    paths["sample"].write_text(good_line)
+    paths["config"].write_text(json.dumps({"seed": 1}))
+    truncated = '{"nodes": ['
+    paths[name].write_text(good_line + "\n" + truncated if name == "data" else truncated)
+    out = str(tmp_path / "out")
+    argv = {"graph": ["env", "simulate", "--graph", paths["graph"], "--scenario",
+                      paths["scenario"], "--steps", "1"],
+            "scenario": ["env", "simulate", "--graph", paths["graph"], "--scenario",
+                         paths["scenario"], "--steps", "1"],
+            "ckpt": ["eval", "--ckpt", paths["ckpt"], "--graph", paths["graph"],
+                     "--scenarios", "1", "--seed", "0"],
+            "data": ["train", "--data", paths["data"], "--seed", "0"],
+            "sample": ["export-qasm", "--params", paths["ckpt"], "--input", paths["sample"]],
+            "config": ["graph", "synth", "--rows", "3", "--cols", "3",
+                       "--config", paths["config"]]}[name]
+    assert run([str(a) for a in argv] + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    where = f"{paths[name]}, line 2: " if name == "data" else f"{paths[name]}: "
+    assert err == f"error: {where}Expecting value: line 1 column 12 (char 11)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_rejects_a_graph_of_degree_over_five_on_every_seed(tmp_path, capsys):
+    """The feature vector holds five neighbor blocks, so a graph with a node of
+    degree 7 fails at the first decision whatever node a scenario visits;
+    env simulate, which builds no feature vector, still runs on it."""
+    g = dg.synth_city(5, 5, seed=3)
+    far = [v for v in np.argsort(np.linalg.norm(g.xy - g.xy[3], axis=1))
+           if v != 3 and v not in [w for w, _ in g.adj[3]]][:7 - g.degree(3)]
+    edges = np.vstack([g.edges, [sorted((3, int(v))) for v in far]])
+    length = np.linalg.norm(g.xy[edges[:, 0]] - g.xy[edges[:, 1]], axis=1) * 2000.0
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    dense = dg.CityGraph(xy=g.xy, edges=edges[order], length_m=length[order],
+                         speed_kmh=np.append(g.speed_kmh, [30.0] * len(far))[order])
+    assert dense.degree(3) == 7
+    gpath, spath = tmp_path / "g.json", tmp_path / "s.json"
+    dg.save_graph(dense, gpath)
+    for seed in range(6):
+        assert run(["dataset", "generate", "--graph", str(gpath), "--n", "3",
+                    "--seed", str(seed), "--out", str(tmp_path / "d.jsonl")]) == 1
+        assert "node 3 has degree 7 > 5" in capsys.readouterr().err
+    dg.save_scenario(dg.random_scenario(dense, np.random.default_rng(0)), spath)
+    assert run(["env", "simulate", "--graph", str(gpath), "--scenario", str(spath),
+                "--steps", "3", "--out", str(tmp_path / "w.csv")]) == 0
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])

@@ -389,11 +389,21 @@ def test_advance_past_the_budget_equals_a_world_with_a_larger_one():
     assert np.array_equal(spent.weights, roomy.weights)
 
 
+def _shift_node_ids(doc):
+    for node in doc["nodes"]:
+        node["id"] += 100
+    for edge in doc["edges"]:
+        edge["u"] += 100
+        edge["v"] += 100
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["edges"][2].update(v=999), "node id 999, which is not in nodes"),
-    (lambda doc: doc["nodes"][4].update(id=1), "node id 1 appears twice"),
-])
+    (lambda doc: doc["edges"][2].update(v=999), "edge end 999 is not a node 0-8"),
+    (lambda doc: doc["nodes"][4].update(id=1), r"nodes\[4\]\.id is 1, not its position 4"),
+    (_shift_node_ids, r"nodes\[0\]\.id is 100, not its position 0"),
+], ids=["unknown", "repeated", "shifted"])
 def test_graph_rejects_unknown_or_repeated_node_ids(tmp_path, edit, message):
+    """A node id is the node's position in ``nodes``; edges name those positions."""
     path = tmp_path / "g.json"
     dg.save_graph(dg.synth_city(3, 3, seed=2), path)
     doc = json.loads(path.read_text())
@@ -401,4 +411,12 @@ def test_graph_rejects_unknown_or_repeated_node_ids(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(dg.GraphError, match=message) as info:
         dg.load_graph(path)
-    assert str(path) in str(info.value)
+    assert str(info.value).count(str(path)) == 1
+
+
+def test_graph_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"nodes": [], "edges": []\xff}')
+    with pytest.raises(dg.GraphError, match="can't decode byte 0xff") as info:
+        dg.load_graph(path)
+    assert str(info.value).startswith(f"{path}: ")
