@@ -36,39 +36,21 @@ class MiniConfig:
 
     @property
     def n_film_params(self) -> int:
+        """The epicenter section's share of the parameters, which lead the
+        circuit's; ``build_mini_circuit(config).n_params`` counts them all."""
         return 2 * self.sublayers * (self.reuploads + 1)
-
-    @property
-    def n_main_params(self) -> int:
-        return 4
-
-    @property
-    def n_params(self) -> int:
-        return self.n_film_params + self.n_main_params
 
 
 def build_mini_circuit(config: MiniConfig) -> Circuit:
     """Three-qubit diagnostic circuit; features are (x, y, main_0, main_1) raw."""
-    gates: list = []
     qubits = (0, 1)
-    block, p = qsim.entangler_gates(qubits, config.sublayers, 0)
-    gates.extend(block)
+    gates = qsim.entangler_gates(qubits, config.sublayers)
     for _ in range(config.reuploads):
-        gates.append(Rot("z", 0, "feature", 0))
-        gates.append(Rot("z", 1, "feature", 1))
-        block, p = qsim.entangler_gates(qubits, config.sublayers, p)
-        gates.extend(block)
-    gates.append(Rot("y", 2, "param", p)); p += 1
-    gates.append(Rot("z", 2, "feature", 2))
-    gates.append(Rot("y", 2, "param", p)); p += 1
-    gates.append(Rot("z", 2, "feature", 3))
-    gates.append(Rot("y", 2, "param", p)); p += 1
-    gates.append(CNot(0, 2))
-    gates.append(CNot(1, 2))
-    gates.append(Rot("y", 2, "param", p)); p += 1
-    assert p == config.n_params
-    return Circuit(n_qubits=3, gates=tuple(gates), n_params=p, n_features=4,
-                   measured=(0, 1, 2))
+        gates += [Rot("z", 0, 0), Rot("z", 1, 1)]
+        gates += qsim.entangler_gates(qubits, config.sublayers)
+    gates += [Rot("y", 2), Rot("z", 2, 2), Rot("y", 2), Rot("z", 2, 3), Rot("y", 2),
+              CNot(0, 2), CNot(1, 2), Rot("y", 2)]
+    return Circuit(n_qubits=3, gates=tuple(gates), n_features=4, measured=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

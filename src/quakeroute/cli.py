@@ -81,7 +81,7 @@ def _cmd_graph_synth(args) -> int:
 
 def _cmd_env_simulate(args) -> int:
     graph = dyngraph.load_graph(args.graph)
-    scenario = dyngraph.load_scenario(args.scenario)
+    scenario = dyngraph.load_scenario(args.scenario, graph)
     if args.steps < 0:
         raise ValueError(f"--steps must be at least 0, got {args.steps}")
     state = dyngraph.initial_state(graph, [scenario], sigma_frac=args.sigma_frac)

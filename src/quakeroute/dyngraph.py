@@ -178,6 +178,14 @@ def edge_centers(graph: CityGraph) -> np.ndarray:
     return (graph.xy[graph.edges[:, 0]] + graph.xy[graph.edges[:, 1]]) / 2.0
 
 
+def _on_graph(graph: CityGraph, scenario: Scenario) -> Scenario:
+    """``scenario`` if its start and exits are nodes of ``graph``, else GraphError."""
+    if not all(0 <= v < graph.n_nodes for v in (scenario.start, *scenario.exits)):
+        raise GraphError(f"scenario start {scenario.start} and exits {list(scenario.exits)} "
+                         f"must be node indices 0-{graph.n_nodes - 1} of the graph")
+    return scenario
+
+
 class DynamicState:
     """A world of S scenario rows on one graph: (S, E) edge weights, one step counter.
 
@@ -190,11 +198,7 @@ class DynamicState:
     """
 
     def __init__(self, graph: CityGraph, scenarios, base_weights):
-        scenarios = tuple(scenarios)
-        for sc in scenarios:
-            if not all(0 <= v < graph.n_nodes for v in (sc.start, *sc.exits)):
-                raise GraphError(f"scenario start {sc.start} and exits {list(sc.exits)} "
-                                 f"must be node indices 0-{graph.n_nodes - 1} of the graph")
+        scenarios = tuple(_on_graph(graph, sc) for sc in scenarios)
         shape = (len(scenarios), graph.n_edges)
         self.graph = graph
         self.scenarios = scenarios
@@ -433,10 +437,12 @@ def save_scenario(scenario: Scenario, path: str | FilePath) -> None:
     FilePath(path).write_text(json.dumps(asdict(scenario), indent=1) + "\n")
 
 
-def load_scenario(path: str | FilePath) -> Scenario:
-    """Read a ``save_scenario`` file with ``read_json``: a layout or ``Scenario`` error
-    raises GraphError naming the file. A world checks that its nodes are graph nodes."""
-    return read_json(path, _SCENARIO_FILE, lambda doc: Scenario(**doc), GraphError)
+def load_scenario(path: str | FilePath, graph: CityGraph) -> Scenario:
+    """Read a ``save_scenario`` file of ``graph`` with ``read_json``: a layout or
+    ``Scenario`` error, or a start or exit that is not a node of ``graph``, raises
+    GraphError naming the file."""
+    return read_json(path, _SCENARIO_FILE, lambda doc: _on_graph(graph, Scenario(**doc)),
+                     GraphError)
 
 
 # The value kinds that a layout names: the Python types that JSON decoding
@@ -462,8 +468,9 @@ def read_json(path: str | FilePath, layout, build, error: type[ValueError] = Val
               lines: bool = False):
     """The one reader of input files: ``build(doc)`` for the UTF-8 JSON ``doc`` in ``path``,
     or with ``lines`` a list of them, one per non-blank line. ``doc`` must have
-    ``layout`` (``None`` leaves that to ``build``); a ValueError of any step is
-    raised as ``error`` after ``<path>:`` or ``<path>, line N:``."""
+    ``layout`` (``None`` leaves that to ``build``); a ValueError of any step, or
+    nesting too deep to parse, is raised as ``error`` after ``<path>:`` or
+    ``<path>, line N:``."""
     built = []
     with open(path, "rb") as fh:
         for lineno, chunk in enumerate(fh if lines else [fh.read()], 1):
@@ -472,7 +479,7 @@ def read_json(path: str | FilePath, layout, build, error: type[ValueError] = Val
             try:
                 doc = json.loads(chunk.decode("utf-8"))
                 built.append(build(doc if layout is None else check_layout("", doc, layout)))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise error(f"{path}{f', line {lineno}' if lines else ''}: {exc}") from None
     return built if lines else built[0]
 

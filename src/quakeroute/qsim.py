@@ -4,10 +4,12 @@ The circuit has a two-qubit section that re-uploads the epicenter coordinates
 and a five-qubit section that encodes the remaining features subvector by
 subvector, each interlaced with entangler layers; the sections are joined by
 a CNOT bridge and a final entangler before Z measurements of the five main
-qubits. The generic engine (``run``) applies one gate at a time to a batch
-of states, with parameters (..., n_params) broadcast against features
-(..., n_features), and takes exact two-term parameter-shift gradients in one
-run: every shifted setting is a row of the batch. The training kernel
+qubits. A rotation either encodes a feature or is trainable, and the k-th
+trainable rotation of a circuit turns by ``params[k]``. The generic engine
+(``run``) applies one gate at a time to a batch of states, with parameters
+(..., n_params) broadcast against features (..., n_features), and takes
+exact two-term parameter-shift gradients in one run: every shifted
+parameter vector is a row of the batch. The training kernel
 (``ModelKernel``) compiles each feature-free run of gates into one unitary,
 built from whole layers of RX gates, and takes adjoint gradients one layer at
 a time from the states of its last forward, with parameter-shift as its
@@ -36,25 +38,24 @@ class CircuitError(ValueError):
 
 
 class BindingError(ValueError):
-    """A feature or parameter slot was left unbound at export/run time."""
+    """Features or parameters were left unbound at export/run time."""
 
 
 @dataclass(frozen=True)
 class Rot:
-    """Single-qubit rotation; angle = scale * source[index] + offset."""
+    """Single-qubit rotation by ``scale * features[feature]``; one without a
+    feature is trainable, and turns by its own entry of the parameters."""
 
     axis: str                 # "x" | "y" | "z"
     qubit: int
-    src: str = "const"        # "param" | "feature" | "const"
-    index: int = -1
+    feature: int | None = None
     scale: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise CircuitError(f"unknown rotation axis {self.axis!r}")
-        if self.src not in ("param", "feature", "const"):
-            raise CircuitError(f"unknown angle source {self.src!r}")
+        if self.feature is None and self.scale != 1.0:
+            raise CircuitError(f"a trainable rotation takes no scale, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,10 @@ class CNot:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list with parameter/feature slots and the measured qubits."""
+    """Gate list, its number of features and the measured qubits."""
 
     n_qubits: int
     gates: tuple
-    n_params: int
     n_features: int
     measured: tuple[int, ...]
 
@@ -83,15 +83,17 @@ class Circuit:
             for q in qubits:
                 if not 0 <= q < self.n_qubits:
                     raise CircuitError(f"qubit {q} out of range")
-            if isinstance(g, Rot) and g.src == "param":
-                if not 0 <= g.index < self.n_params:
-                    raise CircuitError(f"parameter slot {g.index} out of range")
-            if isinstance(g, Rot) and g.src == "feature":
-                if not 0 <= g.index < self.n_features:
-                    raise CircuitError(f"feature slot {g.index} out of range")
+            if isinstance(g, Rot) and g.feature is not None:
+                if not 0 <= g.feature < self.n_features:
+                    raise CircuitError(f"feature {g.feature} out of range")
         for q in self.measured:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"measured qubit {q} out of range")
+
+    @property
+    def n_params(self) -> int:
+        """The number of trainable rotations, one parameter each."""
+        return sum(isinstance(g, Rot) and g.feature is None for g in self.gates)
 
     def census(self) -> dict[str, int]:
         counts = {"rx": 0, "ry": 0, "rz": 0, "cx": 0}
@@ -141,13 +143,19 @@ def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
     return np.where(cbit == 1, idx ^ (1 << (n - 1 - target)), idx)
 
 
-def _gate_angle(gate: Rot, params, features):
-    if gate.src == "const":
-        return gate.offset
-    if gate.src == "feature" and features is None:
-        raise BindingError(f"feature slot {gate.index} is unbound")
-    source = params if gate.src == "param" else np.asarray(features)
-    return gate.scale * source[..., gate.index] + gate.offset
+def _angles(circuit: Circuit, params, features):
+    """Each gate with its angle (None for a CNOT): the k-th trainable rotation
+    turns by params[..., k], an encoding by scale * features[..., feature]."""
+    trainable = iter(np.moveaxis(params, -1, 0))
+    for g in circuit.gates:
+        if isinstance(g, CNot):
+            yield g, None
+        elif g.feature is None:
+            yield g, next(trainable)
+        elif features is None:
+            raise BindingError(f"feature {g.feature} is unbound")
+        else:
+            yield g, g.scale * features[..., g.feature]
 
 
 def run(circuit: Circuit, params, features=None) -> np.ndarray:
@@ -167,11 +175,11 @@ def run(circuit: Circuit, params, features=None) -> np.ndarray:
             raise CircuitError(f"parameters {params.shape} and features {features.shape} "
                                "do not broadcast") from None
     state, n = zero_state(circuit.n_qubits, batch), circuit.n_qubits
-    for g in circuit.gates:
+    for g, angle in _angles(circuit, params, features):
         if isinstance(g, CNot):
             state = state[..., _cx_perm(n, g.control, g.target)]
         else:
-            state = _apply_rot(state, n, g.qubit, g.axis, _gate_angle(g, params, features))
+            state = _apply_rot(state, n, g.qubit, g.axis, angle)
     return state
 
 
@@ -249,18 +257,15 @@ class ModelConfig:
         return self.n_film_params + self.n_main_params + self.n_final_params
 
 
-def entangler_gates(qubits: tuple[int, ...], sublayers: int, first_param: int):
-    """Gates of one entangler block; returns (gates, next_param_index)."""
+def entangler_gates(qubits: tuple[int, ...], sublayers: int) -> list:
+    """Gates of one entangler block: per sublayer a trainable RX on each qubit,
+    then a ring of CNOTs."""
     gates: list = []
-    p = first_param
     for _ in range(sublayers):
-        for q in qubits:
-            gates.append(Rot("x", q, "param", p))
-            p += 1
+        gates.extend(Rot("x", q) for q in qubits)
         if len(qubits) > 1:
-            for i, q in enumerate(qubits):
-                gates.append(CNot(q, qubits[(i + 1) % len(qubits)]))
-    return gates, p
+            gates.extend(CNot(q, qubits[(i + 1) % len(qubits)]) for i, q in enumerate(qubits))
+    return gates
 
 
 def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
@@ -269,34 +274,26 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
     The epicenter section on the film qubits runs an entangler, then
     ``reuploads`` x [Z encodings of x_epi and y_epi, entangler]. The main
     section runs an entangler, then one [Z-encoded subvector, entangler] per
-    subvector; missing trailing features encode as zero padding. Bridge CNOTs
+    subvector; a qubit past the last feature gets no encoding. Bridge CNOTs
     from every film qubit to every main qubit and a final entangler over the
-    main qubits close the circuit.
+    main qubits close the circuit. The trainable RX gates read the
+    parameters in gate order: film, main, then final.
     """
     film = tuple(range(config.film_qubits))
     main = tuple(range(config.film_qubits, config.n_qubits))
-    gates, p = entangler_gates(film, config.sublayers, 0)
+    gates = entangler_gates(film, config.sublayers)
     for _ in range(config.reuploads):
-        for q, f in zip(film, (N_MAIN_FEATURES, N_MAIN_FEATURES + 1)):
-            gates.append(Rot("z", q, "feature", f, scale=FEATURE_SCALE))
-        block, p = entangler_gates(film, config.sublayers, p)
-        gates.extend(block)
-    block, p = entangler_gates(main, config.sublayers, p)
-    gates.extend(block)
+        gates += [Rot("z", q, f, FEATURE_SCALE)
+                  for q, f in zip(film, (N_MAIN_FEATURES, N_MAIN_FEATURES + 1))]
+        gates += entangler_gates(film, config.sublayers)
+    gates += entangler_gates(main, config.sublayers)
     for l in range(config.subvectors):
-        for t, q in enumerate(main):
-            f = l * len(main) + t
-            if f < N_MAIN_FEATURES:
-                gates.append(Rot("z", q, "feature", f, scale=FEATURE_SCALE))
-            else:
-                gates.append(Rot("z", q, "const", offset=0.0))
-        block, p = entangler_gates(main, config.sublayers, p)
-        gates.extend(block)
-    gates.extend(CNot(c, t) for c in film for t in main)
-    block, p = entangler_gates(main, config.sublayers, p)
-    gates.extend(block)
-    assert p == config.n_params
-    return Circuit(n_qubits=config.n_qubits, gates=tuple(gates), n_params=p,
+        gates += [Rot("z", q, f, FEATURE_SCALE)
+                  for f, q in enumerate(main, l * len(main)) if f < N_MAIN_FEATURES]
+        gates += entangler_gates(main, config.sublayers)
+    gates += [CNot(c, t) for c in film for t in main]
+    gates += entangler_gates(main, config.sublayers)
+    return Circuit(n_qubits=config.n_qubits, gates=tuple(gates),
                    n_features=N_MAIN_FEATURES + N_EPI_FEATURES, measured=main)
 
 
@@ -305,40 +302,30 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
 
 
 def _shift(circuit: Circuit, params, features, outputs, index: int | None):
-    """Parameter-shift derivatives of ``outputs(state)`` in one run: each gate of
-    parameter ``index`` (of all of them for None) reads its angle from a slot of
-    its own, and rows j and K + j shift slot j by +pi/2 and -pi/2. A parameter
-    sums its gates' terms times their scales; None stacks all parameters."""
+    """Parameter-shift derivatives of ``outputs(state)`` in one run: rows j and
+    P + j move parameter j (only ``index`` unless it is None) by +pi/2 and
+    -pi/2, and half their difference is its derivative; None stacks them all."""
     params = np.asarray(params, float)
     p = circuit.n_params
     if params.shape != (p,):
         raise CircuitError(f"expected {p} parameters, got {params.shape}")
     if index is not None and not 0 <= index < p:
         raise CircuitError(f"parameter index {index} out of range")
-    gates, shifted = list(circuit.gates), []
-    for pos, g in enumerate(gates):
-        if isinstance(g, Rot) and g.src == "param" and index in (None, g.index):
-            gates[pos] = Rot(g.axis, g.qubit, "param", p + len(shifted))
-            shifted.append(g)
-    k = len(shifted)
-    slots = np.concatenate([params, [_gate_angle(g, params, None) for g in shifted]])
-    eye = np.pi / 2 * np.eye(k)
-    slots = slots + np.concatenate([np.zeros((2, k, p)), [eye, -eye]], axis=-1)
+    shifts = np.pi / 2 * np.eye(p)[slice(None) if index is None else [index]]
     batch = () if features is None else np.shape(features)[:-1]
-    plus, minus = outputs(run(
-        Circuit(circuit.n_qubits, tuple(gates), p + k, circuit.n_features, circuit.measured),
-        slots.reshape((2, k) + (1,) * len(batch) + (p + k,)), features))
-    scales = np.reshape([g.scale for g in shifted], (k,) + (1,) * (plus.ndim - 1))
-    grad = np.zeros((p,) + plus.shape[1:])
-    np.add.at(grad, np.array([g.index for g in shifted], int), scales * (plus - minus) / 2.0)
-    return grad if index is None else grad[index]
+    rows = params + np.stack([shifts, -shifts])
+    plus, minus = outputs(run(circuit, rows.reshape(rows.shape[:2] + (1,) * len(batch) + (p,)),
+                              features))
+    grad = (plus - minus) / 2.0
+    return grad if index is None else grad[0]
 
 
 def param_shift_grad(circuit: Circuit, params, features=None, index: int | None = None):
-    """Exact gradient of the measured-qubit Z expectations.
+    """Exact gradient of the measured-qubit Z expectations: the two-term shift
+    rule moves the parameter vector itself.
 
     For one index returns (..., n_measured); for index=None the full Jacobian
-    stacked over parameters. Shared parameter slots sum their shift terms.
+    stacked over parameters.
     """
     return _shift(circuit, params, features, lambda s: measured_expectations(circuit, s), index)
 
@@ -353,7 +340,7 @@ def prob_grad(circuit: Circuit, params, features=None, index: int | None = None)
 
 
 def export_qasm3(circuit: Circuit, params, features=None) -> str:
-    """OpenQASM 3.0 text with every slot bound to a concrete angle."""
+    """OpenQASM 3.0 text with every rotation bound to a concrete angle."""
     params = np.asarray(params, float)
     if params.shape != (circuit.n_params,):
         raise BindingError(f"expected {circuit.n_params} bound parameters")
@@ -371,12 +358,11 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
         f"qubit[{circuit.n_qubits}] q;",
         f"bit[{len(circuit.measured)}] c;",
     ]
-    for g in circuit.gates:
+    for g, angle in _angles(circuit, params, features):
         if isinstance(g, CNot):
             lines.append(f"cx q[{g.control}], q[{g.target}];")
         else:
-            angle = float(_gate_angle(g, params, features))
-            lines.append(f"r{g.axis}({angle!r}) q[{g.qubit}];")
+            lines.append(f"r{g.axis}({float(angle)!r}) q[{g.qubit}];")
     for k, q in enumerate(circuit.measured):
         lines.append(f"c[{k}] = measure q[{q}];")
     return "\n".join(lines) + "\n"
@@ -391,33 +377,32 @@ def _support(gate) -> set[int]:
 
 
 class _Section:
-    """Gates on qubits ``first`` to ``first + k - 1``, run on (rows, 2**k) states.
+    """Gates on qubits ``first`` to ``first + k - 1``, run on (rows, 2**k) states,
+    whose trainable rotations read ``params[start:]`` in gate order.
 
-    A run of Z encodings (feature or constant angles) is a per-sample phase
-    vector exp(-i/2 * angles @ zsigns). Any other run is a block of RX
-    parameters and CNOTs, compiled into one unitary. Its RX gates fall into
-    layers: consecutive RX on distinct qubits, closed by a CNOT or by a second
-    RX on one of the layer's qubits. A layer is one unitary,
+    A run of Z encodings is a per-sample phase vector exp(-i/2 * angles @ zsigns).
+    Any other run is a block of RX parameters and CNOTs, compiled into one
+    unitary. Its RX gates fall into layers: consecutive RX on distinct qubits,
+    closed by a CNOT or by a second RX on one of the layer's qubits. A layer is
+    one unitary,
     R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
     with t_q = 0 on the qubits it leaves alone; a run of CNOTs is one row
     permutation.
     """
 
-    def __init__(self, gates, first: int, k: int):
+    def __init__(self, gates, first: int, k: int, start: int):
         self.k, self.dim = k, 1 << k
         self.runs = []  # (is encoding, index of its phase vector or block)
         self.steps = []  # per block, in order: a layer's index or a CNOT run's permutation
-        enc = []  # per encoding run: (features and 1, k) -> each qubit's angle
-        layers = []  # per layer: {local qubit: its RX gate}
+        enc = []  # per encoding run: (features, k) -> each qubit's angle
+        layers = []  # per layer: the local qubits of its RX gates, in gate order
         for encoding, run in groupby(gates, lambda g: isinstance(g, Rot)
-                                     and g.axis == "z" and g.src != "param"):
+                                     and g.axis == "z" and g.feature is not None):
             self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
             if encoding:
-                enc.append(np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES + 1, k)))
+                enc.append(np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES, k)))
                 for g in run:
-                    if g.src == "feature":
-                        enc[-1][g.index, g.qubit - first] += g.scale
-                    enc[-1][-1, g.qubit - first] += g.offset
+                    enc[-1][g.feature, g.qubit - first] += g.scale
                 continue
             steps = []
             for g in run:
@@ -426,33 +411,29 @@ class _Section:
                     if steps and not isinstance(steps[-1], int):  # one permutation per CNOT run
                         perm = steps.pop()[perm]
                     steps.append(perm)
-                elif g.axis == "x" and g.src == "param":
+                elif g.axis == "x" and g.feature is None:
                     if not steps or not isinstance(steps[-1], int) or g.qubit - first in layers[-1]:
                         steps.append(len(layers))
-                        layers.append({})
-                    layers[-1][g.qubit - first] = g
+                        layers.append([])
+                    layers[-1].append(g.qubit - first)
                 else:
                     raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
             self.steps.append(steps)
-        w = np.concatenate(enc or [np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES + 1, 0))], 1)
-        self._enc_w, self._enc_w0 = w[:-1], w[-1]
+        self._enc_w = np.concatenate(enc or [np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES, 0))], 1)
         rows = np.arange(self.dim)
         self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
         self._xor = rows[:, None] ^ rows  # R[i, j] reads flip pattern i ^ j
         self._flips = rows ^ (1 << (k - 1 - np.arange(k)))[:, None]  # X_q as (k, 2**k) rows
-        # each RX gate's (layer, qubit) position and angle = scale * params[index] + offset
+        # each RX gate's (layer, qubit) position, in gate order
         at = [(l, q) for l, layer in enumerate(layers) for q in layer]
-        rx = [layers[l][q] for l, q in at]
         self._at = tuple(np.array(at, int).reshape(-1, 2).T)
-        self._index = np.array([g.index for g in rx], int)
-        self._scale = np.array([g.scale for g in rx])
-        self._offset = np.array([g.offset for g in rx])
+        self.params = slice(start, start + len(at))
         self._n_layers = len(layers)
 
     def phases(self, x) -> np.ndarray:
         """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``: each
         basis state's phase is the product of its qubits' exp(-/+ i/2 angle)."""
-        angles = (x @ self._enc_w + self._enc_w0).reshape(len(x), -1, self.k, 1)
+        angles = (x @ self._enc_w).reshape(len(x), -1, self.k, 1)
         bit0 = np.exp(-0.5j * angles)  # each qubit's phase on |0>; |1> takes the conjugate
         pair = np.concatenate([bit0, bit0.conj()], axis=-1)
         return pair[:, :, np.arange(self.k)[:, None], self._bits].prod(axis=2)
@@ -462,7 +443,7 @@ class _Section:
         parameters. All layers come from one expression: each layer's value on
         every flip pattern, gathered through the i ^ j table."""
         half = np.zeros((self._n_layers, self.k))
-        half[self._at] = (self._scale * params[self._index] + self._offset) / 2.0
+        half[self._at] = params[self.params] / 2.0
         pair = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # bit of i^j: 0, 1
         values = pair[:, np.arange(self.k)[:, None], self._bits].prod(axis=1)
         self.layers = values[:, self._xor]
@@ -500,7 +481,7 @@ class _Section:
                     reads[step] = y[self._flips, rows].sum(-1).imag
                 else:
                     y = y[step][:, step]
-        np.add.at(grad, self._index, self._scale * reads[self._at])
+        grad[self.params] += reads[self._at]
         return lam
 
 
@@ -528,8 +509,10 @@ class ModelKernel:
         self._bridge = np.arange(1 << n)
         for g in bridge:
             self._bridge = self._bridge[_cx_perm(n, g.control, g.target)]
-        self._sections = (_Section(self.film_gates, 0, f), _Section(self.main_gates, f, m),
-                          _Section(final, f, m))
+        film_section = _Section(self.film_gates, 0, f, 0)
+        main_section = _Section(self.main_gates, f, m, film_section.params.stop)
+        self._sections = (film_section, main_section,
+                          _Section(final, f, m, main_section.params.stop))
         self._zsigns = np.stack([_z_signs(n, q) for q in circuit.measured])
         self._compiled_for = None  # a copy of the parameters the blocks were compiled for
         self._forward = None  # the last forward: (rows, film, main, final, phases)

@@ -171,35 +171,37 @@ def _kron_chain(ops) -> np.ndarray:
     return out
 
 
-def gate_matrix(gate, n: int, params, features) -> np.ndarray:
-    eye = np.eye(2)
-    if isinstance(gate, CNot):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ops0 = [eye] * n
-        ops0[gate.control] = p0
-        ops1 = [eye] * n
-        ops1[gate.control] = p1
-        ops1[gate.target] = x
-        return _kron_chain(ops0) + _kron_chain(ops1)
-    if gate.src == "const":
-        theta = gate.offset
-    elif gate.src == "param":
-        theta = gate.scale * params[gate.index] + gate.offset
-    else:
-        theta = gate.scale * features[gate.index] + gate.offset
-    ops = [eye] * n
-    ops[gate.qubit] = _rot_matrix(gate.axis, float(theta))
-    return _kron_chain(ops)
+def gate_matrices(circuit: Circuit, params, features=None):
+    """Each gate's dense 2^n x 2^n matrix in turn. The trainable rotations are
+    numbered here, in gate order: the k-th turns by params[k]."""
+    n, eye, k = circuit.n_qubits, np.eye(2), 0
+    for gate in circuit.gates:
+        if isinstance(gate, CNot):
+            p0 = np.diag([1.0, 0.0])
+            p1 = np.diag([0.0, 1.0])
+            x = np.array([[0.0, 1.0], [1.0, 0.0]])
+            ops0 = [eye] * n
+            ops0[gate.control] = p0
+            ops1 = [eye] * n
+            ops1[gate.control] = p1
+            ops1[gate.target] = x
+            yield _kron_chain(ops0) + _kron_chain(ops1)
+            continue
+        if gate.feature is None:
+            theta = params[k]
+            k += 1
+        else:
+            theta = gate.scale * features[gate.feature]
+        ops = [eye] * n
+        ops[gate.qubit] = _rot_matrix(gate.axis, float(theta))
+        yield _kron_chain(ops)
 
 
 def circuit_unitary(circuit: Circuit, params, features=None) -> np.ndarray:
     """Full 2^n x 2^n unitary assembled gate by gate via Kronecker products."""
-    dim = 1 << circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        u = gate_matrix(gate, circuit.n_qubits, params, features) @ u
+    u = np.eye(1 << circuit.n_qubits, dtype=complex)
+    for m in gate_matrices(circuit, params, features):
+        u = m @ u
     return u
 
 
@@ -207,8 +209,8 @@ def oracle_state(circuit: Circuit, params, features=None) -> np.ndarray:
     """|0...0> carried through the dense matrix of each gate in turn."""
     ket = np.zeros(1 << circuit.n_qubits, dtype=complex)
     ket[0] = 1.0
-    for gate in circuit.gates:
-        ket = gate_matrix(gate, circuit.n_qubits, params, features) @ ket
+    for m in gate_matrices(circuit, params, features):
+        ket = m @ ket
     return ket
 
 

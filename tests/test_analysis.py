@@ -10,25 +10,20 @@ def test_mini_config_counts():
         for k in (1, 2, 3):
             cfg = an.MiniConfig(sublayers=n, reuploads=k)
             assert cfg.n_film_params == 2 * n * (k + 1)
-            assert cfg.n_params == cfg.n_film_params + 4
             circ = an.build_mini_circuit(cfg)
             assert circ.n_qubits == 3
-            assert circ.n_params == cfg.n_params
+            assert circ.n_params == cfg.n_film_params + 4
     with pytest.raises(ValueError):
         an.MiniConfig(sublayers=0, reuploads=1)
 
 
 def test_fourier_one_frequency_hand_circuit():
     """RY(pi/2) RZ(x) RY(pi/2) gives <Z> = -cos x, i.e. c_{+-1} = -1/2."""
-    circ = qs.Circuit(1, (
-        qs.Rot("y", 0, "const", offset=np.pi / 2),
-        qs.Rot("z", 0, "feature", 0),
-        qs.Rot("y", 0, "const", offset=np.pi / 2),
-    ), 0, 1, measured=(0,))
+    circ = qs.Circuit(1, (qs.Rot("y", 0), qs.Rot("z", 0, 0), qs.Rot("y", 0)), 1, measured=(0,))
     d = 1
     m = 2 * d + 1
     xs = 2 * np.pi * np.arange(m) / m
-    f = np.array([float(qs.expectation_z(qs.run(circ, [], np.array([x])), 0))
+    f = np.array([float(qs.expectation_z(qs.run(circ, [np.pi / 2] * 2, np.array([x])), 0))
                   for x in xs])
     omegas = np.arange(-d, d + 1)
     dft = np.exp(1j * np.outer(omegas, xs)) / m
@@ -111,15 +106,14 @@ def test_fisher_rank_pattern():
 
 
 def test_fisher_inert_parameter_row_is_zero():
-    """A parameter entering as a rotation immediately undone by its inverse
-    contributes nothing: its Fisher row and column vanish."""
+    """A parameter whose rotation only turns the global phase, an RZ on a qubit
+    still in |0>, contributes nothing: its Fisher row and column vanish."""
     circ = qs.Circuit(2, (
-        qs.Rot("y", 0, "param", 0),
-        qs.Rot("x", 1, "param", 1),
-        qs.Rot("x", 1, "param", 1, scale=-1.0),
+        qs.Rot("y", 0),
+        qs.Rot("z", 1),
         qs.CNot(0, 1),
-        qs.Rot("y", 1, "param", 2),
-    ), 3, 1, measured=(0, 1))
+        qs.Rot("y", 1),
+    ), 1, measured=(0, 1))
     rng = np.random.default_rng(5)
     f = np.zeros((3, 3))
     for _ in range(4):
@@ -176,6 +170,6 @@ def test_block_ratio_on_mini_circuit():
     cfg = an.MiniConfig(sublayers=1, reuploads=2)
     res = an.fisher_matrix(cfg, n_x=8, n_theta=4,
                            rng=np.random.default_rng(9), include_main=True)
-    assert res.matrix.shape == (cfg.n_params,) * 2
+    assert res.matrix.shape == (an.build_mini_circuit(cfg).n_params,) * 2
     ratio = an.block_ratio(res.matrix, cfg.n_film_params)
     assert ratio >= 0.0

@@ -184,7 +184,9 @@ def test_env_simulate_rejects_exit_outside_graph(tmp_path, capsys, exit_):
     wpath = tmp_path / "weights.csv"
     assert run(["env", "simulate", "--graph", str(gpath), "--scenario",
                 str(spath), "--steps", "5", "--out", str(wpath)]) == 1
-    assert "node indices 0-15" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spath}: ") and err.count(str(spath)) == 1
+    assert "node indices 0-15" in err and str(gpath) not in err
 
 
 @pytest.mark.parametrize("name, at, value, key", [
@@ -266,6 +268,30 @@ def test_truncated_input_file_is_named(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["graph", "data"])
+def test_deeply_nested_input_file_is_named(tmp_path, capsys, name):
+    """JSON nested too deeply to parse is a bad input like a syntax error: exit 1
+    naming the file (and the line of a JSON-lines file), no traceback."""
+    graph = dg.synth_city(3, 3, seed=1)
+    paths = {"graph": tmp_path / "graph.json", "scenario": tmp_path / "scenario.json",
+             "data": tmp_path / "data.jsonl"}
+    dg.save_graph(graph, paths["graph"])
+    dg.save_scenario(dg.random_scenario(graph, np.random.default_rng(0)), paths["scenario"])
+    ft.generate_dataset(graph, 1, seed=0).save_jsonl(paths["data"])
+    deep = "[" * 100_000
+    good_line = paths["data"].read_text().splitlines()[0]
+    paths[name].write_text(good_line + "\n" + deep if name == "data" else deep)
+    argv = {"graph": ["env", "simulate", "--graph", paths["graph"], "--scenario",
+                      paths["scenario"], "--steps", "1"],
+            "data": ["train", "--data", paths["data"], "--seed", "0"]}[name]
+    out = tmp_path / "out"
+    assert run([str(a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    where = f"{paths[name]}, line 2: " if name == "data" else f"{paths[name]}: "
+    assert err.startswith(f"error: {where}") and "recursion" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_model_rejects_a_graph_of_degree_over_five_on_every_seed(tmp_path, capsys):
     """The feature vector holds five neighbor blocks, so a graph with a node of
     degree 7 fails at the first decision whatever node a scenario visits;
@@ -303,7 +329,9 @@ def test_bad_sigma_frac_is_a_domain_error(tmp_path, capsys, sigma):
                  ["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
                   "--seed", "0"]):
         assert run(argv + ["--sigma-frac", sigma, "--out", out]) == 1
-        assert "sigma_frac must be finite and non-negative" in capsys.readouterr().err
+        # a bad option names no input file
+        assert capsys.readouterr().err.startswith(
+            "error: sigma_frac must be finite and non-negative")
 
 
 def test_env_simulate_rejects_negative_steps(tmp_path, capsys):

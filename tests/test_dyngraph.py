@@ -341,7 +341,7 @@ def test_graph_and_scenario_files_roundtrip(tmp_path):
     sc = dg.random_scenario(g, np.random.default_rng(4))
     spath = tmp_path / "s.json"
     dg.save_scenario(sc, spath)
-    assert dg.load_scenario(spath) == sc
+    assert dg.load_scenario(spath, g) == sc
 
 
 @pytest.mark.parametrize("sigma_frac", [np.nan, np.inf, -0.5])

@@ -11,29 +11,29 @@ import quakeroute.qsim as qs
 from helpers import circuit_unitary, oracle_expectations, oracle_state
 
 
-def _one_circuit(n, gates, n_params=0):
-    return qs.Circuit(n, tuple(gates), n_params, 0, measured=tuple(range(n)))
+def _one_circuit(n, gates):
+    return qs.Circuit(n, tuple(gates), 0, measured=tuple(range(n)))
 
 
 def _film_circuit():
-    """The model's epicenter section as a circuit on its two qubits."""
-    return qs.Circuit(2, qs.ModelKernel().film_gates, 228, 36, measured=(0, 1))
+    """The model's epicenter section as a circuit on its two qubits; its
+    trainable rotations read the first 48 of the model's 228 parameters."""
+    return qs.Circuit(2, qs.ModelKernel().film_gates, 36, measured=(0, 1))
 
 
 def test_apply_gate_rx_expectation():
+    circ = _one_circuit(1, [qs.Rot("x", 0)])
     for theta in (0.0, 0.3, 1.2, np.pi / 2):
-        circ = _one_circuit(1, [qs.Rot("x", 0, "const", offset=theta)])
-        state = qs.run(circ, [])
+        state = qs.run(circ, [theta])
         assert qs.expectation_z(state, 0) == pytest.approx(
             math.cos(theta), abs=1e-12)
 
 
 def test_apply_gate_cnot_and_rz():
-    circ = _one_circuit(2, [qs.Rot("x", 0, "const", offset=np.pi),  # |10>
-                            qs.CNot(0, 1)])
-    probs = qs.probabilities(qs.run(circ, []))
+    circ = _one_circuit(2, [qs.Rot("x", 0), qs.CNot(0, 1)])
+    probs = qs.probabilities(qs.run(circ, [np.pi]))  # RX(pi) makes |10>
     assert probs[0b11] == pytest.approx(1.0, abs=1e-12)
-    rz = qs.run(_one_circuit(1, [qs.Rot("z", 0, "const", offset=0.77)]), [])
+    rz = qs.run(_one_circuit(1, [qs.Rot("z", 0)]), [0.77])
     assert abs(rz[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -42,10 +42,15 @@ def test_cnot_same_control_target_rejected():
         qs.CNot(1, 1)
 
 
+def test_trainable_rotation_with_a_scale_rejected():
+    with pytest.raises(qs.CircuitError, match="trainable"):
+        qs.Rot("x", 0, scale=2.0)
+    assert qs.Rot("z", 0, 3, scale=2.0).scale == 2.0  # an encoding may scale its feature
+
+
 def test_bel_layer_identity_and_param_count():
-    gates, p = qs.entangler_gates((0, 1), 4, 0)
-    assert p == 8  # 4 sublayers x 2 qubits
-    circ = _one_circuit(2, gates, p)
+    circ = _one_circuit(2, qs.entangler_gates((0, 1), 4))
+    assert circ.n_params == 8  # 4 sublayers x 2 qubits
     assert qs.run(circ, np.zeros(8))[0] == pytest.approx(1.0)
     with pytest.raises(qs.CircuitError):
         qs.run(circ, np.zeros(7))
@@ -54,19 +59,19 @@ def test_bel_layer_identity_and_param_count():
 def test_bel_layer_matches_matrix_oracle():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(-np.pi, np.pi, 12)  # 4 sublayers x 3 qubits
-    gates, _ = qs.entangler_gates((0, 1, 2), 4, 0)
-    circ = _one_circuit(3, gates, 12)
+    circ = _one_circuit(3, qs.entangler_gates((0, 1, 2), 4))
     want = oracle_state(circ, thetas)
     assert np.allclose(qs.run(circ, thetas), want, atol=1e-12)
 
 
 def test_film_section_basics():
     circ = _film_circuit()
-    assert sum(isinstance(g, qs.Rot) and g.src == "param" for g in circ.gates) == 48
-    out = qs.run(circ, np.zeros(228), np.zeros(36))
+    assert sum(isinstance(g, qs.Rot) and g.feature is None for g in circ.gates) == 48
+    assert circ.n_params == 48
+    out = qs.run(circ, np.zeros(48), np.zeros(36))
     assert out[0] == pytest.approx(1.0)
     with pytest.raises(qs.CircuitError):
-        qs.run(circ, np.zeros(227), np.zeros(36))
+        qs.run(circ, np.zeros(47), np.zeros(36))
 
 
 def test_film_section_output_is_low_degree_trig_poly():
@@ -92,16 +97,28 @@ def test_main_section_basics_and_padding():
     main = set(circ.measured)
     enc = [g for g in circ.gates
            if isinstance(g, qs.Rot) and g.axis == "z" and g.qubit in main]
-    assert len(enc) == 35  # 7 subvectors x 5 qubits
-    assert sum(1 for g in enc if g.src == "const") == 1  # one zero pad
-    assert sorted(g.index for g in enc if g.src == "feature") == list(range(34))
+    # 7 subvectors x 5 qubits, less the one slot past the last feature: no padding gate
+    assert len(enc) == 34
+    assert [g.feature for g in enc] == list(range(34))
+
+
+def test_model_parameters_split_by_section_in_gate_order():
+    cfg = qs.ModelConfig()
+    kernel = qs.ModelKernel(cfg)
+    final = kernel.tail_gates
+    counts = [sum(isinstance(g, qs.Rot) and g.feature is None for g in gates)
+              for gates in (kernel.film_gates, kernel.main_gates, final)]
+    assert counts == [48, 160, 20]
+    assert counts == [cfg.n_film_params, cfg.n_main_params, cfg.n_final_params]
+    assert [s.params for s in kernel._sections] == [slice(0, 48), slice(48, 208),
+                                                   slice(208, 228)]
 
 
 def test_main_section_matches_matrix_oracle():
     rng = np.random.default_rng(5)
     kernel = qs.ModelKernel()
-    circ = qs.Circuit(7, kernel.main_gates, 228, 36, measured=tuple(range(2, 7)))
-    params = rng.uniform(-np.pi, np.pi, 228)
+    circ = qs.Circuit(7, kernel.main_gates, 36, measured=tuple(range(2, 7)))
+    params = rng.uniform(-np.pi, np.pi, 228)[48:208]  # the main section's parameters
     feats = rng.uniform(0, 1, 36)
     want = oracle_state(circ, params, feats)
     assert np.allclose(qs.run(circ, params, feats), want, atol=1e-11)
@@ -165,32 +182,33 @@ def test_norm_preserved():
     feats = rng.uniform(0, 1, 36)
     # gate by gate: the state after every prefix of the gate list
     for end in range(len(circ.gates) + 1):
-        prefix = qs.Circuit(7, circ.gates[:end], 228, 36, circ.measured)
-        assert abs(np.linalg.norm(qs.run(prefix, params, feats)) - 1.0) < 1e-12
+        prefix = qs.Circuit(7, circ.gates[:end], 36, circ.measured)
+        state = qs.run(prefix, params[:prefix.n_params], feats)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 @st.composite
 def _random_circuits(draw):
     """A random gate list on 1-4 qubits, a batch of parameter vectors and a
-    feature batch. Parameters may share slots, have negative or zero scales
-    or be unused."""
+    feature batch. Features may enter several rotations, with negative or zero
+    scales, or none."""
     n = draw(st.integers(1, 4))
-    n_params = draw(st.integers(0, 3))
     n_features = draw(st.integers(0, 3))
     angle = st.floats(-2 * np.pi, 2 * np.pi)
-    sources = ["const"] + ["param"] * (n_params > 0) + ["feature"] * (n_features > 0)
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         if n > 1 and draw(st.booleans()):
             control, target = draw(st.permutations(range(n)))[:2]
             gates.append(qs.CNot(control, target))
             continue
-        src = draw(st.sampled_from(sources))
-        size = {"const": 0, "param": n_params, "feature": n_features}[src]
-        gates.append(qs.Rot(draw(st.sampled_from("xyz")), draw(st.integers(0, n - 1)),
-                            src, draw(st.integers(0, size - 1)) if size else -1,
-                            scale=draw(st.floats(-2, 2)), offset=draw(angle)))
-    circuit = qs.Circuit(n, tuple(gates), n_params, n_features, tuple(range(n)))
+        axis, qubit = draw(st.sampled_from("xyz")), draw(st.integers(0, n - 1))
+        if n_features and draw(st.booleans()):
+            gates.append(qs.Rot(axis, qubit, draw(st.integers(0, n_features - 1)),
+                                draw(st.floats(-2, 2))))
+        else:
+            gates.append(qs.Rot(axis, qubit))
+    circuit = qs.Circuit(n, tuple(gates), n_features, tuple(range(n)))
+    n_params = circuit.n_params
     draws, batch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     size = draws * n_params + batch * n_features
     flat = np.array(draw(st.lists(angle, min_size=size, max_size=size)), float)
@@ -214,8 +232,7 @@ def test_run_matches_matrix_oracle_on_random_circuits(case):
 
 
 def test_run_rejects_parameter_batch_that_does_not_broadcast():
-    circ = qs.Circuit(1, (qs.Rot("x", 0, "param", 0), qs.Rot("z", 0, "feature", 0)),
-                      1, 1, measured=(0,))
+    circ = qs.Circuit(1, (qs.Rot("x", 0), qs.Rot("z", 0, 0)), 1, measured=(0,))
     assert qs.run(circ, np.zeros((2, 1, 1)), np.zeros((3, 1))).shape == (2, 3, 2)
     with pytest.raises(qs.CircuitError, match="broadcast"):
         qs.run(circ, np.zeros((2, 1)), np.zeros((3, 1)))
@@ -223,15 +240,11 @@ def test_run_rejects_parameter_batch_that_does_not_broadcast():
 
 def _oracle_shift_jacobian(circuit, params, row):
     """(n_params, n_measured) derivatives from the dense oracle: each parameter
-    gate in turn becomes a constant rotation at its angle +/- pi/2."""
+    in turn moves by +/- pi/2."""
     jac = np.zeros((circuit.n_params, len(circuit.measured)))
-    for pos, g in enumerate(circuit.gates):
-        if isinstance(g, qs.Rot) and g.src == "param":
-            angle = g.scale * params[g.index] + g.offset
-            plus, minus = (oracle_expectations(dataclasses.replace(circuit, gates=(
-                *circuit.gates[:pos], qs.Rot(g.axis, g.qubit, "const", offset=angle + shift),
-                *circuit.gates[pos + 1:])), params, row) for shift in (np.pi / 2, -np.pi / 2))
-            jac[g.index] += g.scale * (plus - minus) / 2
+    for j, shift in enumerate(np.pi / 2 * np.eye(circuit.n_params)):
+        plus, minus = (oracle_expectations(circuit, params + s, row) for s in (shift, -shift))
+        jac[j] = (plus - minus) / 2
     return jac
 
 
@@ -267,7 +280,7 @@ def test_batched_readout_equals_per_row_readouts_bit_for_bit():
 
 
 def test_param_shift_single_qubit():
-    circ = qs.Circuit(1, (qs.Rot("x", 0, "param", 0),), 1, 0, measured=(0,))
+    circ = qs.Circuit(1, (qs.Rot("x", 0),), 0, measured=(0,))
     g = qs.param_shift_grad(circ, [np.pi / 2], index=0)
     assert g[0] == pytest.approx(-1.0, abs=1e-12)
     g0 = qs.param_shift_grad(circ, [0.0], index=0)
@@ -295,25 +308,6 @@ def test_param_shift_matches_finite_differences_subset():
         assert np.abs(g - fd).max() < 1e-5
 
 
-def test_param_shift_shared_slot_and_inert_pair():
-    # the same slot driving two x-rotations with opposite signs cancels out
-    inert = qs.Circuit(2, (
-        qs.Rot("y", 0, "const", offset=0.9),
-        qs.Rot("x", 1, "param", 0),
-        qs.Rot("x", 1, "param", 0, scale=-1.0),
-        qs.CNot(0, 1),
-    ), 1, 0, measured=(0, 1))
-    g = qs.param_shift_grad(inert, [0.42], index=0)
-    assert np.abs(g).max() < 1e-12
-    # and a doubled slot accumulates both contributions
-    doubled = qs.Circuit(1, (
-        qs.Rot("x", 0, "param", 0),
-        qs.Rot("x", 0, "param", 0),
-    ), 1, 0, measured=(0,))
-    g2 = qs.param_shift_grad(doubled, [0.3], index=0)
-    assert g2[0] == pytest.approx(-2 * math.sin(0.6), abs=1e-12)
-
-
 def test_param_shift_jacobian_is_one_run(monkeypatch):
     circ = qs.build_model_circuit()
     runs = []
@@ -326,7 +320,7 @@ def test_param_shift_jacobian_is_one_run(monkeypatch):
 def test_prob_grad_sums_to_zero():
     rng = np.random.default_rng(6)
     circ = _film_circuit()
-    params = rng.uniform(0, 2 * np.pi, 228)
+    params = rng.uniform(0, 2 * np.pi, 228)[:48]
     feats = rng.uniform(0, 1, 36)
     dp = qs.prob_grad(circ, params, feats, index=3)
     assert dp.shape == (4,)
@@ -336,7 +330,7 @@ def test_prob_grad_sums_to_zero():
 def test_shot_sampling_converges():
     rng = np.random.default_rng(10)
     circ = _film_circuit()
-    params = rng.uniform(-np.pi, np.pi, 228)
+    params = rng.uniform(-np.pi, np.pi, 228)[:48]
     feats = np.zeros(36)
     feats[34:] = (0.4, 0.9)
     state = qs.run(circ, params, feats)
@@ -379,7 +373,7 @@ def test_kernel_sections_partition_the_circuit():
     bridge = kernel.tail_gates[0]
     assert isinstance(bridge, qs.CNot) and support(bridge) & film and support(bridge) & main
     assert len(kernel.film_gates) == 6 * 4 * (2 + 2) + 5 * 2
-    assert len(kernel.main_gates) == 8 * 4 * (5 + 5) + 35
+    assert len(kernel.main_gates) == 8 * 4 * (5 + 5) + 34  # 34 encodings, no padding
 
 
 def test_kernel_non_default_config_matches_oracle_and_param_shift():
@@ -439,15 +433,19 @@ def test_kernel_blocks_match_dense_oracle_of_their_gate_runs(cfg):
     final = tuple(g for g in kernel.tail_gates
                   if not (isinstance(g, qs.CNot) and g.control < f))
     sections = ((kernel.film_gates, 0, f), (kernel.main_gates, f, m), (final, f, m))
+    start = 0  # the parameters of each run's trainable rotations follow in gate order
     for section, (gates, first, k) in zip(kernel._sections, sections):
         runs = [tuple(run) for encoding, run in itertools.groupby(
             gates, lambda g: isinstance(g, qs.Rot) and g.axis == "z") if not encoding]
         assert len(runs) == len(section.blocks)
         for run, block in zip(runs, section.blocks):
-            local = tuple(dataclasses.replace(g, qubit=g.qubit - first) if isinstance(g, qs.Rot)
-                          else qs.CNot(g.control - first, g.target - first) for g in run)
-            want = circuit_unitary(qs.Circuit(k, local, cfg.n_params, 0, ()), params)
+            local = qs.Circuit(k, tuple(
+                dataclasses.replace(g, qubit=g.qubit - first) if isinstance(g, qs.Rot)
+                else qs.CNot(g.control - first, g.target - first) for g in run), 0, ())
+            want = circuit_unitary(local, params[start:start + local.n_params])
+            start += local.n_params
             assert np.abs(block - want).max() < 1e-12
+    assert start == cfg.n_params
 
 
 def test_kernel_blocks_are_unitary():
@@ -477,7 +475,7 @@ def test_kernel_grad_equals_param_shift_contraction():
 
 
 def test_export_qasm_single_gate():
-    circ = qs.Circuit(1, (qs.Rot("x", 0, "param", 0),), 1, 0, measured=(0,))
+    circ = qs.Circuit(1, (qs.Rot("x", 0),), 0, measured=(0,))
     text = qs.export_qasm3(circ, [0.5])
     assert text.count("rx(") == 1
     assert "OPENQASM 3.0;" in text.splitlines()[0]
