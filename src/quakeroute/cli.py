@@ -57,13 +57,16 @@ def _config_defaults(args: argparse.Namespace, doc) -> dict:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
+    """QRL_SEED if it is set, else --seed: a non-negative integer, or a ValueError
+    that names where the bad value came from."""
     env = os.environ.get("QRL_SEED")
-    if env is not None:
-        return int(env)
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    raise ValueError("a seed is required (pass --seed, set it in --config, "
-                     "or export QRL_SEED)")
+    source, value = ("--seed", args.seed) if env is None else ("QRL_SEED", env)
+    if value is None:
+        raise ValueError("a seed is required (pass --seed, set it in --config, "
+                         "or export QRL_SEED)")
+    if not str(value).strip().isdecimal():
+        raise ValueError(f"{source} is {value!r}, not a non-negative integer")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class CityGraph:
     out of u is a slot j of it. ``arcs[:, j, u]`` holds the same arc in a
     (2, max degree, n) array, padded with arcs to a dummy node ``n_nodes``
     over a phantom edge ``n_edges`` that callers weigh as infinite.
-    ``betweenness`` is computed on first use and kept.
+    ``betweenness`` and ``feature_tables`` are built on first use and kept.
     """
 
     xy: np.ndarray         # (n_nodes, 2) float, unit square
@@ -72,6 +72,7 @@ class CityGraph:
     speed_kmh: np.ndarray  # (n_edges,) float
     adj: tuple = field(default=None, repr=False, compare=False)
     arcs: np.ndarray = field(default=None, repr=False, compare=False)
+    feature_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xy = np.asarray(self.xy, float)
@@ -306,6 +307,8 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     """
     if n_rows < 2 or n_cols < 2:
         raise GraphError("need at least a 2x2 grid")
+    if not 0.0 <= delete_frac <= 1.0:
+        raise GraphError(f"delete_frac must be in [0, 1], got {delete_frac}")
     rng = np.random.default_rng(seed)
     n = n_rows * n_cols
 

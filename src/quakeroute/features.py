@@ -3,11 +3,12 @@
 Each decision point becomes a 36-value vector: the quake epicenter, the
 current node, the destination, and one six-value block per adjacent edge
 (neighbor coordinates, scaled travel time, edge betweenness, distance to the
-destination, heading cosine), zero-padded to five blocks, built for one row
-of a world with scalar arithmetic; block j describes the arc in slot j of
-``graph.adj[u]``. Edge betweenness runs Brandes' accumulation for all sources
-at once, once per graph (``CityGraph.betweenness``). ``generate_dataset``
-labels each oracle move with its slot.
+destination, heading cosine), zero-padded to five blocks; block j describes
+the arc in slot j of ``graph.adj[u]``. ``build_feature_vector`` builds a world
+step's rows in one matrix from per-destination tables kept on the graph.
+Edge betweenness runs Brandes' accumulation for all sources at once, once per
+graph (``CityGraph.betweenness``). ``generate_dataset`` labels each oracle
+move with its slot.
 """
 from __future__ import annotations
 
@@ -33,28 +34,10 @@ HEAD_SIZE = 6
 WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # bit for bit as scalar math.hypot
 # the layout of one JSON-lines record, for dyngraph.read_json
 _SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
            "scenario_id": "a non-negative integer", "t": "a non-negative integer"}
-
-
-def euclid(p, q) -> float:
-    return math.hypot(q[0] - p[0], q[1] - p[1])
-
-
-def direction_cosine(current, neighbor, target) -> float:
-    """Cosine between the step direction and the direction to the target.
-
-    Degenerate (zero-length) directions score 0 and are logged.
-    """
-    ax, ay = neighbor[0] - current[0], neighbor[1] - current[1]
-    bx, by = target[0] - current[0], target[1] - current[1]
-    na = math.hypot(ax, ay)
-    nb = math.hypot(bx, by)
-    if na == 0.0 or nb == 0.0:
-        log.debug("degenerate direction cosine at %s", current)
-        return 0.0
-    return (ax * bx + ay * by) / (na * nb)
 
 
 def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.ndarray:
@@ -102,37 +85,47 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     return cb / (n * (n - 1))
 
 
-def build_feature_vector(state: dyngraph.DynamicState, row: int,
-                         current: int) -> np.ndarray:
-    """The 36-value input of world row ``row`` at its decision node ``current``.
-
-    Block j describes the arc in slot j of ``graph.adj[current]``; the blocks
-    past the node's degree are zero padding, which ``block_mask`` tells apart.
-    A graph with any node of degree over five raises GraphError at every node.
-    """
-    graph = state.graph
-    scenario = state.scenarios[row]
-    weights = state.weights[row]
+def _destination_table(graph: CityGraph, dest: int) -> np.ndarray:
+    """Every node's row heading to ``dest``, with 0 for the epicenter and the
+    travel times: an (n, 36) table, built on first use and kept on the graph.
+    Distances are scalar ``math.hypot``; a zero-length heading scores 0."""
+    if dest in graph.feature_tables:
+        return graph.feature_tables[dest]
     if graph.arcs.shape[1] > N_BLOCKS:  # the graph's largest degree
         node = max(range(graph.n_nodes), key=graph.degree)
         raise GraphError(f"node {node} has degree {graph.degree(node)} > {N_BLOCKS}")
-    arcs = graph.adj[current]
-    dest = scenario.chosen_exit
-    dest_xy = graph.xy[dest]
-    cur_xy = graph.xy[current]
+    heads, arcs = graph.arcs  # (degree, n): node u's arcs, padded past its degree
+    (ux, uy), (tx, ty) = graph.xy.T, graph.xy[dest]
+    vx, vy = np.append(graph.xy, [[0.0, 0.0]], axis=0)[heads].transpose(2, 0, 1)
+    ax, ay, bx, by = vx - ux, vy - uy, tx - ux, ty - uy  # the step, and the way to dest
+    na, nb = _hypot(ax, ay).astype(float), _hypot(bx, by).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where((na == 0.0) | (nb == 0.0), 0.0, (ax * bx + ay * by) / (na * nb))
+    blocks = np.stack([vx, vy, np.zeros_like(vx), np.append(graph.betweenness, 0.0)[arcs],
+                       _hypot(tx - vx, ty - vy).astype(float), cos], axis=-1)
+    table = np.zeros((graph.n_nodes, N_FEATURES))
+    table[:, 2:4], table[:, 4:6] = graph.xy, graph.xy[dest]
+    blocks = np.where(arcs[..., None] < graph.n_edges, blocks, 0.0)  # padding is +0.0
+    width = len(arcs) * BLOCK_SIZE
+    table[:, HEAD_SIZE:HEAD_SIZE + width] = blocks.transpose(1, 0, 2).reshape(len(table), width)
+    table.setflags(write=False)
+    graph.feature_tables[dest] = table
+    return table
 
-    feats = np.zeros(N_FEATURES)
-    feats[0:2] = scenario.epicenter
-    feats[2:4] = cur_xy
-    feats[4:6] = dest_xy
-    for j, (v, e) in enumerate(arcs):
-        base = HEAD_SIZE + j * BLOCK_SIZE
-        feats[base:base + 2] = graph.xy[v]
-        feats[base + 2] = weights[e] / WEIGHT_SCALE
-        feats[base + 3] = graph.betweenness[e]
-        feats[base + 4] = euclid(graph.xy[v], dest_xy)
-        feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
-    return feats
+
+def build_feature_vector(world: dyngraph.DynamicState, here) -> np.ndarray:
+    """The (S, 36) inputs of the world's rows, row k at its decision node ``here[k]``:
+    its destination's table row with the epicenter and the row's travel times.
+    Block j describes the arc in slot j of ``graph.adj[here[k]]``; the blocks past
+    the node's degree are zero padding, which ``block_mask`` tells apart."""
+    graph, here = world.graph, np.asarray(here, int)
+    x = np.array([_destination_table(graph, sc.chosen_exit)[u]
+                  for sc, u in zip(world.scenarios, here)]).reshape(len(here), N_FEATURES)
+    x[:, 0:2] = [sc.epicenter for sc in world.scenarios]
+    edges = graph.arcs[1][:, here].T  # (S, degree): each row's edges, then the phantom
+    x[:, HEAD_SIZE + 2:HEAD_SIZE + edges.shape[1] * BLOCK_SIZE:BLOCK_SIZE] = np.take_along_axis(
+        np.append(world.weights, np.zeros((len(here), 1)), axis=1), edges, 1) / WEIGHT_SCALE
+    return x
 
 
 def block_mask(features: np.ndarray) -> np.ndarray:
@@ -250,9 +243,9 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
 
     def label(world, rows, here):
         going = oracle.oracle_next(world, rows, here)
-        for k, (i, u, j) in enumerate(zip(rows, here, going)):
+        for x, i, j in zip(build_feature_vector(world, here), rows, going):
             if j >= 0:
-                samples[i].append((build_feature_vector(world, k, u), j, i, world.t))
+                samples[i].append((x, j, i, world.t))
         return going
 
     paths = oracle.lockstep(graph, scenarios, sigma_frac, label)

@@ -236,7 +236,7 @@ def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
     each path is the one its scenario takes alone.
     """
     def argmax_next(world, rows, here):
-        x = np.stack([feat.build_feature_vector(world, k, u) for k, u in enumerate(here)])
+        x = feat.build_feature_vector(world, here)
         logits = np.where(feat.block_mask(x), model.forward(x), MASKED_LOGIT)
         return logits.argmax(axis=1).tolist()
 

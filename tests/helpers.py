@@ -1,13 +1,14 @@
 """Independent test oracles: brute-force path search, a pure-Python replay of
-the weight dynamics, and a dense-matrix circuit simulator. These deliberately
-avoid the package's own fast paths."""
+the weight dynamics, a scalar feature builder and a dense-matrix circuit
+simulator. These deliberately avoid the package's own fast paths."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from quakeroute.dyngraph import CityGraph
+from quakeroute import features
+from quakeroute.dyngraph import CityGraph, GraphError
 from quakeroute.qsim import Circuit, CNot
 
 
@@ -148,6 +149,50 @@ def replay_trajectory(graph: CityGraph, epicenter, exits, base_weights,
                     grow(i, math.sqrt(0.01 * t + 1.0), 3.0)
         out.append(list(w))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar feature builder
+
+
+def euclid(p, q) -> float:
+    return math.hypot(q[0] - p[0], q[1] - p[1])
+
+
+def direction_cosine(current, neighbor, target) -> float:
+    """Cosine between the step direction and the direction to the target;
+    a zero-length direction scores 0."""
+    ax, ay = neighbor[0] - current[0], neighbor[1] - current[1]
+    bx, by = target[0] - current[0], target[1] - current[1]
+    na = math.hypot(ax, ay)
+    nb = math.hypot(bx, by)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return (ax * bx + ay * by) / (na * nb)
+
+
+def feature_row(state, row: int, current: int) -> np.ndarray:
+    """The 36-value input of world row ``row`` at its decision node ``current``,
+    value by value with scalar arithmetic."""
+    graph = state.graph
+    scenario = state.scenarios[row]
+    weights = state.weights[row]
+    if graph.arcs.shape[1] > features.N_BLOCKS:
+        raise GraphError("a node has degree over five")
+    dest_xy = graph.xy[scenario.chosen_exit]
+    cur_xy = graph.xy[current]
+    feats = np.zeros(features.N_FEATURES)
+    feats[0:2] = scenario.epicenter
+    feats[2:4] = cur_xy
+    feats[4:6] = dest_xy
+    for j, (v, e) in enumerate(graph.adj[current]):
+        base = features.HEAD_SIZE + j * features.BLOCK_SIZE
+        feats[base:base + 2] = graph.xy[v]
+        feats[base + 2] = weights[e] / features.WEIGHT_SCALE
+        feats[base + 3] = graph.betweenness[e]
+        feats[base + 4] = euclid(graph.xy[v], dest_xy)
+        feats[base + 5] = direction_cosine(cur_xy, graph.xy[v], dest_xy)
+    return feats
 
 
 # ---------------------------------------------------------------------------

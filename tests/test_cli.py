@@ -50,6 +50,33 @@ def test_graph_synth_requires_seed(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("env, seed, message", [
+    ("abc", "1", "QRL_SEED is 'abc'"),
+    ("-3", "1", "QRL_SEED is '-3'"),
+    ("1.5", "1", "QRL_SEED is '1.5'"),
+    (None, "-1", "--seed is -1"),
+])
+def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, env, seed, message):
+    if env is None:
+        monkeypatch.delenv("QRL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QRL_SEED", env)
+    out = tmp_path / "g.json"
+    assert run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", seed,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}, not a non-negative integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", ["nan", "-0.5", "2"])
+def test_graph_synth_rejects_delete_frac_outside_unit_interval(tmp_path, capsys, frac):
+    out = tmp_path / "g.json"
+    assert run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+                "--delete-frac", frac, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: delete_frac must be in [0, 1]")
+    assert not out.exists()
+
+
 def test_qrl_seed_env_override(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

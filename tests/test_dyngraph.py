@@ -264,6 +264,18 @@ def test_synth_city_minimal_and_errors():
         dg.synth_city(1, 5, seed=0)
 
 
+@pytest.mark.parametrize("frac", [float("nan"), -0.1, 1.5, float("inf")])
+def test_synth_city_rejects_delete_frac_outside_unit_interval(frac):
+    with pytest.raises(dg.GraphError, match="delete_frac must be in"):
+        dg.synth_city(3, 3, seed=1, delete_frac=frac)
+
+
+def test_synth_city_delete_frac_ends():
+    # 1 thins the grid down to a spanning tree; 0 deletes nothing
+    assert dg.synth_city(3, 3, seed=1, delete_frac=1.0).n_edges == 8
+    assert dg.synth_city(3, 3, seed=1, delete_frac=0.0).n_edges > 8
+
+
 def test_base_travel_time():
     # a 1000-edge path of one-minute edges: 1000 m at 60 km/h
     n = 1001

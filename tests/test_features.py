@@ -10,22 +10,49 @@ from hypothesis import given, settings
 
 import quakeroute.dyngraph as dg
 import quakeroute.features as ft
+import quakeroute.hybrid as hy
 import quakeroute.oracle as oc
 from conftest import make_graph, random_connected_graph, scenario_for, weighted_graphs
-from helpers import brute_force_edge_betweenness
+from helpers import brute_force_edge_betweenness, feature_row
+
+
+def _rows_at(coords, edges, exit_, here):
+    """The builder's rows at the nodes ``here`` of a world heading to ``exit_``,
+    with one row per node, and the scalar reference's rows of the same world."""
+    g = make_graph(coords, edges, lengths=[500.0] * len(edges))
+    start = next(u for u in range(g.n_nodes) if u != exit_)
+    sc = scenario_for(g, start=start, exit_=exit_, epicenter=(0.5, 0.5))
+    world = dg.initial_state(g, [sc] * len(here), sigma_frac=0.0)
+    return (ft.build_feature_vector(world, here),
+            np.array([feature_row(world, k, u) for k, u in enumerate(here)]))
 
 
 def test_euclid():
-    assert ft.euclid((0.3, 0.4), (0.3, 0.4)) == 0.0
-    assert ft.euclid((0.0, 0.0), (1.0, 1.0)) == pytest.approx(math.sqrt(2))
-    assert ft.euclid((0.0, 0.0), (0.3, 0.4)) == pytest.approx(0.5)
+    """Distance ahead: from each neighbor to the destination."""
+    # node 0 heads to the exit 1 at (0, 0) past (1, 1) and (0.3, 0.4)
+    x, ref = _rows_at([(0.6, 0.1), (0.0, 0.0), (1.0, 1.0), (0.3, 0.4)],
+                      [(0, 1), (0, 2), (0, 3)], exit_=1, here=[0])
+    assert x.tobytes() == ref.tobytes()
+    distance = x[0, ft.HEAD_SIZE + 4::ft.BLOCK_SIZE]
+    assert distance[0] == 0.0
+    assert distance[1] == pytest.approx(math.sqrt(2))
+    assert distance[2] == pytest.approx(0.5)
+    assert distance[3:].tolist() == [0.0, 0.0]
 
 
 def test_direction_cosine():
-    assert ft.direction_cosine((0, 0), (0.5, 0.0), (1.0, 0.0)) == pytest.approx(1.0)
-    assert ft.direction_cosine((0.5, 0), (0.0, 0.0), (1.0, 0.0)) == pytest.approx(-1.0)
-    assert ft.direction_cosine((0, 0), (0.0, 0.5), (1.0, 0.0)) == pytest.approx(0.0)
-    assert ft.direction_cosine((0.2, 0.2), (0.2, 0.2), (1.0, 0.0)) == 0.0
+    """Heading cosine: the step against the direction to the destination; a
+    step to a node at the same point, or a row at its destination, scores 0."""
+    coords = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 0.5), (0.2, 0.2), (0.2, 0.2)]
+    x, ref = _rows_at(coords, [(0, 1), (1, 2), (0, 3), (0, 4), (4, 5)], exit_=2,
+                      here=[0, 1, 5, 2])
+    assert x.tobytes() == ref.tobytes()
+    cos = x[:, ft.HEAD_SIZE + 5::ft.BLOCK_SIZE]
+    assert cos[0, :3] == pytest.approx([1.0, 0.0, 2 ** -0.5])
+    assert cos[1, :2] == pytest.approx([-1.0, 1.0])
+    assert cos[2, 0] == 0.0 and math.copysign(1.0, cos[2, 0]) == 1.0  # node 4 is at node 5
+    assert cos[3, 0] == 0.0  # node 2 is the destination
+    assert (cos[:, 3:] == 0.0).all()
 
 
 def test_edge_betweenness_path3(line3):
@@ -110,7 +137,7 @@ def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
     btw = ft.edge_betweenness(g)
     assert np.array_equal(g.betweenness, btw)
-    vec = ft.build_feature_vector(state, 0, 0)
+    [vec] = ft.build_feature_vector(state, [0])
     assert vec.shape == (36,)
     assert g.adj[0] == ((1, 0), (2, 1))  # block j is the arc in slot j
     assert ft.block_mask(vec).tolist() == [True, True, False, False, False]
@@ -131,33 +158,121 @@ def test_build_feature_vector_rejects_degree_over_five():
     coords = [(0.5, 0.5)] + [(i / 6.0, 0.0) for i in range(6)]
     g = make_graph(coords, [(0, i) for i in range(1, 7)])
     sc = scenario_for(g, start=1, exit_=2, max_steps=5)
-    state = dg.initial_state(g, [sc], sigma_frac=0.0)
-    with pytest.raises(dg.GraphError):
-        ft.build_feature_vector(state, 0, 0)
+    state = dg.initial_state(g, [sc, sc], sigma_frac=0.0)
+    for here in ([0, 1], [1, 2]):  # at the degree-6 node or not, every time
+        with pytest.raises(dg.GraphError, match="node 0 has degree 6 > 5"):
+            ft.build_feature_vector(state, here)
+    assert g.feature_tables == {}
 
 
 def test_block_mask_roundtrip():
     """The mask read back from each node's vector marks one block per arc."""
     g = dg.synth_city(5, 5, seed=2)
-    state = dg.initial_state(g, [dg.random_scenario(g, np.random.default_rng(1))])
-    for u in range(g.n_nodes):
-        mask = ft.block_mask(ft.build_feature_vector(state, 0, u))
+    sc = dg.random_scenario(g, np.random.default_rng(1))
+    state = dg.initial_state(g, [sc] * g.n_nodes)
+    masks = ft.block_mask(ft.build_feature_vector(state, range(g.n_nodes)))
+    for u, mask in enumerate(masks):
         assert mask.tolist() == [j < g.degree(u) for j in range(ft.N_BLOCKS)]
 
 
 def test_feature_blocks_follow_node_relabeling():
     """Relabeling nodes permutes the blocks and the oracle label coherently."""
     g, sc, state = _fixture_state()
-    vec = ft.build_feature_vector(state, 0, 0)
+    [vec] = ft.build_feature_vector(state, [0])
     # same geometry with the two neighbor ids swapped (1 <-> 2)
     g2 = make_graph([(0.5, 0.5), (1.0, 0.5), (0.5, 0.25)], [(0, 2), (0, 1)],
                     lengths=[500.0, 1000.0], speeds=[60.0, 60.0])
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
     state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
-    vec2 = ft.build_feature_vector(state2, 0, 0)
+    [vec2] = ft.build_feature_vector(state2, [0])
     assert [v for v, _ in g2.adj[0]] == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
+
+
+def _feature_cities():
+    """Cities of 5 to 12 nodes a side, with nodes of every degree 1-5 among them."""
+    cities = [dg.synth_city(k, k, seed=k, delete_frac=frac)
+              for k, frac in ((5, 0.4), (8, 0.15), (12, 0.3))]
+    assert {g.degree(u) for g in cities for u in range(g.n_nodes)} == {1, 2, 3, 4, 5}
+    return cities
+
+
+def test_feature_rows_match_the_scalar_reference_bit_for_bit():
+    """Every row of every world step, in worlds whose rows head to different
+    exits and in one-row worlds, equals the scalar reference byte for byte
+    (so a -0.0 for a 0.0 fails too)."""
+    steps = []
+
+    def compare(world, rows, here):
+        x = ft.build_feature_vector(world, here)
+        ref = np.array([feature_row(world, k, u) for k, u in enumerate(here)])
+        assert x.shape == (len(here), ft.N_FEATURES)
+        assert x.tobytes() == ref.tobytes()
+        steps.append({sc.chosen_exit for sc in world.scenarios})
+        return oc.oracle_next(world, rows, here)
+
+    for g in _feature_cities():
+        scenarios = [ft._scenario_for_index(g, 5, i) for i in range(40)]
+        oc.lockstep(g, scenarios, 0.1, compare)
+        for sc in scenarios[:4]:
+            oc.lockstep(g, [sc], 0.1, compare)
+        assert set(g.feature_tables) == {sc.chosen_exit for sc in scenarios}
+    assert max(map(len, steps)) == 3 and min(map(len, steps)) == 1
+    # a graph without edges has rows of the head alone
+    x, ref = _rows_at([(0.2, 0.2), (0.8, 0.8)], [], exit_=1, here=[0, 1])
+    assert x.tobytes() == ref.tobytes()
+    assert x[:, 2:6].tolist() == [[0.2, 0.2, 0.8, 0.8], [0.8, 0.8, 0.8, 0.8]]
+
+
+def test_feature_row_of_a_start_next_to_its_exit():
+    g = dg.synth_city(6, 6, seed=3)
+    exit_ = dg.pick_exits(g)[0]
+    for start, e in g.adj[exit_]:
+        sc = dataclasses.replace(ft._scenario_for_index(g, 1, 0), start=start,
+                                 chosen_exit=exit_)
+        world = dg.initial_state(g, [sc])
+        [x] = ft.build_feature_vector(world, [start])
+        assert x.tobytes() == feature_row(world, 0, start).tobytes()
+        j = [v for v, _ in g.adj[start]].index(exit_)
+        block = x[ft.HEAD_SIZE + j * ft.BLOCK_SIZE:][:ft.BLOCK_SIZE]
+        assert block.tolist()[:5] == [*g.xy[exit_], world.weights[0, e] / ft.WEIGHT_SCALE,
+                                      g.betweenness[e], 0.0]
+        assert block[5] == pytest.approx(1.0)  # heading straight for the exit
+        [path] = oc.nodewise_dijkstra(g, [sc])
+        assert path.nodes == [start, exit_]
+
+
+def test_one_feature_matrix_per_world_step(monkeypatch):
+    """Dataset generation and model rollouts build each world step's rows in
+    one call; each destination's table is built once and kept on the graph."""
+    g = dg.synth_city(6, 6, seed=4)
+    scenarios = [ft._scenario_for_index(g, 2, i) for i in range(30)]
+    calls, steps, built = [], [], []
+    build, advance, table = ft.build_feature_vector, dg.advance, ft._destination_table
+
+    def counted_build(world, here):
+        calls.append((len(world.scenarios), len(here)))
+        return build(world, here)
+
+    def counted_table(graph, dest):
+        if dest not in graph.feature_tables:
+            built.append(dest)
+        return table(graph, dest)
+
+    monkeypatch.setattr(ft, "build_feature_vector", counted_build)
+    monkeypatch.setattr(ft, "_destination_table", counted_table)
+    monkeypatch.setattr(dg, "advance", lambda world: steps.append(world.t) or advance(world))
+    ft.generate_dataset(g, len(scenarios), seed=2)
+    hy.rollout(hy.HybridModel(seed=0), g, scenarios)
+    assert len(calls) == len(steps)
+    assert all(rows == n for rows, n in calls)
+    assert calls[0] == (len(scenarios), len(scenarios))
+    assert sorted(built) == sorted({sc.chosen_exit for sc in scenarios})
+    tables = dict(g.feature_tables)
+    hy.rollout(hy.HybridModel(seed=0), g, scenarios[:3])
+    assert len(built) == len(tables)
+    assert all(g.feature_tables[d] is t for d, t in tables.items())
 
 
 def test_generate_dataset_counts_and_labels():
@@ -252,7 +367,7 @@ def _replayed_dataset(graph, scenarios, sigma_frac):
                 v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
             except oc.NoPathError:
                 break
-            vec = ft.build_feature_vector(state, 0, u)
+            vec = feature_row(state, 0, u)
             mine.append((vec, [nbr for nbr, _ in graph.adj[u]].index(v), i, state.t))
             u = v
         if u == sc.chosen_exit:
