@@ -59,19 +59,19 @@ class CityGraph:
     A node is its position in ``xy``, and ``edges`` holds those positions
     with u < v.
 
-    ``adj[u]`` lists u's arcs ``(head, edge id)`` by ascending head; a move
-    out of u is a slot j of it. ``arcs[:, j, u]`` holds the same arc in a
-    (2, max degree, n) array, padded with arcs to a dummy node ``n_nodes``
-    over a phantom edge ``n_edges`` that callers weigh as infinite.
-    ``betweenness`` and ``feature_tables`` are built on first use and kept.
+    ``arcs`` is the one adjacency: ``arcs[:, j, u]`` is u's arc ``(head, edge
+    id)`` in slot j, by ascending head, in a (2, max degree, n) array. A move
+    out of u is a slot. Past its degree a node's column is padded with arcs
+    to a dummy node ``n_nodes`` over a phantom edge ``n_edges`` that callers
+    weigh as infinite. ``betweenness`` and ``feature_tables`` are built on
+    first use and kept.
     """
 
     xy: np.ndarray         # (n_nodes, 2) float, unit square
     edges: np.ndarray      # (n_edges, 2) int node indices, u < v
     length_m: np.ndarray   # (n_edges,) float
     speed_kmh: np.ndarray  # (n_edges,) float
-    adj: tuple = field(default=None, repr=False, compare=False)
-    arcs: np.ndarray = field(default=None, repr=False, compare=False)
+    arcs: np.ndarray = field(init=False, repr=False, compare=False)
     feature_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,14 +83,15 @@ class CityGraph:
         if xy.size and (xy.min() < -1e-9 or xy.max() > 1 + 1e-9):
             raise GraphError("node coordinates must lie in the unit square")
         edges = np.asarray(self.edges, int).reshape(-1, 2)
+        outside = edges[(edges < 0) | (edges >= len(xy))]
+        if outside.size:
+            raise GraphError(f"edge end {outside.max()} is not a node 0-{len(xy) - 1}")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise GraphError("self-loops are not allowed")
         if np.any(edges[:, 0] > edges[:, 1]):
             raise GraphError("edges must be stored with u < v")
         if len({(int(u), int(v)) for u, v in edges}) != len(edges):
             raise GraphError("duplicate undirected edges")
-        if edges.size and edges.max() >= len(xy):
-            raise GraphError(f"edge end {edges.max()} is not a node 0-{len(xy) - 1}")
         for name in ("length_m", "speed_kmh"):
             values = np.asarray(getattr(self, name), float)
             if values.shape != (len(edges),):
@@ -98,16 +99,16 @@ class CityGraph:
             if not (np.isfinite(values) & (values > 0)).all():
                 raise GraphError(f"{name} must be finite and positive")
             object.__setattr__(self, name, values)
-        adjacency = [[] for _ in range(len(xy))]
-        for e, (u, v) in enumerate(edges):
-            adjacency[u].append((int(v), e))
-            adjacency[v].append((int(u), e))
-        adj = tuple(tuple(sorted(a)) for a in adjacency)
-        arcs = np.empty((2, max(map(len, adj), default=0), len(xy)), int)
+        # both directions of every edge by tail, then head: an arc's rank
+        # within its tail is its slot
+        tails, heads = np.concatenate([edges, edges[:, ::-1]]).T
+        order = np.lexsort((heads, tails))
+        tails, heads, ids = tails[order], heads[order], np.tile(np.arange(len(edges)), 2)[order]
+        degree = np.bincount(tails, minlength=len(xy))
+        slots = np.arange(len(tails)) - np.repeat(np.cumsum(degree) - degree, degree)
+        arcs = np.empty((2, degree.max(initial=0), len(xy)), int)
         arcs[0], arcs[1] = len(xy), len(edges)
-        for u, a in enumerate(adj):
-            arcs[:, :len(a), u] = np.reshape(a, (-1, 2)).T
-        object.__setattr__(self, "adj", adj)
+        arcs[:, slots, tails] = heads, ids
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "xy", xy)
@@ -121,7 +122,7 @@ class CityGraph:
         return len(self.edges)
 
     def degree(self, node: int) -> int:
-        return len(self.adj[node])
+        return int((self.arcs[1, :, node] < self.n_edges).sum())
 
     def nominal_minutes(self) -> np.ndarray:
         """Noise-free travel times: length over speed limit, in minutes."""
@@ -395,6 +396,8 @@ def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
     exits = pick_exits(graph)
     epicenter = (float(rng.uniform()), float(rng.uniform()))
     candidates = [i for i in range(graph.n_nodes) if i not in exits]
+    if not candidates:
+        raise GraphError(f"no scenario start: every node of the graph is an exit {list(exits)}")
     start = int(rng.choice(candidates))
     chosen = int(rng.choice(list(exits)))
     seed = int(rng.integers(0, 2**32))

@@ -3,9 +3,10 @@
 Each decision point becomes a 36-value vector: the quake epicenter, the
 current node, the destination, and one six-value block per adjacent edge
 (neighbor coordinates, scaled travel time, edge betweenness, distance to the
-destination, heading cosine), zero-padded to five blocks; block j describes
-the arc in slot j of ``graph.adj[u]``. ``build_feature_vector`` builds a world
-step's rows in one matrix from per-destination tables kept on the graph.
+destination, heading cosine), zero-padded to five blocks; block j at node u
+describes the arc in slot j, ``graph.arcs[:, j, u]``. ``build_feature_vector``
+builds a world step's rows in one matrix from per-destination tables kept on
+the graph.
 Edge betweenness runs Brandes' accumulation for all sources at once, once per
 graph (``CityGraph.betweenness``). ``generate_dataset`` labels each oracle
 move with its slot.
@@ -43,7 +44,8 @@ _SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
 def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.ndarray:
     """Per-edge betweenness: fraction of all ordered shortest paths using the edge.
 
-    Brandes accumulation from every source with the undamaged travel times;
+    Brandes accumulation from every source with the undamaged travel times,
+    or ``weights``, one finite, positive value per edge (else ValueError);
     equal-cost paths split their count. All sources go at once: row s holds
     source s, ``oracle.distances_to`` gives the distances, and two sweeps over
     the arc table visit the nodes in heap-pop order (distance, then id). Path
@@ -52,8 +54,8 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     the oracle's own tie slack. Normalized by n(n-1), so cross-pairs of a
     disconnected graph simply contribute nothing.
     """
-    if weights is None:
-        weights = graph.nominal_minutes()
+    weights = oracle._checked_weights(graph, graph.nominal_minutes() if weights is None
+                                      else weights)
     n = graph.n_nodes
     heads, arcs = graph.arcs.transpose(0, 2, 1)  # (n, degree): node u's arcs
     arc_w = np.append(weights, np.inf)[arcs]
@@ -116,7 +118,7 @@ def _destination_table(graph: CityGraph, dest: int) -> np.ndarray:
 def build_feature_vector(world: dyngraph.DynamicState, here) -> np.ndarray:
     """The (S, 36) inputs of the world's rows, row k at its decision node ``here[k]``:
     its destination's table row with the epicenter and the row's travel times.
-    Block j describes the arc in slot j of ``graph.adj[here[k]]``; the blocks past
+    Block j describes the arc ``graph.arcs[:, j, here[k]]``; the blocks past
     the node's degree are zero padding, which ``block_mask`` tells apart."""
     graph, here = world.graph, np.asarray(here, int)
     x = np.array([_destination_table(graph, sc.chosen_exit)[u]

@@ -1,16 +1,15 @@
 """Shortest-path baselines, the one world-step loop, and evaluation metrics.
 
-``dijkstra`` solves the static problem on frozen weights with a binary heap;
-``distances_to`` relaxes ``graph.arcs`` for many rows at once. A move out of u
-is a slot: the index j of its arc in ``graph.adj[u]``. ``lockstep`` steps
-worlds with one row per scenario and asks a policy for the slot of every
-unfinished row. The labeling oracle ``nodewise_dijkstra`` is ``lockstep`` with
-``oracle_next``, which follows a shortest path on each row's current weights,
-all rows solved at once by ``distances_to``.
+``distances_to`` is the one distance solver: it relaxes ``graph.arcs`` for
+many rows at once. A move out of u is a slot: the index j of its arc
+``graph.arcs[:, j, u]``. One next-slot rule, ``_next_slots``, takes every
+shortest-path step: ``dijkstra`` walks it on frozen weights, and the labeling
+oracle ``nodewise_dijkstra`` is ``lockstep`` with ``oracle_next``, which
+applies it to every row of a world at once. ``lockstep`` steps worlds with
+one row per scenario and asks a policy for the slot of every unfinished row.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -44,56 +43,49 @@ class Path:
         return len(self.nodes)
 
 
-def _distances(graph: CityGraph, weights: np.ndarray, source: int) -> np.ndarray:
-    """Single-source shortest distances over frozen weights (binary heap)."""
-    dist = np.full(graph.n_nodes, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    done = np.zeros(graph.n_nodes, bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, e in graph.adj[u]:
-            nd = d + weights[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+def _checked_weights(graph: CityGraph, weights) -> np.ndarray:
+    """``weights`` as floats, or ValueError unless it is one finite, positive value
+    per edge: ``distances_to`` would sweep around a negative edge forever."""
+    weights = np.asarray(weights, float)
+    if weights.shape != (graph.n_edges,) or not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError(f"weights must be {graph.n_edges} finite, positive values, one per edge")
+    return weights
 
 
-def _greedy_next(graph: CityGraph, weights: np.ndarray, dist_to_goal: np.ndarray,
-                 u: int) -> int:
-    """Slot of u's smallest-id neighbor lying on a shortest path to the goal."""
-    du = dist_to_goal[u]
-    tol = _TIE_EPS * max(1.0, du)
-    for j, (v, e) in enumerate(graph.adj[u]):  # adj is sorted by neighbor id
-        if weights[e] + dist_to_goal[v] <= du + tol:
-            return j
-    raise NoPathError(f"no shortest-path step out of node {u}")
+def _next_slots(graph: CityGraph, weights: np.ndarray, dist: np.ndarray, here) -> np.ndarray:
+    """Row k's slot of the smallest-id neighbor of ``here[k]`` on a shortest path
+    to its goal, where ``w + d[v] <= du + _TIE_EPS * max(1, du)``, or -1 if the
+    goal is unreachable. ``weights`` is (S, E), ``dist`` (S, n) from ``distances_to``.
+    """
+    here = np.asarray(here, int)
+    rows = np.arange(len(here))
+    heads, edges = graph.arcs[:, :, here]  # (degree, S): each row's arcs
+    pad = np.full((len(here), 1), np.inf)  # the phantom edge's weight, the dummy's distance
+    w = np.hstack([weights, pad])[rows, edges]
+    d = np.hstack([dist, pad])[rows, heads]
+    du = dist[rows, here]
+    on = w + d <= du + _TIE_EPS * np.maximum(1.0, du)
+    first = on.argmax(axis=0) if len(on) else 0  # an edgeless graph has no slot
+    return np.where(np.isfinite(du), first, -1)
 
 
-def dijkstra(graph: CityGraph, weights: np.ndarray, start: int, goal: int) -> Path:
+def dijkstra(graph: CityGraph, weights, start: int, goal: int) -> Path:
     """Minimal-cost path on frozen weights; ties broken by smaller next node id."""
+    weights = _checked_weights(graph, weights)
     if not (0 <= start < graph.n_nodes and 0 <= goal < graph.n_nodes):
         raise NoPathError("start or goal not in graph")
-    if start == goal:
-        return Path([start], [])
-    dist = _distances(graph, weights, goal)
-    if not math.isfinite(dist[start]):
+    dist = distances_to(graph, weights[None], [goal])
+    if not math.isfinite(dist[0, start]):
         raise NoPathError(f"node {goal} is unreachable from {start}")
-    nodes = [start]
-    costs: list[float] = []
-    u = start
-    while u != goal:
-        v, e = graph.adj[u][_greedy_next(graph, weights, dist, u)]
-        costs.append(float(weights[e]))
-        nodes.append(v)
-        u = v
-        if len(nodes) > graph.n_nodes:
+    path = Path([start])
+    while path.nodes[-1] != goal:
+        u = path.nodes[-1]
+        v, e = graph.arcs[:, _next_slots(graph, weights[None], dist, [u])[0], u]
+        path.edge_costs.append(float(weights[e]))
+        path.nodes.append(int(v))
+        if len(path) > graph.n_nodes:
             raise NoPathError("path reconstruction failed to make progress")
-    return Path(nodes, costs)
+    return path
 
 
 def distances_to(graph: CityGraph, weights: np.ndarray, goals) -> np.ndarray:
@@ -101,8 +93,9 @@ def distances_to(graph: CityGraph, weights: np.ndarray, goals) -> np.ndarray:
 
     ``weights`` is (S, E). Each sweep relaxes every arc of every row at once,
     ``d[v] = min(d[v], w + d[u])``, until no distance falls. With positive
-    weights that fixpoint is unique, so a row equals ``_distances`` bit for
-    bit. The sweeps read ``graph.arcs``; its phantom edge weighs inf.
+    weights that fixpoint is unique, so a row equals a binary-heap Dijkstra's
+    distances bit for bit; a negative cycle would never stop falling. The
+    sweeps read ``graph.arcs``; its phantom edge weighs inf.
     """
     heads, arcs = graph.arcs
     arc_weights = np.vstack([weights.T, np.full(len(weights), np.inf)])[arcs]
@@ -136,9 +129,9 @@ def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Pat
             going = policy(world, rows, here)
             for k, (i, u, j) in enumerate(zip(rows, here, going)):
                 if j >= 0:
-                    v, e = graph.adj[u][j]
+                    v, e = graph.arcs[:, j, u]
                     paths[i].edge_costs.append(float(world.weights[k, e]))
-                    paths[i].nodes.append(v)
+                    paths[i].nodes.append(int(v))
             keep = [j >= 0 and paths[i].nodes[-1] != sc.chosen_exit and world.t < sc.max_steps
                     for i, j, sc in zip(rows, going, world.scenarios)]
             if not all(keep):
@@ -151,10 +144,8 @@ def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Pat
 
 def oracle_next(world: dyngraph.DynamicState, rows, here) -> list[int]:
     """Each row's slot of a current shortest path; -1 if its exit is unreachable."""
-    graph = world.graph
-    dist = distances_to(graph, world.weights, [sc.chosen_exit for sc in world.scenarios])
-    return [_greedy_next(graph, w, d, u) if math.isfinite(d[u]) else -1
-            for w, d, u in zip(world.weights, dist, here)]
+    dist = distances_to(world.graph, world.weights, [sc.chosen_exit for sc in world.scenarios])
+    return _next_slots(world.graph, world.weights, dist, here).tolist()
 
 
 def nodewise_dijkstra(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> list[Path]:

@@ -1,8 +1,11 @@
-"""Independent test oracles: brute-force path search, a pure-Python replay of
-the weight dynamics, a scalar feature builder and a dense-matrix circuit
-simulator. These deliberately avoid the package's own fast paths."""
+"""Independent test oracles: an adjacency built from the edge list, a heap
+Dijkstra with the scalar next-slot rule, brute-force path search, a
+pure-Python replay of the weight dynamics, a scalar feature builder and a
+dense-matrix circuit simulator. These deliberately avoid the package's own
+fast paths and its arc table."""
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -10,6 +13,67 @@ import numpy as np
 from quakeroute import features
 from quakeroute.dyngraph import CityGraph, GraphError
 from quakeroute.qsim import Circuit, CNot
+
+
+# ---------------------------------------------------------------------------
+# Sorted adjacency, heap Dijkstra and the scalar next-slot rule
+
+
+def sorted_adjacency(graph: CityGraph) -> list[list[tuple[int, int]]]:
+    """Each node's arcs ``(head, edge id)`` by ascending head, from ``graph.edges``:
+    a move out of u by slot j takes ``sorted_adjacency(graph)[u][j]``."""
+    adjacency = [[] for _ in range(graph.n_nodes)]
+    for e, (u, v) in enumerate(graph.edges.tolist()):
+        adjacency[u].append((v, e))
+        adjacency[v].append((u, e))
+    return [sorted(arcs) for arcs in adjacency]
+
+
+def heap_distances(graph: CityGraph, weights, source: int) -> np.ndarray:
+    """Single-source shortest distances over frozen weights (binary heap)."""
+    adjacency = sorted_adjacency(graph)
+    dist = np.full(graph.n_nodes, np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = np.zeros(graph.n_nodes, bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, e in adjacency[u]:
+            nd = d + weights[e]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def next_slot(graph: CityGraph, weights, dist_to_goal, u: int) -> int:
+    """Slot of u's smallest-id neighbor on a shortest path to the goal, one arc
+    at a time; -1 if the goal is unreachable from u."""
+    du = dist_to_goal[u]
+    if not math.isfinite(du):
+        return -1
+    tol = 1e-12 * max(1.0, du)
+    for j, (v, e) in enumerate(sorted_adjacency(graph)[u]):
+        if weights[e] + dist_to_goal[v] <= du + tol:
+            return j
+    raise AssertionError(f"no shortest-path step out of node {u}")
+
+
+def heap_path(graph: CityGraph, weights, start: int, goal: int):
+    """(nodes, edge costs) of the heap-distance shortest path by ``next_slot``,
+    or None if the goal is unreachable."""
+    dist = heap_distances(graph, weights, goal)
+    if not math.isfinite(dist[start]):
+        return None
+    adjacency, nodes, costs = sorted_adjacency(graph), [start], []
+    while nodes[-1] != goal:
+        v, e = adjacency[nodes[-1]][next_slot(graph, weights, dist, nodes[-1])]
+        nodes.append(v)
+        costs.append(float(weights[e]))
+    return nodes, costs
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +99,7 @@ def brute_force_shortest(graph: CityGraph, weights, start: int, goal: int):
     elsewhere, so agreement can be asserted exactly. Ties break toward the
     lexicographically smaller node sequence.
     """
-    adj = {u: [v for v, _ in graph.adj[u]] for u in range(graph.n_nodes)}
+    adj = {u: [v for v, _ in arcs] for u, arcs in enumerate(sorted_adjacency(graph))}
     ew = {}
     for e, (u, v) in enumerate(graph.edges):
         ew[(int(u), int(v))] = float(weights[e])
@@ -56,7 +120,7 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
 
     All cost-minimal simple paths of a pair share the credit equally.
     """
-    adj = {u: [v for v, _ in graph.adj[u]] for u in range(graph.n_nodes)}
+    adj = {u: [v for v, _ in arcs] for u, arcs in enumerate(sorted_adjacency(graph))}
     ew, eid = {}, {}
     for e, (u, v) in enumerate(graph.edges):
         ew[(int(u), int(v))] = ew[(int(v), int(u))] = float(weights[e])
@@ -185,7 +249,7 @@ def feature_row(state, row: int, current: int) -> np.ndarray:
     feats[0:2] = scenario.epicenter
     feats[2:4] = cur_xy
     feats[4:6] = dest_xy
-    for j, (v, e) in enumerate(graph.adj[current]):
+    for j, (v, e) in enumerate(sorted_adjacency(graph)[current]):
         base = features.HEAD_SIZE + j * features.BLOCK_SIZE
         feats[base:base + 2] = graph.xy[v]
         feats[base + 2] = weights[e] / features.WEIGHT_SCALE

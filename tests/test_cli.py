@@ -8,6 +8,7 @@ import quakeroute.features as ft
 import quakeroute.hybrid as hy
 import quakeroute.qsim as qs
 from quakeroute.cli import run
+from helpers import sorted_adjacency
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -325,7 +326,7 @@ def test_model_rejects_a_graph_of_degree_over_five_on_every_seed(tmp_path, capsy
     env simulate, which builds no feature vector, still runs on it."""
     g = dg.synth_city(5, 5, seed=3)
     far = [v for v in np.argsort(np.linalg.norm(g.xy - g.xy[3], axis=1))
-           if v != 3 and v not in [w for w, _ in g.adj[3]]][:7 - g.degree(3)]
+           if v != 3 and v not in [w for w, _ in sorted_adjacency(g)[3]]][:7 - g.degree(3)]
     edges = np.vstack([g.edges, [sorted((3, int(v))) for v in far]])
     length = np.linalg.norm(g.xy[edges[:, 0]] - g.xy[edges[:, 1]], axis=1) * 2000.0
     order = np.lexsort((edges[:, 1], edges[:, 0]))
@@ -507,6 +508,19 @@ def test_dataset_generate_rejects_non_finite_node_coordinate(tmp_path, capsys):
     assert run(["dataset", "generate", "--graph", str(gpath), "--n", "2",
                 "--seed", "1", "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_generate_on_a_graph_of_exits_only(tmp_path, capsys):
+    """Each of three nodes is nearest to one exit anchor, so no start is left."""
+    gpath, out = tmp_path / "tri.json", tmp_path / "d.jsonl"
+    dg.save_graph(dg.CityGraph(xy=[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
+                               edges=[(0, 1), (0, 2), (1, 2)], length_m=[1000.0] * 3,
+                               speed_kmh=[50.0] * 3), gpath)
+    assert run(["dataset", "generate", "--graph", str(gpath), "--n", "3",
+                "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: no scenario start: every node of the "
+                                       "graph is an exit [0, 1, 2]\n")
     assert not out.exists()
 
 

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import quakeroute.dyngraph as dg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import make_graph, scenario_for
-from helpers import replay_trajectory
+from helpers import replay_trajectory, sorted_adjacency
 
 
 def test_radius_formulas():
@@ -33,10 +36,45 @@ def test_arc_table_pads_to_a_dummy_node_over_a_phantom_edge():
     # edges 0: (0, 1), 1: (0, 2), 2: (2, 3); node 4 has no edge
     g = make_graph([(0.0, 0.0), (1.0, 1.0), (0.1, 0.0), (0.3, 0.0), (0.5, 0.5)],
                    [(0, 1), (0, 2), (2, 3)])
-    assert g.adj == (((1, 0), (2, 1)), ((0, 0),), ((0, 1), (3, 2)), ((2, 2),), ())
     heads, edges = g.arcs  # slot j of node u is column u of row j
     assert heads.tolist() == [[1, 0, 0, 2, 5], [2, 5, 3, 5, 5]]
     assert edges.tolist() == [[0, 0, 1, 2, 3], [1, 3, 2, 3, 3]]
+    assert [g.degree(u) for u in range(5)] == [2, 1, 2, 1, 0]
+
+
+@st.composite
+def _edge_sets(draw):
+    """1-12 nodes and any set of edges among them, so isolated nodes too."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, sorted(draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edge_sets())
+@example((1, []))
+@example((6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]))  # degree 5
+@example((7, [(1, 3), (2, 6)]))
+def test_arc_table_matches_the_sorted_adjacency(case):
+    """Column u lists u's arcs as the edge-built adjacency does, by ascending
+    head, then pads to the dummy node over the phantom edge."""
+    n, edges = case
+    g = make_graph([(i / 12, 1 - i / 12) for i in range(n)], edges,
+                   lengths=[1.0] * len(edges))
+    adjacency = sorted_adjacency(g)
+    assert g.arcs.shape == (2, max(map(len, adjacency), default=0), n)
+    for u, arcs in enumerate(adjacency):
+        padding = [(n, len(edges))] * (g.arcs.shape[1] - len(arcs))
+        assert g.arcs[:, :, u].T.tolist() == [list(a) for a in arcs + padding]
+        assert g.degree(u) == len(arcs)
+
+
+@pytest.mark.parametrize("edges", [[(-1, 1)], [(0, 3)], [(-2, 5)]])
+def test_graph_rejects_an_edge_end_that_is_not_a_node(edges):
+    """A negative end would wrap around to the last node."""
+    with pytest.raises(dg.GraphError, match="is not a node 0-2"):
+        dg.CityGraph(xy=[(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], edges=edges,
+                     length_m=[1000.0], speed_kmh=[50.0])
 
 
 def test_graph_invariants_rejected():
@@ -248,9 +286,10 @@ def test_synth_city_determinism_and_invariants():
     # connectivity by traversal
     seen = {0}
     stack = [0]
+    adjacency = sorted_adjacency(a)
     while stack:
         u = stack.pop()
-        for v, _ in a.adj[u]:
+        for v, _ in adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -262,6 +301,17 @@ def test_synth_city_minimal_and_errors():
     assert g.n_nodes == 4
     with pytest.raises(dg.GraphError):
         dg.synth_city(1, 5, seed=0)
+
+
+def test_random_scenario_needs_a_node_that_is_not_an_exit():
+    # each node is nearest to one exit anchor
+    g = make_graph([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)], [(0, 1), (0, 2), (1, 2)])
+    assert dg.pick_exits(g) == (0, 1, 2)
+    with pytest.raises(dg.GraphError, match=r"every node of the graph is an exit \[0, 1, 2\]"):
+        dg.random_scenario(g, np.random.default_rng(1))
+    sc = dg.random_scenario(make_graph([*g.xy, (0.5, 0.5)], [(0, 3)]),
+                            np.random.default_rng(1))
+    assert (sc.start, sc.exits) == (3, (0, 1, 2))
 
 
 @pytest.mark.parametrize("frac", [float("nan"), -0.1, 1.5, float("inf")])

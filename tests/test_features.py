@@ -13,7 +13,8 @@ import quakeroute.features as ft
 import quakeroute.hybrid as hy
 import quakeroute.oracle as oc
 from conftest import make_graph, random_connected_graph, scenario_for, weighted_graphs
-from helpers import brute_force_edge_betweenness, feature_row
+from helpers import (brute_force_edge_betweenness, feature_row, heap_distances, next_slot,
+                     sorted_adjacency)
 
 
 def _rows_at(coords, edges, exit_, here):
@@ -117,6 +118,18 @@ def test_edge_betweenness_matches_enumeration_on_random_graphs(case):
                        brute_force_edge_betweenness(g, weights[0]), atol=1e-9)
 
 
+@pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
+def test_edge_betweenness_rejects_weights_that_are_not_finite_and_positive(value):
+    """Around a negative edge the distance sweeps would lower distances forever."""
+    g = dg.synth_city(3, 3, seed=0)
+    weights = g.nominal_minutes()
+    weights[4] = value
+    with pytest.raises(ValueError, match="finite, positive values, one per edge"):
+        ft.edge_betweenness(g, weights)
+    with pytest.raises(ValueError, match="one per edge"):
+        ft.edge_betweenness(g, g.nominal_minutes()[:-1])
+
+
 def test_edge_betweenness_disconnected():
     g = make_graph([(0, 0), (0.3, 0.3), (0.7, 0.7), (1.0, 1.0)],
                    [(0, 1), (2, 3)])
@@ -139,7 +152,7 @@ def test_build_feature_vector_hand_computed():
     assert np.array_equal(g.betweenness, btw)
     [vec] = ft.build_feature_vector(state, [0])
     assert vec.shape == (36,)
-    assert g.adj[0] == ((1, 0), (2, 1))  # block j is the arc in slot j
+    assert g.arcs[:, :, 0].T.tolist() == [[1, 0], [2, 1]]  # block j is the arc in slot j
     assert ft.block_mask(vec).tolist() == [True, True, False, False, False]
     assert np.allclose(vec[0:2], [0.1, 0.2])    # epicenter
     assert np.allclose(vec[2:4], [0.5, 0.5])    # current node
@@ -185,7 +198,7 @@ def test_feature_blocks_follow_node_relabeling():
     sc2 = scenario_for(g2, start=2, exit_=1, epicenter=(0.1, 0.2), max_steps=10)
     state2 = dg.initial_state(g2, [sc2], sigma_frac=0.0)
     [vec2] = ft.build_feature_vector(state2, [0])
-    assert [v for v, _ in g2.adj[0]] == [1, 2]
+    assert g2.arcs[0, :, 0].tolist() == [1, 2]
     assert np.allclose(vec2[6:12], vec[12:18])   # old neighbor 2 is now first
     assert np.allclose(vec2[12:18], vec[6:12])
 
@@ -228,13 +241,13 @@ def test_feature_rows_match_the_scalar_reference_bit_for_bit():
 def test_feature_row_of_a_start_next_to_its_exit():
     g = dg.synth_city(6, 6, seed=3)
     exit_ = dg.pick_exits(g)[0]
-    for start, e in g.adj[exit_]:
+    for start, e in sorted_adjacency(g)[exit_]:
         sc = dataclasses.replace(ft._scenario_for_index(g, 1, 0), start=start,
                                  chosen_exit=exit_)
         world = dg.initial_state(g, [sc])
         [x] = ft.build_feature_vector(world, [start])
         assert x.tobytes() == feature_row(world, 0, start).tobytes()
-        j = [v for v, _ in g.adj[start]].index(exit_)
+        j = [v for v, _ in sorted_adjacency(g)[start]].index(exit_)
         block = x[ft.HEAD_SIZE + j * ft.BLOCK_SIZE:][:ft.BLOCK_SIZE]
         assert block.tolist()[:5] == [*g.xy[exit_], world.weights[0, e] / ft.WEIGHT_SCALE,
                                       g.betweenness[e], 0.0]
@@ -355,21 +368,20 @@ def test_generate_dataset_argument_error():
 
 
 def _replayed_dataset(graph, scenarios, sigma_frac):
-    """One scenario at a time: advance its own world, then take the first edge
-    of the heap Dijkstra path on the current weights; failed scenarios drop out."""
+    """One scenario at a time: advance its own world, then move by the scalar
+    rule on heap distances of the current weights; failed scenarios drop out."""
     rows = []
     for i, sc in enumerate(scenarios):
         state = dg.initial_state(graph, [sc], sigma_frac)
         u, mine = sc.start, []
         while u != sc.chosen_exit and state.t < sc.max_steps:
             dg.advance(state)
-            try:
-                v = oc.dijkstra(graph, state.weights[0], u, sc.chosen_exit).nodes[1]
-            except oc.NoPathError:
+            dist = heap_distances(graph, state.weights[0], sc.chosen_exit)
+            j = next_slot(graph, state.weights[0], dist, u)
+            if j < 0:
                 break
-            vec = feature_row(state, 0, u)
-            mine.append((vec, [nbr for nbr, _ in graph.adj[u]].index(v), i, state.t))
-            u = v
+            mine.append((feature_row(state, 0, u), j, i, state.t))
+            u = sorted_adjacency(graph)[u][j][0]
         if u == sc.chosen_exit:
             rows += mine
     return ft.Dataset.from_rows(rows)

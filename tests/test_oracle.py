@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import quakeroute.dyngraph as dg
 import quakeroute.oracle as oc
 from conftest import make_graph, random_connected_graph, scenario_for, weighted_graphs
-from helpers import brute_force_shortest
+from helpers import brute_force_shortest, heap_distances, heap_path, next_slot
 
 
 def test_dijkstra_triangle(triangle):
@@ -65,9 +65,9 @@ def test_nodewise_degenerates_to_static_dijkstra(monkeypatch):
     monkeypatch.setattr(dg, "INITIAL_FACTORS", (1.0, 1.0, 1.0))
     monkeypatch.setattr(dg, "advance", lambda state: setattr(state, "t", state.t + 1) or state)
     [rolled] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.0)
-    static = oc.dijkstra(g, g.nominal_minutes(), sc.start, sc.chosen_exit)
-    assert rolled.nodes == static.nodes
-    assert rolled.total_cost == pytest.approx(static.total_cost)
+    nodes, costs = heap_path(g, g.nominal_minutes(), sc.start, sc.chosen_exit)
+    assert rolled.nodes == nodes
+    assert rolled.edge_costs == costs
 
 
 def test_nodewise_budget_marks_failed(line3):
@@ -90,13 +90,12 @@ def test_nodewise_matches_manual_replay():
     costs = []
     while u != sc.chosen_exit and state.t < sc.max_steps:
         dg.advance(state)
-        best = oc.dijkstra(g, state.weights[0], u, sc.chosen_exit)
-        v = best.nodes[1]
-        costs.append(best.edge_costs[0])
-        nodes.append(v)
-        u = v
+        best_nodes, best_costs = heap_path(g, state.weights[0], u, sc.chosen_exit)
+        costs.append(best_costs[0])
+        nodes.append(best_nodes[1])
+        u = best_nodes[1]
     assert got.nodes == nodes
-    assert np.allclose(got.edge_costs, costs, atol=1e-15)
+    assert got.edge_costs == costs
 
 
 def test_nodewise_lockstep_matches_one_scenario_calls():
@@ -135,8 +134,8 @@ def test_nodewise_worlds_do_not_change_the_paths(monkeypatch):
 
 
 def test_lockstep_with_heap_oracle_slots_reproduces_nodewise(monkeypatch):
-    """A policy that takes each row's first arc of its own heap Dijkstra path,
-    given as a slot of ``adj``, drives the same paths as the batched oracle."""
+    """A policy that takes each row's slot by the scalar rule on its own heap
+    distances drives the same paths as the batched oracle."""
     g, scenarios = _city_scenarios()
     monkeypatch.setattr(oc, "WORLD_ROWS", 4)  # rows are global indices across worlds
 
@@ -144,8 +143,8 @@ def test_lockstep_with_heap_oracle_slots_reproduces_nodewise(monkeypatch):
         slots = []
         for k, (i, u) in enumerate(zip(rows, here)):
             assert world.scenarios[k] == scenarios[i]
-            v = oc.dijkstra(g, world.weights[k], u, scenarios[i].chosen_exit).nodes[1]
-            slots.append([nbr for nbr, _ in g.adj[u]].index(v))
+            dist = heap_distances(g, world.weights[k], scenarios[i].chosen_exit)
+            slots.append(next_slot(g, world.weights[k], dist, u))
         return slots
 
     got = oc.lockstep(g, scenarios, 0.1, heap_slots)
@@ -170,8 +169,50 @@ def test_nodewise_stops_where_the_exit_is_unreachable():
 def test_distances_to_matches_heap_distances(case):
     g, weights, goals = case
     got = oc.distances_to(g, weights, goals)
-    want = [oc._distances(g, w, goal) for w, goal in zip(weights, goals)]
+    want = [heap_distances(g, w, goal) for w, goal in zip(weights, goals)]
     assert np.array_equal(got, want)
+
+
+# a diamond whose two routes from 0 to 3 tie exactly, and a node 4 apart
+_TIED = make_graph([(0.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 0.5), (0.9, 0.9)],
+                   [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weighted_graphs())
+@example((_TIED, np.array([[1.0, 2.0, 2.0, 1.0], [3.0, 1.0, 1.0, 3.0]]), [3, 4]))
+@example((make_graph([(0.2, 0.2), (0.8, 0.8)], [], lengths=[]), np.zeros((1, 0)), [1]))
+def test_next_slots_match_the_scalar_rule(case):
+    """At every node but the goal, every row's slot equals the scalar rule's on
+    the heap distances (smallest neighbor id among exact ties, -1 where the goal
+    is unreachable), and dijkstra walks the reference's path. The examples add
+    exact ties, a goal that no other node reaches and a graph without edges."""
+    g, weights, goals = case
+    dist = np.array([heap_distances(g, w, goal) for w, goal in zip(weights, goals)])
+    for u in range(g.n_nodes):
+        got = oc._next_slots(g, weights, dist, [u] * len(goals))
+        for w, d, goal, j in zip(weights, dist, goals, got):
+            if u != goal:
+                assert j == next_slot(g, w, d, u)
+                want = heap_path(g, w, u, goal)
+                if want is None:
+                    with pytest.raises(oc.NoPathError):
+                        oc.dijkstra(g, w, u, goal)
+                else:
+                    path = oc.dijkstra(g, w, u, goal)
+                    assert (path.nodes, path.edge_costs) == want
+
+
+@pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
+def test_dijkstra_rejects_weights_that_are_not_finite_and_positive(value):
+    """A negative edge would keep the distance sweeps lowering distances forever."""
+    g = dg.synth_city(3, 3, seed=0)
+    weights = g.nominal_minutes()
+    weights[4] = value
+    with pytest.raises(ValueError, match="finite, positive values, one per edge"):
+        oc.dijkstra(g, weights, 0, 8)
+    with pytest.raises(ValueError, match="one per edge"):
+        oc.dijkstra(g, g.nominal_minutes()[1:], 0, 8)
 
 
 def test_arrival_rate():
