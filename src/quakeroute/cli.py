@@ -178,6 +178,9 @@ def _cmd_analyze_fisher(args) -> int:
 
 def _cmd_export_qasm(args) -> int:
     model = hybrid.HybridModel.load(args.params)
+    if model.classical_only:
+        raise ValueError(f"{args.params}: a classical-only checkpoint, whose quantum "
+                         "parameters were never trained")
     # any JSON object whose features obey the dataset's rule
     vec = dyngraph.read_json(args.input, None, lambda doc: dyngraph.check_layout(
         "features", doc.get("features") if isinstance(doc, dict) else None,

@@ -280,41 +280,35 @@ def advance(state: DynamicState) -> DynamicState:
 # Synthetic city generation
 
 
-def _connected(n_nodes: int, edges: list[tuple[int, int]]) -> bool:
-    if n_nodes == 0:
-        return True
-    adjacency = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n_nodes
+def _joined(adj: list[set], u: int, v: int) -> bool:
+    """Whether a breadth-first search from u reaches v over the neighbour sets ``adj``."""
+    seen, frontier = {u}, {u}
+    while frontier and v not in seen:
+        frontier = {w for x in frontier for w in adj[x]} - seen
+        seen |= frontier
+    return v in seen
 
 
 def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
                delete_frac: float = 0.15) -> CityGraph:
     """Random grid-with-diagonals city in the unit square.
 
-    Jittered grid nodes, rook edges plus one random diagonal per cell, then a
-    random connectivity-preserving edge thinning and a degree-5 clamp.
-    Deterministic in the seed. ``span_m`` maps the unit square to meters.
+    Jittered grid nodes; rook edges, node by node in row-major order, the edge
+    right before the edge down; then one diagonal per cell, its direction a
+    coin flip. A random thinning tries to drop each edge with probability
+    ``delete_frac``, and a clamp then drops the longest edges of the node of
+    largest degree until no node has more than 5 or none of its edges can go.
+    An edge goes only if the city stays connected. Deterministic in the seed.
+    ``span_m`` maps the unit square to meters.
     """
     if n_rows < 2 or n_cols < 2:
         raise GraphError("need at least a 2x2 grid")
     if not 0.0 <= delete_frac <= 1.0:
         raise GraphError(f"delete_frac must be in [0, 1], got {delete_frac}")
+    if not (math.isfinite(span_m) and span_m > 0.0):
+        raise GraphError(f"span_m must be finite and positive, got {span_m}")
     rng = np.random.default_rng(seed)
     n = n_rows * n_cols
-
-    def nid(r, c):
-        return r * n_cols + c
 
     gx = np.repeat(np.arange(n_rows), n_cols) / (n_rows - 1)
     gy = np.tile(np.arange(n_cols), n_rows) / (n_cols - 1)
@@ -322,60 +316,58 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     xy = np.stack([gx, gy], axis=1) + rng.uniform(-jitter, jitter, (n, 2))
     xy = np.clip(xy, 0.0, 1.0)
 
-    edges: list[tuple[int, int]] = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if c + 1 < n_cols:
-                edges.append((nid(r, c), nid(r, c + 1)))
-            if r + 1 < n_rows:
-                edges.append((nid(r, c), nid(r + 1, c)))
-    for r in range(n_rows - 1):
-        for c in range(n_cols - 1):
-            if rng.random() < 0.5:
-                edges.append((nid(r, c), nid(r + 1, c + 1)))
-            else:
-                edges.append((nid(r, c + 1), nid(r + 1, c)))
+    node = np.arange(n)
+    rook = np.stack([np.stack([node, node + 1], 1), np.stack([node, node + n_cols], 1)], 1)
+    rook = rook[np.stack([node % n_cols < n_cols - 1, node < n - n_cols], 1)]
+    cell = node.reshape(n_rows, n_cols)[:-1, :-1].ravel()
+    falling = (rng.random(len(cell)) < 0.5)[:, None]
+    diagonal = np.where(falling, np.stack([cell, cell + n_cols + 1], 1),
+                        np.stack([cell + 1, cell + n_cols], 1))
+    edges = np.concatenate([rook, diagonal])
 
-    # Thin edges at random while keeping the city connected.
+    # The full grid is connected and no drop disconnects it, so before each
+    # drop the city is connected, and it stays so without edge u-v exactly
+    # when u still reaches v.
+    adj = [set() for _ in range(n)]
+    for u, v in edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    keep = np.ones(len(edges), bool)
+
+    def drop(i) -> bool:
+        u, v = edges[i]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        if _joined(adj, u, v):
+            keep[i] = False
+            return True
+        adj[u].add(v)
+        adj[v].add(u)
+        return False
+
+    # the k-th draw decides whether to try the k-th edge of the permutation
     order = rng.permutation(len(edges))
-    keep = set(range(len(edges)))
-    for i in order:
-        if rng.random() >= delete_frac:
-            continue
-        trial = [edges[j] for j in keep if j != i]
-        if _connected(n, trial):
-            keep.discard(int(i))
-    edges = [edges[j] for j in sorted(keep)]
+    for i in order[rng.random(len(edges)) < delete_frac]:
+        drop(i)
 
-    # Clamp degrees to 5, preferring to drop diagonals (the longer edges).
-    def degrees(es):
-        d = np.zeros(n, int)
-        for u, v in es:
-            d[u] += 1
-            d[v] += 1
-        return d
+    # Clamp degrees to 5 at the first node of largest degree: drop its first
+    # kept edge that can go, longest (the diagonals) first, ties in edge order.
+    while True:
+        degree = list(map(len, adj))
+        hot = degree.index(max(degree))
+        if degree[hot] <= 5:
+            break
+        incident = np.flatnonzero(keep & (edges == hot).any(axis=1))
+        longest_first = sorted(incident, key=lambda i: -np.linalg.norm(
+            xy[edges[i, 0]] - xy[edges[i, 1]]))
+        if not any(drop(i) for i in longest_first):
+            break
 
-    deg = degrees(edges)
-    changed = True
-    while changed and deg.max() > 5:
-        changed = False
-        hot = int(np.argmax(deg))
-        incident = [e for e in edges if hot in e]
-        incident.sort(key=lambda e: -np.linalg.norm(xy[e[0]] - xy[e[1]]))
-        for e in incident:
-            trial = [x for x in edges if x != e]
-            if _connected(n, trial):
-                edges = trial
-                deg = degrees(edges)
-                changed = True
-                break
-
-    edges_arr = np.array([(min(u, v), max(u, v)) for u, v in edges], int)
-    order = np.lexsort((edges_arr[:, 1], edges_arr[:, 0]))
-    edges_arr = edges_arr[order]
-    length = np.linalg.norm(xy[edges_arr[:, 0]] - xy[edges_arr[:, 1]], axis=1) * span_m
-    speed = rng.choice(SPEED_CHOICES_KMH, size=len(edges_arr))
-    return CityGraph(xy=xy, edges=edges_arr, length_m=length, speed_kmh=speed)
+    edges = edges[keep]
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    length = np.linalg.norm(xy[edges[:, 0]] - xy[edges[:, 1]], axis=1) * span_m
+    speed = rng.choice(SPEED_CHOICES_KMH, size=len(edges))
+    return CityGraph(xy=xy, edges=edges, length_m=length, speed_kmh=speed)
 
 
 def pick_exits(graph: CityGraph) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Independent test oracles: an adjacency built from the edge list, a heap
-Dijkstra with the scalar next-slot rule, brute-force path search, a
-pure-Python replay of the weight dynamics, a scalar feature builder and a
-dense-matrix circuit simulator. These deliberately avoid the package's own
-fast paths and its arc table."""
+Dijkstra with the scalar next-slot rule, brute-force path search, the
+list-based city generator, a pure-Python replay of the weight dynamics, a
+scalar feature builder and a dense-matrix circuit simulator. These
+deliberately avoid the package's own fast paths and its arc table."""
 from __future__ import annotations
 
 import heapq
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from quakeroute import features
-from quakeroute.dyngraph import CityGraph, GraphError
+from quakeroute.dyngraph import SPEED_CHOICES_KMH, CityGraph, GraphError
 from quakeroute.qsim import Circuit, CNot
 
 
@@ -141,6 +141,105 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
                 for a, b in zip(p, p[1:]):
                     cb[eid[(a, b)]] += 1.0 / len(shortest)
     return cb / (n * (n - 1))
+
+
+# ---------------------------------------------------------------------------
+# List-based city generator
+
+
+def _connected(n_nodes: int, edges: list[tuple[int, int]]) -> bool:
+    if n_nodes == 0:
+        return True
+    adjacency = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n_nodes
+
+
+def reference_synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
+                         delete_frac: float = 0.15) -> CityGraph:
+    """``dyngraph.synth_city`` on edge tuples, one scalar draw at a time: every
+    trial drop copies the kept edge list and searches the whole city, and every
+    drop recounts the degrees."""
+    if n_rows < 2 or n_cols < 2:
+        raise GraphError("need at least a 2x2 grid")
+    if not 0.0 <= delete_frac <= 1.0:
+        raise GraphError(f"delete_frac must be in [0, 1], got {delete_frac}")
+    rng = np.random.default_rng(seed)
+    n = n_rows * n_cols
+
+    def nid(r, c):
+        return r * n_cols + c
+
+    gx = np.repeat(np.arange(n_rows), n_cols) / (n_rows - 1)
+    gy = np.tile(np.arange(n_cols), n_rows) / (n_cols - 1)
+    jitter = 0.25 * min(1.0 / (n_rows - 1), 1.0 / (n_cols - 1))
+    xy = np.stack([gx, gy], axis=1) + rng.uniform(-jitter, jitter, (n, 2))
+    xy = np.clip(xy, 0.0, 1.0)
+
+    edges: list[tuple[int, int]] = []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            if c + 1 < n_cols:
+                edges.append((nid(r, c), nid(r, c + 1)))
+            if r + 1 < n_rows:
+                edges.append((nid(r, c), nid(r + 1, c)))
+    for r in range(n_rows - 1):
+        for c in range(n_cols - 1):
+            if rng.random() < 0.5:
+                edges.append((nid(r, c), nid(r + 1, c + 1)))
+            else:
+                edges.append((nid(r, c + 1), nid(r + 1, c)))
+
+    # Thin edges at random while keeping the city connected.
+    order = rng.permutation(len(edges))
+    keep = set(range(len(edges)))
+    for i in order:
+        if rng.random() >= delete_frac:
+            continue
+        trial = [edges[j] for j in keep if j != i]
+        if _connected(n, trial):
+            keep.discard(int(i))
+    edges = [edges[j] for j in sorted(keep)]
+
+    # Clamp degrees to 5, preferring to drop diagonals (the longer edges).
+    def degrees(es):
+        d = np.zeros(n, int)
+        for u, v in es:
+            d[u] += 1
+            d[v] += 1
+        return d
+
+    deg = degrees(edges)
+    changed = True
+    while changed and deg.max() > 5:
+        changed = False
+        hot = int(np.argmax(deg))
+        incident = [e for e in edges if hot in e]
+        incident.sort(key=lambda e: -np.linalg.norm(xy[e[0]] - xy[e[1]]))
+        for e in incident:
+            trial = [x for x in edges if x != e]
+            if _connected(n, trial):
+                edges = trial
+                deg = degrees(edges)
+                changed = True
+                break
+
+    edges_arr = np.array([(min(u, v), max(u, v)) for u, v in edges], int)
+    order = np.lexsort((edges_arr[:, 1], edges_arr[:, 0]))
+    edges_arr = edges_arr[order]
+    length = np.linalg.norm(xy[edges_arr[:, 0]] - xy[edges_arr[:, 1]], axis=1) * span_m
+    speed = rng.choice(SPEED_CHOICES_KMH, size=len(edges_arr))
+    return CityGraph(xy=xy, edges=edges_arr, length_m=length, speed_kmh=speed)
 
 
 # ---------------------------------------------------------------------------

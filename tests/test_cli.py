@@ -78,6 +78,15 @@ def test_graph_synth_rejects_delete_frac_outside_unit_interval(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("span", ["0", "-5", "nan", "inf"])
+def test_graph_synth_rejects_a_span_that_is_not_finite_and_positive(tmp_path, capsys, span):
+    out = tmp_path / "g.json"
+    assert run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+                "--span-m", span, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: span_m must be finite and positive")
+    assert not out.exists()
+
+
 def test_qrl_seed_env_override(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -424,6 +433,27 @@ def test_train_eval_export_pipeline(tmp_path):
     for kind, count in census.items():
         assert sum(1 for l in lines if l.startswith(f"{kind}(")
                    or l.startswith(f"{kind} ")) == count
+
+
+def test_export_qasm_refuses_a_classical_only_checkpoint(tmp_path, capsys):
+    """Its quantum parameters are the untrained initial draw; ``eval`` still scores it."""
+    gpath, data, ckpt = tmp_path / "g.json", tmp_path / "data.jsonl", tmp_path / "ckpt.json"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
+         "--out", str(data)])
+    assert run(["train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+                "--seed", "0", "--classical-only"]) == 0
+    sample, qasm = tmp_path / "sample.json", tmp_path / "circuit.qasm"
+    with open(data) as fh:
+        sample.write_text(fh.readline())
+    capsys.readouterr()
+    assert run(["export-qasm", "--params", str(ckpt), "--input", str(sample),
+                "--out", str(qasm)]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "quantum parameters were never trained" in err
+    assert not qasm.exists()
+    assert run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
+                "--seed", "5", "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_export_qasm_rejects_non_finite_input(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, scenario_for
-from helpers import replay_trajectory, sorted_adjacency
+from helpers import reference_synth_city, replay_trajectory, sorted_adjacency
 
 
 def test_radius_formulas():
@@ -274,26 +274,39 @@ def test_trajectory_determinism():
 
 
 def test_synth_city_determinism_and_invariants():
-    a = dg.synth_city(8, 8, seed=7)
-    b = dg.synth_city(8, 8, seed=7)
-    assert np.array_equal(a.xy, b.xy)
-    assert np.array_equal(a.edges, b.edges)
-    assert np.array_equal(a.length_m, b.length_m)
-    assert np.array_equal(a.speed_kmh, b.speed_kmh)
-    degrees = [a.degree(i) for i in range(a.n_nodes)]
-    assert max(degrees) <= 5 and min(degrees) >= 1
-    assert set(np.unique(a.speed_kmh)) <= {30.0, 40.0, 50.0}
-    # connectivity by traversal
-    seen = {0}
-    stack = [0]
-    adjacency = sorted_adjacency(a)
-    while stack:
-        u = stack.pop()
-        for v, _ in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    assert len(seen) == a.n_nodes
+    for n_rows, n_cols, seed in ((8, 8, 7), (3, 17, 2), (20, 20, 1), (30, 30, 0)):
+        a = dg.synth_city(n_rows, n_cols, seed=seed)
+        b = dg.synth_city(n_rows, n_cols, seed=seed)
+        for name in ("xy", "edges", "length_m", "speed_kmh"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.edges[:, 0] < a.edges[:, 1]).all()
+        assert (np.diff(a.edges[:, 0] * a.n_nodes + a.edges[:, 1]) > 0).all()
+        degrees = [a.degree(i) for i in range(a.n_nodes)]
+        assert max(degrees) <= 5 and min(degrees) >= 1
+        assert set(np.unique(a.speed_kmh)) <= {30.0, 40.0, 50.0}
+        # connectivity by traversal
+        seen = {0}
+        stack = [0]
+        adjacency = sorted_adjacency(a)
+        while stack:
+            u = stack.pop()
+            for v, _ in adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        assert len(seen) == a.n_nodes
+
+
+@pytest.mark.parametrize("delete_frac", [0.0, 0.15, 1.0])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (2, 12), (5, 2), (12, 2), (3, 7),
+                                   (7, 3), (4, 11), (9, 6), (12, 10), (12, 12)])
+def test_synth_city_matches_the_list_based_generator(shape, delete_frac):
+    for seed in range(4):
+        fast = dg.synth_city(*shape, seed, delete_frac=delete_frac)
+        slow = reference_synth_city(*shape, seed, delete_frac=delete_frac)
+        for name in ("xy", "edges", "length_m", "speed_kmh"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
 
 
 def test_synth_city_minimal_and_errors():
@@ -318,6 +331,12 @@ def test_random_scenario_needs_a_node_that_is_not_an_exit():
 def test_synth_city_rejects_delete_frac_outside_unit_interval(frac):
     with pytest.raises(dg.GraphError, match="delete_frac must be in"):
         dg.synth_city(3, 3, seed=1, delete_frac=frac)
+
+
+@pytest.mark.parametrize("span_m", [0.0, -5.0, float("nan"), float("inf")])
+def test_synth_city_rejects_a_span_that_is_not_finite_and_positive(span_m):
+    with pytest.raises(dg.GraphError, match="span_m must be finite and positive"):
+        dg.synth_city(3, 3, seed=1, span_m=span_m)
 
 
 def test_synth_city_delete_frac_ends():
