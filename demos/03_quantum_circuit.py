@@ -26,7 +26,7 @@ features = rng.uniform(0, 1, 34)
 epi = rng.uniform(0, 1, 2)
 
 # the batched training kernel, derived from the circuit's gate list
-kernel = qs.ModelKernel(config)
+kernel = qs.ModelKernel()
 expectations = kernel.expectations(params, features, epi)[0]
 print("Z expectations of the five main qubits:", expectations.round(4))
 

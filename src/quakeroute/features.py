@@ -26,10 +26,12 @@ from .dyngraph import CityGraph, GraphError, Scenario
 
 log = logging.getLogger(__name__)
 
-N_FEATURES = 36
-N_BLOCKS = 5
-BLOCK_SIZE = 6
-HEAD_SIZE = 6
+# A row is a head (the epicenter, the current node, the destination) and one
+# block per neighbor slot. Its first N_EPI columns condition the model, the
+# other N_MAIN are its main input, and it scores one logit per block.
+N_EPI, HEAD_SIZE, N_BLOCKS, BLOCK_SIZE = 2, 6, 5, 6
+N_FEATURES = HEAD_SIZE + N_BLOCKS * BLOCK_SIZE
+N_MAIN = N_FEATURES - N_EPI
 # Travel times are divided by the global weight cap so they land in [0, 1]
 # (the uncapped initial x5 hit can push a little above 1).
 WEIGHT_SCALE = 5.0
@@ -50,7 +52,7 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
     source s, ``oracle.distances_to`` gives the distances, and two sweeps over
     the arc table visit the nodes in heap-pop order (distance, then id). Path
     counts go forward, dependencies backward. An arc u -> v lies on a shortest
-    path when ``|d[u] + w - d[v]| <= oracle._TIE_EPS * max(1, d[u] + w)``,
+    path when ``|d[u] + w - d[v]| <= oracle._TIE_EPS * (d[u] + w)``,
     the oracle's own tie slack. Normalized by n(n-1), so cross-pairs of a
     disconnected graph simply contribute nothing.
     """
@@ -71,12 +73,12 @@ def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.
         for u in order:  # the k-th node popped from every source, and its arcs
             v = heads[u]
             nd = dist[rows, u, None] + arc_w[u]
-            on = abs(nd - dist[col, v]) <= oracle._TIE_EPS * np.maximum(1.0, nd)
+            on = abs(nd - dist[col, v]) <= oracle._TIE_EPS * nd
             sigma[col, v] += np.where(on, sigma[rows, u, None], 0.0)
         for w in order[::-1]:  # back again, crediting the arcs into each node
             v = heads[w]
             nd = dist[col, v] + arc_w[w]
-            on = abs(nd - dist[rows, w, None]) <= oracle._TIE_EPS * np.maximum(1.0, nd)
+            on = abs(nd - dist[rows, w, None]) <= oracle._TIE_EPS * nd
             share = np.where(
                 on, sigma[col, v] / sigma[rows, w, None] * (1.0 + delta[rows, w, None]), 0.0)
             delta[col, v] += share
@@ -123,7 +125,7 @@ def build_feature_vector(world: dyngraph.DynamicState, here) -> np.ndarray:
     graph, here = world.graph, np.asarray(here, int)
     x = np.array([_destination_table(graph, sc.chosen_exit)[u]
                   for sc, u in zip(world.scenarios, here)]).reshape(len(here), N_FEATURES)
-    x[:, 0:2] = [sc.epicenter for sc in world.scenarios]
+    x[:, :N_EPI] = [sc.epicenter for sc in world.scenarios]
     edges = graph.arcs[1][:, here].T  # (S, degree): each row's edges, then the phantom
     x[:, HEAD_SIZE + 2:HEAD_SIZE + edges.shape[1] * BLOCK_SIZE:BLOCK_SIZE] = np.take_along_axis(
         np.append(world.weights, np.zeros((len(here), 1)), axis=1), edges, 1) / WEIGHT_SCALE
@@ -198,7 +200,8 @@ class Dataset:
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
         """Read a ``save_jsonl`` file with ``dyngraph.read_json``: a line off the record
-        layout, or labelled outside 0-4 or on padding, raises a ValueError."""
+        layout, labelled outside 0-4 or on padding, or whose blocks are not real
+        ones (travel time > 0) followed by all-zero padding, raises a ValueError."""
         return Dataset.from_rows(dyngraph.read_json(path, _SAMPLE, _sample_row, lines=True))
 
     def split(self, val_fraction: float, seed: int):
@@ -219,8 +222,14 @@ def _sample_row(doc: dict) -> tuple:
     features, label = np.array(doc["features"], float), doc["label"]
     if not 0 <= label < N_BLOCKS:
         raise ValueError(f"label is {label}, not in 0-{N_BLOCKS - 1}")
-    if not block_mask(features)[label]:
+    real = block_mask(features)
+    if not real[label]:
         raise ValueError(f"label {label} points at a padding block")
+    blocks = features[HEAD_SIZE:].reshape(N_BLOCKS, BLOCK_SIZE)
+    ok = np.where(np.arange(N_BLOCKS) < real.sum(), real, ~blocks.any(axis=1))
+    if not ok.all():
+        raise ValueError(f"block {ok.argmin()} is neither a neighbor (travel time > 0) "
+                         "ahead of the padding nor all-zero padding")
     return features, label, doc["scenario_id"], doc["t"]
 
 

@@ -24,7 +24,7 @@ from .oracle import Path
 
 log = logging.getLogger(__name__)
 
-N_OUT = 5
+N_OUT = feat.N_BLOCKS  # each branch's width, and the head's: one logit per block
 MASKED_LOGIT = -1e30
 CLASSICAL_LR = 1e-3  # scaled by neural.lr_schedule each epoch
 QUANTUM_LR = 1e-3
@@ -47,7 +47,7 @@ def quantum_share(head_w: np.ndarray) -> float:
     """
     head_w = np.asarray(head_w, float)
     if head_w.shape != (N_OUT, 2 * N_OUT):
-        raise ValueError(f"head must be (5, 10), got {head_w.shape}")
+        raise ValueError(f"head must be ({N_OUT}, {2 * N_OUT}), got {head_w.shape}")
     w_c = np.linalg.norm(head_w[:, :N_OUT])
     w_q = np.linalg.norm(head_w[:, N_OUT:])
     if w_c == 0.0 and w_q == 0.0:
@@ -74,7 +74,7 @@ class HybridModel:
     @property
     def kernel(self) -> qsim.ModelKernel:
         if self._kernel is None:
-            self._kernel = qsim.ModelKernel(self.model_config)
+            self._kernel = qsim.ModelKernel()
         return self._kernel
 
     @staticmethod
@@ -83,7 +83,7 @@ class HybridModel:
         features = np.atleast_2d(np.asarray(features, float))
         if features.shape[1] != feat.N_FEATURES:
             raise ValueError(f"expected {feat.N_FEATURES}-value features")
-        return features[:, 2:], features[:, :2]
+        return features[:, feat.N_EPI:], features[:, :feat.N_EPI]
 
     def forward(self, features: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -232,8 +232,10 @@ def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
             sigma_frac: float = 0.1) -> list[Path]:
     """Drive the model through the scenarios in lockstep, by masked argmax.
 
-    Each world step scores every unfinished scenario in one batched forward;
-    each path is the one its scenario takes alone.
+    Each world step scores every unfinished scenario in one batched forward,
+    whose logits may differ from a batch-1 forward's in the last bits (BLAS
+    in the classical net and the readout); so each path is the one its
+    scenario takes alone unless two unmasked logits tie within rounding.
     """
     def argmax_next(world, rows, here):
         x = feat.build_feature_vector(world, here)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# widths of the 34->100->100->5 stack and of the FiLM input (the epicenter)
-IN_DIM, HIDDEN, OUT_DIM, FILM_DIM = 34, 100, 5, 2
+from .features import N_BLOCKS, N_EPI, N_MAIN
+
+HIDDEN = 100  # the width of both hidden layers
 # share of the hidden units that a training-mode forward drops at each site
 DROPOUT = 0.5
 # lr_schedule's factor at the first and at the last epoch
@@ -44,16 +45,16 @@ class ClassicalFilmNet:
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {
-            "w1": kaiming_uniform(rng, (HIDDEN, IN_DIM), IN_DIM),
+            "w1": kaiming_uniform(rng, (HIDDEN, N_MAIN), N_MAIN),
             "b1": np.zeros(HIDDEN),
             "w2": kaiming_uniform(rng, (HIDDEN, HIDDEN), HIDDEN),
             "b2": np.zeros(HIDDEN),
-            "w3": kaiming_uniform(rng, (OUT_DIM, HIDDEN), HIDDEN),
-            "b3": np.zeros(OUT_DIM),
-            "film_scale_w": kaiming_uniform(rng, (HIDDEN, FILM_DIM), FILM_DIM),
+            "w3": kaiming_uniform(rng, (N_BLOCKS, HIDDEN), HIDDEN),
+            "b3": np.zeros(N_BLOCKS),
+            "film_scale_w": kaiming_uniform(rng, (HIDDEN, N_EPI), N_EPI),
             # start as an identity modulation: scale 1, shift 0
             "film_scale_b": np.ones(HIDDEN),
-            "film_shift_w": kaiming_uniform(rng, (HIDDEN, FILM_DIM), FILM_DIM),
+            "film_shift_w": kaiming_uniform(rng, (HIDDEN, N_EPI), N_EPI),
             "film_shift_b": np.zeros(HIDDEN),
         }
         self._cache = None
@@ -64,9 +65,9 @@ class ClassicalFilmNet:
         eval-mode masks are 1.0, and ``x * 1.0`` is exact."""
         x = np.atleast_2d(np.asarray(x, float))
         epi = np.atleast_2d(np.asarray(epi, float))
-        if x.shape[1] != IN_DIM or epi.shape[1] != FILM_DIM:
+        if x.shape[1] != N_MAIN or epi.shape[1] != N_EPI:
             raise ConfigError(
-                f"expected inputs ({IN_DIM}, {FILM_DIM}), "
+                f"expected inputs ({N_MAIN}, {N_EPI}), "
                 f"got ({x.shape[1]}, {epi.shape[1]})")
         if train and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")

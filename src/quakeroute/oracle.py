@@ -54,7 +54,7 @@ def _checked_weights(graph: CityGraph, weights) -> np.ndarray:
 
 def _next_slots(graph: CityGraph, weights: np.ndarray, dist: np.ndarray, here) -> np.ndarray:
     """Row k's slot of the smallest-id neighbor of ``here[k]`` on a shortest path
-    to its goal, where ``w + d[v] <= du + _TIE_EPS * max(1, du)``, or -1 if the
+    to its goal, where ``w + d[v] <= du + _TIE_EPS * du``, or -1 if the
     goal is unreachable. ``weights`` is (S, E), ``dist`` (S, n) from ``distances_to``.
     """
     here = np.asarray(here, int)
@@ -64,7 +64,7 @@ def _next_slots(graph: CityGraph, weights: np.ndarray, dist: np.ndarray, here) -
     w = np.hstack([weights, pad])[rows, edges]
     d = np.hstack([dist, pad])[rows, heads]
     du = dist[rows, here]
-    on = w + d <= du + _TIE_EPS * np.maximum(1.0, du)
+    on = w + d <= du + _TIE_EPS * du
     first = on.argmax(axis=0) if len(on) else 0  # an edgeless graph has no slot
     return np.where(np.isfinite(du), first, -1)
 
@@ -116,7 +116,9 @@ def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Pat
     Each world step advances every unfinished row, then moves row k out of
     ``here[k]`` by slot ``policy(world, rows, here)[k]``, where ``rows[k]`` is
     its index in ``scenarios``; -1 stops the row where it is. Rows never
-    interact, so each path is the one its scenario takes alone.
+    interact, so each path is the one its scenario takes alone wherever the
+    policy picks a row's slot as it would alone: ``oracle_next`` does, bit for
+    bit, while a batched model forward may round otherwise (``hybrid.rollout``).
     """
     scenarios = tuple(scenarios)
     paths = [Path([sc.start]) for sc in scenarios]

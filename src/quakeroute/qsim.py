@@ -1,19 +1,20 @@
 """Dense statevector simulator and the hybrid model's quantum circuit.
 
-The circuit has a two-qubit section that re-uploads the epicenter coordinates
-and a five-qubit section that encodes the remaining features subvector by
-subvector, each interlaced with entangler layers; the sections are joined by
-a CNOT bridge and a final entangler before Z measurements of the five main
-qubits. A rotation either encodes a feature or is trainable, and the k-th
-trainable rotation of a circuit turns by ``params[k]``. The generic engine
-(``run``) applies one gate at a time to a batch of states, with parameters
-(..., n_params) broadcast against features (..., n_features), and takes
-exact two-term parameter-shift gradients in one run: every shifted
-parameter vector is a row of the batch. The training kernel
-(``ModelKernel``) compiles each feature-free run of gates into one unitary,
-built from whole layers of RX gates, and takes adjoint gradients one layer at
-a time from the states of its last forward, with parameter-shift as its
-reference.
+The circuit has one shape, fixed by the sample layout of ``features``: a
+two-qubit section that re-uploads the epicenter coordinates, one qubit each,
+and a five-qubit section, one qubit per neighbor block, that encodes the
+remaining features subvector by subvector, each interlaced with entangler
+layers; the sections are joined by a CNOT bridge and a final entangler before
+Z measurements of the five main qubits. A rotation either encodes a feature
+or is trainable, and the k-th trainable rotation of a circuit turns by
+``params[k]``. The generic engine (``run``) applies one gate at a time to a
+batch of states, with parameters (..., n_params) broadcast against features
+(..., n_features), and takes exact two-term parameter-shift gradients in one
+run: every shifted parameter vector is a row of the batch. The training
+kernel (``ModelKernel``) compiles each feature-free run of gates into one
+unitary, built from whole layers of RX gates, and takes adjoint gradients one
+layer at a time from the states of its last forward, with parameter-shift as
+its reference.
 
 States are complex128 arrays of shape (..., 2**n); qubit 0 is the most
 significant bit of the amplitude index. Everything is batched over leading
@@ -28,8 +29,8 @@ from itertools import groupby
 
 import numpy as np
 
-N_MAIN_FEATURES = 34
-N_EPI_FEATURES = 2
+from .features import N_BLOCKS, N_EPI, N_FEATURES, N_MAIN
+
 FEATURE_SCALE = math.pi  # Z encodings map inputs in [0, 1] to angles in [0, pi]
 
 
@@ -224,17 +225,14 @@ def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape of the seven-qubit hybrid circuit."""
+    """Shape of the seven-qubit hybrid circuit, which has no settable value: one
+    film qubit per epicenter coordinate, one main qubit per neighbor block, and
+    ``reuploads`` bounds the output's Fourier degree in each coordinate."""
 
-    film_qubits: int = 2
-    main_qubits: int = 5
-    sublayers: int = 4
-    reuploads: int = 5
-    subvectors: int = 7
-
-    def __post_init__(self):
-        if self.main_qubits * self.subvectors < N_MAIN_FEATURES:
-            raise CircuitError("subvectors cannot hold the 34 main features")
+    # a class, not module constants: perfbench/workloads.py reads
+    # model.model_config.n_film_params and passes it to build_model_circuit
+    film_qubits, main_qubits = N_EPI, N_BLOCKS
+    sublayers, reuploads, subvectors = 4, 5, 7  # 7 subvectors of 5 hold the 34 main features
 
     @property
     def n_qubits(self) -> int:
@@ -263,8 +261,7 @@ def entangler_gates(qubits: tuple[int, ...], sublayers: int) -> list:
     gates: list = []
     for _ in range(sublayers):
         gates.extend(Rot("x", q) for q in qubits)
-        if len(qubits) > 1:
-            gates.extend(CNot(q, qubits[(i + 1) % len(qubits)]) for i, q in enumerate(qubits))
+        gates.extend(CNot(q, qubits[(i + 1) % len(qubits)]) for i, q in enumerate(qubits))
     return gates
 
 
@@ -283,18 +280,17 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
     main = tuple(range(config.film_qubits, config.n_qubits))
     gates = entangler_gates(film, config.sublayers)
     for _ in range(config.reuploads):
-        gates += [Rot("z", q, f, FEATURE_SCALE)
-                  for q, f in zip(film, (N_MAIN_FEATURES, N_MAIN_FEATURES + 1))]
+        gates += [Rot("z", q, N_MAIN + q, FEATURE_SCALE) for q in film]
         gates += entangler_gates(film, config.sublayers)
     gates += entangler_gates(main, config.sublayers)
     for l in range(config.subvectors):
         gates += [Rot("z", q, f, FEATURE_SCALE)
-                  for f, q in enumerate(main, l * len(main)) if f < N_MAIN_FEATURES]
+                  for f, q in enumerate(main, l * len(main)) if f < N_MAIN]
         gates += entangler_gates(main, config.sublayers)
     gates += [CNot(c, t) for c in film for t in main]
     gates += entangler_gates(main, config.sublayers)
     return Circuit(n_qubits=config.n_qubits, gates=tuple(gates),
-                   n_features=N_MAIN_FEATURES + N_EPI_FEATURES, measured=main)
+                   n_features=N_FEATURES, measured=main)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +379,7 @@ class _Section:
     A run of Z encodings is a per-sample phase vector exp(-i/2 * angles @ zsigns).
     Any other run is a block of RX parameters and CNOTs, compiled into one
     unitary. Its RX gates fall into layers: consecutive RX on distinct qubits,
-    closed by a CNOT or by a second RX on one of the layer's qubits. A layer is
-    one unitary,
+    closed by a CNOT. A layer is one unitary,
     R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
     with t_q = 0 on the qubits it leaves alone; a run of CNOTs is one row
     permutation.
@@ -400,7 +395,7 @@ class _Section:
                                      and g.axis == "z" and g.feature is not None):
             self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
             if encoding:
-                enc.append(np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES, k)))
+                enc.append(np.zeros((N_FEATURES, k)))
                 for g in run:
                     enc[-1][g.feature, g.qubit - first] += g.scale
                 continue
@@ -412,14 +407,14 @@ class _Section:
                         perm = steps.pop()[perm]
                     steps.append(perm)
                 elif g.axis == "x" and g.feature is None:
-                    if not steps or not isinstance(steps[-1], int) or g.qubit - first in layers[-1]:
+                    if not steps or not isinstance(steps[-1], int):
                         steps.append(len(layers))
                         layers.append([])
                     layers[-1].append(g.qubit - first)
                 else:
                     raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
             self.steps.append(steps)
-        self._enc_w = np.concatenate(enc or [np.zeros((N_MAIN_FEATURES + N_EPI_FEATURES, 0))], 1)
+        self._enc_w = np.concatenate(enc or [np.zeros((N_FEATURES, 0))], 1)
         rows = np.arange(self.dim)
         self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
         self._xor = rows[:, None] ^ rows  # R[i, j] reads flip pattern i ^ j
@@ -498,9 +493,9 @@ class ModelKernel:
     circuit once. ``param_shift_grad`` is the reference for ``grad``.
     """
 
-    def __init__(self, config: ModelConfig = ModelConfig()):
-        circuit = build_model_circuit(config)
-        n, f, m = config.n_qubits, config.film_qubits, config.main_qubits
+    def __init__(self):
+        circuit = build_model_circuit()
+        n, f, m = circuit.n_qubits, N_EPI, N_BLOCKS
         film = set(range(f))
         self.film_gates, self.main_gates, bridge, final = (tuple(run) for _, run in groupby(
             circuit.gates, lambda g: (bool(_support(g) & film), bool(_support(g) - film))))
@@ -525,8 +520,8 @@ class ModelKernel:
                 f"expected {self.n_params} finite parameters, got shape {params.shape}")
         features = np.atleast_2d(np.asarray(features, float))
         epi = np.atleast_2d(np.asarray(epi, float))
-        if features.shape[-1] != N_MAIN_FEATURES or epi.shape[-1] != N_EPI_FEATURES:
-            raise CircuitError("expected 34 main features and 2 epicenter values")
+        if features.shape[-1] != N_MAIN or epi.shape[-1] != N_EPI:
+            raise CircuitError(f"expected {N_MAIN} main features and {N_EPI} epicenter values")
         return params, np.concatenate([features, epi], axis=-1)
 
     def _run(self, params, x):
@@ -548,7 +543,7 @@ class ModelKernel:
         return self._forward
 
     def expectations(self, params, features, epi) -> np.ndarray:
-        """(B, m) Z expectations of the m main qubits (5 by default)."""
+        """(B, 5) Z expectations of the five main qubits."""
         final = self._run(*self._inputs(params, features, epi))[3]
         return probabilities(final) @ self._zsigns.T
 

@@ -55,7 +55,7 @@ def next_slot(graph: CityGraph, weights, dist_to_goal, u: int) -> int:
     du = dist_to_goal[u]
     if not math.isfinite(du):
         return -1
-    tol = 1e-12 * max(1.0, du)
+    tol = 1e-12 * du
     for j, (v, e) in enumerate(sorted_adjacency(graph)[u]):
         if weights[e] + dist_to_goal[v] <= du + tol:
             return j
@@ -136,7 +136,7 @@ def brute_force_edge_betweenness(graph: CityGraph, weights) -> np.ndarray:
                 continue
             costs = [sum(ew[(a, b)] for a, b in zip(p, p[1:])) for p in paths]
             lo = min(costs)
-            shortest = [p for p, c in zip(paths, costs) if c <= lo + 1e-12 * max(1.0, lo)]
+            shortest = [p for p, c in zip(paths, costs) if c <= lo + 1e-12 * lo]
             for p in shortest:
                 for a, b in zip(p, p[1:]):
                     cb[eid[(a, b)]] += 1.0 / len(shortest)

@@ -444,6 +444,14 @@ def _edit_padding_label(doc):
     doc["label"] = 4
 
 
+def _set_block_1(values):
+    """An edit of block 1 of the line's four real blocks; its label is 2."""
+    def edit(doc):
+        for k, value in values.items():
+            doc["features"][ft.HEAD_SIZE + ft.BLOCK_SIZE + k] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["features"].pop(), "length-36 JSON list"),
     (lambda doc: doc["features"].append(0.5), "length-36 JSON list"),
@@ -455,6 +463,10 @@ def _edit_padding_label(doc):
     (lambda doc: doc.update(label=-1), "label"),
     (lambda doc: doc.update(label=1.0), "label"),
     (_edit_padding_label, "padding"),
+    # a negative travel time, a zero one under a neighbor's coordinates, real after padding
+    (_set_block_1({2: -0.5}), "block 1 is neither"),
+    (_set_block_1({2: 0.0}), "block 1 is neither"),
+    (_set_block_1(dict.fromkeys(range(ft.BLOCK_SIZE), 0.0)), "block 1 is neither"),
     (lambda doc: doc.update(scenario_id="3"), "scenario_id"),
     (lambda doc: doc.update(scenario_id=-1), "scenario_id is -1"),
     (lambda doc: doc.update(t=2.5), "t"),
@@ -473,3 +485,16 @@ def test_load_jsonl_rejects_malformed_sample(tmp_path, edit, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         ft.Dataset.load_jsonl(path)
     assert f"{path}, line 2" in str(info.value)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 8])
+def test_dataset_labels_do_not_depend_on_the_city_span(size):
+    """Spans of 2**-10 and 2**-40 m scale every travel time by a power of two,
+    exactly, and stay far below every band cap; so the oracle takes the same
+    moves, and the tie slack, relative to the distance, must not let it wander
+    where every time is tiny."""
+    small, tiny = (ft.generate_dataset(dg.synth_city(size, size, seed=1, span_m=span), 20, seed=1)
+                   for span in (2.0 ** -10, 2.0 ** -40))
+    assert len(small) > 20
+    for key in ("label", "scenario_id", "t"):
+        assert np.array_equal(getattr(small, key), getattr(tiny, key))
