@@ -9,14 +9,14 @@ Fisher information, OpenQASM 3 export).
 from .dyngraph import (
     CityGraph, DynamicState, GraphError, Scenario, advance, damage_radius,
     exit_radius, initial_state, load_graph, load_scenario, pick_exits,
-    random_scenario, save_graph, save_scenario, synth_city,
+    random_scenario, random_scenarios, save_graph, save_scenario, synth_city,
 )
 from .oracle import (
     NoPathError, Path, arrival_rate, better_or_equal_rate, dijkstra,
-    nodewise_dijkstra, path_accuracy,
+    edge_betweenness, nodewise_dijkstra, path_accuracy,
 )
 from .features import (
-    Dataset, build_feature_vector, edge_betweenness, generate_dataset,
+    Dataset, build_feature_vector, generate_dataset, load_sample,
 )
 from .qsim import (
     BindingError, Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,

@@ -74,8 +74,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_synth(args) -> int:
-    seed = _resolve_seed(args)
-    graph = dyngraph.synth_city(args.rows, args.cols, seed,
+    graph = dyngraph.synth_city(args.rows, args.cols, args.seed,
                                 span_m=args.span_m, delete_frac=args.delete_frac)
     dyngraph.save_graph(graph, args.out)
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges -> {args.out}")
@@ -105,9 +104,8 @@ def _cmd_env_simulate(args) -> int:
 
 
 def _cmd_dataset_generate(args) -> int:
-    seed = _resolve_seed(args)
     graph = dyngraph.load_graph(args.graph)
-    dataset = features.generate_dataset(graph, args.n, seed, sigma_frac=args.sigma_frac)
+    dataset = features.generate_dataset(graph, args.n, args.seed, sigma_frac=args.sigma_frac)
     dataset.save_jsonl(args.out)
     n_scen = len(np.unique(dataset.scenario_ids()))
     print(f"dataset: {len(dataset)} samples from {n_scen} scenarios -> {args.out}")
@@ -115,10 +113,9 @@ def _cmd_dataset_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args)
     dataset = features.Dataset.load_jsonl(args.data)
     config = hybrid.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                seed=seed, classical_only=args.classical_only)
+                                seed=args.seed, classical_only=args.classical_only)
     model, history = hybrid.train(dataset, config)
     model.save(args.out)
     if args.history_out:
@@ -131,10 +128,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    seed = _resolve_seed(args)
     model = hybrid.HybridModel.load(args.ckpt)
     graph = dyngraph.load_graph(args.graph)
-    report = hybrid.evaluate(model, graph, args.scenarios, seed,
+    report = hybrid.evaluate(model, graph, args.scenarios, args.seed,
                              sigma_frac=args.sigma_frac)
     report.save_json(args.out)
     csv_path = args.csv or str(FilePath(args.out).with_suffix(".paths.csv"))
@@ -147,10 +143,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze_fourier(args) -> int:
-    seed = _resolve_seed(args)
     config = analysis.MiniConfig(sublayers=args.N, reuploads=args.K)
-    rng = np.random.default_rng(seed)
-    samples = analysis.sample_fourier(config, args.samples, rng,
+    samples = analysis.sample_fourier(config, args.samples, np.random.default_rng(args.seed),
                                       grid_points=args.grid)
     analysis.write_violin_csv(samples, args.out)
     print(f"fourier: {args.samples} draws, degree {config.reuploads} "
@@ -159,11 +153,9 @@ def _cmd_analyze_fourier(args) -> int:
 
 
 def _cmd_analyze_fisher(args) -> int:
-    seed = _resolve_seed(args)
     config = analysis.MiniConfig(sublayers=args.N, reuploads=args.K)
-    rng = np.random.default_rng(seed)
     result = analysis.fisher_matrix(config, n_x=args.nx, n_theta=args.ntheta,
-                                    rng=rng, include_main=args.full)
+                                    rng=np.random.default_rng(args.seed), include_main=args.full)
     report = analysis.fisher_spectrum(result.matrix)
     analysis.write_spectrum_csv(report, args.out)
     line = (f"fisher: rank {report.rank} of {result.n_params}, near-zero "
@@ -181,11 +173,7 @@ def _cmd_export_qasm(args) -> int:
     if model.classical_only:
         raise ValueError(f"{args.params}: a classical-only checkpoint, whose quantum "
                          "parameters were never trained")
-    # any JSON object whose features obey the dataset's rule
-    vec = dyngraph.read_json(args.input, None, lambda doc: dyngraph.check_layout(
-        "features", doc.get("features") if isinstance(doc, dict) else None,
-        features._SAMPLE["features"]))
-    main, epi = hybrid.HybridModel.split_inputs(vec)
+    main, epi = hybrid.HybridModel.split_inputs(features.load_sample(args.input))
     circuit = qsim.build_model_circuit(model.model_config)
     text = qsim.export_qasm3(circuit, model.quantum_params, np.concatenate([main[0], epi[0]]))
     FilePath(args.out).write_text(text)
@@ -324,6 +312,8 @@ def run(argv=None) -> int:
                 args.config, None, lambda doc: _config_defaults(args, doc)))
             args = parser.parse_args(argv)
         _check_required(args)
+        if "seed" in args:  # the seeded subcommands, before any input file is read
+            args.seed = _resolve_seed(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

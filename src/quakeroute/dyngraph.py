@@ -6,7 +6,9 @@ the epicenter once. After that, ``advance`` is the only world step. It grows
 weights with two mechanisms: the quake's damage circle (slowly expanding) and
 traffic circles around the exit nodes (expanding from radius zero). Each
 mechanism is one band lookup: an edge's distance to the circle's center picks
-a band of the circle, and the band picks a factor and a saturation cap.
+a band of the circle, and the band picks a factor and a saturation cap. The
+module owns the scenario seed rule (``random_scenarios``) and the degree cap
+``MAX_DEGREE`` of ``synth_city`` and of the feature rows.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ _TRAFFIC_RATES = np.append(TRAFFIC_RATES, 0.0)
 _CAPS = np.append(BAND_CAPS, np.inf)
 
 SPEED_CHOICES_KMH = (30.0, 40.0, 50.0)
+MAX_DEGREE = 5  # synth_city's degree cap, and the feature rows' neighbour blocks
 
 # One exit sits nearest to each of these map border anchors.
 EXIT_ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
@@ -130,9 +133,9 @@ class CityGraph:
 
     @functools.cached_property
     def betweenness(self) -> np.ndarray:
-        """``features.edge_betweenness`` of the undamaged graph, read-only."""
-        from . import features
-        betweenness = features.edge_betweenness(self)
+        """``oracle.edge_betweenness`` of the undamaged graph, read-only."""
+        from . import oracle
+        betweenness = oracle.edge_betweenness(self)
         betweenness.setflags(write=False)
         return betweenness
 
@@ -253,8 +256,7 @@ def _grow(weights: np.ndarray, dist: np.ndarray, radius: float, bands: tuple,
     exact). A weight already above its cap is left alone, never pulled down.
     """
     band = np.less.outer(np.multiply(bands, radius), dist).sum(axis=0)
-    grown = factors[band]
-    cap = caps[band]
+    grown, cap = factors[band], caps[band]
     np.minimum(np.multiply(weights, grown, out=grown), cap, out=grown)
     np.copyto(weights, grown, where=weights <= cap)
 
@@ -297,9 +299,9 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     right before the edge down; then one diagonal per cell, its direction a
     coin flip. A random thinning tries to drop each edge with probability
     ``delete_frac``, and a clamp then drops the longest edges of the node of
-    largest degree until no node has more than 5 or none of its edges can go.
-    An edge goes only if the city stays connected. Deterministic in the seed.
-    ``span_m`` maps the unit square to meters.
+    largest degree until no node has more than ``MAX_DEGREE`` or none of its
+    edges can go. An edge goes only if the city stays connected.
+    Deterministic in the seed. ``span_m`` maps the unit square to meters.
     """
     if n_rows < 2 or n_cols < 2:
         raise GraphError("need at least a 2x2 grid")
@@ -313,8 +315,7 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     gx = np.repeat(np.arange(n_rows), n_cols) / (n_rows - 1)
     gy = np.tile(np.arange(n_cols), n_rows) / (n_cols - 1)
     jitter = 0.25 * min(1.0 / (n_rows - 1), 1.0 / (n_cols - 1))
-    xy = np.stack([gx, gy], axis=1) + rng.uniform(-jitter, jitter, (n, 2))
-    xy = np.clip(xy, 0.0, 1.0)
+    xy = np.clip(np.stack([gx, gy], axis=1) + rng.uniform(-jitter, jitter, (n, 2)), 0.0, 1.0)
 
     node = np.arange(n)
     rook = np.stack([np.stack([node, node + 1], 1), np.stack([node, node + n_cols], 1)], 1)
@@ -350,12 +351,12 @@ def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
     for i in order[rng.random(len(edges)) < delete_frac]:
         drop(i)
 
-    # Clamp degrees to 5 at the first node of largest degree: drop its first
-    # kept edge that can go, longest (the diagonals) first, ties in edge order.
+    # Clamp degrees at the first node of largest degree: drop its first kept
+    # edge that can go, longest (the diagonals) first, ties in edge order.
     while True:
         degree = list(map(len, adj))
         hot = degree.index(max(degree))
-        if degree[hot] <= 5:
+        if degree[hot] <= MAX_DEGREE:
             break
         incident = np.flatnonzero(keep & (edges == hot).any(axis=1))
         longest_first = sorted(incident, key=lambda i: -np.linalg.norm(
@@ -395,6 +396,15 @@ def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
     seed = int(rng.integers(0, 2**32))
     return Scenario(epicenter=epicenter, start=start, exits=tuple(exits),
                     chosen_exit=chosen, rng_seed=seed, max_steps=2 * graph.n_nodes)
+
+
+def random_scenarios(graph: CityGraph, n: int, seed: int) -> list[Scenario]:
+    """The one scenario seed rule: scenario i is ``random_scenario`` drawn from
+    ``SeedSequence([seed, i])``, so it does not depend on ``n``."""
+    if n < 1:
+        raise ValueError("n_scenarios must be at least 1")
+    return [random_scenario(graph, np.random.default_rng(np.random.SeedSequence([seed, i])))
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ current node, the destination, and one six-value block per adjacent edge
 destination, heading cosine), zero-padded to five blocks; block j at node u
 describes the arc in slot j, ``graph.arcs[:, j, u]``. ``build_feature_vector``
 builds a world step's rows in one matrix from per-destination tables kept on
-the graph.
-Edge betweenness runs Brandes' accumulation for all sources at once, once per
-graph (``CityGraph.betweenness``). ``generate_dataset`` labels each oracle
-move with its slot.
+the graph; their betweenness is ``oracle.edge_betweenness``, once per graph
+(``CityGraph.betweenness``). ``generate_dataset`` labels each oracle move with
+its slot over ``dyngraph.random_scenarios``. The module owns the sample-row
+rule: the layout and block rule of ``Dataset.load_jsonl`` and ``load_sample``.
 """
 from __future__ import annotations
 
@@ -22,14 +22,15 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from . import dyngraph, oracle
-from .dyngraph import CityGraph, GraphError, Scenario
+from .dyngraph import CityGraph, GraphError
+from .oracle import edge_betweenness  # the same function; perfbench wraps it by this name
 
 log = logging.getLogger(__name__)
 
 # A row is a head (the epicenter, the current node, the destination) and one
 # block per neighbor slot. Its first N_EPI columns condition the model, the
 # other N_MAIN are its main input, and it scores one logit per block.
-N_EPI, HEAD_SIZE, N_BLOCKS, BLOCK_SIZE = 2, 6, 5, 6
+N_EPI, HEAD_SIZE, N_BLOCKS, BLOCK_SIZE = 2, 6, dyngraph.MAX_DEGREE, 6
 N_FEATURES = HEAD_SIZE + N_BLOCKS * BLOCK_SIZE
 N_MAIN = N_FEATURES - N_EPI
 # Travel times are divided by the global weight cap so they land in [0, 1]
@@ -41,52 +42,6 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)  # bit for bit as scalar math.hypot
 # the layout of one JSON-lines record, for dyngraph.read_json
 _SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
            "scenario_id": "a non-negative integer", "t": "a non-negative integer"}
-
-
-def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge betweenness: fraction of all ordered shortest paths using the edge.
-
-    Brandes accumulation from every source with the undamaged travel times,
-    or ``weights``, one finite, positive value per edge (else ValueError);
-    equal-cost paths split their count. All sources go at once: row s holds
-    source s, ``oracle.distances_to`` gives the distances, and two sweeps over
-    the arc table visit the nodes in heap-pop order (distance, then id). Path
-    counts go forward, dependencies backward. An arc u -> v lies on a shortest
-    path when ``|d[u] + w - d[v]| <= oracle._TIE_EPS * (d[u] + w)``,
-    the oracle's own tie slack. Normalized by n(n-1), so cross-pairs of a
-    disconnected graph simply contribute nothing.
-    """
-    weights = oracle._checked_weights(graph, graph.nominal_minutes() if weights is None
-                                      else weights)
-    n = graph.n_nodes
-    heads, arcs = graph.arcs.transpose(0, 2, 1)  # (n, degree): node u's arcs
-    arc_w = np.append(weights, np.inf)[arcs]
-    rows = np.arange(n)
-    dist = oracle.distances_to(graph, np.broadcast_to(weights, (n, len(weights))), rows)
-    order = np.argsort(dist, axis=1, kind="stable").T  # pop order: distance, then id
-    dist = np.hstack([dist, np.full((n, 1), np.nan)])  # so no padding arc is on a path
-    col = rows[:, None]
-    sigma = np.eye(n, n + 1)  # shortest-path counts from each source
-    delta = np.zeros((n, n + 1))
-    part = np.zeros((n, len(weights) + 1))  # each source's dependency on each edge
-    with np.errstate(invalid="ignore", divide="ignore"):  # at unreachable nodes
-        for u in order:  # the k-th node popped from every source, and its arcs
-            v = heads[u]
-            nd = dist[rows, u, None] + arc_w[u]
-            on = abs(nd - dist[col, v]) <= oracle._TIE_EPS * nd
-            sigma[col, v] += np.where(on, sigma[rows, u, None], 0.0)
-        for w in order[::-1]:  # back again, crediting the arcs into each node
-            v = heads[w]
-            nd = dist[col, v] + arc_w[w]
-            on = abs(nd - dist[rows, w, None]) <= oracle._TIE_EPS * nd
-            share = np.where(
-                on, sigma[col, v] / sigma[rows, w, None] * (1.0 + delta[rows, w, None]), 0.0)
-            delta[col, v] += share
-            part[col, arcs[w]] += share
-    cb = np.zeros(len(weights))
-    for row in part[:, :-1]:  # source by source, as Brandes adds them up
-        cb += row
-    return cb / (n * (n - 1))
 
 
 def _destination_table(graph: CityGraph, dest: int) -> np.ndarray:
@@ -137,9 +92,7 @@ def block_mask(features: np.ndarray) -> np.ndarray:
 
     A real block's travel time is positive, and a padding block's is 0.
     """
-    feats = np.asarray(features)
-    w = feats[..., HEAD_SIZE + 2::BLOCK_SIZE]
-    return w > 0.0
+    return np.asarray(features)[..., HEAD_SIZE + 2::BLOCK_SIZE] > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +153,8 @@ class Dataset:
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
         """Read a ``save_jsonl`` file with ``dyngraph.read_json``: a line off the record
-        layout, labelled outside 0-4 or on padding, or whose blocks are not real
-        ones (travel time > 0) followed by all-zero padding, raises a ValueError."""
+        layout, labelled outside 0-4 or on padding, or off ``_block_rule``, raises a
+        ValueError."""
         return Dataset.from_rows(dyngraph.read_json(path, _SAMPLE, _sample_row, lines=True))
 
     def split(self, val_fraction: float, seed: int):
@@ -222,20 +175,26 @@ def _sample_row(doc: dict) -> tuple:
     features, label = np.array(doc["features"], float), doc["label"]
     if not 0 <= label < N_BLOCKS:
         raise ValueError(f"label is {label}, not in 0-{N_BLOCKS - 1}")
-    real = block_mask(features)
-    if not real[label]:
+    if not block_mask(features)[label]:
         raise ValueError(f"label {label} points at a padding block")
-    blocks = features[HEAD_SIZE:].reshape(N_BLOCKS, BLOCK_SIZE)
+    return _block_rule(features), label, doc["scenario_id"], doc["t"]
+
+
+def _block_rule(features: np.ndarray) -> np.ndarray:
+    """``features``, or a ValueError unless its real blocks precede all-zero padding."""
+    real, blocks = block_mask(features), features[HEAD_SIZE:].reshape(N_BLOCKS, BLOCK_SIZE)
     ok = np.where(np.arange(N_BLOCKS) < real.sum(), real, ~blocks.any(axis=1))
     if not ok.all():
         raise ValueError(f"block {ok.argmin()} is neither a neighbor (travel time > 0) "
                          "ahead of the padding nor all-zero padding")
-    return features, label, doc["scenario_id"], doc["t"]
+    return features
 
 
-def _scenario_for_index(graph: CityGraph, seed: int, index: int) -> Scenario:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    return dyngraph.random_scenario(graph, rng)
+def load_sample(path: str | FilePath) -> np.ndarray:
+    """The ``features`` of the JSON object in ``path``, such as a dataset line, held
+    to the dataset's layout and block rule; any error names the file."""
+    return dyngraph.read_json(path, None, lambda doc: _block_rule(np.array(dyngraph.check_layout(
+        "features", isinstance(doc, dict) and doc.get("features"), _SAMPLE["features"]), float)))
 
 
 def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
@@ -247,9 +206,7 @@ def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
     move. Scenarios whose oracle rollout fails are skipped, with a warning
     that gives the reason.
     """
-    if n_scenarios < 1:
-        raise ValueError("n_scenarios must be at least 1")
-    scenarios = [_scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
+    scenarios = dyngraph.random_scenarios(graph, n_scenarios, seed)
     samples: list[list[tuple]] = [[] for _ in scenarios]
 
     def label(world, rows, here):

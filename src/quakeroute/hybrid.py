@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import features as feat, neural, oracle, qsim
-from .dyngraph import CityGraph, Scenario, read_json
+from .dyngraph import CityGraph, Scenario, random_scenarios, read_json
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
 
@@ -181,8 +181,7 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
 
     seq = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
-    opt_classical = AdamState()
-    opt_quantum = AdamState()
+    opt_classical, opt_quantum = AdamState(), AdamState()
     n = len(x)
     batch = min(config.batch_size, n)
     history: list[dict] = []
@@ -291,14 +290,11 @@ def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
     Failed model rollouts count against the arrival rate but are excluded
     from mean accuracy and the better-or-equal share.
     """
-    if n_scenarios < 1:
-        raise ValueError("n_scenarios must be at least 1")
-    scenarios = [feat._scenario_for_index(graph, seed, i) for i in range(n_scenarios)]
-    model_paths = rollout(model, graph, scenarios, sigma_frac)
-    dij_paths = oracle.nodewise_dijkstra(graph, scenarios, sigma_frac)
+    scenarios = random_scenarios(graph, n_scenarios, seed)
+    paths = zip(rollout(model, graph, scenarios, sigma_frac),
+                oracle.nodewise_dijkstra(graph, scenarios, sigma_frac))
     records = []
-    for i, (scenario, model_path, dij_path) in enumerate(
-            zip(scenarios, model_paths, dij_paths)):
+    for i, (scenario, (model_path, dij_path)) in enumerate(zip(scenarios, paths)):
         acc = (oracle.path_accuracy(dij_path.total_cost, model_path.total_cost)
                if model_path.reached and dij_path.reached else None)
         records.append(PathRecord(

@@ -1,11 +1,13 @@
 """Shortest-path baselines, the one world-step loop, and evaluation metrics.
 
-``distances_to`` is the one distance solver: it relaxes ``graph.arcs`` for
-many rows at once. A move out of u is a slot: the index j of its arc
-``graph.arcs[:, j, u]``. One next-slot rule, ``_next_slots``, takes every
-shortest-path step: ``dijkstra`` walks it on frozen weights, and the labeling
-oracle ``nodewise_dijkstra`` is ``lockstep`` with ``oracle_next``, which
-applies it to every row of a world at once. ``lockstep`` steps worlds with
+The module owns the shortest-path rule: the weight check, the relative tie
+slack ``_TIE_EPS`` and the one distance solver ``distances_to``, which relaxes
+``graph.arcs`` for many rows at once. A move out of u is a slot: the index j
+of its arc ``graph.arcs[:, j, u]``. One next-slot rule, ``_next_slots``, takes
+every shortest-path step: ``dijkstra`` walks it on frozen weights, and the
+labeling oracle ``nodewise_dijkstra`` is ``lockstep`` with ``oracle_next``,
+which applies it to every row of a world at once. ``edge_betweenness`` counts
+the same shortest paths for the feature rows. ``lockstep`` steps worlds with
 one row per scenario and asks a policy for the slot of every unfinished row.
 """
 from __future__ import annotations
@@ -107,6 +109,51 @@ def distances_to(graph: CityGraph, weights: np.ndarray, goals) -> np.ndarray:
         if not (via < nodes).any():
             return nodes.T
         np.minimum(nodes, via, out=nodes)
+
+
+def edge_betweenness(graph: CityGraph, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge betweenness: fraction of all ordered shortest paths using the edge.
+
+    Brandes accumulation from every source with the undamaged travel times,
+    or ``weights``, one finite, positive value per edge (else ValueError);
+    equal-cost paths split their count. All sources go at once: row s holds
+    source s, ``distances_to`` gives the distances, and two sweeps over the
+    arc table visit the nodes in heap-pop order (distance, then id). Path
+    counts go forward, dependencies backward. An arc u -> v lies on a shortest
+    path when ``|d[u] + w - d[v]| <= _TIE_EPS * (d[u] + w)``, the tie slack of
+    ``_next_slots``. Normalized by n(n-1), so cross-pairs of a disconnected
+    graph simply contribute nothing.
+    """
+    weights = _checked_weights(graph, graph.nominal_minutes() if weights is None else weights)
+    n = graph.n_nodes
+    heads, arcs = graph.arcs.transpose(0, 2, 1)  # (n, degree): node u's arcs
+    arc_w = np.append(weights, np.inf)[arcs]
+    rows = np.arange(n)
+    dist = distances_to(graph, np.broadcast_to(weights, (n, len(weights))), rows)
+    order = np.argsort(dist, axis=1, kind="stable").T  # pop order: distance, then id
+    dist = np.hstack([dist, np.full((n, 1), np.nan)])  # so no padding arc is on a path
+    col = rows[:, None]
+    sigma = np.eye(n, n + 1)  # shortest-path counts from each source
+    delta = np.zeros((n, n + 1))
+    part = np.zeros((n, len(weights) + 1))  # each source's dependency on each edge
+    with np.errstate(invalid="ignore", divide="ignore"):  # at unreachable nodes
+        for u in order:  # the k-th node popped from every source, and its arcs
+            v = heads[u]
+            nd = dist[rows, u, None] + arc_w[u]
+            on = abs(nd - dist[col, v]) <= _TIE_EPS * nd
+            sigma[col, v] += np.where(on, sigma[rows, u, None], 0.0)
+        for w in order[::-1]:  # back again, crediting the arcs into each node
+            v = heads[w]
+            nd = dist[col, v] + arc_w[w]
+            on = abs(nd - dist[rows, w, None]) <= _TIE_EPS * nd
+            share = np.where(
+                on, sigma[col, v] / sigma[rows, w, None] * (1.0 + delta[rows, w, None]), 0.0)
+            delta[col, v] += share
+            part[col, arcs[w]] += share
+    cb = np.zeros(len(weights))
+    for row in part[:, :-1]:  # source by source, as Brandes adds them up
+        cb += row
+    return cb / (n * (n - 1))
 
 
 def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Path]:

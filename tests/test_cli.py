@@ -475,6 +475,40 @@ def test_export_qasm_rejects_non_finite_input(tmp_path, capsys):
         assert not qasm.exists()
 
 
+def test_export_qasm_rejects_a_sample_that_the_dataset_reader_rejects(tmp_path, capsys):
+    """A dataset line whose block 3 travel time is -0.5 fails ``train`` and
+    ``export-qasm`` alike, naming the file."""
+    gpath, data, ckpt = tmp_path / "g.json", tmp_path / "data.jsonl", tmp_path / "ckpt.json"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
+         "--out", str(data)])
+    hy.HybridModel(seed=0).save(ckpt)
+    doc = json.loads(data.read_text().splitlines()[0])
+    doc["features"][ft.HEAD_SIZE + 3 * ft.BLOCK_SIZE + 2] = -0.5
+    sample, qasm = tmp_path / "sample.json", tmp_path / "circuit.qasm"
+    sample.write_text(json.dumps(doc) + "\n")
+    capsys.readouterr()
+    for argv in (["train", "--data", str(sample), "--seed", "0", "--out", str(tmp_path / "m.json")],
+                 ["export-qasm", "--params", str(ckpt), "--input", str(sample),
+                  "--out", str(qasm)]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sample}") and "block 3 is neither" in err
+    assert not qasm.exists()
+
+
+def test_a_bad_seed_fails_before_any_input_file_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QRL_SEED", "x")
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "out")
+    for argv in (["dataset", "generate", "--graph", missing, "--n", "2", "--out", out],
+                 ["train", "--data", missing, "--out", out],
+                 ["eval", "--ckpt", missing, "--graph", missing, "--scenarios", "2",
+                  "--out", out]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: QRL_SEED is 'x', not a non-negative integer\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_qasm_takes_only_a_features_document(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.json"
     hy.HybridModel(seed=0).save(ckpt)

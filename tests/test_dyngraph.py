@@ -327,6 +327,25 @@ def test_random_scenario_needs_a_node_that_is_not_an_exit():
     assert (sc.start, sc.exits) == (3, (0, 1, 2))
 
 
+def test_random_scenarios_draws_scenario_i_from_seed_and_i():
+    g = dg.synth_city(4, 4, seed=1)
+    scenarios = dg.random_scenarios(g, 5, seed=7)
+    assert scenarios == [dg.random_scenario(g, np.random.default_rng(
+        np.random.SeedSequence([7, i]))) for i in range(5)]
+    assert dg.random_scenarios(g, 2, seed=7) == scenarios[:2]
+    assert dg.random_scenarios(g, 1, seed=8) != scenarios[:1]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n_scenarios must be at least 1$"):
+            dg.random_scenarios(g, n, seed=7)
+
+
+def test_synth_city_clamps_degrees_to_the_feature_blocks():
+    assert dg.MAX_DEGREE == 5
+    for seed in range(3):
+        g = dg.synth_city(6, 6, seed=seed, delete_frac=0.0)
+        assert max(map(g.degree, range(g.n_nodes))) == dg.MAX_DEGREE
+
+
 @pytest.mark.parametrize("frac", [float("nan"), -0.1, 1.5, float("inf")])
 def test_synth_city_rejects_delete_frac_outside_unit_interval(frac):
     with pytest.raises(dg.GraphError, match="delete_frac must be in"):

@@ -146,6 +146,16 @@ def _fixture_state():
     return g, sc, state
 
 
+def test_features_reach_the_shared_rules_through_their_owners():
+    assert ft.edge_betweenness is oc.edge_betweenness
+    assert ft.N_BLOCKS == dg.MAX_DEGREE
+    g = dg.synth_city(4, 4, seed=2)
+    with pytest.raises(ValueError, match="^n_scenarios must be at least 1$"):
+        ft.generate_dataset(g, 0, seed=1)
+    with pytest.raises(ValueError, match="^n_scenarios must be at least 1$"):
+        hy.evaluate(hy.HybridModel(seed=0), g, 0, seed=1)
+
+
 def test_build_feature_vector_hand_computed():
     g, sc, state = _fixture_state()
     btw = ft.edge_betweenness(g)
@@ -226,7 +236,7 @@ def test_feature_rows_match_the_scalar_reference_bit_for_bit():
         return oc.oracle_next(world, rows, here)
 
     for g in _feature_cities():
-        scenarios = [ft._scenario_for_index(g, 5, i) for i in range(40)]
+        scenarios = dg.random_scenarios(g, 40, seed=5)
         oc.lockstep(g, scenarios, 0.1, compare)
         for sc in scenarios[:4]:
             oc.lockstep(g, [sc], 0.1, compare)
@@ -242,7 +252,7 @@ def test_feature_row_of_a_start_next_to_its_exit():
     g = dg.synth_city(6, 6, seed=3)
     exit_ = dg.pick_exits(g)[0]
     for start, e in sorted_adjacency(g)[exit_]:
-        sc = dataclasses.replace(ft._scenario_for_index(g, 1, 0), start=start,
+        sc = dataclasses.replace(dg.random_scenarios(g, 1, seed=1)[0], start=start,
                                  chosen_exit=exit_)
         world = dg.initial_state(g, [sc])
         [x] = ft.build_feature_vector(world, [start])
@@ -260,7 +270,7 @@ def test_one_feature_matrix_per_world_step(monkeypatch):
     """Dataset generation and model rollouts build each world step's rows in
     one call; each destination's table is built once and kept on the graph."""
     g = dg.synth_city(6, 6, seed=4)
-    scenarios = [ft._scenario_for_index(g, 2, i) for i in range(30)]
+    scenarios = dg.random_scenarios(g, 30, seed=2)
     calls, steps, built = [], [], []
     build, advance, table = ft.build_feature_vector, dg.advance, ft._destination_table
 
@@ -297,9 +307,10 @@ def test_generate_dataset_counts_and_labels():
     assert ((labels >= 0) & (labels < 5)).all()
     assert masks[np.arange(len(ds)), labels].all()  # never a padded block
     # one sample per traversed edge of each successful scenario
+    scenarios = dg.random_scenarios(g, 20, seed=9)
     for sid in np.unique(ds.scenario_ids()):
         rows = ds[ds.scenario_ids() == sid]
-        sc = ft._scenario_for_index(g, 9, sid)
+        sc = scenarios[sid]
         [path] = oc.nodewise_dijkstra(g, [sc], sigma_frac=0.1)
         assert path.reached
         assert len(rows) == len(path.nodes) - 1
@@ -403,7 +414,7 @@ def _skipping_case(monkeypatch):
     scenarios[2] = dataclasses.replace(scenarios[2], start=start, chosen_exit=far,
                                        max_steps=2)
     scenarios[4] = dataclasses.replace(scenarios[4], start=25)
-    monkeypatch.setattr(ft, "_scenario_for_index", lambda graph, seed, i: scenarios[i])
+    monkeypatch.setattr(dg, "random_scenarios", lambda graph, n, seed: scenarios[:n])
     return g, scenarios
 
 
@@ -485,6 +496,28 @@ def test_load_jsonl_rejects_malformed_sample(tmp_path, edit, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         ft.Dataset.load_jsonl(path)
     assert f"{path}, line 2" in str(info.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["features"].pop(), "features is not a length-36 JSON list"),
+    (lambda doc: doc["features"].__setitem__(3, float("nan")), "features[3] is nan"),
+    (_set_block_1({2: -0.5}), "block 1 is neither"),
+    (_set_block_1(dict.fromkeys(range(ft.BLOCK_SIZE), 0.0)), "block 1 is neither"),
+    (lambda doc: doc.pop("features"), "features is not a length-36"),
+])
+def test_load_sample_holds_features_to_the_dataset_rule(tmp_path, edit, message):
+    """A sample is any JSON object whose features pass the dataset's layout and
+    block rule; the label checks are the dataset's alone."""
+    data, path = tmp_path / "d.jsonl", tmp_path / "sample.json"
+    ft.generate_dataset(dg.synth_city(4, 4, seed=1), 2, seed=5).save_jsonl(data)
+    doc = json.loads(data.read_text().splitlines()[1])
+    path.write_text(json.dumps({**doc, "label": 99, "note": "not a dataset line"}))
+    got = ft.load_sample(path)
+    assert got.tobytes() == ft.Dataset.load_jsonl(data).features[1].tobytes()
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        ft.load_sample(path)
 
 
 @pytest.mark.parametrize("size", [3, 4, 5, 6, 8])

@@ -8,6 +8,7 @@ import quakeroute.dyngraph as dg
 import quakeroute.features as ft
 import quakeroute.hybrid as hy
 import quakeroute.neural as nn
+import quakeroute.oracle as oc
 import quakeroute.qsim as qs
 from conftest import scenario_for
 from helpers import sorted_adjacency
@@ -326,8 +327,8 @@ def test_evaluate_runs_one_forward_per_world_step(monkeypatch):
 
 def test_evaluate_computes_betweenness_once_per_graph(monkeypatch):
     calls = []
-    betweenness = ft.edge_betweenness
-    monkeypatch.setattr(ft, "edge_betweenness",
+    betweenness = oc.edge_betweenness
+    monkeypatch.setattr(oc, "edge_betweenness",
                         lambda graph: calls.append(graph) or betweenness(graph))
     g = dg.synth_city(4, 4, seed=2)
     model = hy.HybridModel(seed=1)
