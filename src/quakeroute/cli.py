@@ -2,16 +2,17 @@
 
 Subcommands: graph synth, env simulate, dataset generate, train, eval,
 analyze fourier|fisher, export-qasm. Exit codes: 0 success, 1 domain error,
-2 usage error. The QRL_SEED environment variable overrides any configured
-seed; a JSON --config file may set every option of the subcommand, required
-ones included, and the command line wins over it. Required options are
-checked after the file is merged.
+2 usage error. --log-level info shows train's per-epoch lines on stderr. The
+QRL_SEED environment variable overrides any configured seed; a JSON --config
+file may set every option of the subcommand, required ones included, and the
+command line wins over it. Required options are checked after the file is merged.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 from pathlib import Path as FilePath
@@ -192,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quakeroute",
         description="Earthquake evacuation routing lab: graphs, oracle "
                     "datasets, hybrid training and circuit diagnostics.")
+    parser.add_argument("--log-level", default="warning", help="debug|info|warning|error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     leaves = []
@@ -305,8 +307,11 @@ def _check_required(args: argparse.Namespace) -> None:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    log, handler = logging.getLogger(__package__), logging.StreamHandler(sys.stderr)
     try:
         args = parser.parse_args(argv)
+        log.setLevel(args.log_level.upper())  # an unknown level is a ValueError
+        log.addHandler(handler)
         if args.config:
             args.parser.set_defaults(**dyngraph.read_json(
                 args.config, None, lambda doc: _config_defaults(args, doc)))
@@ -323,6 +328,9 @@ def run(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:  # run may be called again in one process, as the tests do
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
 
 
 def console() -> None:

@@ -90,13 +90,10 @@ class HybridModel:
         """Logits (B, 5) from the concatenated branch outputs."""
         main, epi = self.split_inputs(features)
         c_out = self.classical.forward(main, epi, train=train, rng=rng)
-        if self.classical_only:
-            q_out = np.zeros_like(c_out)
-        else:
-            q_out = self.kernel.expectations(self.quantum_params, main, epi)
-        both = np.concatenate([c_out, q_out], axis=1)
-        self._branches = both
-        return both @ self.head_w.T + self.head_b
+        q_out = (np.zeros_like(c_out) if self.classical_only
+                 else self.kernel.expectations(self.quantum_params, main, epi))
+        self._branches = np.concatenate([c_out, q_out], axis=1)
+        return self._branches @ self.head_w.T + self.head_b
 
     def loss_grads(self, features, labels, mask, train: bool = True,
                    rng: np.random.Generator | None = None):
@@ -104,8 +101,7 @@ class HybridModel:
         main, epi = self.split_inputs(features)
         logits = self.forward(features, train=train, rng=rng)
         loss, dlogits = cross_entropy(logits, labels, mask)
-        both = self._branches
-        head_grads = {"head_w": dlogits.T @ both, "head_b": dlogits.sum(axis=0)}
+        head_grads = {"head_w": dlogits.T @ self._branches, "head_b": dlogits.sum(axis=0)}
         dboth = dlogits @ self.head_w
         classical_grads = self.classical.backward(dboth[:, :N_OUT])
         if self.classical_only:
@@ -167,7 +163,9 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     Deterministic in the seed: the split, the shuffles, the dropout masks and
     the initialization all derive from it. The classical learning rate follows
     the linear epoch schedule; the quantum rate stays constant. A non-finite
-    train or validation loss stops training with a ValueError.
+    train or validation loss stops training with a ValueError. ``train_agreement``
+    scores each step's rows in eval mode before their update (the kernel has no
+    dropout, so the step's quantum outputs serve), so it lags the epoch's end.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
@@ -188,21 +186,22 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     for epoch in range(config.epochs):
         factor = lr_schedule(epoch, config.epochs)
         perm = shuffle_rng.permutation(n)
-        losses = []
+        losses, scores = [], np.empty((n, N_OUT))  # each row's eval-mode logits at its step
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
-            loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx],
-                                                train=True, rng=dropout_rng)
+            loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
             losses.append(loss)
-            group = {**model.classical.params, "head_w": model.head_w,
-                     "head_b": model.head_b}
+            both = np.concatenate([model.classical.forward(*model.split_inputs(x[idx])),
+                                   model._branches[:, N_OUT:]], axis=1)
+            scores[idx] = both @ model.head_w.T + model.head_b
+            group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
             adam_step(group, {**cg, **hg}, opt_classical, lr=CLASSICAL_LR * factor)
             if not config.classical_only:
                 adam_step({"quantum": model.quantum_params},
                           {"quantum": qg}, opt_quantum, lr=QUANTUM_LR)
         row = {"epoch": epoch, "lr_factor": factor,
                "train_loss": float(np.mean(losses)),
-               "train_agreement": agreement(model.forward(x), y, m)}
+               "train_agreement": agreement(scores, y, m)}
         if len(xv):
             val_logits = model.forward(xv)
             row["val_loss"], _ = cross_entropy(val_logits, yv, mv)

@@ -382,48 +382,51 @@ class _Section:
     closed by a CNOT. A layer is one unitary,
     R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
     with t_q = 0 on the qubits it leaves alone; a run of CNOTs is one row
-    permutation.
+    permutation. All blocks repeat one pattern, so they compile and pull back
+    as a stack, one batched product per position of the pattern.
     """
 
     def __init__(self, gates, first: int, k: int, start: int):
         self.k, self.dim = k, 1 << k
         self.runs = []  # (is encoding, index of its phase vector or block)
-        self.steps = []  # per block, in order: a layer's index or a CNOT run's permutation
         enc = []  # per encoding run: (features, k) -> each qubit's angle
-        layers = []  # per layer: the local qubits of its RX gates, in gate order
+        blocks = []  # per block: its gates, the same in every block
         for encoding, run in groupby(gates, lambda g: isinstance(g, Rot)
                                      and g.axis == "z" and g.feature is not None):
-            self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
+            self.runs.append((encoding, len(enc) if encoding else len(blocks)))
             if encoding:
                 enc.append(np.zeros((N_FEATURES, k)))
                 for g in run:
                     enc[-1][g.feature, g.qubit - first] += g.scale
                 continue
-            steps = []
-            for g in run:
-                if isinstance(g, CNot):
-                    perm = _cx_perm(k, g.control - first, g.target - first)
-                    if steps and not isinstance(steps[-1], int):  # one permutation per CNOT run
-                        perm = steps.pop()[perm]
-                    steps.append(perm)
-                elif g.axis == "x" and g.feature is None:
-                    if not steps or not isinstance(steps[-1], int):
-                        steps.append(len(layers))
-                        layers.append([])
-                    layers[-1].append(g.qubit - first)
-                else:
-                    raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
-            self.steps.append(steps)
+            blocks.append(tuple(run))
+            if blocks[-1] != blocks[0]:
+                raise CircuitError("every block of a section repeats its first block's gates")
+        self.pattern = []  # in order: a layer's index or a CNOT run's permutation
+        layers = []  # per layer: the local qubits of its RX gates, in gate order
+        for g in blocks[0]:
+            if isinstance(g, CNot):
+                perm = _cx_perm(k, g.control - first, g.target - first)
+                if self.pattern and not isinstance(self.pattern[-1], int):  # one per CNOT run
+                    perm = self.pattern.pop()[perm]
+                self.pattern.append(perm)
+            elif g.axis == "x" and g.feature is None:
+                if not self.pattern or not isinstance(self.pattern[-1], int):
+                    self.pattern.append(len(layers))
+                    layers.append([])
+                layers[-1].append(g.qubit - first)
+            else:
+                raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
         self._enc_w = np.concatenate(enc or [np.zeros((N_FEATURES, 0))], 1)
         rows = np.arange(self.dim)
         self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
         self._xor = rows[:, None] ^ rows  # R[i, j] reads flip pattern i ^ j
         self._flips = rows ^ (1 << (k - 1 - np.arange(k)))[:, None]  # X_q as (k, 2**k) rows
-        # each RX gate's (layer, qubit) position, in gate order
-        at = [(l, q) for l, layer in enumerate(layers) for q in layer]
-        self._at = tuple(np.array(at, int).reshape(-1, 2).T)
+        # each RX gate's (block, layer, qubit) position, in gate order
+        at = [(b, l, q) for b in range(len(blocks)) for l, qs in enumerate(layers) for q in qs]
+        self._at = tuple(np.array(at, int).reshape(-1, 3).T)
         self.params = slice(start, start + len(at))
-        self._n_layers = len(layers)
+        self._shape = (len(blocks), len(layers))
 
     def phases(self, x) -> np.ndarray:
         """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``: each
@@ -435,19 +438,17 @@ class _Section:
 
     def compile(self, params) -> None:
         """Set ``layers`` and ``blocks``, the layer and block unitaries at these
-        parameters. All layers come from one expression: each layer's value on
-        every flip pattern, gathered through the i ^ j table."""
-        half = np.zeros((self._n_layers, self.k))
+        parameters, stacked by block. All layers come from one expression: each
+        layer's value on every flip pattern, gathered through the i ^ j table."""
+        half = np.zeros(self._shape + (self.k,))
         half[self._at] = params[self.params] / 2.0
         pair = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # bit of i^j: 0, 1
-        values = pair[:, np.arange(self.k)[:, None], self._bits].prod(axis=1)
-        self.layers = values[:, self._xor]
-        self.blocks = []
-        for steps in self.steps:
-            u = np.eye(self.dim, dtype=complex)
-            for step in steps:
-                u = self.layers[step] @ u if isinstance(step, int) else u[step]
-            self.blocks.append(u)
+        values = pair[..., np.arange(self.k)[:, None], self._bits].prod(axis=-2)
+        self.layers = values[..., self._xor]
+        u = np.eye(self.dim, dtype=complex)
+        for step in self.pattern:
+            u = self.layers[:, step] @ u if isinstance(step, int) else u.take(step, 1)
+        self.blocks = u
 
     def run(self, state, phases):
         for encoding, j in self.runs:
@@ -457,25 +458,27 @@ class _Section:
     def pullback(self, lam, state, phases, grad) -> np.ndarray:
         """The costate before the section from the costate and state after it,
         adding the section's gradient into ``grad`` (the adjoint method). Each
-        block carries Y = sum_b u_b lam_b^+ of its input rows through its steps
-        as Y -> R Y R^+. Right after a layer, d/dt_q = Im tr(X_q Y) for each of
-        its qubits at once: X_q commutes with every RX of the layer, so the
-        layer's later gates leave the trace alone."""
-        reads, rows = np.zeros((self._n_layers, self.k)), np.arange(self.dim)
+        block's Y = sum_b u_b lam_b^+ of its input rows is carried through the
+        pattern as Y -> R Y R^+, all blocks at once. Right after a layer,
+        d/dt_q = Im tr(X_q Y) for each of its qubits: X_q commutes with every
+        RX of the layer, so the layer's later gates leave the trace alone."""
+        y = np.empty((self._shape[0], self.dim, self.dim), complex)
         for encoding, j in reversed(self.runs):
             if encoding:
                 back = phases[:, j].conj()
                 state, lam = state * back, lam * back
                 continue
             state, lam = state @ self.blocks[j].conj(), lam @ self.blocks[j].conj()
-            y = state.T @ lam.conj()
-            for step in self.steps[j]:
-                if isinstance(step, int):
-                    r = self.layers[step]  # symmetric, so R^+ is its conjugate
-                    y = r @ y @ r.conj()
-                    reads[step] = y[self._flips, rows].sum(-1).imag
-                else:
-                    y = y[step][:, step]
+            y[j] = state.T @ lam.conj()
+        reads, rows = np.zeros(self._shape + (self.k,)), np.arange(self.dim)
+        for step in self.pattern:
+            if isinstance(step, int):
+                r = self.layers[:, step]  # symmetric, so R^+ is its conjugate
+                y = r @ y @ r.conj()
+                # a C-ordered copy sums each read in the same order as one block alone
+                reads[:, step] = np.ascontiguousarray(y[:, self._flips, rows]).sum(-1).imag
+            else:
+                y = y.take(step, 1).take(step, 2)
         grad[self.params] += reads[self._at]
         return lam
 

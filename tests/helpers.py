@@ -1,18 +1,20 @@
 """Independent test oracles: an adjacency built from the edge list, a heap
 Dijkstra with the scalar next-slot rule, brute-force path search, the
 list-based city generator, a pure-Python replay of the weight dynamics, a
-scalar feature builder and a dense-matrix circuit simulator. These
-deliberately avoid the package's own fast paths and its arc table."""
+scalar feature builder, a dense-matrix circuit simulator, the per-block
+kernel sections and a step-by-step replay of training. These deliberately
+avoid the package's own fast paths and its arc table."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
 
-from quakeroute import features
+from quakeroute import features, hybrid, neural, qsim
 from quakeroute.dyngraph import SPEED_CHOICES_KMH, CityGraph, GraphError
-from quakeroute.qsim import Circuit, CNot
+from quakeroute.qsim import Circuit, CNot, ModelKernel
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +433,134 @@ def oracle_expectations(circuit: Circuit, params, features=None) -> np.ndarray:
         signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - q)) & 1)
         out.append(float(probs @ signs))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Per-block kernel sections
+
+
+class BlockwiseSection(qsim._Section):
+    """A kernel section that compiles and pulls back one block at a time: each
+    block keeps its own list of steps and its own layers, and ``blocks`` is a
+    list. Phases and the forward run are the package's."""
+
+    def __init__(self, gates, first: int, k: int, start: int):
+        self.k, self.dim = k, 1 << k
+        self.runs = []  # (is encoding, index of its phase vector or block)
+        self.steps = []  # per block, in order: a layer's index or a CNOT run's permutation
+        enc, layers = [], []  # per encoding run its angle table; per layer its qubits
+        for encoding, run in itertools.groupby(gates, lambda g: isinstance(g, qsim.Rot)
+                                               and g.axis == "z" and g.feature is not None):
+            self.runs.append((encoding, len(enc) if encoding else len(self.steps)))
+            if encoding:
+                enc.append(np.zeros((features.N_FEATURES, k)))
+                for g in run:
+                    enc[-1][g.feature, g.qubit - first] += g.scale
+                continue
+            steps = []
+            for g in run:
+                if isinstance(g, CNot):
+                    perm = np.arange(self.dim)
+                    bits = (perm >> (k - 1 - (g.control - first))) & 1
+                    perm = np.where(bits == 1, perm ^ (1 << (k - 1 - (g.target - first))), perm)
+                    if steps and not isinstance(steps[-1], int):  # one permutation per CNOT run
+                        perm = steps.pop()[perm]
+                    steps.append(perm)
+                else:
+                    if not steps or not isinstance(steps[-1], int):
+                        steps.append(len(layers))
+                        layers.append([])
+                    layers[-1].append(g.qubit - first)
+            self.steps.append(steps)
+        self._enc_w = np.concatenate(enc or [np.zeros((features.N_FEATURES, 0))], 1)
+        rows = np.arange(self.dim)
+        self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
+        self._xor = rows[:, None] ^ rows
+        self._flips = rows ^ (1 << (k - 1 - np.arange(k)))[:, None]
+        at = [(l, q) for l, layer in enumerate(layers) for q in layer]
+        self._at = tuple(np.array(at, int).reshape(-1, 2).T)
+        self.params = slice(start, start + len(at))
+        self._n_layers = len(layers)
+
+    def compile(self, params) -> None:
+        half = np.zeros((self._n_layers, self.k))
+        half[self._at] = params[self.params] / 2.0
+        pair = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)
+        values = pair[:, np.arange(self.k)[:, None], self._bits].prod(axis=1)
+        self.layers = values[:, self._xor]
+        self.blocks = []
+        for steps in self.steps:
+            u = np.eye(self.dim, dtype=complex)
+            for step in steps:
+                u = self.layers[step] @ u if isinstance(step, int) else u[step]
+            self.blocks.append(u)
+
+    def pullback(self, lam, state, phases, grad) -> np.ndarray:
+        reads, rows = np.zeros((self._n_layers, self.k)), np.arange(self.dim)
+        for encoding, j in reversed(self.runs):
+            if encoding:
+                back = phases[:, j].conj()
+                state, lam = state * back, lam * back
+                continue
+            state, lam = state @ self.blocks[j].conj(), lam @ self.blocks[j].conj()
+            y = state.T @ lam.conj()
+            for step in self.steps[j]:
+                if isinstance(step, int):
+                    r = self.layers[step]
+                    y = r @ y @ r.conj()
+                    reads[step] = y[self._flips, rows].sum(-1).imag
+                else:
+                    y = y[step][:, step]
+        grad[self.params] += reads[self._at]
+        return lam
+
+
+def blockwise_kernel() -> ModelKernel:
+    """A ``ModelKernel`` whose film, main and final sections are ``BlockwiseSection``s."""
+    kernel = ModelKernel()
+    f, m = features.N_EPI, features.N_BLOCKS
+    final = tuple(g for g in kernel.tail_gates if not (isinstance(g, CNot) and g.control < f))
+    film = BlockwiseSection(kernel.film_gates, 0, f, 0)
+    main = BlockwiseSection(kernel.main_gates, f, m, film.params.stop)
+    kernel._sections = (film, main, BlockwiseSection(final, f, m, main.params.stop))
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# Step-by-step replay of training
+
+
+def replay_train(dataset, config):
+    """``hybrid.train``'s split, shuffles, dropout and updates, step by step.
+    Before each update it scores the step's rows with a full eval-mode
+    ``model.forward`` (kernel included) and counts the masked-argmax matches
+    one row at a time. Returns the model, each epoch's share of matches over
+    its steps, and each epoch's agreement over all training rows at its end."""
+    train_ds, _ = dataset.split(config.val_fraction, seed=config.seed)
+    model = hybrid.HybridModel(seed=config.seed, classical_only=config.classical_only)
+    x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
+    shuffle_rng, dropout_rng = [np.random.default_rng(s)
+                                for s in np.random.SeedSequence(config.seed).spawn(2)]
+    opt_classical, opt_quantum = neural.AdamState(), neural.AdamState()
+    n = len(x)
+    batch = min(config.batch_size, n)
+    stepwise, at_end = [], []
+    for epoch in range(config.epochs):
+        factor = neural.lr_schedule(epoch, config.epochs)
+        perm = shuffle_rng.permutation(n)
+        hits = 0
+        for lo in range(0, n, batch):
+            idx = perm[lo:lo + batch]
+            _, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], train=True, rng=dropout_rng)
+            for logits, mask, label in zip(model.forward(x[idx]), m[idx], y[idx]):
+                hits += int(np.argmax(np.where(mask, logits, -np.inf)) == label)
+            group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
+            neural.adam_step(group, {**cg, **hg}, opt_classical,
+                             lr=hybrid.CLASSICAL_LR * factor)
+            if not config.classical_only:
+                neural.adam_step({"quantum": model.quantum_params}, {"quantum": qg},
+                                 opt_quantum, lr=hybrid.QUANTUM_LR)
+        stepwise.append(hits / n)
+        logits = np.where(m, model.forward(x), -np.inf)
+        at_end.append(sum(int(np.argmax(row) == label) for row, label in zip(logits, y)) / n)
+    return model, stepwise, at_end

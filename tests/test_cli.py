@@ -435,6 +435,23 @@ def test_train_eval_export_pipeline(tmp_path):
                    or l.startswith(f"{kind} ")) == count
 
 
+def test_log_level_info_shows_train_epoch_lines(tmp_path, capsys):
+    gpath, data = tmp_path / "g.json", tmp_path / "data.jsonl"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
+         "--out", str(data)])
+    train = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt.json"),
+             "--epochs", "2", "--seed", "0"]
+    capsys.readouterr()
+    assert run(train) == 0
+    assert "epoch   0" not in capsys.readouterr().err  # warnings only, by default
+    assert run(["--log-level", "info"] + train) == 0
+    err = capsys.readouterr().err
+    assert "epoch   0  train loss" in err and "epoch   1  train loss" in err
+    assert run(["--log-level", "loud"] + train) == 1
+    assert "LOUD" in capsys.readouterr().err
+
+
 def test_export_qasm_refuses_a_classical_only_checkpoint(tmp_path, capsys):
     """Its quantum parameters are the untrained initial draw; ``eval`` still scores it."""
     gpath, data, ckpt = tmp_path / "g.json", tmp_path / "data.jsonl", tmp_path / "ckpt.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import quakeroute.neural as nn
 import quakeroute.oracle as oc
 import quakeroute.qsim as qs
 from conftest import scenario_for
-from helpers import sorted_adjacency
+from helpers import replay_train, sorted_adjacency
 
 
 def _tiny_dataset(n_scenarios=8, seed=5):
@@ -70,6 +71,63 @@ def test_grad_after_a_forward_equals_a_fresh_kernel(change):
     got = model.kernel.grad(model.quantum_params, feats, epi, upstream)
     want = qs.ModelKernel().grad(model.quantum_params, feats, epi, upstream)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("classical_only", [False, True])
+def test_train_runs_the_kernel_once_per_step(monkeypatch, classical_only):
+    """A step's forward serves its gradient and its rows' agreement, so a hybrid
+    epoch of S steps runs S + 1 kernel forwards (its steps and the validation
+    rows) and S gradients; a classical-only epoch runs neither."""
+    calls = {"expectations": 0, "grad": 0}
+
+    def counting(name):
+        method = getattr(qs.ModelKernel, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(qs.ModelKernel, name, counting(name))
+    _, ds = _tiny_dataset()
+    epochs, batch = 3, 8
+    train_ds, val_ds = ds.split(hy.TrainConfig.val_fraction, seed=0)
+    steps = math.ceil(len(train_ds) / batch)
+    assert steps >= 2 and len(val_ds) > 0
+    hy.train(ds, hy.TrainConfig(epochs=epochs, batch_size=batch, seed=0,
+                                classical_only=classical_only))
+    assert calls == ({"expectations": 0, "grad": 0} if classical_only else
+                     {"expectations": (steps + 1) * epochs, "grad": steps * epochs})
+
+
+@pytest.mark.parametrize("classical_only", [False, True])
+def test_train_agreement_scores_each_step_before_its_update(classical_only):
+    """``train_agreement`` equals a replay that scores each step's rows with a
+    full eval-mode forward, kernel included, before the step's update; the
+    replay's parameters are train's, bit for bit."""
+    _, ds = _tiny_dataset()
+    config = hy.TrainConfig(epochs=3, batch_size=8, seed=1, classical_only=classical_only)
+    model, history = hy.train(ds, config)
+    replayed, stepwise, _ = replay_train(ds, config)
+    assert [row["train_agreement"] for row in history] == stepwise
+    for key, a in model._arrays().items():
+        assert np.array_equal(a, replayed._arrays()[key])
+
+
+@pytest.mark.parametrize("classical_only", [False, True])
+def test_one_step_epochs_score_the_previous_epochs_end(classical_only):
+    """With one step per epoch, ``train_agreement`` reads the parameters that the
+    previous epoch ended with: the first epoch scores the initial model."""
+    _, ds = _tiny_dataset()
+    config = hy.TrainConfig(epochs=4, batch_size=2000, seed=1, classical_only=classical_only)
+    _, history = hy.train(ds, config)
+    _, _, at_end = replay_train(ds, config)
+    train_ds, _ = ds.split(config.val_fraction, seed=config.seed)
+    initial = hy.HybridModel(seed=config.seed, classical_only=classical_only)
+    start = hy.agreement(initial.forward(train_ds.feature_matrix()), train_ds.labels(),
+                         train_ds.masks())
+    assert [row["train_agreement"] for row in history] == [start] + at_end[:-1]
 
 
 def test_quantum_share_values():

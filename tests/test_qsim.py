@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quakeroute.qsim as qs
-from helpers import circuit_unitary, oracle_expectations, oracle_state
+from helpers import blockwise_kernel, circuit_unitary, oracle_expectations, oracle_state
 
 
 def _one_circuit(n, gates):
@@ -427,6 +427,41 @@ def test_kernel_blocks_are_unitary():
     assert [u.shape for u in blocks] == [(4, 4)] * 6 + [(32, 32)] * 9
     for u in blocks:
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_stacked_kernel_equals_blockwise_sections_bit_for_bit(rows):
+    """Stacking a section's blocks changes no bit: the blocks, expectations and
+    gradient equal those of sections that compile and pull back block by block."""
+    rng = np.random.default_rng(rows)
+    params = rng.uniform(-np.pi, np.pi, 228)
+    feats, epi = rng.uniform(0, 1, (rows, 34)), rng.uniform(0, 1, (rows, 2))
+    upstream = rng.normal(size=(rows, 5))
+    stacked, blockwise = qs.ModelKernel(), blockwise_kernel()
+    assert np.array_equal(stacked.expectations(params, feats, epi),
+                          blockwise.expectations(params, feats, epi))
+    for section, reference in zip(stacked._sections, blockwise._sections):
+        assert np.array_equal(section.blocks, np.stack(reference.blocks))
+    assert np.array_equal(stacked.grad(params, feats, epi, upstream),
+                          blockwise.grad(params, feats, epi, upstream))
+
+
+@pytest.mark.parametrize("edit", ["drop the last CNOT", "swap two RX", "an RY block"])
+def test_a_section_whose_blocks_differ_is_rejected(edit):
+    """Every block of a section must repeat the first block's gates, RX and CNOT only."""
+    gates = list(qs.ModelKernel().film_gates)  # 6 blocks of 16 gates, with 2 encodings between
+    if edit == "drop the last CNOT":
+        gates.pop()
+        match = "repeats its first block"
+    elif edit == "swap two RX":
+        gates[18], gates[19] = gates[19], gates[18]  # the second block's first layer
+        match = "repeats its first block"
+    else:
+        gates = [qs.Rot("y", g.qubit) if isinstance(g, qs.Rot) and g.feature is None else g
+                 for g in gates]
+        match = "holds RX parameters and CNOTs"
+    with pytest.raises(qs.CircuitError, match=match):
+        qs._Section(tuple(gates), 0, 2, 0)
 
 
 def test_kernel_grad_equals_param_shift_contraction():
