@@ -23,6 +23,7 @@ from . import analysis, dyngraph, features, hybrid, qsim
 
 # every bad-input error of the package is a ValueError; anything else is a bug
 _DOMAIN_ERRORS = (ValueError, OSError)
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def _config_defaults(args: argparse.Namespace, doc) -> dict:
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quakeroute",
         description="Earthquake evacuation routing lab: graphs, oracle "
                     "datasets, hybrid training and circuit diagnostics.")
-    parser.add_argument("--log-level", default="warning", help="debug|info|warning|error")
+    parser.add_argument("--log-level", default="warning", help="|".join(LOG_LEVELS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     leaves = []
@@ -310,7 +311,10 @@ def run(argv=None) -> int:
     log, handler = logging.getLogger(__package__), logging.StreamHandler(sys.stderr)
     try:
         args = parser.parse_args(argv)
-        log.setLevel(args.log_level.upper())  # an unknown level is a ValueError
+        if args.log_level.lower() not in LOG_LEVELS:
+            raise ValueError(f"--log-level must be one of {', '.join(LOG_LEVELS)}, "
+                             f"not {args.log_level!r}")
+        log.setLevel(args.log_level.upper())
         log.addHandler(handler)
         if args.config:
             args.parser.set_defaults(**dyngraph.read_json(

@@ -11,10 +11,11 @@ or is trainable, and the k-th trainable rotation of a circuit turns by
 batch of states, with parameters (..., n_params) broadcast against features
 (..., n_features), and takes exact two-term parameter-shift gradients in one
 run: every shifted parameter vector is a row of the batch. The training
-kernel (``ModelKernel``) compiles each feature-free run of gates into one
-unitary, built from whole layers of RX gates, and takes adjoint gradients one
-layer at a time from the states of its last forward, with parameter-shift as
-its reference.
+kernel (``ModelKernel``) compiles each feature-free run of RX and CNOT gates
+into one unitary: its CNOT permutation after commuting X-string rotations,
+diagonal between two Hadamard transforms. It reads every adjoint gradient
+from the X-strings and the states of its last forward, with parameter-shift
+as its reference.
 
 States are complex128 arrays of shape (..., 2**n); qubit 0 is the most
 significant bit of the amplitude index. Everything is batched over leading
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
 
 import numpy as np
@@ -365,7 +366,7 @@ def export_qasm3(circuit: Circuit, params, features=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Layer-compiled expectation/gradient kernel for training
+# X-string expectation/gradient kernel for training
 
 
 def _support(gate) -> set[int]:
@@ -376,79 +377,76 @@ class _Section:
     """Gates on qubits ``first`` to ``first + k - 1``, run on (rows, 2**k) states,
     whose trainable rotations read ``params[start:]`` in gate order.
 
-    A run of Z encodings is a per-sample phase vector exp(-i/2 * angles @ zsigns).
-    Any other run is a block of RX parameters and CNOTs, compiled into one
-    unitary. Its RX gates fall into layers: consecutive RX on distinct qubits,
-    closed by a CNOT. A layer is one unitary,
-    R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
-    with t_q = 0 on the qubits it leaves alone; a run of CNOTs is one row
-    permutation. All blocks repeat one pattern, so they compile and pull back
-    as a stack, one batched product per position of the pattern.
+    A run of Z encodings is a per-sample phase vector, the Kronecker product of
+    its qubits' (exp(-i/2 angle), exp(i/2 angle)) pairs. Any other run is a
+    block of RX parameters and CNOTs. A CNOT maps X-strings to X-strings
+    (X_c -> X_c X_t, X_t -> X_t), so the RX gate g, moved back through the
+    CNOTs before it, is exp(-i t_g/2 X_M) on the block's input for a mask M_g.
+    These rotations commute, and the block is its CNOT permutation W after
+    them: U = W Hn diag(exp(-i/2 t @ Zm)) Hn, with Hn the Hadamard transform
+    and Zm[g, i] = (-1) ** popcount(i & M_g). Every block repeats one gate
+    list, so all share W and the masks, and d/dt_g = Im tr(X_M Y) reads each
+    derivative from the Y of the block's input alone.
     """
 
     def __init__(self, gates, first: int, k: int, start: int):
         self.k, self.dim = k, 1 << k
         self.runs = []  # (is encoding, index of its phase vector or block)
-        enc = []  # per encoding run: (features, k) -> each qubit's angle
+        enc = []  # per encoding run: (k, features) -> each qubit's angle
         blocks = []  # per block: its gates, the same in every block
         for encoding, run in groupby(gates, lambda g: isinstance(g, Rot)
                                      and g.axis == "z" and g.feature is not None):
             self.runs.append((encoding, len(enc) if encoding else len(blocks)))
             if encoding:
-                enc.append(np.zeros((N_FEATURES, k)))
+                enc.append(np.zeros((k, N_FEATURES)))
                 for g in run:
-                    enc[-1][g.feature, g.qubit - first] += g.scale
+                    enc[-1][g.qubit - first, g.feature] += g.scale
                 continue
             blocks.append(tuple(run))
             if blocks[-1] != blocks[0]:
                 raise CircuitError("every block of a section repeats its first block's gates")
-        self.pattern = []  # in order: a layer's index or a CNOT run's permutation
-        layers = []  # per layer: the local qubits of its RX gates, in gate order
+        self._wperm, before, masks = np.arange(self.dim), [], []
         for g in blocks[0]:
             if isinstance(g, CNot):
-                perm = _cx_perm(k, g.control - first, g.target - first)
-                if self.pattern and not isinstance(self.pattern[-1], int):  # one per CNOT run
-                    perm = self.pattern.pop()[perm]
-                self.pattern.append(perm)
+                c, t = g.control - first, g.target - first
+                before.append((1 << (k - 1 - c), 1 << (k - 1 - t)))
+                self._wperm = self._wperm[_cx_perm(k, c, t)]
             elif g.axis == "x" and g.feature is None:
-                if not self.pattern or not isinstance(self.pattern[-1], int):
-                    self.pattern.append(len(layers))
-                    layers.append([])
-                layers[-1].append(g.qubit - first)
+                mask = 1 << (k - 1 - (g.qubit - first))
+                for control, target in reversed(before):  # X_c -> X_c X_t
+                    mask ^= target if mask & control else 0
+                masks.append(mask)
             else:
                 raise CircuitError(f"a block holds RX parameters and CNOTs, not {g}")
-        self._enc_w = np.concatenate(enc or [np.zeros((N_FEATURES, 0))], 1)
-        rows = np.arange(self.dim)
-        self._bits = (rows >> (k - 1 - np.arange(k))[:, None]) & 1
-        self._xor = rows[:, None] ^ rows  # R[i, j] reads flip pattern i ^ j
-        self._flips = rows ^ (1 << (k - 1 - np.arange(k)))[:, None]  # X_q as (k, 2**k) rows
-        # each RX gate's (block, layer, qubit) position, in gate order
-        at = [(b, l, q) for b in range(len(blocks)) for l, qs in enumerate(layers) for q in qs]
-        self._at = tuple(np.array(at, int).reshape(-1, 3).T)
-        self.params = slice(start, start + len(at))
-        self._shape = (len(blocks), len(layers))
+        # rows q * runs + r: the angles of qubit q in all runs are one contiguous row
+        self._enc = np.stack(enc, 1).reshape(-1, N_FEATURES) if enc else None
+        # Hn without its 2**(-k/2) factor: H[i, j] = (-1) ** popcount(i & j)
+        self._h = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * k)
+        self._zm = self._h[masks]
+        self._rows = np.arange(self.dim)
+        self._flips = np.array(masks)[:, None] ^ self._rows  # X_M as a row gather, per mask
+        self._n_blocks = len(blocks)
+        self.params = slice(start, start + len(blocks) * len(masks))
 
     def phases(self, x) -> np.ndarray:
         """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``: each
-        basis state's phase is the product of its qubits' exp(-/+ i/2 angle)."""
-        angles = (x @ self._enc_w).reshape(len(x), -1, self.k, 1)
-        bit0 = np.exp(-0.5j * angles)  # each qubit's phase on |0>; |1> takes the conjugate
-        pair = np.concatenate([bit0, bit0.conj()], axis=-1)
-        return pair[:, :, np.arange(self.k)[:, None], self._bits].prod(axis=2)
+        basis state's phase is the product of its qubits' exp(-/+ i/2 angle),
+        built qubit by qubit, left to right, as (2**q, runs * B) arrays."""
+        if self._enc is None:
+            return np.empty((len(x), 0, self.dim), complex)
+        bit0 = np.exp(-0.5j * (self._enc @ x.T)).reshape(self.k, 1, -1)
+        pairs = np.concatenate([bit0, bit0.conj()], 1)  # (k, 2, runs * B): |0>, |1>
+        v = pairs[0]
+        for pair in pairs[1:]:
+            v = (v[:, None] * pair).reshape(-1, v.shape[-1])
+        return v.reshape(self.dim, -1, len(x)).T
 
     def compile(self, params) -> None:
-        """Set ``layers`` and ``blocks``, the layer and block unitaries at these
-        parameters, stacked by block. All layers come from one expression: each
-        layer's value on every flip pattern, gathered through the i ^ j table."""
-        half = np.zeros(self._shape + (self.k,))
-        half[self._at] = params[self.params] / 2.0
-        pair = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # bit of i^j: 0, 1
-        values = pair[..., np.arange(self.k)[:, None], self._bits].prod(axis=-2)
-        self.layers = values[..., self._xor]
-        u = np.eye(self.dim, dtype=complex)
-        for step in self.pattern:
-            u = self.layers[:, step] @ u if isinstance(step, int) else u.take(step, 1)
-        self.blocks = u
+        """Set ``blocks``, the (blocks, 2**k, 2**k) stack of block unitaries at
+        these parameters: W Hn diag(exp(-i/2 t @ Zm)) Hn, block by block."""
+        phase = np.exp(-0.5j * (params[self.params].reshape(self._n_blocks, -1) @ self._zm))
+        self.blocks = ((self._h * (phase / self.dim)[:, None, :]) @ self._h).take(self._wperm, 1)
+        self._undo = self.blocks.conj()  # a row times it is U^+ applied
 
     def run(self, state, phases):
         for encoding, j in self.runs:
@@ -457,63 +455,61 @@ class _Section:
 
     def pullback(self, lam, state, phases, grad) -> np.ndarray:
         """The costate before the section from the costate and state after it,
-        adding the section's gradient into ``grad`` (the adjoint method). Each
-        block's Y = sum_b u_b lam_b^+ of its input rows is carried through the
-        pattern as Y -> R Y R^+, all blocks at once. Right after a layer,
-        d/dt_q = Im tr(X_q Y) for each of its qubits: X_q commutes with every
-        RX of the layer, so the layer's later gates leave the trace alone."""
-        y = np.empty((self._shape[0], self.dim, self.dim), complex)
+        adding the section's gradient into ``grad`` (the adjoint method). With
+        Y = sum_b u_b lam_b^+ of a block's input rows, its rotation g adds
+        Im tr(X_M Y) = Im sum_i Y[i ^ M, i]: one gather over every block's Y."""
+        y = np.empty((self._n_blocks, self.dim, self.dim), complex)
+        lam = lam.conj()  # carried conjugated: U^+ pulls it back as a product with U
         for encoding, j in reversed(self.runs):
             if encoding:
-                back = phases[:, j].conj()
-                state, lam = state * back, lam * back
+                state, lam = state * phases[:, j].conj(), lam * phases[:, j]
                 continue
-            state, lam = state @ self.blocks[j].conj(), lam @ self.blocks[j].conj()
-            y[j] = state.T @ lam.conj()
-        reads, rows = np.zeros(self._shape + (self.k,)), np.arange(self.dim)
-        for step in self.pattern:
-            if isinstance(step, int):
-                r = self.layers[:, step]  # symmetric, so R^+ is its conjugate
-                y = r @ y @ r.conj()
-                # a C-ordered copy sums each read in the same order as one block alone
-                reads[:, step] = np.ascontiguousarray(y[:, self._flips, rows]).sum(-1).imag
-            else:
-                y = y.take(step, 1).take(step, 2)
-        grad[self.params] += reads[self._at]
-        return lam
+            state, lam = state @ self._undo[j], lam @ self.blocks[j]
+            y[j] = state.T @ lam
+        grad[self.params] += y[:, self._flips, self._rows].sum(-1).imag.ravel()
+        return lam.conj()
 
 
 class ModelKernel:
     """Batched forward and adjoint gradients for the full model.
 
     The gates of ``build_model_circuit`` fall into four runs by the registers
-    they touch: the film and main sections, simulated apart and joined as a
-    tensor product, then the tail (the bridge CNOTs, as one permutation, and a
-    final block on the main qubits). Layer and block unitaries are compiled
-    once per distinct parameter vector. Every forward keeps its feature rows,
-    states and phases (references, no copies), and ``grad`` at the same
-    parameters and rows starts from them, so a training step simulates the
-    circuit once. ``param_shift_grad`` is the reference for ``grad``.
+    they touch: the film and main sections, the bridge CNOTs and a final block
+    on the main qubits. The bridge flips the main register by a mask F(a) that
+    depends only on the film basis state a, and the final block and the Z
+    readouts touch the main qubits alone, so <Z_k> = sum_F P_F <Z_k>(U X_F m),
+    with P_F the film's probability of the states a with F(a) = F: the final
+    block runs once per distinct mask on the main state, never on the joint
+    one. Blocks are compiled once per distinct parameter vector. Every forward
+    keeps its feature rows, states and phases (references, no copies), and
+    ``grad`` at the same parameters and rows starts from them, so a training
+    step simulates the circuit once. ``param_shift_grad`` is the reference for
+    ``grad``.
     """
 
     def __init__(self):
         circuit = build_model_circuit()
-        n, f, m = circuit.n_qubits, N_EPI, N_BLOCKS
+        f, m = N_EPI, N_BLOCKS
         film = set(range(f))
         self.film_gates, self.main_gates, bridge, final = (tuple(run) for _, run in groupby(
             circuit.gates, lambda g: (bool(_support(g) & film), bool(_support(g) - film))))
         self.tail_gates = bridge + final
         self.n_params = circuit.n_params
-        self._bridge = np.arange(1 << n)
+        states, flip = np.arange(1 << f), np.zeros(1 << f, int)  # F(a) of each film state a
         for g in bridge:
-            self._bridge = self._bridge[_cx_perm(n, g.control, g.target)]
+            if g.control not in film:
+                raise CircuitError(f"a bridge CNOT is controlled by a film qubit, not {g}")
+            flip ^= (states >> (f - 1 - g.control) & 1) << (m - 1 - (g.target - f))
+        masks, self._mask_of = np.unique(flip, return_inverse=True)
+        self._members = (self._mask_of == np.arange(len(masks))[:, None]).astype(float)
+        self._flips = masks[:, None] ^ np.arange(1 << m)  # X_F as a row gather, per mask
         film_section = _Section(self.film_gates, 0, f, 0)
         main_section = _Section(self.main_gates, f, m, film_section.params.stop)
         self._sections = (film_section, main_section,
                           _Section(final, f, m, main_section.params.stop))
-        self._zsigns = np.stack([_z_signs(n, q) for q in circuit.measured])
+        self._zsigns = np.stack([_z_signs(m, q - f) for q in circuit.measured])
         self._compiled_for = None  # a copy of the parameters the blocks were compiled for
-        self._forward = None  # the last forward: (rows, film, main, final, phases)
+        self._forward = None  # the last forward: (rows, film, main, final, weights, phases)
 
     def _inputs(self, params, features, epi):
         """Checked parameters and circuit feature rows [34 main, x_epi, y_epi]."""
@@ -528,8 +524,10 @@ class ModelKernel:
         return params, np.concatenate([features, epi], axis=-1)
 
     def _run(self, params, x):
-        """Film, main and final states (B, 2**n) of the feature rows ``x``, and
-        each section's phase vectors; kept as the last forward."""
+        """Film and main states of the feature rows ``x``, the final states
+        (B, masks, 2**5) of each flip of the main state, each mask's film
+        weight P_F (B, masks) and each section's phase vectors; kept as the
+        last forward."""
         self._forward = None  # hold one forward at a time
         # keyed on the values, not the array: optimizers update it in place
         if self._compiled_for is None or not np.array_equal(self._compiled_for, params):
@@ -540,15 +538,15 @@ class ModelKernel:
         film, main, tail = self._sections
         f = film.run(zero_state(film.k, (len(x),)), phases[0])
         m = main.run(zero_state(main.k, (len(x),)), phases[1])
-        joint = (f[:, :, None] * m[:, None, :]).reshape(len(x), -1)[:, self._bridge]
-        final = tail.run(joint.reshape(-1, tail.dim), phases[2]).reshape(len(x), -1)
-        self._forward = x, f, m, final, phases
+        final = tail.run(m[:, self._flips].reshape(-1, tail.dim), phases[2])
+        weights = probabilities(f) @ self._members.T
+        self._forward = x, f, m, final.reshape(len(x), -1, tail.dim), weights, phases
         return self._forward
 
     def expectations(self, params, features, epi) -> np.ndarray:
         """(B, 5) Z expectations of the five main qubits."""
-        final = self._run(*self._inputs(params, features, epi))[3]
-        return probabilities(final) @ self._zsigns.T
+        _, _, _, final, weights, _ = self._run(*self._inputs(params, features, epi))
+        return (weights[:, :, None] * (probabilities(final) @ self._zsigns.T)).sum(1)
 
     def grad(self, params, features, epi, upstream) -> np.ndarray:
         """Sum over the batch of upstream[b, k] * d<Z_k>_b / d theta.
@@ -562,14 +560,16 @@ class ModelKernel:
         if (forward is None or not np.array_equal(self._compiled_for, params)
                 or not np.array_equal(forward[0], x)):
             forward = self._run(params, x)
-        _, f, m, final, phases = forward
+        _, f, m, final, weights, phases = forward
         film, main, tail = self._sections
         grad = np.zeros(self.n_params)
-        lam = (np.asarray(upstream, float) @ self._zsigns) * final
-        lam = tail.pullback(*(a.reshape(-1, tail.dim) for a in (lam, final)), phases[2], grad)
-        lam = lam.reshape(len(x), -1)[:, np.argsort(self._bridge)]
-        lam = lam.reshape(len(x), film.dim, main.dim)
-        # the state before the tail is film (x) main: contract out the other factor
-        main.pullback(np.einsum("bi,bia->ba", f.conj(), lam), m, phases[1], grad)
-        film.pullback(np.einsum("bia,ba->bi", lam, m.conj()), f, phases[0], grad)
+        obs = (np.asarray(upstream, float) @ self._zsigns)[:, None]  # sum_k upstream_k Z_k
+        lam = tail.pullback((weights[:, :, None] * obs * final).reshape(-1, tail.dim),
+                            final.reshape(-1, tail.dim), phases[2], grad)
+        lam = lam.reshape(final.shape)  # the main costate undoes each flip: sum_F X_F lam_F
+        main.pullback(sum(lam[:, j, flip] for j, flip in enumerate(self._flips)), m,
+                      phases[1], grad)
+        # P_F moves with the film state: film state a reads its mask's <obs>
+        reads = (probabilities(final) * obs).sum(-1)
+        film.pullback(reads[:, self._mask_of] * f, f, phases[0], grad)
         return grad

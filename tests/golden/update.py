@@ -9,11 +9,18 @@ last bits. ``tests/test_golden.py`` compares a fresh run against the file.
 
 Run ``PYTHONPATH=src python tests/golden/update.py`` to rewrite the file,
 only when a change is meant to alter outputs, and say why in CHANGES.md.
+With ``--check`` it writes nothing: it prints each entry of the file that a
+fresh run does not reproduce exactly (a digest by its file name, a checkpoint
+value with its old and new values and their relative difference) and exits 1
+if there is one.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -72,12 +79,38 @@ def pipeline(workdir: str | Path) -> dict:
             "checkpoint": checkpoint}
 
 
-def main() -> None:
+def differences(old: dict, new: dict) -> list[str]:
+    """One line per entry of ``old`` that ``new`` does not reproduce exactly."""
+    lines = [f"sha256 {name}" for name, digest in old["sha256"].items()
+             if new["sha256"].get(name) != digest]
+    for key, summary in old["checkpoint"].items():
+        for field, value in summary.items():
+            got = new["checkpoint"].get(key, {}).get(field)
+            entries = ([(f"{field}[{i}]", a, b) for i, (a, b)
+                        in enumerate(itertools.zip_longest(value, got or []))]
+                       if isinstance(value, list) else [(field, value, got)])
+            for name, a, b in entries:
+                if a != b:
+                    rel = abs(b - a) / abs(a) if a and b is not None else math.inf
+                    lines.append(f"checkpoint {key}.{name}: {a!r} -> {b!r} (relative {rel:.3g})")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print what a fresh run changes; write nothing")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
         doc = pipeline(workdir)
+    if args.check:
+        lines = differences(json.loads(GOLDEN.read_text()), doc)
+        print("\n".join(lines) if lines else "golden outputs reproduced exactly")
+        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"golden outputs -> {GOLDEN}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,9 +1,9 @@
 """Independent test oracles: an adjacency built from the edge list, a heap
 Dijkstra with the scalar next-slot rule, brute-force path search, the
 list-based city generator, a pure-Python replay of the weight dynamics, a
-scalar feature builder, a dense-matrix circuit simulator, the per-block
-kernel sections and a step-by-step replay of training. These deliberately
-avoid the package's own fast paths and its arc table."""
+scalar feature builder, a dense-matrix circuit simulator, a layer-by-layer
+kernel with the joint-state tail and a step-by-step replay of training. These
+deliberately avoid the package's own fast paths and its arc table."""
 from __future__ import annotations
 
 import heapq
@@ -436,13 +436,27 @@ def oracle_expectations(circuit: Circuit, params, features=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-block kernel sections
+# Layer-by-layer kernel
 
 
-class BlockwiseSection(qsim._Section):
-    """A kernel section that compiles and pulls back one block at a time: each
-    block keeps its own list of steps and its own layers, and ``blocks`` is a
-    list. Phases and the forward run are the package's."""
+def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    """The row gather of one CNOT on n qubits: state[perm] applies it."""
+    rows = np.arange(1 << n)
+    bits = (rows >> (n - 1 - control)) & 1
+    return np.where(bits == 1, rows ^ (1 << (n - 1 - target)), rows)
+
+
+class BlockwiseSection:
+    """A kernel section built gate layer by gate layer, block by block.
+
+    A run of Z encodings is a phase vector: each qubit's (exp(-i/2 angle),
+    exp(i/2 angle)) pair gathered by the bits of every basis state, then
+    multiplied over the qubits. In a block, consecutive RX on distinct qubits,
+    closed by a CNOT, form a layer, one unitary
+    R[i, j] = prod_q (cos(t_q/2) if bit q of i^j is 0, else -i sin(t_q/2)),
+    and each block is the product of its layers and CNOT permutations in turn.
+    The pullback carries each block's Y through its layers, Y -> R Y R^+, and
+    reads d/dt_q = Im tr(X_q Y) right after each layer."""
 
     def __init__(self, gates, first: int, k: int, start: int):
         self.k, self.dim = k, 1 << k
@@ -460,9 +474,7 @@ class BlockwiseSection(qsim._Section):
             steps = []
             for g in run:
                 if isinstance(g, CNot):
-                    perm = np.arange(self.dim)
-                    bits = (perm >> (k - 1 - (g.control - first))) & 1
-                    perm = np.where(bits == 1, perm ^ (1 << (k - 1 - (g.target - first))), perm)
+                    perm = cnot_perm(k, g.control - first, g.target - first)
                     if steps and not isinstance(steps[-1], int):  # one permutation per CNOT run
                         perm = steps.pop()[perm]
                     steps.append(perm)
@@ -482,6 +494,13 @@ class BlockwiseSection(qsim._Section):
         self.params = slice(start, start + len(at))
         self._n_layers = len(layers)
 
+    def phases(self, x) -> np.ndarray:
+        """(B, encoding runs, 2**k) phase vectors of the feature rows ``x``."""
+        angles = (x @ self._enc_w).reshape(len(x), -1, self.k, 1)
+        bit0 = np.exp(-0.5j * angles)  # each qubit's phase on |0>; |1> takes the conjugate
+        pair = np.concatenate([bit0, bit0.conj()], axis=-1)
+        return pair[:, :, np.arange(self.k)[:, None], self._bits].prod(axis=2)
+
     def compile(self, params) -> None:
         half = np.zeros((self._n_layers, self.k))
         half[self._at] = params[self.params] / 2.0
@@ -494,6 +513,11 @@ class BlockwiseSection(qsim._Section):
             for step in steps:
                 u = self.layers[step] @ u if isinstance(step, int) else u[step]
             self.blocks.append(u)
+
+    def run(self, state, phases):
+        for encoding, j in self.runs:
+            state = state * phases[:, j] if encoding else state @ self.blocks[j].T
+        return state
 
     def pullback(self, lam, state, phases, grad) -> np.ndarray:
         reads, rows = np.zeros((self._n_layers, self.k)), np.arange(self.dim)
@@ -515,15 +539,56 @@ class BlockwiseSection(qsim._Section):
         return lam
 
 
-def blockwise_kernel() -> ModelKernel:
-    """A ``ModelKernel`` whose film, main and final sections are ``BlockwiseSection``s."""
-    kernel = ModelKernel()
-    f, m = features.N_EPI, features.N_BLOCKS
-    final = tuple(g for g in kernel.tail_gates if not (isinstance(g, CNot) and g.control < f))
-    film = BlockwiseSection(kernel.film_gates, 0, f, 0)
-    main = BlockwiseSection(kernel.main_gates, f, m, film.params.stop)
-    kernel._sections = (film, main, BlockwiseSection(final, f, m, main.params.stop))
-    return kernel
+class BlockwiseKernel(ModelKernel):
+    """A ``ModelKernel`` with ``BlockwiseSection``s and the joint-state tail: the
+    film and main states joined as a (B, 2**7) tensor product, the bridge
+    CNOTs as one permutation of it and the final block run on every film
+    state's rows, with the Z readouts of the seven-qubit state. It compiles at
+    every call and keeps no forward."""
+
+    def __init__(self):
+        super().__init__()
+        f, m = features.N_EPI, features.N_BLOCKS
+        bridge = tuple(itertools.takewhile(lambda g: isinstance(g, CNot), self.tail_gates))
+        self._bridge = np.arange(1 << (f + m))
+        for g in bridge:
+            self._bridge = self._bridge[cnot_perm(f + m, g.control, g.target)]
+        film = BlockwiseSection(self.film_gates, 0, f, 0)
+        main = BlockwiseSection(self.main_gates, f, m, film.params.stop)
+        final = BlockwiseSection(self.tail_gates[len(bridge):], f, m, main.params.stop)
+        self._sections = (film, main, final)
+        rows, measured = np.arange(1 << (f + m)), np.arange(f, f + m)
+        self._signs = 1.0 - 2.0 * ((rows >> (f + m - 1 - measured)[:, None]) & 1)  # (5, 2**7)
+
+    def _run(self, params, x):
+        """Film, main and final (B, 2**7) states, and each section's phases."""
+        for section in self._sections:
+            section.compile(params)
+        phases = [section.phases(x) for section in self._sections]
+        film, main, tail = self._sections
+        f = film.run(qsim.zero_state(film.k, (len(x),)), phases[0])
+        m = main.run(qsim.zero_state(main.k, (len(x),)), phases[1])
+        joint = (f[:, :, None] * m[:, None, :]).reshape(len(x), -1)[:, self._bridge]
+        final = tail.run(joint.reshape(-1, tail.dim), phases[2]).reshape(len(x), -1)
+        return f, m, final, phases
+
+    def expectations(self, params, features, epi) -> np.ndarray:
+        final = self._run(*self._inputs(params, features, epi))[2]
+        return np.abs(final) ** 2 @ self._signs.T
+
+    def grad(self, params, features, epi, upstream) -> np.ndarray:
+        params, x = self._inputs(params, features, epi)
+        f, m, final, phases = self._run(params, x)
+        film, main, tail = self._sections
+        grad = np.zeros(self.n_params)
+        lam = (np.asarray(upstream, float) @ self._signs) * final
+        lam = tail.pullback(*(a.reshape(-1, tail.dim) for a in (lam, final)), phases[2], grad)
+        lam = lam.reshape(len(x), -1)[:, np.argsort(self._bridge)]
+        lam = lam.reshape(len(x), film.dim, main.dim)
+        # the state before the tail is film (x) main: contract out the other factor
+        main.pullback(np.einsum("bi,bia->ba", f.conj(), lam), m, phases[1], grad)
+        film.pullback(np.einsum("bia,ba->bi", lam, m.conj()), f, phases[0], grad)
+        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 
-from golden.update import GOLDEN, pipeline
+from golden.update import GOLDEN, differences, pipeline
 
 
 def test_pipeline_reproduces_the_golden_outputs(tmp_path):
@@ -15,3 +15,14 @@ def test_pipeline_reproduces_the_golden_outputs(tmp_path):
         for field, value in summary.items():
             np.testing.assert_allclose(got["checkpoint"][key][field], value, rtol=1e-9,
                                        err_msg=f"checkpoint {key} {field}")
+
+
+def test_check_names_each_entry_a_run_does_not_reproduce():
+    old = {"sha256": {"a.csv": "01", "b.csv": "02"},
+           "checkpoint": {"w": {"sum": 2.0, "norm": 1.0, "first": [1.0, 0.5]}}}
+    new = {"sha256": {"a.csv": "01", "b.csv": "03"},
+           "checkpoint": {"w": {"sum": 2.5, "norm": 1.0, "first": [1.0, 0.25]}}}
+    assert differences(old, old) == []
+    assert differences(old, new) == ["sha256 b.csv",
+                                      "checkpoint w.sum: 2.0 -> 2.5 (relative 0.25)",
+                                      "checkpoint w.first[1]: 0.5 -> 0.25 (relative 0.5)"]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quakeroute.qsim as qs
-from helpers import blockwise_kernel, circuit_unitary, oracle_expectations, oracle_state
+from helpers import BlockwiseKernel, circuit_unitary, oracle_expectations, oracle_state
 
 
 def _one_circuit(n, gates):
@@ -392,6 +393,21 @@ def test_kernel_sections_partition_the_circuit():
     assert len(kernel.main_gates) == 8 * 4 * (5 + 5) + 34  # 34 encodings, no padding
 
 
+def _local_circuit(gates, first, k):
+    """The gates moved to qubits 0..k-1, as a circuit without features."""
+    return qs.Circuit(k, tuple(
+        dataclasses.replace(g, qubit=g.qubit - first) if isinstance(g, qs.Rot)
+        else qs.CNot(g.control - first, g.target - first) for g in gates), 0, ())
+
+
+def _section_gates(kernel):
+    """(gates, first qubit, qubits) of the film, main and final sections."""
+    f, m = qs.ModelConfig.film_qubits, qs.ModelConfig.main_qubits
+    bridge = tuple(itertools.takewhile(lambda g: isinstance(g, qs.CNot), kernel.tail_gates))
+    return ((kernel.film_gates, 0, f), (kernel.main_gates, f, m),
+            (kernel.tail_gates[len(bridge):], f, m))
+
+
 def test_kernel_blocks_match_dense_oracle_of_their_gate_runs():
     """Each compiled block of the film, main and final sections equals the dense
     product of its run of RX and CNOT gates."""
@@ -400,19 +416,13 @@ def test_kernel_blocks_match_dense_oracle_of_their_gate_runs():
     params = rng.uniform(-np.pi, np.pi, cfg.n_params)
     kernel = qs.ModelKernel()
     kernel.expectations(params, np.zeros(34), np.zeros(2))
-    f, m = cfg.film_qubits, cfg.main_qubits
-    final = tuple(g for g in kernel.tail_gates
-                  if not (isinstance(g, qs.CNot) and g.control < f))
-    sections = ((kernel.film_gates, 0, f), (kernel.main_gates, f, m), (final, f, m))
     start = 0  # the parameters of each run's trainable rotations follow in gate order
-    for section, (gates, first, k) in zip(kernel._sections, sections):
+    for section, (gates, first, k) in zip(kernel._sections, _section_gates(kernel)):
         runs = [tuple(run) for encoding, run in itertools.groupby(
             gates, lambda g: isinstance(g, qs.Rot) and g.axis == "z") if not encoding]
         assert len(runs) == len(section.blocks)
         for run, block in zip(runs, section.blocks):
-            local = qs.Circuit(k, tuple(
-                dataclasses.replace(g, qubit=g.qubit - first) if isinstance(g, qs.Rot)
-                else qs.CNot(g.control - first, g.target - first) for g in run), 0, ())
+            local = _local_circuit(run, first, k)
             want = circuit_unitary(local, params[start:start + local.n_params])
             start += local.n_params
             assert np.abs(block - want).max() < 1e-12
@@ -430,20 +440,70 @@ def test_kernel_blocks_are_unitary():
 
 
 @pytest.mark.parametrize("rows", [1, 7, 256])
-def test_stacked_kernel_equals_blockwise_sections_bit_for_bit(rows):
-    """Stacking a section's blocks changes no bit: the blocks, expectations and
-    gradient equal those of sections that compile and pull back block by block."""
+def test_kernel_equals_the_layer_by_layer_oracle(rows):
+    """The X-string kernel agrees with sections that compile and pull back layer
+    by layer, joined by the (B, 2**7) joint state: blocks and expectations
+    within 1e-12, the gradient within 1e-10."""
     rng = np.random.default_rng(rows)
     params = rng.uniform(-np.pi, np.pi, 228)
     feats, epi = rng.uniform(0, 1, (rows, 34)), rng.uniform(0, 1, (rows, 2))
     upstream = rng.normal(size=(rows, 5))
-    stacked, blockwise = qs.ModelKernel(), blockwise_kernel()
-    assert np.array_equal(stacked.expectations(params, feats, epi),
-                          blockwise.expectations(params, feats, epi))
-    for section, reference in zip(stacked._sections, blockwise._sections):
-        assert np.array_equal(section.blocks, np.stack(reference.blocks))
-    assert np.array_equal(stacked.grad(params, feats, epi, upstream),
-                          blockwise.grad(params, feats, epi, upstream))
+    kernel, oracle = qs.ModelKernel(), BlockwiseKernel()
+    assert np.abs(kernel.expectations(params, feats, epi)
+                  - oracle.expectations(params, feats, epi)).max() < 1e-12
+    for section, reference in zip(kernel._sections, oracle._sections):
+        assert np.abs(section.blocks - np.stack(reference.blocks)).max() < 1e-12
+    assert np.abs(kernel.grad(params, feats, epi, upstream)
+                  - oracle.grad(params, feats, epi, upstream)).max() < 1e-10
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256, 2000])
+def test_kronecker_phases_equal_the_gather_reference_bit_for_bit(rows):
+    """Each encoding run's phase vector, built qubit by qubit as a Kronecker
+    product, has the bits of the gather over basis states and product over
+    qubits; the final section, which has no encoding run, gives an empty one."""
+    x = np.random.default_rng(rows).uniform(-1, 2, (rows, 36))
+    got = [section.phases(x) for section in qs.ModelKernel()._sections]
+    want = [section.phases(x) for section in BlockwiseKernel()._sections]
+    assert [p.shape for p in got] == [(rows, 5, 4), (rows, 7, 32), (rows, 0, 32)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_every_rx_gate_is_an_x_string_rotation_of_its_block_input():
+    """For the RX on qubit q of a block, V^+ X_q V = X_M, where V is the dense
+    product of the block's gates before it at random angles and X_M is the
+    permutation of the gate's mask in its section."""
+    rng = np.random.default_rng(19)
+    kernel = qs.ModelKernel()
+    pauli_x, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    for section, (gates, first, k) in zip(kernel._sections, _section_gates(kernel)):
+        block = next(tuple(run) for encoding, run in itertools.groupby(
+            gates, lambda g: isinstance(g, qs.Rot) and g.feature is not None)
+            if not encoding)
+        at = [i for i, g in enumerate(block) if isinstance(g, qs.Rot)]
+        assert len(at) == len(section._flips) == 4 * k
+        for i, flip in zip(at, section._flips):
+            prefix = _local_circuit(block[:i], first, k)
+            v = circuit_unitary(prefix, rng.uniform(-np.pi, np.pi, prefix.n_params))
+            x_q = functools.reduce(np.kron, [pauli_x if q == block[i].qubit - first else eye
+                                             for q in range(k)])
+            assert np.abs(v.conj().T @ x_q @ v - np.eye(1 << k)[flip]).max() < 1e-12
+
+
+def test_bridge_masks_reproduce_the_dense_bridge():
+    """The bridge CNOTs take f (x) m to sum_a f_a |a> (x) X_F(a) m, with F(a)
+    the mask of film state a; film states that share a mask share a weight."""
+    rng = np.random.default_rng(20)
+    kernel = qs.ModelKernel()
+    bridge = tuple(itertools.takewhile(lambda g: isinstance(g, qs.CNot), kernel.tail_gates))
+    dense = circuit_unitary(qs.Circuit(7, bridge, 0, ()), np.zeros(0))
+    f, m = (rng.normal(size=(d, 2)) @ [1, 1j] for d in (4, 32))
+    got = (dense @ np.kron(f, m)).reshape(4, 32)
+    want = [f[a] * m[kernel._flips[kernel._mask_of[a]]] for a in range(4)]
+    assert np.abs(got - want).max() < 1e-12
+    assert sorted(kernel._flips[:, 0]) == [0, 0b11111]  # F(a) by the parity of a
+    assert np.array_equal(kernel._members, np.eye(len(kernel._flips))[:, kernel._mask_of])
 
 
 @pytest.mark.parametrize("edit", ["drop the last CNOT", "swap two RX", "an RY block"])
@@ -478,6 +538,32 @@ def test_kernel_grad_equals_param_shift_contraction():
     jac = qs.param_shift_grad(circ, params, joint, index=None)  # (228, 3, 5)
     want = np.einsum("pbk,bk->p", jac, upstream)
     assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("rows", [1, 2000])
+def test_kernel_grad_equals_param_shift_contraction_at_1_and_2000_rows(rows):
+    """At one row every parameter shifts on the generic engine. At 2,000 rows,
+    where that would take minutes, the kernel's forward first matches the
+    generic engine, then shifts every seventh parameter, which visits every
+    section and every position of a main-section block."""
+    rng = np.random.default_rng(23)
+    circ = qs.build_model_circuit()
+    params = rng.uniform(-np.pi, np.pi, 228)
+    feats, epi = rng.uniform(0, 1, (rows, 34)), rng.uniform(0, 1, (rows, 2))
+    upstream = rng.normal(0, 1, (rows, 5))
+    kernel = qs.ModelKernel()
+    got = kernel.grad(params, feats, epi, upstream)
+    joint = np.concatenate([feats, epi], axis=1)
+    if rows == 1:
+        jac = qs.param_shift_grad(circ, params, joint, index=None)
+        assert np.abs(got - np.einsum("pbk,bk->p", jac, upstream)).max() < 1e-10
+        return
+    engine = qs.measured_expectations(circ, qs.run(circ, params, joint))
+    assert np.abs(kernel.expectations(params, feats, epi) - engine).max() < 1e-12
+    for j in range(0, 228, 7):
+        shift = np.pi / 2 * np.eye(228)[j]
+        plus, minus = (kernel.expectations(params + s, feats, epi) for s in (shift, -shift))
+        assert abs(got[j] - ((plus - minus) * upstream).sum() / 2) < 1e-10
 
 
 def test_export_qasm_single_gate():
