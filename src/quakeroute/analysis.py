@@ -9,13 +9,12 @@ distribution.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import qsim
+from . import files, qsim
 from .qsim import Circuit, CNot, Rot
 
 RUN_AMPLITUDES = 8192  # sample_fourier simulates at most about this many amplitudes per run
@@ -100,15 +99,11 @@ def sample_fourier(config: MiniConfig, n_theta: int,
 
 def write_violin_csv(samples: FourierSamples, path: str | FilePath) -> None:
     """Long-format CSV of every coefficient of every draw, for violin plots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "omega_x", "omega_y", "real", "imag"])
-        for r, table in enumerate(samples.coeffs):
-            for a, wx in enumerate(samples.omegas):
-                for b, wy in enumerate(samples.omegas):
-                    c = table[a, b]
-                    writer.writerow([r, int(wx), int(wy),
-                                     repr(float(c.real)), repr(float(c.imag))])
+    files.write_csv(path, ["sample", "omega_x", "omega_y", "real", "imag"],
+                    ([r, int(wx), int(wy), repr(float(c.real)), repr(float(c.imag))]
+                     for r, table in enumerate(samples.coeffs)
+                     for wx, row in zip(samples.omegas, table)
+                     for wy, c in zip(samples.omegas, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +175,10 @@ def fisher_spectrum(matrix: np.ndarray) -> SpectrumReport:
 
 
 def write_spectrum_csv(report: SpectrumReport, path: str | FilePath) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, ev in enumerate(report.eigenvalues):
-            writer.writerow([i, repr(float(ev))])
-        writer.writerow(["rank", report.rank])
-        writer.writerow(["near_zero_fraction", repr(report.near_zero_fraction)])
+    files.write_csv(path, ["index", "eigenvalue"],
+                    [*([i, repr(float(ev))] for i, ev in enumerate(report.eigenvalues)),
+                     ["rank", report.rank],
+                     ["near_zero_fraction", repr(report.near_zero_fraction)]])
 
 
 def block_ratio(full_matrix: np.ndarray, n_film: int) -> float:

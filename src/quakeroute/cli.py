@@ -5,12 +5,13 @@ analyze fourier|fisher, export-qasm. Exit codes: 0 success, 1 domain error,
 2 usage error. --log-level info shows train's per-epoch lines on stderr. The
 QRL_SEED environment variable overrides any configured seed; a JSON --config
 file may set every option of the subcommand, required ones included, and the
-command line wins over it. Required options are checked after the file is merged.
+command line wins over it. Required options are checked after the file is
+merged; then, before any work, every output option (--out, --csv,
+--history-out) must name a file in an existing directory.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import analysis, dyngraph, features, hybrid, qsim
+from . import analysis, dyngraph, features, files, hybrid, qsim
 
 # every bad-input error of the package is a ValueError; anything else is a bug
 _DOMAIN_ERRORS = (ValueError, OSError)
@@ -89,18 +90,11 @@ def _cmd_env_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError(f"--steps must be at least 0, got {args.steps}")
     state = dyngraph.initial_state(graph, [scenario], sigma_frac=args.sigma_frac)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u", "v", "weight"])
-
-        def snapshot():
-            for (u, v), w in zip(graph.edges, state.weights[0]):
-                writer.writerow([state.t, int(u), int(v), repr(float(w))])
-
-        snapshot()
-        for _ in range(args.steps):
-            dyngraph.advance(state)
-            snapshot()
+    # lazy: the world advances once a step's rows are written
+    worlds = (dyngraph.advance(state) if t else state for t in range(args.steps + 1))
+    files.write_csv(args.out, ["t", "u", "v", "weight"],
+                    ([w.t, int(u), int(v), repr(float(x))] for w in worlds
+                     for (u, v), x in zip(graph.edges, w.weights[0])))
     print(f"env: {args.steps} steps over {graph.n_edges} edges -> {args.out}")
     return 0
 
@@ -121,7 +115,7 @@ def _cmd_train(args) -> int:
     model, history = hybrid.train(dataset, config)
     model.save(args.out)
     if args.history_out:
-        FilePath(args.history_out).write_text(json.dumps(history, indent=1) + "\n")
+        files.write_json(args.history_out, history)
     last = history[-1]
     print(f"train: {config.epochs} epochs, final train loss "
           f"{last['train_loss']:.4f}, val agreement "
@@ -298,6 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """A ValueError, before any work, if an output option names a file in a
+    directory that does not exist."""
+    for dest in ("out", "csv", "history_out"):
+        path = getattr(args, dest, None)
+        if path is not None and not FilePath(path).parent.is_dir():
+            raise ValueError(f"--{dest.replace('_', '-')} {path}: "
+                             f"{FilePath(path).parent} is not an existing directory")
+
+
 def _check_required(args: argparse.Namespace) -> None:
     """Exit 2 with argparse's message if a required option is still unset."""
     missing = [a for a in args.required if getattr(args, a.dest) is None]
@@ -317,12 +321,13 @@ def run(argv=None) -> int:
         log.setLevel(args.log_level.upper())
         log.addHandler(handler)
         if args.config:
-            args.parser.set_defaults(**dyngraph.read_json(
+            args.parser.set_defaults(**files.read_json(
                 args.config, None, lambda doc: _config_defaults(args, doc)))
             args = parser.parse_args(argv)
         _check_required(args)
         if "seed" in args:  # the seeded subcommands, before any input file is read
             args.seed = _resolve_seed(args)
+        _check_outputs(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
@@ -339,3 +344,7 @@ def run(argv=None) -> int:
 
 def console() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    console()

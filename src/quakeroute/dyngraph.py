@@ -7,19 +7,20 @@ weights with two mechanisms: the quake's damage circle (slowly expanding) and
 traffic circles around the exit nodes (expanding from radius zero). Each
 mechanism is one band lookup: an edge's distance to the circle's center picks
 a band of the circle, and the band picks a factor and a saturation cap. The
-module owns the scenario seed rule (``random_scenarios``) and the degree cap
-``MAX_DEGREE`` of ``synth_city`` and of the feature rows.
+module owns the scenario seed rule (``random_scenarios``), the degree cap
+``MAX_DEGREE`` of ``synth_city`` and of the feature rows, and the layouts of
+the graph and scenario files, which ``files.read_json`` holds them to.
 """
 from __future__ import annotations
 
 import functools
-import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path as FilePath
 
 import numpy as np
+
+from . import files
 
 # Damage radius at step t; the quake area starts at half the map and creeps outward.
 EPI_RADIUS_BASE = 0.5
@@ -408,19 +409,26 @@ def random_scenarios(graph: CityGraph, n: int, seed: int) -> list[Scenario]:
 
 
 # ---------------------------------------------------------------------------
-# Graph and scenario files
+# Graph and scenario files and their layouts
+
+_GRAPH_FILE = {"nodes": [{"id": "a non-negative integer", "x": "a finite number",
+                          "y": "a finite number"}],
+               "edges": [{"u": "a non-negative integer", "v": "a non-negative integer",
+                          "length_m": "a finite number", "speed_kmh": "a finite number"}]}
+_SCENARIO_FILE = {"epicenter": ["a finite number"], "start": "an integer",
+                  "exits": ["an integer"], "chosen_exit": "an integer",
+                  "rng_seed": "a non-negative integer", "max_steps": "a non-negative integer"}
 
 
 def save_graph(graph: CityGraph, path: str | FilePath) -> None:
     """Write the graph as JSON; a node's ``id`` is its position in ``nodes``."""
-    doc = {
+    files.write_json(path, {
         "nodes": [{"id": i, "x": float(x), "y": float(y)} for i, (x, y) in enumerate(graph.xy)],
         "edges": [
             {"u": int(u), "v": int(v), "length_m": float(l), "speed_kmh": float(s)}
             for (u, v), l, s in zip(graph.edges, graph.length_m, graph.speed_kmh)
         ],
-    }
-    FilePath(path).write_text(json.dumps(doc, indent=1) + "\n")
+    })
 
 
 def _graph_from_doc(doc: dict) -> CityGraph:
@@ -435,95 +443,19 @@ def _graph_from_doc(doc: dict) -> CityGraph:
 
 
 def load_graph(path: str | FilePath) -> CityGraph:
-    """Read a ``save_graph`` file with ``read_json``: a layout error, a node id that is
+    """Read a ``save_graph`` file with ``files.read_json``: a layout error, a node id that is
     not its position or a ``CityGraph`` error raises GraphError naming the file."""
-    return read_json(path, _GRAPH_FILE, _graph_from_doc, GraphError)
+    return files.read_json(path, _GRAPH_FILE, _graph_from_doc, GraphError)
 
 
 def save_scenario(scenario: Scenario, path: str | FilePath) -> None:
     """Write the scenario's fields as one JSON object, in field order."""
-    FilePath(path).write_text(json.dumps(asdict(scenario), indent=1) + "\n")
+    files.write_json(path, asdict(scenario))
 
 
 def load_scenario(path: str | FilePath, graph: CityGraph) -> Scenario:
-    """Read a ``save_scenario`` file of ``graph`` with ``read_json``: a layout or
+    """Read a ``save_scenario`` file of ``graph`` with ``files.read_json``: a layout or
     ``Scenario`` error, or a start or exit that is not a node of ``graph``, raises
     GraphError naming the file."""
-    return read_json(path, _SCENARIO_FILE, lambda doc: _on_graph(graph, Scenario(**doc)),
-                     GraphError)
-
-
-# The value kinds that a layout names: the Python types that JSON decoding
-# gives each and its inclusive range. NaN lies in no range, the finite kinds
-# stop at the largest float, and non-negative integers stay below 2**63, so
-# that they fit an int64 array.
-_FLOAT_MAX = sys.float_info.max
-_KINDS = {"a finite number": ((int, float), -_FLOAT_MAX, _FLOAT_MAX),
-          "a finite float": ((float,), -_FLOAT_MAX, _FLOAT_MAX),
-          "an integer": ((int,), -math.inf, math.inf),
-          "a non-negative integer": ((int,), 0, 2**63 - 1),
-          "a boolean": ((bool,), False, True)}
-_GRAPH_FILE = {"nodes": [{"id": "a non-negative integer", "x": "a finite number",
-                          "y": "a finite number"}],
-               "edges": [{"u": "a non-negative integer", "v": "a non-negative integer",
-                          "length_m": "a finite number", "speed_kmh": "a finite number"}]}
-_SCENARIO_FILE = {"epicenter": ["a finite number"], "start": "an integer",
-                  "exits": ["an integer"], "chosen_exit": "an integer",
-                  "rng_seed": "a non-negative integer", "max_steps": "a non-negative integer"}
-
-
-def read_json(path: str | FilePath, layout, build, error: type[ValueError] = ValueError,
-              lines: bool = False):
-    """The one reader of input files: ``build(doc)`` for the UTF-8 JSON ``doc`` in ``path``,
-    or with ``lines`` a list of them, one per non-blank line. ``doc`` must have
-    ``layout`` (``None`` leaves that to ``build``); a ValueError of any step, or
-    nesting too deep to parse, is raised as ``error`` after ``<path>:`` or
-    ``<path>, line N:``."""
-    built = []
-    with open(path, "rb") as fh:
-        for lineno, chunk in enumerate(fh if lines else [fh.read()], 1):
-            if lines and not chunk.strip():
-                continue
-            try:
-                doc = json.loads(chunk.decode("utf-8"))
-                built.append(build(doc if layout is None else check_layout("", doc, layout)))
-            except (ValueError, RecursionError) as exc:
-                raise error(f"{path}{f', line {lineno}' if lines else ''}: {exc}") from None
-    return built if lines else built[0]
-
-
-def check_layout(key: str, value, layout):
-    """Return JSON ``value`` if it has ``layout``, else raise ValueError naming ``key``.
-
-    A dict is a JSON object with exactly its keys, ``[item]`` a JSON list of
-    items, a tuple a JSON list with one item per entry, a kind name of
-    ``_KINDS`` a value of that kind, and anything else (another string too) a
-    value equal to it. ``read_json`` runs this check and names the file.
-    """
-    if isinstance(layout, str) and layout in _KINDS:
-        types, lo, hi = _KINDS[layout]
-        if type(value) in types and lo <= value <= hi:
-            return value
-        problem = f"is {value!r}, not {layout}"
-    elif isinstance(layout, dict):
-        if not isinstance(value, dict):
-            problem = f"is not a JSON object with the keys {list(layout)}"
-        elif value.keys() != layout.keys():
-            problem = (f"lacks the keys {sorted(layout.keys() - value.keys())} "
-                       f"and has the extra keys {sorted(value.keys() - layout.keys())}")
-        else:
-            for k in layout:
-                check_layout(f"{key}.{k}" if key else k, value[k], layout[k])
-            return value
-    elif isinstance(layout, (list, tuple)):
-        exact = isinstance(layout, tuple)
-        if isinstance(value, list) and (not exact or len(value) == len(layout)):
-            for i, item in enumerate(value):
-                check_layout(f"{key}[{i}]", item, layout[i if exact else 0])
-            return value
-        problem = f"is not a {f'length-{len(layout)} ' if exact else ''}JSON list"
-    elif value == layout:
-        return value
-    else:
-        problem = f"is {value!r}, not {layout!r}"
-    raise ValueError(f"{key or 'the document'} {problem}")
+    return files.read_json(path, _SCENARIO_FILE,
+                           lambda doc: _on_graph(graph, Scenario(**doc)), GraphError)

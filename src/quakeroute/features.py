@@ -9,11 +9,11 @@ builds a world step's rows in one matrix from per-destination tables kept on
 the graph; their betweenness is ``oracle.edge_betweenness``, once per graph
 (``CityGraph.betweenness``). ``generate_dataset`` labels each oracle move with
 its slot over ``dyngraph.random_scenarios``. The module owns the sample-row
-rule: the layout and block rule of ``Dataset.load_jsonl`` and ``load_sample``.
+rule: the layout and block rule of ``Dataset.load_jsonl`` and ``load_sample``,
+which read through ``files.read_json``.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import dyngraph, oracle
+from . import dyngraph, files, oracle
 from .dyngraph import CityGraph, GraphError
 from .oracle import edge_betweenness  # the same function; perfbench wraps it by this name
 
@@ -39,7 +39,7 @@ WEIGHT_SCALE = 5.0
 # a Dataset's columns, which are also the keys of a JSON-lines record
 COLUMNS = ("features", "label", "scenario_id", "t")
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # bit for bit as scalar math.hypot
-# the layout of one JSON-lines record, for dyngraph.read_json
+# the layout of one JSON-lines record, for files.read_json
 _SAMPLE = {"features": ("a finite number",) * N_FEATURES, "label": "an integer",
            "scenario_id": "a non-negative integer", "t": "a non-negative integer"}
 
@@ -146,16 +146,15 @@ class Dataset:
         return self.scenario_id
 
     def save_jsonl(self, path: str | FilePath) -> None:
-        with open(path, "w") as fh:
-            for row in zip(*(getattr(self, key).tolist() for key in COLUMNS)):
-                fh.write(json.dumps(dict(zip(COLUMNS, row))) + "\n")
+        rows = zip(*(getattr(self, key).tolist() for key in COLUMNS))
+        files.write_jsonl(path, (dict(zip(COLUMNS, row)) for row in rows))
 
     @staticmethod
     def load_jsonl(path: str | FilePath) -> "Dataset":
-        """Read a ``save_jsonl`` file with ``dyngraph.read_json``: a line off the record
+        """Read a ``save_jsonl`` file with ``files.read_json``: a line off the record
         layout, labelled outside 0-4 or on padding, or off ``_block_rule``, raises a
         ValueError."""
-        return Dataset.from_rows(dyngraph.read_json(path, _SAMPLE, _sample_row, lines=True))
+        return Dataset.from_rows(files.read_json(path, _SAMPLE, _sample_row, lines=True))
 
     def split(self, val_fraction: float, seed: int):
         """Train/validation split by scenario, so no rollout leaks across.
@@ -193,7 +192,7 @@ def _block_rule(features: np.ndarray) -> np.ndarray:
 def load_sample(path: str | FilePath) -> np.ndarray:
     """The ``features`` of the JSON object in ``path``, such as a dataset line, held
     to the dataset's layout and block rule; any error names the file."""
-    return dyngraph.read_json(path, None, lambda doc: _block_rule(np.array(dyngraph.check_layout(
+    return files.read_json(path, None, lambda doc: _block_rule(np.array(files.check_layout(
         "features", isinstance(doc, dict) and doc.get("features"), _SAMPLE["features"]), float)))
 
 

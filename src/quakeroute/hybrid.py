@@ -4,21 +4,20 @@ Both branches see the same sample (epicenter conditioning plus 34 main
 features); their five-value outputs are concatenated and reduced to five
 logits by a trainable dense head. Classical gradients come from backprop,
 quantum gradients from the kernel's adjoint sweep, and rollouts follow the
-mask-respecting argmax of the logits.
+mask-respecting argmax of the logits. The checkpoint layout stays beside
+``HybridModel.load``, which reads it through ``files.read_json``.
 """
 from __future__ import annotations
 
-import csv
-import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path as FilePath
 from typing import ClassVar
 
 import numpy as np
 
-from . import features as feat, neural, oracle, qsim
-from .dyngraph import CityGraph, Scenario, random_scenarios, read_json
+from . import features as feat, files, neural, oracle, qsim
+from .dyngraph import CityGraph, Scenario, random_scenarios
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
 
@@ -120,17 +119,16 @@ class HybridModel:
                 "quantum": self.quantum_params, "head_w": self.head_w, "head_b": self.head_b}
 
     def save(self, path: str | FilePath) -> None:
-        doc = {
+        files.write_json(path, {
             "format": "quakeroute-checkpoint",
             "classical_only": self.classical_only,
             "params": {key: {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
                        for key, a in self._arrays().items()},
-        }
-        FilePath(path).write_text(json.dumps(doc) + "\n")
+        }, indent=None)
 
     @staticmethod
     def load(path: str | FilePath) -> "HybridModel":
-        """Read a ``save`` file with ``dyngraph.read_json``: anything but the layout that
+        """Read a ``save`` file with ``files.read_json``: anything but the layout that
         ``save`` writes for the model's shapes and ``format`` tag raises a ValueError."""
         model = HybridModel(seed=0)
         arrays = model._arrays()
@@ -141,9 +139,10 @@ class HybridModel:
                 a[...] = np.reshape(doc["params"][key]["data"], a.shape)
             return model
 
-        return read_json(path, {"format": "quakeroute-checkpoint", "classical_only": "a boolean",
-                                "params": {key: {"shape": a.shape, "data": ("a finite float",)
-                                                 * a.size} for key, a in arrays.items()}}, build)
+        layout = {"format": "quakeroute-checkpoint", "classical_only": "a boolean",
+                  "params": {key: {"shape": a.shape, "data": ("a finite float",) * a.size}
+                             for key, a in arrays.items()}}
+        return files.read_json(path, layout, build)
 
 
 def hybrid_forward(model: HybridModel, features) -> np.ndarray:
@@ -272,14 +271,10 @@ class EvalReport:
         return asdict(self)  # records included, each as a dict
 
     def save_json(self, path: str | FilePath) -> None:
-        FilePath(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        files.write_json(path, self.to_dict())
 
     def save_csv(self, path: str | FilePath) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(PathRecord.__dataclass_fields__))
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow(asdict(r))
+        files.write_csv(path, list(PathRecord.__dataclass_fields__), map(astuple, self.records))
 
 
 def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,

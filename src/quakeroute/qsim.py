@@ -446,26 +446,32 @@ class _Section:
         these parameters: W Hn diag(exp(-i/2 t @ Zm)) Hn, block by block."""
         phase = np.exp(-0.5j * (params[self.params].reshape(self._n_blocks, -1) @ self._zm))
         self.blocks = ((self._h * (phase / self.dim)[:, None, :]) @ self._h).take(self._wperm, 1)
-        self._undo = self.blocks.conj()  # a row times it is U^+ applied
 
     def run(self, state, phases):
+        """The state after the section, and the input state of each block."""
+        inputs = []
         for encoding, j in self.runs:
-            state = state * phases[:, j] if encoding else state @ self.blocks[j].T
-        return state
+            if encoding:
+                state = state * phases[:, j]
+            else:
+                inputs.append(state)
+                state = state @ self.blocks[j].T
+        return state, inputs
 
-    def pullback(self, lam, state, phases, grad) -> np.ndarray:
-        """The costate before the section from the costate and state after it,
-        adding the section's gradient into ``grad`` (the adjoint method). With
-        Y = sum_b u_b lam_b^+ of a block's input rows, its rotation g adds
-        Im tr(X_M Y) = Im sum_i Y[i ^ M, i]: one gather over every block's Y."""
+    def pullback(self, lam, inputs, phases, grad) -> np.ndarray:
+        """The costate before the section from the costate after it and the block
+        inputs of its forward, adding the section's gradient into ``grad`` (the
+        adjoint method). With Y = sum_b u_b lam_b^+ of a block's input rows, its
+        rotation g adds Im tr(X_M Y) = Im sum_i Y[i ^ M, i]: one gather over
+        every block's Y."""
         y = np.empty((self._n_blocks, self.dim, self.dim), complex)
         lam = lam.conj()  # carried conjugated: U^+ pulls it back as a product with U
         for encoding, j in reversed(self.runs):
             if encoding:
-                state, lam = state * phases[:, j].conj(), lam * phases[:, j]
+                lam = lam * phases[:, j]
                 continue
-            state, lam = state @ self._undo[j], lam @ self.blocks[j]
-            y[j] = state.T @ lam
+            lam = lam @ self.blocks[j]
+            y[j] = inputs[j].T @ lam
         grad[self.params] += y[:, self._flips, self._rows].sum(-1).imag.ravel()
         return lam.conj()
 
@@ -481,10 +487,10 @@ class ModelKernel:
     with P_F the film's probability of the states a with F(a) = F: the final
     block runs once per distinct mask on the main state, never on the joint
     one. Blocks are compiled once per distinct parameter vector. Every forward
-    keeps its feature rows, states and phases (references, no copies), and
-    ``grad`` at the same parameters and rows starts from them, so a training
-    step simulates the circuit once. ``param_shift_grad`` is the reference for
-    ``grad``.
+    keeps its feature rows, states, phases and block input states (references,
+    no copies), and ``grad`` at the same parameters and rows starts from them,
+    so a training step simulates the circuit once and never un-applies a block.
+    ``param_shift_grad`` is the reference for ``grad``.
     """
 
     def __init__(self):
@@ -509,7 +515,7 @@ class ModelKernel:
                           _Section(final, f, m, main_section.params.stop))
         self._zsigns = np.stack([_z_signs(m, q - f) for q in circuit.measured])
         self._compiled_for = None  # a copy of the parameters the blocks were compiled for
-        self._forward = None  # the last forward: (rows, film, main, final, weights, phases)
+        self._forward = None  # the last forward, as _run returns it
 
     def _inputs(self, params, features, epi):
         """Checked parameters and circuit feature rows [34 main, x_epi, y_epi]."""
@@ -526,8 +532,8 @@ class ModelKernel:
     def _run(self, params, x):
         """Film and main states of the feature rows ``x``, the final states
         (B, masks, 2**5) of each flip of the main state, each mask's film
-        weight P_F (B, masks) and each section's phase vectors; kept as the
-        last forward."""
+        weight P_F (B, masks), and each section's phase vectors and block
+        inputs; kept as the last forward."""
         self._forward = None  # hold one forward at a time
         # keyed on the values, not the array: optimizers update it in place
         if self._compiled_for is None or not np.array_equal(self._compiled_for, params):
@@ -536,16 +542,17 @@ class ModelKernel:
             self._compiled_for = params.copy()
         phases = [section.phases(x) for section in self._sections]
         film, main, tail = self._sections
-        f = film.run(zero_state(film.k, (len(x),)), phases[0])
-        m = main.run(zero_state(main.k, (len(x),)), phases[1])
-        final = tail.run(m[:, self._flips].reshape(-1, tail.dim), phases[2])
+        f, f_in = film.run(zero_state(film.k, (len(x),)), phases[0])
+        m, m_in = main.run(zero_state(main.k, (len(x),)), phases[1])
+        final, t_in = tail.run(m[:, self._flips].reshape(-1, tail.dim), phases[2])
         weights = probabilities(f) @ self._members.T
-        self._forward = x, f, m, final.reshape(len(x), -1, tail.dim), weights, phases
+        self._forward = (x, f, m, final.reshape(len(x), -1, tail.dim), weights, phases,
+                         (f_in, m_in, t_in))
         return self._forward
 
     def expectations(self, params, features, epi) -> np.ndarray:
         """(B, 5) Z expectations of the five main qubits."""
-        _, _, _, final, weights, _ = self._run(*self._inputs(params, features, epi))
+        _, _, _, final, weights, _, _ = self._run(*self._inputs(params, features, epi))
         return (weights[:, :, None] * (probabilities(final) @ self._zsigns.T)).sum(1)
 
     def grad(self, params, features, epi, upstream) -> np.ndarray:
@@ -560,16 +567,16 @@ class ModelKernel:
         if (forward is None or not np.array_equal(self._compiled_for, params)
                 or not np.array_equal(forward[0], x)):
             forward = self._run(params, x)
-        _, f, m, final, weights, phases = forward
+        _, f, _, final, weights, phases, (f_in, m_in, t_in) = forward
         film, main, tail = self._sections
         grad = np.zeros(self.n_params)
         obs = (np.asarray(upstream, float) @ self._zsigns)[:, None]  # sum_k upstream_k Z_k
         lam = tail.pullback((weights[:, :, None] * obs * final).reshape(-1, tail.dim),
-                            final.reshape(-1, tail.dim), phases[2], grad)
+                            t_in, phases[2], grad)
         lam = lam.reshape(final.shape)  # the main costate undoes each flip: sum_F X_F lam_F
-        main.pullback(sum(lam[:, j, flip] for j, flip in enumerate(self._flips)), m,
+        main.pullback(sum(lam[:, j, flip] for j, flip in enumerate(self._flips)), m_in,
                       phases[1], grad)
         # P_F moves with the film state: film state a reads its mask's <obs>
         reads = (probabilities(final) * obs).sum(-1)
-        film.pullback(reads[:, self._mask_of] * f, f, phases[0], grad)
+        film.pullback(reads[:, self._mask_of] * f, f_in, phases[0], grad)
         return grad

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quakeroute
 import quakeroute.dyngraph as dg
 import quakeroute.features as ft
 import quakeroute.hybrid as hy
@@ -648,3 +653,38 @@ def test_train_rejects_zero_epochs_or_batch_size(tmp_path, capsys, option, name)
                 "--out", str(tmp_path / "m.json")])
     assert code == 1
     assert f"{name} must be at least 1" in capsys.readouterr().err
+
+
+def test_an_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys):
+    gpath, data = tmp_path / "g.json", tmp_path / "data.jsonl"
+    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
+    run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
+         "--out", str(data)])
+    missing, ckpt = tmp_path / "nodir", tmp_path / "ckpt.json"
+    train = ["--log-level", "info", "train", "--data", str(data), "--epochs", "1", "--seed", "0"]
+    capsys.readouterr()
+    assert run(train + ["--out", str(missing / "ckpt.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and str(missing) in err and "epoch" not in err
+    # the checkpoint is not written when the history has nowhere to go
+    assert run(train + ["--out", str(ckpt), "--history-out", str(missing / "h.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --history-out ") and str(missing) in err
+    assert "epoch" not in err and not ckpt.exists()
+    assert run(train + ["--out", str(ckpt)]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
+                "--seed", "5", "--out", str(report), "--csv", str(missing / "paths.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --csv ") and str(missing) in err
+    assert not report.exists() and not missing.exists()
+
+
+def test_python_m_runs_the_command_line(tmp_path):
+    src = str(Path(quakeroute.__file__).parents[1])
+    out = tmp_path / "m.json"
+    subprocess.run([sys.executable, "-m", "quakeroute.cli", "graph", "synth", "--rows", "3",
+                    "--cols", "3", "--seed", "1", "--out", str(out)], check=True,
+                   env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert dg.load_graph(out).n_nodes == 9

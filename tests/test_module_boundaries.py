@@ -1,10 +1,13 @@
-"""No package module reads another package module's private names.
+"""No package module reads another package module's private names, and only
+``files`` encodes or decodes a file.
 
 A rule that several modules share has one owner module, and the others reach
 it through a public name. The scan walks the AST of every module of the
 package and reports ``<module>._name`` where ``<module>`` is a package module
 bound by an import, and ``from .<module> import _name``. Dunder names are
-public.
+public. A second scan reports each import of ``csv`` and each call of
+``open`` outside ``files``, and each import of ``json`` outside ``files`` and
+``cli`` (which prints a config value as JSON in an error).
 """
 import ast
 from pathlib import Path
@@ -78,3 +81,50 @@ def test_the_scan_finds_every_form_of_reach_in():
         "<source>:8 cli._resolve_seed",
         "<source>:9 neural._helper",
     ]
+
+
+# the modules that may import each file-format library
+FORMAT_OWNERS = {"csv": {"files"}, "json": {"files", "cli"}}
+
+
+def format_reach(source: str, module: str) -> list[str]:
+    """Each ``module:line what`` in ``source``, the source of package module ``module``,
+    that imports a library of ``FORMAT_OWNERS`` it does not own, or calls ``open``
+    (as a name or a method) outside ``files``, in source order."""
+    found = []  # (line, what)
+    for node in ast.walk(ast.parse(source, module)):
+        if isinstance(node, ast.Call) and module != "files":
+            func = node.func
+            if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                found.append((node.lineno, "calls open"))
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [(node.lineno, f"imports {name}") for name in names
+                  if module not in FORMAT_OWNERS.get(name, {module})]
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_only_files_encodes_or_decodes_a_file():
+    found = [line for path in SOURCES for line in format_reach(path.read_text(), path.stem)]
+    assert not found, "\n".join(found)
+
+
+def test_the_format_scan_finds_every_form():
+    source = "\n".join([
+        "import csv, os",
+        "from json import dumps",
+        "import json as j",
+        "from . import files",
+        "def f(path):",
+        "    open(path), path.open(), os.path.join(path)",
+    ])
+    assert format_reach(source, "hybrid") == [
+        "hybrid:1 imports csv", "hybrid:2 imports json", "hybrid:3 imports json",
+        "hybrid:6 calls open", "hybrid:6 calls open"]
+    assert format_reach(source, "cli") == ["cli:1 imports csv", "cli:6 calls open",
+                                           "cli:6 calls open"]
+    assert format_reach(source, "files") == []
