@@ -64,24 +64,19 @@ class FourierSamples:
     omegas: np.ndarray        # (2d+1,) integer frequencies -d..d
 
 
-def sample_fourier(config: MiniConfig, n_theta: int,
-                   rng: np.random.Generator, grid_points: int | None = None) -> FourierSamples:
+def sample_fourier(config: MiniConfig, n_theta: int, rng: np.random.Generator) -> FourierSamples:
     """Fourier coefficients of f(x, y) = <Z_0> over random parameter draws.
 
     f is qubit 0's expectation as a function of the epicenter coordinates,
-    with both main features held at 0. It is evaluated on an equidistant grid
-    over [0, 2pi)^2 and transformed exactly; K reuploads bound the degree per
-    axis at K, so the minimal alias-free grid has 2K+1 points per axis. A
-    coarser grid is refused.
+    with both main features held at 0. K reuploads make f a trigonometric
+    polynomial of integer frequencies up to K per axis (Schuld, Sweke & Meyer
+    2021), so its values on the 2K+1-point equidistant grid over [0, 2pi)^2
+    give the coefficient table exactly, with no aliasing.
     """
     if n_theta < 1:
         raise ValueError("need at least one parameter draw")
     circuit = build_mini_circuit(config)
-    d = config.reuploads
-    m_min = 2 * d + 1
-    m = m_min if grid_points is None else int(grid_points)
-    if m < m_min:
-        raise ValueError(f"grid of {m} points aliases a degree-{d} spectrum")
+    d, m = config.reuploads, 2 * config.reuploads + 1
     xs = 2 * np.pi * np.arange(m) / m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     grid = np.zeros((m * m, 4))
@@ -148,8 +143,7 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
         floor = np.maximum(probs, 1e-12)
         f = np.einsum("ixy,jxy->ij", dprobs / floor, dprobs) / n_x
         per_real.append((f + f.T) / 2)
-    avg = np.mean(per_real, axis=0)
-    avg = (avg + avg.T) / 2
+    avg = np.mean(per_real, axis=0)  # exactly symmetric, as every realization is
     return FisherResult(matrix=avg, per_realization=per_real, clamped=clamped)
 
 

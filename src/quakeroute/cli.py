@@ -7,7 +7,8 @@ QRL_SEED environment variable overrides any configured seed; a JSON --config
 file may set every option of the subcommand, required ones included, and the
 command line wins over it. Required options are checked after the file is
 merged; then, before any work, every output option (--out, --csv,
---history-out) must name a file in an existing directory.
+--history-out) must name a file, not a directory, in an existing directory,
+and no two of one command the same file.
 """
 from __future__ import annotations
 
@@ -140,8 +141,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze_fourier(args) -> int:
     config = analysis.MiniConfig(sublayers=args.N, reuploads=args.K)
-    samples = analysis.sample_fourier(config, args.samples, np.random.default_rng(args.seed),
-                                      grid_points=args.grid)
+    samples = analysis.sample_fourier(config, args.samples, np.random.default_rng(args.seed))
     analysis.write_violin_csv(samples, args.out)
     print(f"fourier: {args.samples} draws, degree {config.reuploads} "
           f"spectrum -> {args.out}")
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--rows", type=int, required=True)
     gs.add_argument("--cols", type=int, required=True)
     gs.add_argument("--out", required=True)
-    gs.add_argument("--span-m", type=float, default=2000.0)
-    gs.add_argument("--delete-frac", type=float, default=0.15)
+    gs.add_argument("--span-m", type=float, default=dyngraph.SPAN_M)
+    gs.add_argument("--delete-frac", type=float, default=dyngraph.DELETE_FRAC)
     gs.set_defaults(func=_cmd_graph_synth)
 
     e = sub.add_parser("env", help="environment simulation")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--scenario", required=True)
     es.add_argument("--steps", type=int, required=True)
     es.add_argument("--out", required=True)
-    es.add_argument("--sigma-frac", type=float, default=0.1)
+    es.add_argument("--sigma-frac", type=float, default=dyngraph.SIGMA_FRAC)
     es.set_defaults(func=_cmd_env_simulate)
 
     d = sub.add_parser("dataset", help="oracle-labeled datasets")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--graph", required=True)
     dg.add_argument("--n", type=int, required=True)
     dg.add_argument("--out", required=True)
-    dg.add_argument("--sigma-frac", type=float, default=0.1)
+    dg.add_argument("--sigma-frac", type=float, default=dyngraph.SIGMA_FRAC)
     dg.set_defaults(func=_cmd_dataset_generate)
 
     t = sub.add_parser("train", help="train the hybrid (or classical-only) model")
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True)
     ev.add_argument("--csv", default=None,
                     help="per-path records CSV (default: <out>.paths.csv)")
-    ev.add_argument("--sigma-frac", type=float, default=0.1)
+    ev.add_argument("--sigma-frac", type=float, default=dyngraph.SIGMA_FRAC)
     ev.set_defaults(func=_cmd_eval)
 
     a = sub.add_parser("analyze", help="mini-circuit diagnostics")
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     af.add_argument("--N", type=int, required=True, help="entangler sublayers")
     af.add_argument("--K", type=int, required=True, help="coordinate reuploads")
     af.add_argument("--samples", type=int, default=1000)
-    af.add_argument("--grid", type=int, default=None)
     af.add_argument("--out", required=True)
     af.set_defaults(func=_cmd_analyze_fourier)
     afi = asub.add_parser("fisher")
@@ -293,13 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """A ValueError, before any work, if an output option names a file in a
-    directory that does not exist."""
+    """A ValueError, before any work, if an output option names a directory, a
+    file in a directory that does not exist, or the file of another output option."""
+    named = {}  # each checked output's resolved path -> its option
     for dest in ("out", "csv", "history_out"):
         path = getattr(args, dest, None)
-        if path is not None and not FilePath(path).parent.is_dir():
-            raise ValueError(f"--{dest.replace('_', '-')} {path}: "
-                             f"{FilePath(path).parent} is not an existing directory")
+        if path is None:
+            continue
+        option, file = f"--{dest.replace('_', '-')}", FilePath(path)
+        if file.is_dir():
+            raise ValueError(f"{option} {path}: a directory, not a file")
+        if not file.parent.is_dir():
+            raise ValueError(f"{option} {path}: {file.parent} is not an existing directory")
+        if file.resolve() in named:
+            raise ValueError(f"{option} {path}: the same file as {named[file.resolve()]}")
+        named[file.resolve()] = option
 
 
 def _check_required(args: argparse.Namespace) -> None:

@@ -46,6 +46,9 @@ _TRAFFIC_RATES = np.append(TRAFFIC_RATES, 0.0)
 _CAPS = np.append(BAND_CAPS, np.inf)
 
 SPEED_CHOICES_KMH = (30.0, 40.0, 50.0)
+# Defaults: the spread of the base travel times as a share of the nominal times,
+# and synth_city's map side in meters and share of edges it tries to drop.
+SIGMA_FRAC, SPAN_M, DELETE_FRAC = 0.1, 2000.0, 0.15
 MAX_DEGREE = 5  # synth_city's degree cap, and the feature rows' neighbour blocks
 
 # One exit sits nearest to each of these map border anchors.
@@ -231,7 +234,7 @@ class DynamicState:
         self._d_exit = self._d_exit[:, rows]
 
 
-def initial_state(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> DynamicState:
+def initial_state(graph: CityGraph, scenarios, sigma_frac: float = SIGMA_FRAC) -> DynamicState:
     """World at t=0, after the initial hit, with one row per scenario.
 
     Each row's Gaussian base weights are sampled once here (seeded by its
@@ -292,8 +295,8 @@ def _joined(adj: list[set], u: int, v: int) -> bool:
     return v in seen
 
 
-def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = 2000.0,
-               delete_frac: float = 0.15) -> CityGraph:
+def synth_city(n_rows: int, n_cols: int, seed: int, span_m: float = SPAN_M,
+               delete_frac: float = DELETE_FRAC) -> CityGraph:
     """Random grid-with-diagonals city in the unit square.
 
     Jittered grid nodes; rook edges, node by node in row-major order, the edge

@@ -118,8 +118,6 @@ class Dataset:
                 raise ValueError(f"{key} has shape {column.shape}, expected {shape}")
             column.setflags(write=False)
             object.__setattr__(self, key, column)
-        object.__setattr__(self, "_masks", block_mask(self.features))
-        self._masks.setflags(write=False)
 
     @staticmethod
     def from_rows(rows) -> "Dataset":
@@ -138,9 +136,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return self.label
-
-    def masks(self) -> np.ndarray:
-        return self._masks
 
     def scenario_ids(self) -> np.ndarray:
         return self.scenario_id
@@ -197,7 +192,7 @@ def load_sample(path: str | FilePath) -> np.ndarray:
 
 
 def generate_dataset(graph: CityGraph, n_scenarios: int, seed: int,
-                     sigma_frac: float = 0.1) -> Dataset:
+                     sigma_frac: float = dyngraph.SIGMA_FRAC) -> Dataset:
     """Oracle-labeled corpus over randomized scenarios, deterministic in the seed.
 
     Each scenario draws a fresh epicenter, start and chosen exit; every node

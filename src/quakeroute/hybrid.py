@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import features as feat, files, neural, oracle, qsim
-from .dyngraph import CityGraph, Scenario, random_scenarios
+from .dyngraph import SIGMA_FRAC, CityGraph, Scenario, random_scenarios
 from .neural import AdamState, adam_step, cross_entropy, lr_schedule
 from .oracle import Path
 
@@ -84,21 +84,19 @@ class HybridModel:
             raise ValueError(f"expected {feat.N_FEATURES}-value features")
         return features[:, feat.N_EPI:], features[:, :feat.N_EPI]
 
-    def forward(self, features: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """Logits (B, 5) from the concatenated branch outputs."""
+    def forward(self, features: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Logits (B, 5) from both branches' outputs; an ``rng`` turns on dropout."""
         main, epi = self.split_inputs(features)
-        c_out = self.classical.forward(main, epi, train=train, rng=rng)
+        c_out = self.classical.forward(main, epi, rng=rng)
         q_out = (np.zeros_like(c_out) if self.classical_only
                  else self.kernel.expectations(self.quantum_params, main, epi))
         self._branches = np.concatenate([c_out, q_out], axis=1)
         return self._branches @ self.head_w.T + self.head_b
 
-    def loss_grads(self, features, labels, mask, train: bool = True,
-                   rng: np.random.Generator | None = None):
-        """Cross-entropy loss plus gradients for every parameter group."""
+    def loss_grads(self, features, labels, mask, rng: np.random.Generator | None = None):
+        """Loss and gradients of every parameter group; an ``rng`` turns on dropout."""
         main, epi = self.split_inputs(features)
-        logits = self.forward(features, train=train, rng=rng)
+        logits = self.forward(features, rng=rng)
         loss, dlogits = cross_entropy(logits, labels, mask)
         head_grads = {"head_w": dlogits.T @ self._branches, "head_b": dlogits.sum(axis=0)}
         dboth = dlogits @ self.head_w
@@ -163,8 +161,8 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     the initialization all derive from it. The classical learning rate follows
     the linear epoch schedule; the quantum rate stays constant. A non-finite
     train or validation loss stops training with a ValueError. ``train_agreement``
-    scores each step's rows in eval mode before their update (the kernel has no
-    dropout, so the step's quantum outputs serve), so it lags the epoch's end.
+    scores each step's rows without dropout before their update (the kernel has
+    none, so the step's quantum outputs serve), so it lags the epoch's end.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
@@ -173,8 +171,8 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
             raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
     train_ds, val_ds = dataset.split(config.val_fraction, seed=config.seed)
     model = HybridModel(seed=config.seed, classical_only=config.classical_only)
-    x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
-    xv, yv, mv = val_ds.feature_matrix(), val_ds.labels(), val_ds.masks()
+    x, y, m = train_ds.feature_matrix(), train_ds.labels(), feat.block_mask(train_ds.features)
+    xv, yv, mv = val_ds.feature_matrix(), val_ds.labels(), feat.block_mask(val_ds.features)
 
     seq = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -185,7 +183,7 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     for epoch in range(config.epochs):
         factor = lr_schedule(epoch, config.epochs)
         perm = shuffle_rng.permutation(n)
-        losses, scores = [], np.empty((n, N_OUT))  # each row's eval-mode logits at its step
+        losses, scores = [], np.empty((n, N_OUT))  # each row's dropout-free logits at its step
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
             loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
@@ -226,7 +224,7 @@ def agreement(logits, y, mask) -> float:
 
 
 def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
-            sigma_frac: float = 0.1) -> list[Path]:
+            sigma_frac: float = SIGMA_FRAC) -> list[Path]:
     """Drive the model through the scenarios in lockstep, by masked argmax.
 
     Each world step scores every unfinished scenario in one batched forward,
@@ -278,7 +276,7 @@ class EvalReport:
 
 
 def evaluate(model: HybridModel, graph: CityGraph, n_scenarios: int, seed: int,
-             sigma_frac: float = 0.1) -> EvalReport:
+             sigma_frac: float = SIGMA_FRAC) -> EvalReport:
     """Run model and oracle over fresh random scenarios and score the paths.
 
     Failed model rollouts count against the arrival rate but are excluded

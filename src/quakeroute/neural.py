@@ -15,7 +15,7 @@ import numpy as np
 from .features import N_BLOCKS, N_EPI, N_MAIN
 
 HIDDEN = 100  # the width of both hidden layers
-# share of the hidden units that a training-mode forward drops at each site
+# share of the hidden units that a forward with an rng drops at each site
 DROPOUT = 0.5
 # lr_schedule's factor at the first and at the last epoch
 LR_START_FACTOR, LR_END_FACTOR = 1.0, 0.1
@@ -59,29 +59,27 @@ class ClassicalFilmNet:
         }
         self._cache = None
 
-    def forward(self, x: np.ndarray, epi: np.ndarray, train: bool = False,
+    def forward(self, x: np.ndarray, epi: np.ndarray,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Logits of shape (B, 5). Dropout is active only when ``train``; the
-        eval-mode masks are 1.0, and ``x * 1.0`` is exact."""
+        """Logits of shape (B, 5). Dropout draws its masks from ``rng``; without
+        one the masks are 1.0, and ``x * 1.0`` is exact."""
         x = np.atleast_2d(np.asarray(x, float))
         epi = np.atleast_2d(np.asarray(epi, float))
         if x.shape[1] != N_MAIN or epi.shape[1] != N_EPI:
             raise ConfigError(
                 f"expected inputs ({N_MAIN}, {N_EPI}), "
                 f"got ({x.shape[1]}, {epi.shape[1]})")
-        if train and rng is None:
-            raise ConfigError("training-mode forward needs an rng for dropout")
         p = self.params
         z1 = x @ p["w1"].T + p["b1"]
         h1 = np.maximum(z1, 0.0)
-        m1 = (rng.random(h1.shape) >= DROPOUT) / (1.0 - DROPOUT) if train else 1.0
+        m1 = 1.0 if rng is None else (rng.random(h1.shape) >= DROPOUT) / (1.0 - DROPOUT)
         h1d = h1 * m1
         z2 = h1d @ p["w2"].T + p["b2"]
         h2 = np.maximum(z2, 0.0)
         gamma = epi @ p["film_scale_w"].T + p["film_scale_b"]
         beta = epi @ p["film_shift_w"].T + p["film_shift_b"]
         h2m = gamma * h2 + beta
-        m2 = (rng.random(h2m.shape) >= DROPOUT) / (1.0 - DROPOUT) if train else 1.0
+        m2 = 1.0 if rng is None else (rng.random(h2m.shape) >= DROPOUT) / (1.0 - DROPOUT)
         h2d = h2m * m2
         logits = h2d @ p["w3"].T + p["b3"]
         self._cache = dict(x=x, epi=epi, z1=z1, h1=h1, m1=m1, h1d=h1d, z2=z2,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dyngraph
-from .dyngraph import CityGraph
+from .dyngraph import SIGMA_FRAC, CityGraph
 
 # Relative slack when testing whether an edge lies on a shortest path.
 _TIE_EPS = 1e-12
@@ -197,7 +197,7 @@ def oracle_next(world: dyngraph.DynamicState, rows, here) -> list[int]:
     return _next_slots(world.graph, world.weights, dist, here).tolist()
 
 
-def nodewise_dijkstra(graph: CityGraph, scenarios, sigma_frac: float = 0.1) -> list[Path]:
+def nodewise_dijkstra(graph: CityGraph, scenarios, sigma_frac: float = SIGMA_FRAC) -> list[Path]:
     """Replan the shortest path at every node while the world evolves.
 
     A rollout that spends its step budget, or stands where its exit cannot be

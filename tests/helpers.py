@@ -603,7 +603,7 @@ def replay_train(dataset, config):
     its steps, and each epoch's agreement over all training rows at its end."""
     train_ds, _ = dataset.split(config.val_fraction, seed=config.seed)
     model = hybrid.HybridModel(seed=config.seed, classical_only=config.classical_only)
-    x, y, m = train_ds.feature_matrix(), train_ds.labels(), train_ds.masks()
+    x, y, m = train_ds.feature_matrix(), train_ds.labels(), features.block_mask(train_ds.features)
     shuffle_rng, dropout_rng = [np.random.default_rng(s)
                                 for s in np.random.SeedSequence(config.seed).spawn(2)]
     opt_classical, opt_quantum = neural.AdamState(), neural.AdamState()
@@ -616,7 +616,7 @@ def replay_train(dataset, config):
         hits = 0
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
-            _, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], train=True, rng=dropout_rng)
+            _, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
             for logits, mask, label in zip(model.forward(x[idx]), m[idx], y[idx]):
                 hits += int(np.argmax(np.where(mask, logits, -np.inf)) == label)
             group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}

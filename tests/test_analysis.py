@@ -33,26 +33,29 @@ def test_fourier_one_frequency_hand_circuit():
     assert abs(coeffs[2] - (-0.5)) < 1e-10   # omega = +1
 
 
+def _grid_table(circuit, theta, m, omegas):
+    """The coefficients at ``omegas`` of the DFT of <Z_0> on an m-point grid per axis,
+    with the main features at 0."""
+    xs = 2 * np.pi * np.arange(m) / m
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    grid = np.stack([gx.ravel(), gy.ravel(), np.zeros(m * m), np.zeros(m * m)], 1)
+    f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
+    dft = np.exp(1j * np.outer(omegas, xs)) / m
+    return dft @ f.reshape(m, m) @ dft.T
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fourier_truncation_and_symmetry(k):
     cfg = an.MiniConfig(sublayers=1, reuploads=k)
-    rng = np.random.default_rng(42)
-    oversampled = 2 * (2 * k) + 1  # resolves frequencies up to 2k
-    samples = an.sample_fourier(cfg, 40, rng, grid_points=oversampled)
-    # recompute on the oversampled grid to look for beyond-degree leakage
+    samples = an.sample_fourier(cfg, 40, np.random.default_rng(42))
+    # a 4k+1-point grid resolves frequencies up to 2k: none leaks beyond k
     circuit = an.build_mini_circuit(cfg)
     rng2 = np.random.default_rng(42)
-    xs = 2 * np.pi * np.arange(oversampled) / oversampled
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel(),
-                     np.zeros(oversampled ** 2), np.zeros(oversampled ** 2)], 1)
     wide = np.arange(-2 * k, 2 * k + 1)
-    dft = np.exp(1j * np.outer(wide, xs)) / oversampled
+    beyond = np.abs(wide) > k
     for _ in range(10):
-        theta = rng2.uniform(0, 2 * np.pi, circuit.n_params)
-        f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
-        table = dft @ f.reshape(oversampled, oversampled) @ dft.T
-        beyond = np.abs(wide) > k
+        table = _grid_table(circuit, rng2.uniform(0, 2 * np.pi, circuit.n_params),
+                            4 * k + 1, wide)
         assert np.abs(table[beyond, :]).max() < 1e-10
         assert np.abs(table[:, beyond]).max() < 1e-10
     # conjugate symmetry and the bounded constant coefficient on every draw
@@ -63,10 +66,17 @@ def test_fourier_truncation_and_symmetry(k):
     assert (np.abs(c00.real) <= 1.0 + 1e-12).all()
 
 
-def test_fourier_rejects_aliasing_grid():
-    cfg = an.MiniConfig(sublayers=1, reuploads=2)
-    with pytest.raises(ValueError):
-        an.sample_fourier(cfg, 1, np.random.default_rng(0), grid_points=4)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fourier_table_matches_a_4k_plus_1_point_grid(k):
+    """The 2K+1-point table is exact: the same draws on a 4K+1-point grid give
+    the same coefficients for |omega| <= K."""
+    cfg = an.MiniConfig(sublayers=1, reuploads=k)
+    samples = an.sample_fourier(cfg, 10, np.random.default_rng(7))
+    circuit = an.build_mini_circuit(cfg)
+    thetas = np.random.default_rng(7).uniform(0.0, 2 * np.pi, (10, circuit.n_params))
+    for theta, table in zip(thetas, samples.coeffs):
+        oversampled = _grid_table(circuit, theta, 4 * k + 1, samples.omegas)
+        assert np.abs(oversampled - table).max() < 1e-12
 
 
 def test_violin_csv(tmp_path):
@@ -125,6 +135,15 @@ def test_fisher_inert_parameter_row_is_zero():
     assert np.abs(f[1, :]).max() < 1e-12
     assert np.abs(f[:, 1]).max() < 1e-12
     assert f[0, 0] > 1e-3 and f[2, 2] > 1e-3
+
+
+def test_fisher_matrix_is_the_bitwise_mean_of_its_realizations():
+    for seed, (n, k) in enumerate(((1, 1), (1, 2), (1, 3), (2, 3))):
+        for include_main in (False, True):
+            res = an.fisher_matrix(an.MiniConfig(n, k), n_x=5, n_theta=4,
+                                   rng=np.random.default_rng(seed), include_main=include_main)
+            assert np.array_equal(res.matrix, np.mean(res.per_realization, axis=0))
+            assert np.array_equal(res.matrix, res.matrix.T)
 
 
 def test_fisher_realization_is_two_runs(monkeypatch):

@@ -440,11 +440,17 @@ def test_train_eval_export_pipeline(tmp_path):
                    or l.startswith(f"{kind} ")) == count
 
 
-def test_log_level_info_shows_train_epoch_lines(tmp_path, capsys):
+def _city_and_data(tmp_path):
+    """A 4x4 city and a six-scenario dataset on it, as ``(graph path, data path)``."""
     gpath, data = tmp_path / "g.json", tmp_path / "data.jsonl"
     run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
     run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
          "--out", str(data)])
+    return gpath, data
+
+
+def test_log_level_info_shows_train_epoch_lines(tmp_path, capsys):
+    gpath, data = _city_and_data(tmp_path)
     train = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt.json"),
              "--epochs", "2", "--seed", "0"]
     capsys.readouterr()
@@ -656,10 +662,7 @@ def test_train_rejects_zero_epochs_or_batch_size(tmp_path, capsys, option, name)
 
 
 def test_an_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys):
-    gpath, data = tmp_path / "g.json", tmp_path / "data.jsonl"
-    run(["graph", "synth", "--rows", "4", "--cols", "4", "--seed", "3", "--out", str(gpath)])
-    run(["dataset", "generate", "--graph", str(gpath), "--n", "6", "--seed", "2",
-         "--out", str(data)])
+    gpath, data = _city_and_data(tmp_path)
     missing, ckpt = tmp_path / "nodir", tmp_path / "ckpt.json"
     train = ["--log-level", "info", "train", "--data", str(data), "--epochs", "1", "--seed", "0"]
     capsys.readouterr()
@@ -679,6 +682,40 @@ def test_an_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: --csv ") and str(missing) in err
     assert not report.exists() and not missing.exists()
+
+
+def test_an_output_that_names_a_directory_fails_before_any_work(tmp_path, capsys):
+    gpath, data = _city_and_data(tmp_path)
+    somedir = tmp_path / "somedir"
+    somedir.mkdir()
+    capsys.readouterr()
+    assert run(["--log-level", "info", "train", "--data", str(data), "--epochs", "1",
+                "--seed", "0", "--out", str(somedir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and str(somedir) in err and "epoch" not in err
+    assert run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",
+                "--out", str(somedir)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert list(somedir.iterdir()) == []
+
+
+def test_two_outputs_of_one_command_may_not_name_the_same_file(tmp_path, capsys):
+    gpath, data = _city_and_data(tmp_path)
+    same, ckpt = tmp_path / "same.json", tmp_path / "ckpt.json"
+    train = ["--log-level", "info", "train", "--data", str(data), "--epochs", "1", "--seed", "0"]
+    capsys.readouterr()
+    # one file by two spellings is still one file
+    assert run(train + ["--out", str(same), "--history-out",
+                        str(tmp_path / "." / "same.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --history-out ") and "--out" in err and "epoch" not in err
+    assert not same.exists()
+    assert run(train + ["--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
+                "--seed", "5", "--out", str(same), "--csv", str(same)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --csv ") and "--out" in err and not same.exists()
 
 
 def test_python_m_runs_the_command_line(tmp_path):

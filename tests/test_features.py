@@ -302,7 +302,7 @@ def test_generate_dataset_counts_and_labels():
     g = dg.synth_city(6, 6, seed=4)
     ds = ft.generate_dataset(g, 20, seed=9)
     assert len(ds) > 0
-    masks = ds.masks()
+    masks = ft.block_mask(ds.features)
     labels = ds.labels()
     assert ((labels >= 0) & (labels < 5)).all()
     assert masks[np.arange(len(ds)), labels].all()  # never a padded block
@@ -355,7 +355,7 @@ def test_dataset_columns_and_row_selection():
     assert ds.feature_matrix().shape == (n, ft.N_FEATURES)
     for column in (ds.labels(), ds.scenario_ids(), ds.t):
         assert column.shape == (n,) and column.dtype.kind == "i"
-    assert ds.feature_matrix() is ds.feature_matrix() and ds.masks() is ds.masks()
+    assert ds.feature_matrix() is ds.feature_matrix()
     with pytest.raises(ValueError):  # the columns are read-only
         ds.feature_matrix()[0, 0] = 1.0
     pick = np.array([3, 0, n - 1])

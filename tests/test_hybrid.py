@@ -126,7 +126,7 @@ def test_one_step_epochs_score_the_previous_epochs_end(classical_only):
     train_ds, _ = ds.split(config.val_fraction, seed=config.seed)
     initial = hy.HybridModel(seed=config.seed, classical_only=classical_only)
     start = hy.agreement(initial.forward(train_ds.feature_matrix()), train_ds.labels(),
-                         train_ds.masks())
+                         ft.block_mask(train_ds.features))
     assert [row["train_agreement"] for row in history] == [start] + at_end[:-1]
 
 
@@ -174,7 +174,7 @@ def test_classical_only_ablation():
     assert np.allclose(model.head_w[:, 5:], 0.0)
     feats = np.random.default_rng(3).uniform(0, 1, (3, 36))
     _, cg, hg, qg = model.loss_grads(feats, np.zeros(3, int),
-                                     np.ones((3, 5), bool), train=False)
+                                     np.ones((3, 5), bool))
     assert np.allclose(qg, 0.0)
     assert np.allclose(hg["head_w"][:, 5:], 0.0)
 
@@ -191,7 +191,7 @@ def test_loss_at_zeroed_head_is_masked_uniform():
     for i, k in enumerate(n_valid):
         masks[i, :k] = True
         labels[i] = rng.integers(0, k)
-    loss, _, _, _ = model.loss_grads(feats, labels, masks, train=False)
+    loss, _, _, _ = model.loss_grads(feats, labels, masks)
     assert loss == pytest.approx(np.mean(np.log(n_valid)), abs=1e-9)
 
 
@@ -201,7 +201,7 @@ def test_hybrid_gradients_match_finite_differences():
     feats = rng.uniform(0, 1, (4, 36))
     labels = rng.integers(0, 5, 4)
     mask = np.ones((4, 5), bool)
-    loss, cg, hg, qg = model.loss_grads(feats, labels, mask, train=False)
+    loss, cg, hg, qg = model.loss_grads(feats, labels, mask)
 
     def loss_now():
         return nn.cross_entropy(model.forward(feats), labels, mask)[0]

@@ -91,7 +91,7 @@ def test_dropout_off_deterministic_on_unbiased():
     h1 = net._cache["h1"].copy()
     h1d_draws, h2_gaps = [], []
     for _ in range(10_000):
-        net.forward(x, epi, train=True, rng=rng)
+        net.forward(x, epi, rng=rng)
         h1d_draws.append(net._cache["h1d"].copy())
         h2_gaps.append(net._cache["h2d"] - net._cache["h2m"])
     h1d_draws = np.stack(h1d_draws)
@@ -100,8 +100,6 @@ def test_dropout_off_deterministic_on_unbiased():
     h2_gaps = np.stack(h2_gaps)
     se2 = h2_gaps.std(axis=0) / math.sqrt(len(h2_gaps)) + 1e-12
     assert (np.abs(h2_gaps.mean(axis=0)) < 3 * se2 + 1e-9).all()
-    with pytest.raises(nn.ConfigError):
-        net.forward(x, epi, train=True)  # rng required
 
 
 def test_cross_entropy_values():
