@@ -17,7 +17,7 @@ import numpy as np
 from . import files, qsim
 from .qsim import Circuit, CNot, Rot
 
-RUN_AMPLITUDES = 8192  # sample_fourier simulates at most about this many amplitudes per run
+RUN_AMPLITUDES = 32768  # a diagnostics run simulates at most about this many amplitudes
 RANK_TOL = 1e-8  # eigenvalues above this share of the largest count toward the rank
 NEAR_ZERO_TOL = 1e-3  # |eigenvalue| below this share of the largest is near zero
 
@@ -124,25 +124,34 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
 
     Gaussian feature draws enter as raw angles; the expectation over targets
     sums all eight basis states exactly; scores use parameter-shift
-    probability gradients. Averaged over uniform parameter realizations.
-    By default the matrix covers the epicenter-section parameters only
-    (include_main adds the four main-qubit parameters).
+    probability gradients. Averaged over uniform parameter realizations; a
+    chunk of realizations is two runs, the probabilities and ``prob_grad``,
+    of at most about ``RUN_AMPLITUDES`` amplitudes each (one realization if
+    it alone is larger). By default the matrix covers the epicenter-section
+    parameters only (include_main adds the four main-qubit parameters).
     """
     if n_x < 1 or n_theta < 1:
         raise ValueError("sample counts must be at least 1")
     circuit = build_mini_circuit(config)
     n_params = circuit.n_params if include_main else config.n_film_params
+    draws = [(rng.uniform(0.0, 2 * np.pi, circuit.n_params), rng.normal(0.0, 1.0, (n_x, 4)))
+             for _ in range(n_theta)]  # theta, then x, realization by realization
+    thetas, xs = (np.stack(d) for d in zip(*draws))
+    # the prob_grad run is the larger one: 2P shifted rows per feature row
+    step = max(1, RUN_AMPLITUDES // (2 * circuit.n_params * n_x << circuit.n_qubits))
     per_real: list[np.ndarray] = []
     clamped = 0
-    for _ in range(n_theta):
-        theta = rng.uniform(0.0, 2 * np.pi, circuit.n_params)
-        x = rng.normal(0.0, 1.0, (n_x, 4))
-        probs = qsim.probabilities(qsim.run(circuit, theta, x))
-        dprobs = qsim.prob_grad(circuit, theta, x)[:n_params]
-        clamped += int((probs < 1e-12).sum())
-        floor = np.maximum(probs, 1e-12)
-        f = np.einsum("ixy,jxy->ij", dprobs / floor, dprobs) / n_x
-        per_real.append((f + f.T) / 2)
+    for i in range(0, n_theta, step):
+        theta, x = thetas[i:i + step, None], xs[i:i + step]
+        chunk_probs = qsim.probabilities(qsim.run(circuit, theta, x))
+        # (realizations, parameters, n_x, 8), C-ordered: each realization's block has
+        # the layout of its own prob_grad call, which einsum's sums follow
+        chunk_dprobs = np.moveaxis(qsim.prob_grad(circuit, theta, x)[:n_params], 1, 0).copy()
+        for probs, dprobs in zip(chunk_probs, chunk_dprobs):
+            clamped += int((probs < 1e-12).sum())
+            floor = np.maximum(probs, 1e-12)
+            f = np.einsum("ixy,jxy->ij", dprobs / floor, dprobs) / n_x
+            per_real.append((f + f.T) / 2)
     avg = np.mean(per_real, axis=0)  # exactly symmetric, as every realization is
     return FisherResult(matrix=avg, per_realization=per_real, clamped=clamped)
 

@@ -130,8 +130,7 @@ def _cmd_eval(args) -> int:
     report = hybrid.evaluate(model, graph, args.scenarios, args.seed,
                              sigma_frac=args.sigma_frac)
     report.save_json(args.out)
-    csv_path = args.csv or str(FilePath(args.out).with_suffix(".paths.csv"))
-    report.save_csv(csv_path)
+    report.save_csv(args.csv)
     print(f"eval: arrival {report.arrival_rate:.3f}, accuracy "
           f"{report.mean_accuracy:.3f}, better-or-equal "
           f"{report.better_or_equal_rate:.3f}, quantum share "
@@ -334,6 +333,8 @@ def run(argv=None) -> int:
         _check_required(args)
         if "seed" in args:  # the seeded subcommands, before any input file is read
             args.seed = _resolve_seed(args)
+        if "csv" in args and args.csv is None:  # eval's default, checked with the others
+            args.csv = str(FilePath(args.out).with_suffix(".paths.csv"))
         _check_outputs(args)
         return args.func(args)
     except SystemExit as exc:

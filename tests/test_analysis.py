@@ -146,13 +146,64 @@ def test_fisher_matrix_is_the_bitwise_mean_of_its_realizations():
             assert np.array_equal(res.matrix, res.matrix.T)
 
 
-def test_fisher_realization_is_two_runs(monkeypatch):
+def _count_runs(monkeypatch) -> list:
     runs = []
     real_run = qs.run
     monkeypatch.setattr(qs, "run", lambda *args: runs.append(args) or real_run(*args))
-    res = an.fisher_matrix(an.MiniConfig(sublayers=2, reuploads=3), n_x=5, n_theta=1,
-                           rng=np.random.default_rng(4), include_main=True)
+    return runs
+
+
+def test_fisher_sweep_is_two_runs_per_chunk(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    config = an.MiniConfig(sublayers=2, reuploads=3)  # 20 parameters: 2 * 20 * 5 * 8 amplitudes
+    res = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4),
+                           include_main=True)
     assert res.matrix.shape == (20, 20) and len(runs) == 2
+    runs.clear()
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 1600)
+    an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
+    assert len(runs) == 4
+
+
+def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
+    config = an.MiniConfig(sublayers=1, reuploads=2)  # 25 grid points: 200 amplitudes a draw
+    whole = an.sample_fourier(config, 7, np.random.default_rng(3))
+    runs = _count_runs(monkeypatch)
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 200)
+    chunked = an.sample_fourier(config, 7, np.random.default_rng(3))
+    assert len(runs) == 3  # 3, 3 and 1 draws
+    assert chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+
+
+class _ZeroEveryOtherTheta:
+    """Draws like its generator, but every other parameter vector is all zeros,
+    which leaves the film qubits in |00>: six of the eight basis states have
+    probability 0 and hit the floor."""
+
+    def __init__(self, seed):
+        self.rng, self.thetas = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high, size):
+        self.thetas += 1
+        return self.rng.uniform(low, high, size) * (self.thetas % 2)
+
+    def normal(self, loc, scale, size):
+        return self.rng.normal(loc, scale, size)
+
+
+@pytest.mark.parametrize("include_main", [False, True])
+def test_fisher_sweep_does_not_depend_on_the_chunk_size(monkeypatch, include_main):
+    config = an.MiniConfig(sublayers=1, reuploads=2)  # 10 parameters: 2 * 10 * 5 * 8 amplitudes
+    whole = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
+    runs = _count_runs(monkeypatch)
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 800)
+    chunked = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
+    assert len(runs) == 6  # 3, 3 and 1 realizations
+    assert whole.clamped > 0 and chunked.clamped == whole.clamped
+    assert chunked.matrix.tobytes() == whole.matrix.tobytes()
+    assert len(chunked.per_realization) == len(whole.per_realization) == 7
+    for a, b in zip(chunked.per_realization, whole.per_realization):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fisher_spectrum_basics():

@@ -699,6 +699,20 @@ def test_an_output_that_names_a_directory_fails_before_any_work(tmp_path, capsys
     assert list(somedir.iterdir()) == []
 
 
+def test_a_default_eval_csv_that_names_a_directory_fails_before_any_work(tmp_path, capsys):
+    gpath, data = _city_and_data(tmp_path)
+    ckpt, report = tmp_path / "ckpt.json", tmp_path / "r.json"
+    assert run(["train", "--data", str(data), "--epochs", "1", "--seed", "0",
+                "--out", str(ckpt)]) == 0
+    (tmp_path / "r.paths.csv").mkdir()
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", "2",
+                "--seed", "5", "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --csv ") and "r.paths.csv" in err and "directory" in err
+    assert not report.exists()
+
+
 def test_two_outputs_of_one_command_may_not_name_the_same_file(tmp_path, capsys):
     gpath, data = _city_and_data(tmp_path)
     same, ckpt = tmp_path / "same.json", tmp_path / "ckpt.json"

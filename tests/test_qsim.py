@@ -255,6 +255,30 @@ def test_run_rejects_parameter_batch_that_does_not_broadcast():
         qs.run(circ, np.zeros((2, 1)), np.zeros((3, 1)))
 
 
+def test_run_returns_a_c_ordered_batch():
+    circ = _film_circuit()
+    rng = np.random.default_rng(12)
+    params, feats = rng.uniform(-np.pi, np.pi, (3, 1, 48)), rng.uniform(0, 1, (4, 36))
+    for state in (qs.run(circ, params, feats), qs.run(circ, params[0, 0], feats[0])):
+        assert state.flags.c_contiguous
+
+
+def test_parameter_shift_on_a_stack_of_parameter_vectors_matches_per_vector_calls():
+    circ = _film_circuit()
+    rng = np.random.default_rng(13)
+    stack, feats = rng.uniform(-np.pi, np.pi, (3, 48)), rng.uniform(0, 1, (4, 36))
+    for grad in (qs.prob_grad, qs.param_shift_grad):
+        for index in (None, 5):
+            got = grad(circ, stack[:, None], feats, index=index)
+            per_vector = np.stack([grad(circ, theta, feats, index=index) for theta in stack],
+                                  axis=0 if index is not None else 1)
+            assert got.shape == per_vector.shape
+            # not bit for bit: see test_run_matches_matrix_oracle_on_random_circuits
+            assert np.abs(got - per_vector).max() < 1e-14
+    with pytest.raises(qs.CircuitError, match="broadcast"):
+        qs.prob_grad(circ, stack, feats)
+
+
 def _oracle_shift_jacobian(circuit, params, row):
     """(n_params, n_measured) derivatives from the dense oracle: each parameter
     in turn moves by +/- pi/2."""
