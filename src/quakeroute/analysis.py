@@ -123,11 +123,11 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     """Fisher information of the basis-state distribution P(y | x, theta).
 
     Gaussian feature draws enter as raw angles; the expectation over targets
-    sums all eight basis states exactly; scores use parameter-shift
-    probability gradients. Averaged over uniform parameter realizations; a
-    chunk of realizations is two runs, the probabilities and ``prob_grad``,
-    of at most about ``RUN_AMPLITUDES`` amplitudes each (one realization if
-    it alone is larger). By default the matrix covers the epicenter-section
+    sums all eight basis states exactly; scores use adjoint probability
+    gradients. Averaged over uniform parameter realizations; a chunk of
+    realizations is one ``run`` and one ``prob_grad``, whose basis costates
+    hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization if it
+    alone is larger). By default the matrix covers the epicenter-section
     parameters only (include_main adds the four main-qubit parameters).
     """
     if n_x < 1 or n_theta < 1:
@@ -137,8 +137,8 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     draws = [(rng.uniform(0.0, 2 * np.pi, circuit.n_params), rng.normal(0.0, 1.0, (n_x, 4)))
              for _ in range(n_theta)]  # theta, then x, realization by realization
     thetas, xs = (np.stack(d) for d in zip(*draws))
-    # the prob_grad run is the larger one: 2P shifted rows per feature row
-    step = max(1, RUN_AMPLITUDES // (2 * circuit.n_params * n_x << circuit.n_qubits))
+    # prob_grad's costates are the larger array: 2**n basis rows per feature row
+    step = max(1, RUN_AMPLITUDES // (n_x << 2 * circuit.n_qubits))
     per_real: list[np.ndarray] = []
     clamped = 0
     for i in range(0, n_theta, step):

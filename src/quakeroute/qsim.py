@@ -12,11 +12,13 @@ batch of states, with parameters (..., n_params) broadcast against features
 (..., n_features). It holds the batch amplitude-major, as one (2**n, rows)
 array with the flattened batch on the contiguous last axis, so each gate
 is a few array operations over long rows: a rotation combines the two
-halves of its qubit's axis, a CNOT gathers amplitude rows. It takes exact
-two-term parameter-shift gradients of one or a batch of parameter vectors
-in one run: every shifted parameter vector is a row of the batch. The training
-kernel (``ModelKernel``) compiles each feature-free run of RX and CNOT gates
-into one unitary: its CNOT permutation after commuting X-string rotations,
+halves of its qubit's axis, a CNOT gathers amplitude rows. Its gradients
+are exact: ``param_shift_grad`` takes the two-term shift rule in one run,
+every shifted parameter vector a row of the batch, and ``prob_grad`` takes
+the Jacobian of all basis probabilities in one forward and one reverse sweep
+of the 2**n basis costates (the adjoint method). The training kernel
+(``ModelKernel``) compiles each feature-free run of RX and CNOT gates into
+one unitary: its CNOT permutation after commuting X-string rotations,
 diagonal between two Hadamard transforms. It reads every adjoint gradient
 from the X-strings and the states of its last forward, with parameter-shift
 as its reference.
@@ -310,14 +312,16 @@ def build_model_circuit(config: ModelConfig = ModelConfig()) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-shift gradients
+# Gradients
 
 
-def _shift(circuit: Circuit, params, features, outputs, index: int | None):
-    """Parameter-shift derivatives of ``outputs(state)`` in one run: rows j and
-    P + j move parameter j (only ``index`` unless it is None) by +pi/2 and
-    -pi/2, and half their difference is its derivative; None stacks them all.
-    A batch of parameter vectors (..., P) broadcasts against the features."""
+def param_shift_grad(circuit: Circuit, params, features=None, index: int | None = None):
+    """Exact gradient of the measured-qubit Z expectations in one run: rows j
+    and P + j move parameter j (only ``index`` unless it is None) by +pi/2 and
+    -pi/2, and half their difference is its derivative. A batch of parameter
+    vectors (..., P) broadcasts against the features. For one index returns
+    (..., n_measured); for index=None the full Jacobian stacked over parameters.
+    """
     params, features, batch = _checked(circuit, params, features)
     p = circuit.n_params
     if index is not None and not 0 <= index < p:
@@ -325,24 +329,44 @@ def _shift(circuit: Circuit, params, features, outputs, index: int | None):
     shifts = np.pi / 2 * np.eye(p)[slice(None) if index is None else [index]]
     shifts = np.stack([shifts, -shifts])
     rows = params + shifts.reshape(shifts.shape[:2] + (1,) * len(batch) + (p,))
-    plus, minus = outputs(run(circuit, rows, features))
+    plus, minus = measured_expectations(circuit, run(circuit, rows, features))
     grad = (plus - minus) / 2.0
     return grad if index is None else grad[0]
 
 
-def param_shift_grad(circuit: Circuit, params, features=None, index: int | None = None):
-    """Exact gradient of the measured-qubit Z expectations: the two-term shift
-    rule moves the parameter vector itself.
-
-    For one index returns (..., n_measured); for index=None the full Jacobian
-    stacked over parameters.
-    """
-    return _shift(circuit, params, features, lambda s: measured_expectations(circuit, s), index)
-
-
-def prob_grad(circuit: Circuit, params, features=None, index: int | None = None):
-    """Parameter-shift gradient of all basis-state probabilities."""
-    return _shift(circuit, params, features, probabilities, index)
+def prob_grad(circuit: Circuit, params, features=None):
+    """Jacobian (n_params, batch..., 2**n) of all basis probabilities by the
+    adjoint method (Jones & Gacon 2020): a forward keeps the state s_g after
+    each trainable rotation g, the basis costates A_k = <k| U_after_g run back
+    through the transposed gates (RY(t)'s is RY(-t), the rest are symmetric),
+    and dp_k = Re(conj(psi_k) <A_k| R(pi) |s_g>), as dR(t)/dt = R(t + pi) / 2."""
+    params, features, batch = _checked(circuit, params, features)
+    n, rows = circuit.n_qubits, math.prod(batch)
+    dim = 1 << n
+    state = np.repeat(np.eye(dim, 1, dtype=complex), rows, axis=1)  # |0> per row
+    steps, kept = [], []  # each gate with its transpose's half-angle cosine and sine; the s_g
+    for g, angle in _angles(circuit, params, features):
+        if isinstance(g, CNot):
+            state = state[_cx_perm(n, g.control, g.target)]
+            steps.append((g, None, None))
+            continue
+        c, sn = (np.broadcast_to(f(angle / 2.0), batch).reshape(-1) for f in (np.cos, np.sin))
+        state = _apply_rot(state, n, g.qubit, g.axis, c, sn)
+        steps.append((g, c, -sn if g.axis == "y" else sn))
+        if g.feature is None:
+            kept.append(state)
+    grad = np.empty((len(kept), dim, rows))
+    costate = np.repeat(np.eye(dim, dtype=complex), rows, axis=1)  # A[j, k * rows + r]
+    for g, c, sn in reversed(steps):
+        if isinstance(g, CNot):
+            costate = costate[_cx_perm(n, g.control, g.target)]
+            continue
+        if g.feature is None:
+            ds = _apply_rot(kept.pop(), n, g.qubit, g.axis, 0.0, 1.0)
+            dpsi = np.einsum("jkr,jr->kr", costate.reshape(dim, dim, rows), ds)
+            grad[len(kept)] = (state.conj() * dpsi).real
+        costate = _apply_rot(costate, n, g.qubit, g.axis, np.tile(c, dim), np.tile(sn, dim))
+    return np.moveaxis(grad, 1, -1).reshape((len(grad),) + batch + (dim,))
 
 
 # ---------------------------------------------------------------------------

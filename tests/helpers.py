@@ -1,9 +1,10 @@
 """Independent test oracles: an adjacency built from the edge list, a heap
 Dijkstra with the scalar next-slot rule, brute-force path search, the
 list-based city generator, a pure-Python replay of the weight dynamics, a
-scalar feature builder, a dense-matrix circuit simulator, a layer-by-layer
-kernel with the joint-state tail and a step-by-step replay of training. These
-deliberately avoid the package's own fast paths and its arc table."""
+scalar feature builder, a dense-matrix circuit simulator, parameter-shift
+probability gradients, a layer-by-layer kernel with the joint-state tail and
+a step-by-step replay of training. These deliberately avoid the package's own
+fast paths and its arc table."""
 from __future__ import annotations
 
 import heapq
@@ -433,6 +434,18 @@ def oracle_expectations(circuit: Circuit, params, features=None) -> np.ndarray:
         signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - q)) & 1)
         out.append(float(probs @ signs))
     return np.array(out)
+
+
+def shift_prob_grad(circuit: Circuit, params, features=None) -> np.ndarray:
+    """(n_params, batch..., 2**n) basis-state probability gradients by the
+    two-term shift rule on ``qsim.run``: rows j and P + j move parameter j by
+    +pi/2 and -pi/2, and half their difference is its derivative."""
+    params = np.asarray(params, float)
+    p, batch_ndim = circuit.n_params, max(params.ndim, np.ndim(features)) - 1
+    shifts = np.pi / 2 * np.eye(p)
+    shifts = np.stack([shifts, -shifts]).reshape((2, p) + (1,) * batch_ndim + (p,))
+    plus, minus = qsim.probabilities(qsim.run(circuit, params + shifts, features))
+    return (plus - minus) / 2.0
 
 
 # ---------------------------------------------------------------------------

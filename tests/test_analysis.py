@@ -3,6 +3,7 @@ import pytest
 
 import quakeroute.analysis as an
 import quakeroute.qsim as qs
+from helpers import shift_prob_grad
 
 
 def test_mini_config_counts():
@@ -130,11 +131,28 @@ def test_fisher_inert_parameter_row_is_zero():
         theta = rng.uniform(0, 2 * np.pi, 3)
         x = rng.normal(0, 1, (5, 1))
         probs = np.maximum(qs.probabilities(qs.run(circ, theta, x)), 1e-12)
-        dp = qs.prob_grad(circ, theta, x, index=None)
+        dp = qs.prob_grad(circ, theta, x)
         f += np.einsum("ixy,jxy->ij", dp / probs, dp) / len(x)
     assert np.abs(f[1, :]).max() < 1e-12
     assert np.abs(f[:, 1]).max() < 1e-12
     assert f[0, 0] > 1e-3 and f[2, 2] > 1e-3
+
+
+@pytest.mark.parametrize("config", [(n, k, False) for n in (1, 2) for k in (1, 2, 3)]
+                         + [(1, 3, True)])
+def test_fisher_matrix_matches_parameter_shift_scores(config):
+    """The benchmark's seven Fisher sweeps, film-only and full, against scores
+    from the two-term shift rule on the same draws."""
+    n, k, include_main = config
+    res = an.fisher_matrix(an.MiniConfig(n, k), n_x=5, n_theta=4,
+                           rng=np.random.default_rng(n + k), include_main=include_main)
+    circ, rng = an.build_mini_circuit(an.MiniConfig(n, k)), np.random.default_rng(n + k)
+    for got in res.per_realization:
+        theta, x = rng.uniform(0, 2 * np.pi, circ.n_params), rng.normal(0, 1, (5, 4))
+        probs = np.maximum(qs.probabilities(qs.run(circ, theta, x)), 1e-12)
+        dp = shift_prob_grad(circ, theta, x)[:res.n_params]
+        want = np.einsum("ixy,jxy->ij", dp / probs, dp) / len(x)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_fisher_matrix_is_the_bitwise_mean_of_its_realizations():
@@ -146,29 +164,30 @@ def test_fisher_matrix_is_the_bitwise_mean_of_its_realizations():
             assert np.array_equal(res.matrix, res.matrix.T)
 
 
-def _count_runs(monkeypatch) -> list:
-    runs = []
-    real_run = qs.run
-    monkeypatch.setattr(qs, "run", lambda *args: runs.append(args) or real_run(*args))
-    return runs
+def _count_calls(monkeypatch, name: str = "run") -> list:
+    calls = []
+    real = getattr(qs, name)
+    monkeypatch.setattr(qs, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_fisher_sweep_is_two_runs_per_chunk(monkeypatch):
-    runs = _count_runs(monkeypatch)
-    config = an.MiniConfig(sublayers=2, reuploads=3)  # 20 parameters: 2 * 20 * 5 * 8 amplitudes
+    """One ``run`` for the probabilities and one ``prob_grad`` per chunk."""
+    runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
+    config = an.MiniConfig(sublayers=2, reuploads=3)  # costates: 5 rows * 8 * 8 amplitudes
     res = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4),
                            include_main=True)
-    assert res.matrix.shape == (20, 20) and len(runs) == 2
-    runs.clear()
-    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 1600)
+    assert res.matrix.shape == (20, 20) and len(runs) == len(grads) == 1
+    runs.clear(), grads.clear()
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 320)
     an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
-    assert len(runs) == 4
+    assert len(runs) == len(grads) == 2
 
 
 def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
     config = an.MiniConfig(sublayers=1, reuploads=2)  # 25 grid points: 200 amplitudes a draw
     whole = an.sample_fourier(config, 7, np.random.default_rng(3))
-    runs = _count_runs(monkeypatch)
+    runs = _count_calls(monkeypatch)
     monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 200)
     chunked = an.sample_fourier(config, 7, np.random.default_rng(3))
     assert len(runs) == 3  # 3, 3 and 1 draws
@@ -193,12 +212,12 @@ class _ZeroEveryOtherTheta:
 
 @pytest.mark.parametrize("include_main", [False, True])
 def test_fisher_sweep_does_not_depend_on_the_chunk_size(monkeypatch, include_main):
-    config = an.MiniConfig(sublayers=1, reuploads=2)  # 10 parameters: 2 * 10 * 5 * 8 amplitudes
+    config = an.MiniConfig(sublayers=1, reuploads=2)  # costates: 5 rows * 8 * 8 amplitudes
     whole = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
-    runs = _count_runs(monkeypatch)
-    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 800)
+    runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 320)
     chunked = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
-    assert len(runs) == 6  # 3, 3 and 1 realizations
+    assert len(runs) == len(grads) == 3  # 3, 3 and 1 realizations
     assert whole.clamped > 0 and chunked.clamped == whole.clamped
     assert chunked.matrix.tobytes() == whole.matrix.tobytes()
     assert len(chunked.per_realization) == len(whole.per_realization) == 7

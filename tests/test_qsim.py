@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quakeroute.qsim as qs
-from helpers import BlockwiseKernel, circuit_unitary, oracle_expectations, oracle_state
+from helpers import (BlockwiseKernel, circuit_unitary, oracle_expectations, oracle_state,
+                     shift_prob_grad)
 
 
 def _one_circuit(n, gates):
@@ -267,16 +268,35 @@ def test_parameter_shift_on_a_stack_of_parameter_vectors_matches_per_vector_call
     circ = _film_circuit()
     rng = np.random.default_rng(13)
     stack, feats = rng.uniform(-np.pi, np.pi, (3, 48)), rng.uniform(0, 1, (4, 36))
-    for grad in (qs.prob_grad, qs.param_shift_grad):
-        for index in (None, 5):
-            got = grad(circ, stack[:, None], feats, index=index)
-            per_vector = np.stack([grad(circ, theta, feats, index=index) for theta in stack],
-                                  axis=0 if index is not None else 1)
-            assert got.shape == per_vector.shape
-            # not bit for bit: see test_run_matches_matrix_oracle_on_random_circuits
-            assert np.abs(got - per_vector).max() < 1e-14
+    grads = (qs.prob_grad, qs.param_shift_grad, functools.partial(qs.param_shift_grad, index=5))
+    for grad, axis in zip(grads, (1, 1, 0)):  # the batch follows a Jacobian's parameter axis
+        got = grad(circ, stack[:, None], feats)
+        per_vector = np.stack([grad(circ, theta, feats) for theta in stack], axis=axis)
+        assert got.shape == per_vector.shape
+        # not bit for bit: see test_run_matches_matrix_oracle_on_random_circuits
+        assert np.abs(got - per_vector).max() < 1e-14
     with pytest.raises(qs.CircuitError, match="broadcast"):
         qs.prob_grad(circ, stack, feats)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_circuits())
+def test_prob_grad_matches_parameter_shift_on_random_circuits(case):
+    circuit, params, features = case
+    got = qs.prob_grad(circuit, params[:, None], features)
+    want = shift_prob_grad(circuit, params[:, None], features)
+    assert got.shape == want.shape == (circuit.n_params, len(params), len(features),
+                                       1 << circuit.n_qubits)
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
+def test_prob_grad_without_a_trainable_rotation_is_an_empty_jacobian():
+    encodings = (qs.Rot("y", 0, 0), qs.CNot(0, 1), qs.Rot("x", 1, 0, 0.5))
+    for gates in ((), encodings):
+        circuit = qs.Circuit(2, gates, 1, measured=(0, 1))
+        dp = qs.prob_grad(circuit, np.zeros((3, 1, 0)), np.ones((2, 1)))
+        assert dp.shape == (0, 3, 2, 4)
+        assert dp.shape == shift_prob_grad(circuit, np.zeros((3, 1, 0)), np.ones((2, 1))).shape
 
 
 def _oracle_shift_jacobian(circuit, params, row):
@@ -363,9 +383,9 @@ def test_prob_grad_sums_to_zero():
     circ = _film_circuit()
     params = rng.uniform(0, 2 * np.pi, 228)[:48]
     feats = rng.uniform(0, 1, 36)
-    dp = qs.prob_grad(circ, params, feats, index=3)
-    assert dp.shape == (4,)
-    assert abs(dp.sum()) < 1e-12  # probabilities stay normalized
+    dp = qs.prob_grad(circ, params, feats)
+    assert dp.shape == (48, 4)
+    assert np.abs(dp.sum(-1)).max() < 1e-12  # probabilities stay normalized
 
 
 def test_shot_sampling_converges():
