@@ -125,9 +125,9 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     Gaussian feature draws enter as raw angles; the expectation over targets
     sums all eight basis states exactly; scores use adjoint probability
     gradients. Averaged over uniform parameter realizations; a chunk of
-    realizations is one ``run`` and one ``prob_grad``, whose basis costates
-    hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization if it
-    alone is larger). By default the matrix covers the epicenter-section
+    realizations is one ``prob_grad`` (probabilities and Jacobian), whose basis
+    costates hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization
+    if it alone is larger). By default the matrix covers the epicenter-section
     parameters only (include_main adds the four main-qubit parameters).
     """
     if n_x < 1 or n_theta < 1:
@@ -143,10 +143,10 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     clamped = 0
     for i in range(0, n_theta, step):
         theta, x = thetas[i:i + step, None], xs[i:i + step]
-        chunk_probs = qsim.probabilities(qsim.run(circuit, theta, x))
+        chunk_probs, chunk_dprobs = qsim.prob_grad(circuit, theta, x)
         # (realizations, parameters, n_x, 8), C-ordered: each realization's block has
         # the layout of its own prob_grad call, which einsum's sums follow
-        chunk_dprobs = np.moveaxis(qsim.prob_grad(circuit, theta, x)[:n_params], 1, 0).copy()
+        chunk_dprobs = np.moveaxis(chunk_dprobs[:n_params], 1, 0).copy()
         for probs, dprobs in zip(chunk_probs, chunk_dprobs):
             clamped += int((probs < 1e-12).sum())
             floor = np.maximum(probs, 1e-12)

@@ -7,15 +7,15 @@ remaining features subvector by subvector, each interlaced with entangler
 layers; the sections are joined by a CNOT bridge and a final entangler before
 Z measurements of the five main qubits. A rotation either encodes a feature
 or is trainable, and the k-th trainable rotation of a circuit turns by
-``params[k]``. The generic engine (``run``) applies one gate at a time to a
-batch of states, with parameters (..., n_params) broadcast against features
-(..., n_features). It holds the batch amplitude-major, as one (2**n, rows)
-array with the flattened batch on the contiguous last axis, so each gate
-is a few array operations over long rows: a rotation combines the two
-halves of its qubit's axis, a CNOT gathers amplitude rows. Its gradients
-are exact: ``param_shift_grad`` takes the two-term shift rule in one run,
-every shifted parameter vector a row of the batch, and ``prob_grad`` takes
-the Jacobian of all basis probabilities in one forward and one reverse sweep
+``params[k]``. The generic engine has one forward, which applies one gate at
+a time to a batch of states, with parameters (..., n_params) broadcast
+against features (..., n_features); ``run`` returns its last state. It holds
+the batch amplitude-major, as one (2**n, rows) array with the flattened batch
+on the contiguous last axis, so each gate is a few array operations over long
+rows: a rotation combines the two halves of its qubit's axis, a CNOT gathers
+amplitude rows. ``param_shift_grad`` takes the exact two-term shift rule in
+one run, every shifted parameter vector a row of the batch, and ``prob_grad``
+the probabilities and their Jacobian from that forward and one reverse sweep
 of the 2**n basis costates (the adjoint method). The training kernel
 (``ModelKernel``) compiles each feature-free run of RX and CNOT gates into
 one unitary: its CNOT permutation after commuting X-string rotations,
@@ -182,24 +182,30 @@ def _checked(circuit: Circuit, params, features):
     return params, features, batch
 
 
-def run(circuit: Circuit, params, features=None) -> np.ndarray:
-    """Simulate the circuit; returns amplitudes of shape (batch..., 2**n), where
-    the batch broadcasts the leading axes of params and features. The gates
-    act on the amplitude-major (2**n, rows) state of the flattened batch."""
+def _sweep(circuit: Circuit, params, features):
+    """The batch shape and |0> per row, then each gate, its half angle's cosine
+    and sine per row (None for a CNOT) and the (2**n, rows) state after it."""
     params, features, batch = _checked(circuit, params, features)
     n = circuit.n_qubits
-    state = np.zeros((1 << n, math.prod(batch)), complex)
-    state[0] = 1.0
+    state = np.repeat(np.eye(1 << n, 1, dtype=complex), math.prod(batch), axis=1)
+    yield batch, state
     for g, angle in _angles(circuit, params, features):
         if isinstance(g, CNot):
-            state = state[_cx_perm(n, g.control, g.target)]
-        else:
-            half = angle / 2.0
-            c, sn = np.cos(half), np.sin(half)
-            if np.ndim(half):  # one angle per row, taken before the broadcast
-                c, sn = (np.broadcast_to(v, batch).reshape(-1) for v in (c, sn))
+            state, c, sn = state[_cx_perm(n, g.control, g.target)], None, None
+        else:  # one angle per row, taken before the broadcast
+            c, sn = (np.broadcast_to(f(angle / 2.0), batch).reshape(-1) for f in (np.cos, np.sin))
             state = _apply_rot(state, n, g.qubit, g.axis, c, sn)
-    return np.ascontiguousarray(state.T).reshape(batch + (1 << n,))
+        yield g, c, sn, state
+
+
+def run(circuit: Circuit, params, features=None) -> np.ndarray:
+    """Amplitudes (batch..., 2**n) after the circuit, the last state of its
+    sweep; the batch broadcasts the leading axes of params and features."""
+    sweep = _sweep(circuit, params, features)
+    batch, state = next(sweep)
+    for *_, state in sweep:
+        pass
+    return np.ascontiguousarray(state.T).reshape(batch + state.shape[:1])
 
 
 @lru_cache(maxsize=None)
@@ -335,25 +341,17 @@ def param_shift_grad(circuit: Circuit, params, features=None, index: int | None 
 
 
 def prob_grad(circuit: Circuit, params, features=None):
-    """Jacobian (n_params, batch..., 2**n) of all basis probabilities by the
-    adjoint method (Jones & Gacon 2020): a forward keeps the state s_g after
-    each trainable rotation g, the basis costates A_k = <k| U_after_g run back
-    through the transposed gates (RY(t)'s is RY(-t), the rest are symmetric),
-    and dp_k = Re(conj(psi_k) <A_k| R(pi) |s_g>), as dR(t)/dt = R(t + pi) / 2."""
-    params, features, batch = _checked(circuit, params, features)
-    n, rows = circuit.n_qubits, math.prod(batch)
-    dim = 1 << n
-    state = np.repeat(np.eye(dim, 1, dtype=complex), rows, axis=1)  # |0> per row
-    steps, kept = [], []  # each gate with its transpose's half-angle cosine and sine; the s_g
-    for g, angle in _angles(circuit, params, features):
-        if isinstance(g, CNot):
-            state = state[_cx_perm(n, g.control, g.target)]
-            steps.append((g, None, None))
-            continue
-        c, sn = (np.broadcast_to(f(angle / 2.0), batch).reshape(-1) for f in (np.cos, np.sin))
-        state = _apply_rot(state, n, g.qubit, g.axis, c, sn)
-        steps.append((g, c, -sn if g.axis == "y" else sn))
-        if g.feature is None:
+    """Basis probabilities (batch..., 2**n) and their Jacobian (n_params, batch...,
+    2**n) by the adjoint method (Jones & Gacon 2020): the forward keeps the state s_g
+    after each trainable rotation g, basis costates A_k = <k| U_after_g run back
+    through the transposed gates, and dp_k = Re(conj(psi_k) <A_k| R(pi) |s_g>)."""
+    sweep = _sweep(circuit, params, features)
+    batch, state = next(sweep)
+    n, (dim, rows) = circuit.n_qubits, state.shape
+    steps, kept = [], []  # each gate with its half-angle cosine and sine; the s_g
+    for g, c, sn, state in sweep:
+        steps.append((g, c, sn))
+        if isinstance(g, Rot) and g.feature is None:
             kept.append(state)
     grad = np.empty((len(kept), dim, rows))
     costate = np.repeat(np.eye(dim, dtype=complex), rows, axis=1)  # A[j, k * rows + r]
@@ -362,11 +360,13 @@ def prob_grad(circuit: Circuit, params, features=None):
             costate = costate[_cx_perm(n, g.control, g.target)]
             continue
         if g.feature is None:
-            ds = _apply_rot(kept.pop(), n, g.qubit, g.axis, 0.0, 1.0)
+            ds = _apply_rot(kept.pop(), n, g.qubit, g.axis, 0.0, 1.0)  # dR(t)/dt = R(t + pi) / 2
             dpsi = np.einsum("jkr,jr->kr", costate.reshape(dim, dim, rows), ds)
             grad[len(kept)] = (state.conj() * dpsi).real
-        costate = _apply_rot(costate, n, g.qubit, g.axis, np.tile(c, dim), np.tile(sn, dim))
-    return np.moveaxis(grad, 1, -1).reshape((len(grad),) + batch + (dim,))
+        costate = _apply_rot(costate, n, g.qubit, g.axis, np.tile(c, dim),
+                             np.tile(-sn if g.axis == "y" else sn, dim))  # RY(t)^T = RY(-t)
+    return (probabilities(np.ascontiguousarray(state.T)).reshape(batch + (dim,)),
+            np.moveaxis(grad, 1, -1).reshape((len(grad),) + batch + (dim,)))
 
 
 # ---------------------------------------------------------------------------

@@ -130,9 +130,8 @@ def test_fisher_inert_parameter_row_is_zero():
     for _ in range(4):
         theta = rng.uniform(0, 2 * np.pi, 3)
         x = rng.normal(0, 1, (5, 1))
-        probs = np.maximum(qs.probabilities(qs.run(circ, theta, x)), 1e-12)
-        dp = qs.prob_grad(circ, theta, x)
-        f += np.einsum("ixy,jxy->ij", dp / probs, dp) / len(x)
+        probs, dp = qs.prob_grad(circ, theta, x)
+        f += np.einsum("ixy,jxy->ij", dp / np.maximum(probs, 1e-12), dp) / len(x)
     assert np.abs(f[1, :]).max() < 1e-12
     assert np.abs(f[:, 1]).max() < 1e-12
     assert f[0, 0] > 1e-3 and f[2, 2] > 1e-3
@@ -171,17 +170,17 @@ def _count_calls(monkeypatch, name: str = "run") -> list:
     return calls
 
 
-def test_fisher_sweep_is_two_runs_per_chunk(monkeypatch):
-    """One ``run`` for the probabilities and one ``prob_grad`` per chunk."""
+def test_fisher_sweep_is_one_prob_grad_per_chunk(monkeypatch):
+    """One ``prob_grad`` per chunk, which returns the probabilities too: no ``run``."""
     runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
     config = an.MiniConfig(sublayers=2, reuploads=3)  # costates: 5 rows * 8 * 8 amplitudes
     res = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4),
                            include_main=True)
-    assert res.matrix.shape == (20, 20) and len(runs) == len(grads) == 1
-    runs.clear(), grads.clear()
+    assert res.matrix.shape == (20, 20) and len(grads) == 1 and not runs
+    grads.clear()
     monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 320)
     an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
-    assert len(runs) == len(grads) == 2
+    assert len(grads) == 2 and not runs
 
 
 def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -217,7 +216,7 @@ def test_fisher_sweep_does_not_depend_on_the_chunk_size(monkeypatch, include_mai
     runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
     monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 320)
     chunked = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
-    assert len(runs) == len(grads) == 3  # 3, 3 and 1 realizations
+    assert len(grads) == 3 and not runs  # 3, 3 and 1 realizations
     assert whole.clamped > 0 and chunked.clamped == whole.clamped
     assert chunked.matrix.tobytes() == whole.matrix.tobytes()
     assert len(chunked.per_realization) == len(whole.per_realization) == 7

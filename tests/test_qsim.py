@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quakeroute.qsim as qs
 from helpers import (BlockwiseKernel, circuit_unitary, oracle_expectations, oracle_state,
@@ -256,6 +256,14 @@ def test_run_rejects_parameter_batch_that_does_not_broadcast():
         qs.run(circ, np.zeros((2, 1)), np.zeros((3, 1)))
 
 
+def test_an_unbatched_run_is_row_0_of_a_batch_of_one():
+    """1-D parameters and no features take the one broadcast rule, bit for bit."""
+    gates = qs.entangler_gates((0, 1, 2), 2) + [qs.Rot("y", 1), qs.Rot("z", 2), qs.CNot(2, 0)]
+    circ = _one_circuit(3, gates)
+    params = np.random.default_rng(14).uniform(-np.pi, np.pi, circ.n_params)
+    assert np.array_equal(qs.run(circ, params), qs.run(circ, params[None])[0])
+
+
 def test_run_returns_a_c_ordered_batch():
     circ = _film_circuit()
     rng = np.random.default_rng(12)
@@ -268,8 +276,9 @@ def test_parameter_shift_on_a_stack_of_parameter_vectors_matches_per_vector_call
     circ = _film_circuit()
     rng = np.random.default_rng(13)
     stack, feats = rng.uniform(-np.pi, np.pi, (3, 48)), rng.uniform(0, 1, (4, 36))
-    grads = (qs.prob_grad, qs.param_shift_grad, functools.partial(qs.param_shift_grad, index=5))
-    for grad, axis in zip(grads, (1, 1, 0)):  # the batch follows a Jacobian's parameter axis
+    grads = (lambda *args: qs.prob_grad(*args)[0], lambda *args: qs.prob_grad(*args)[1],
+             qs.param_shift_grad, functools.partial(qs.param_shift_grad, index=5))
+    for grad, axis in zip(grads, (0, 1, 1, 0)):  # the batch follows a Jacobian's parameter axis
         got = grad(circ, stack[:, None], feats)
         per_vector = np.stack([grad(circ, theta, feats) for theta in stack], axis=axis)
         assert got.shape == per_vector.shape
@@ -283,19 +292,34 @@ def test_parameter_shift_on_a_stack_of_parameter_vectors_matches_per_vector_call
 @given(_random_circuits())
 def test_prob_grad_matches_parameter_shift_on_random_circuits(case):
     circuit, params, features = case
-    got = qs.prob_grad(circuit, params[:, None], features)
+    _, got = qs.prob_grad(circuit, params[:, None], features)
     want = shift_prob_grad(circuit, params[:, None], features)
     assert got.shape == want.shape == (circuit.n_params, len(params), len(features),
                                        1 << circuit.n_qubits)
     assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
+_ENCODINGS = (qs.Rot("y", 0, 0), qs.CNot(0, 1), qs.Rot("x", 1, 0, 0.5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_circuits())
+@example((qs.Circuit(2, (), 1, (0, 1)), np.zeros((3, 0)), np.ones((2, 1))))
+@example((qs.Circuit(2, _ENCODINGS, 1, (0, 1)), np.zeros((3, 0)), np.ones((2, 1))))
+def test_prob_grad_returns_the_probabilities_of_run(case):
+    """The probabilities come from the final state of prob_grad's own forward."""
+    circuit, params, features = case
+    probs, dp = qs.prob_grad(circuit, params[:, None], features)
+    assert np.array_equal(probs, qs.probabilities(qs.run(circuit, params[:, None], features)))
+    assert probs.flags.c_contiguous
+    assert dp.shape == (circuit.n_params, len(params), len(features), 1 << circuit.n_qubits)
+
+
 def test_prob_grad_without_a_trainable_rotation_is_an_empty_jacobian():
-    encodings = (qs.Rot("y", 0, 0), qs.CNot(0, 1), qs.Rot("x", 1, 0, 0.5))
-    for gates in ((), encodings):
+    for gates in ((), _ENCODINGS):
         circuit = qs.Circuit(2, gates, 1, measured=(0, 1))
-        dp = qs.prob_grad(circuit, np.zeros((3, 1, 0)), np.ones((2, 1)))
-        assert dp.shape == (0, 3, 2, 4)
+        probs, dp = qs.prob_grad(circuit, np.zeros((3, 1, 0)), np.ones((2, 1)))
+        assert probs.shape == (3, 2, 4) and dp.shape == (0, 3, 2, 4)
         assert dp.shape == shift_prob_grad(circuit, np.zeros((3, 1, 0)), np.ones((2, 1))).shape
 
 
@@ -383,8 +407,8 @@ def test_prob_grad_sums_to_zero():
     circ = _film_circuit()
     params = rng.uniform(0, 2 * np.pi, 228)[:48]
     feats = rng.uniform(0, 1, 36)
-    dp = qs.prob_grad(circ, params, feats)
-    assert dp.shape == (48, 4)
+    probs, dp = qs.prob_grad(circ, params, feats)
+    assert probs.shape == (4,) and dp.shape == (48, 4)
     assert np.abs(dp.sum(-1)).max() < 1e-12  # probabilities stay normalized
 
 
