@@ -19,7 +19,7 @@ from .features import (
     Dataset, build_feature_vector, generate_dataset, load_sample,
 )
 from .qsim import (
-    BindingError, Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,
+    Circuit, CircuitError, CNot, ModelConfig, ModelKernel, Rot,
     build_model_circuit, expectation_z, export_qasm3, param_shift_grad,
     prob_grad, probabilities, run, sample_bitstrings,
 )

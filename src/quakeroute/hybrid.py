@@ -101,12 +101,9 @@ class HybridModel:
         head_grads = {"head_w": dlogits.T @ self._branches, "head_b": dlogits.sum(axis=0)}
         dboth = dlogits @ self.head_w
         classical_grads = self.classical.backward(dboth[:, :N_OUT])
-        if self.classical_only:
-            head_grads["head_w"][:, N_OUT:] = 0.0
-            quantum_grad = np.zeros_like(self.quantum_params)
-        else:
-            quantum_grad = self.kernel.grad(self.quantum_params, main, epi,
-                                            dboth[:, N_OUT:])
+        # classical-only, the quantum outputs are zeros: so is the head's gradient there
+        quantum_grad = (np.zeros_like(self.quantum_params) if self.classical_only else
+                        self.kernel.grad(self.quantum_params, main, epi, dboth[:, N_OUT:]))
         return loss, classical_grads, head_grads, quantum_grad
 
     # -- checkpoints ---------------------------------------------------------
@@ -161,8 +158,9 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     the initialization all derive from it. The classical learning rate follows
     the linear epoch schedule; the quantum rate stays constant. A non-finite
     train or validation loss stops training with a ValueError. ``train_agreement``
-    scores each step's rows without dropout before their update (the kernel has
-    none, so the step's quantum outputs serve), so it lags the epoch's end.
+    scores each step's rows with a dropout-free ``forward`` before their update
+    (the kernel's kept forward serves it, so the circuit runs once per step),
+    so it lags the epoch's end.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
@@ -188,9 +186,7 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
             idx = perm[lo:lo + batch]
             loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
             losses.append(loss)
-            both = np.concatenate([model.classical.forward(*model.split_inputs(x[idx])),
-                                   model._branches[:, N_OUT:]], axis=1)
-            scores[idx] = both @ model.head_w.T + model.head_b
+            scores[idx] = model.forward(x[idx])
             group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
             adam_step(group, {**cg, **hg}, opt_classical, lr=CLASSICAL_LR * factor)
             if not config.classical_only:

@@ -116,8 +116,7 @@ class ClassicalFilmNet:
         return grads
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                  mask: np.ndarray | None = None):
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     """Mean masked cross entropy and its logit gradient.
 
     Softmax runs over the unmasked classes only; masked logits get no
@@ -125,8 +124,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray,
     """
     logits = np.atleast_2d(np.asarray(logits, float))
     labels = np.atleast_1d(np.asarray(labels, int))
-    if mask is None:
-        mask = np.ones(logits.shape, bool)
     mask = np.atleast_2d(np.asarray(mask, bool))
     if not mask.any(axis=1).all():
         raise ValueError("every row needs at least one unmasked class")

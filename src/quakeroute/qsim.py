@@ -9,19 +9,22 @@ Z measurements of the five main qubits. A rotation either encodes a feature
 or is trainable, and the k-th trainable rotation of a circuit turns by
 ``params[k]``. The generic engine has one forward, which applies one gate at
 a time to a batch of states, with parameters (..., n_params) broadcast
-against features (..., n_features); ``run`` returns its last state. It holds
-the batch amplitude-major, as one (2**n, rows) array with the flattened batch
-on the contiguous last axis, so each gate is a few array operations over long
-rows: a rotation combines the two halves of its qubit's axis, a CNOT gathers
+against features (..., n_features), no features being an empty row; one
+check of those inputs serves it and the QASM export, which binds a single
+row. ``run`` returns the forward's last state. It holds the batch
+amplitude-major, as one (2**n, rows) array with the flattened batch on the
+contiguous last axis, so each gate is a few array operations over long rows:
+a rotation combines the two halves of its qubit's axis, a CNOT gathers
 amplitude rows. ``param_shift_grad`` takes the exact two-term shift rule in
 one run, every shifted parameter vector a row of the batch, and ``prob_grad``
 the probabilities and their Jacobian from that forward and one reverse sweep
 of the 2**n basis costates (the adjoint method). The training kernel
 (``ModelKernel``) compiles each feature-free run of RX and CNOT gates into
 one unitary: its CNOT permutation after commuting X-string rotations,
-diagonal between two Hadamard transforms. It reads every adjoint gradient
-from the X-strings and the states of its last forward, with parameter-shift
-as its reference.
+diagonal between two Hadamard transforms. Its last forward serves every
+call at the same parameter values and feature rows, and it reads every
+adjoint gradient from the X-strings and that forward's states, with
+parameter-shift as its reference.
 
 States that functions take and return are C-ordered complex128 arrays of
 shape (..., 2**n); qubit 0 is the most significant bit of the amplitude
@@ -43,10 +46,6 @@ FEATURE_SCALE = math.pi  # Z encodings map inputs in [0, 1] to angles in [0, pi]
 
 class CircuitError(ValueError):
     """Bad circuit structure or mismatched parameter vector."""
-
-
-class BindingError(ValueError):
-    """Features or parameters were left unbound at export/run time."""
 
 
 @dataclass(frozen=True)
@@ -157,29 +156,26 @@ def _angles(circuit: Circuit, params, features):
             yield g, None
         elif g.feature is None:
             yield g, next(trainable)
-        elif features is None:
-            raise BindingError(f"feature {g.feature} is unbound")
         else:
             yield g, g.scale * features[..., g.feature]
 
 
 def _checked(circuit: Circuit, params, features):
     """Parameters (..., n_params) and features (..., n_features) as float
-    arrays, and the shape their leading axes broadcast to."""
+    arrays, and the shape their leading axes broadcast to; no features is an
+    empty feature row. The only check of a circuit's inputs."""
     params = np.asarray(params, float)
     if params.shape[-1:] != (circuit.n_params,):
         raise CircuitError(f"expected {circuit.n_params} parameters, got {params.shape}")
-    batch = params.shape[:-1]
-    if features is not None:
-        features = np.asarray(features, float)
-        if features.shape[-1:] != (circuit.n_features,):
-            raise CircuitError(f"expected {circuit.n_features} features, got {features.shape}")
-        try:
-            batch = np.broadcast_shapes(batch, features.shape[:-1])
-        except ValueError:
-            raise CircuitError(f"parameters {params.shape} and features {features.shape} "
-                               "do not broadcast") from None
-    return params, features, batch
+    features = np.asarray(() if features is None else features, float)
+    if features.shape[-1:] != (circuit.n_features,):
+        raise CircuitError(f"expected {circuit.n_features} features, "
+                           f"got {features.shape if features.size else 'none'}")
+    try:
+        return params, features, np.broadcast_shapes(params.shape[:-1], features.shape[:-1])
+    except ValueError:
+        raise CircuitError(f"parameters {params.shape} and features {features.shape} "
+                           "do not broadcast") from None
 
 
 def _sweep(circuit: Circuit, params, features):
@@ -375,17 +371,9 @@ def prob_grad(circuit: Circuit, params, features=None):
 
 def export_qasm3(circuit: Circuit, params, features=None) -> str:
     """OpenQASM 3.0 text with every rotation bound to a concrete angle."""
-    params = np.asarray(params, float)
-    if params.shape != (circuit.n_params,):
-        raise BindingError(f"expected {circuit.n_params} bound parameters")
-    if circuit.n_features and features is None:
-        raise BindingError("feature values are required to bind the circuit")
-    if features is not None:
-        features = np.asarray(features, float)
-        if features.ndim != 1 or features.shape[0] != circuit.n_features:
-            raise BindingError(f"expected {circuit.n_features} bound features")
-    if not all(np.isfinite(a).all() for a in (params, features) if a is not None):
-        raise BindingError("bound parameters and features must be finite")
+    params, features, batch = _checked(circuit, params, features)
+    if batch or not (np.isfinite(params).all() and np.isfinite(features).all()):
+        raise CircuitError("export binds a single, finite row of parameters and features")
     lines = [
         "OPENQASM 3.0;",
         'include "stdgates.inc";',
@@ -523,10 +511,11 @@ class ModelKernel:
     readouts touch the main qubits alone, so <Z_k> = sum_F P_F <Z_k>(U X_F m),
     with P_F the film's probability of the states a with F(a) = F: the final
     block runs once per distinct mask on the main state, never on the joint
-    one. Blocks are compiled once per distinct parameter vector. Every forward
-    keeps its feature rows, states, phases and block input states (references,
-    no copies), and ``grad`` at the same parameters and rows starts from them,
-    so a training step simulates the circuit once and never un-applies a block.
+    one. Blocks are compiled once per distinct parameter vector. The last
+    forward is kept with its feature rows, states, phases, block input states
+    and readout (references, no copies), and serves every ``expectations`` and
+    ``grad`` call at the same parameter values and feature rows, so a training
+    step simulates the circuit once and never un-applies a block.
     ``param_shift_grad`` is the reference for ``grad``.
     """
 
@@ -569,11 +558,15 @@ class ModelKernel:
     def _run(self, params, x):
         """Film and main states of the feature rows ``x``, the final states
         (B, masks, 2**5) of each flip of the main state, each mask's film
-        weight P_F (B, masks), and each section's phase vectors and block
-        inputs; kept as the last forward."""
-        self._forward = None  # hold one forward at a time
+        weight P_F (B, masks), each section's phase vectors and block inputs,
+        and the (B, 5) readout: the last forward if it ran at these parameter
+        values on these rows, else a new one, kept in its place."""
         # keyed on the values, not the array: optimizers update it in place
-        if self._compiled_for is None or not np.array_equal(self._compiled_for, params):
+        compiled = self._compiled_for is not None and np.array_equal(self._compiled_for, params)
+        if compiled and self._forward is not None and np.array_equal(self._forward[0], x):
+            return self._forward
+        self._forward = None  # hold one forward at a time
+        if not compiled:
             for section in self._sections:
                 section.compile(params)
             self._compiled_for = params.copy()
@@ -582,29 +575,23 @@ class ModelKernel:
         f, f_in = film.run(zero_state(film.k, (len(x),)), phases[0])
         m, m_in = main.run(zero_state(main.k, (len(x),)), phases[1])
         final, t_in = tail.run(m[:, self._flips].reshape(-1, tail.dim), phases[2])
+        final = final.reshape(len(x), -1, tail.dim)
         weights = probabilities(f) @ self._members.T
-        self._forward = (x, f, m, final.reshape(len(x), -1, tail.dim), weights, phases,
-                         (f_in, m_in, t_in))
+        readout = (weights[:, :, None] * (probabilities(final) @ self._zsigns.T)).sum(1)
+        self._forward = (x, f, m, final, weights, phases, (f_in, m_in, t_in), readout)
         return self._forward
 
     def expectations(self, params, features, epi) -> np.ndarray:
         """(B, 5) Z expectations of the five main qubits."""
-        _, _, _, final, weights, _, _ = self._run(*self._inputs(params, features, epi))
-        return (weights[:, :, None] * (probabilities(final) @ self._zsigns.T)).sum(1)
+        return self._run(*self._inputs(params, features, epi))[-1].copy()
 
     def grad(self, params, features, epi, upstream) -> np.ndarray:
         """Sum over the batch of upstream[b, k] * d<Z_k>_b / d theta.
 
         ``upstream`` is (B, m); returns (n_params,). Exact adjoint gradient.
-        Starts from the last forward if it ran at these parameter values on
-        these feature rows, and runs its own forward otherwise.
         """
-        params, x = self._inputs(params, features, epi)
-        forward = self._forward
-        if (forward is None or not np.array_equal(self._compiled_for, params)
-                or not np.array_equal(forward[0], x)):
-            forward = self._run(params, x)
-        _, f, _, final, weights, phases, (f_in, m_in, t_in) = forward
+        _, f, _, final, weights, phases, (f_in, m_in, t_in), _ = self._run(
+            *self._inputs(params, features, epi))
         film, main, tail = self._sections
         grad = np.zeros(self.n_params)
         obs = (np.asarray(upstream, float) @ self._zsigns)[:, None]  # sum_k upstream_k Z_k

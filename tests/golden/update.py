@@ -10,9 +10,10 @@ last bits. ``tests/test_golden.py`` compares a fresh run against the file.
 Run ``PYTHONPATH=src python tests/golden/update.py`` to rewrite the file,
 only when a change is meant to alter outputs, and say why in CHANGES.md.
 With ``--check`` it writes nothing: it prints each entry of the file that a
-fresh run does not reproduce exactly (a digest by its file name, a checkpoint
-value with its old and new values and their relative difference) and exits 1
-if there is one.
+fresh run does not reproduce (a digest by its file name, a checkpoint value
+beyond ``RTOL`` with its old and new values and their relative difference),
+counts on one line the checkpoint values that moved within ``RTOL``, and
+exits 1 if an entry is not reproduced. The test holds a run to the same rule.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from quakeroute.cli import run
 
 GOLDEN = Path(__file__).with_name("smoke.json")
 FIRST_VALUES = 3
+# a checkpoint value may move this far, relative: the BLAS thread count moves its last bits
+RTOL = 1e-9
 # env simulate runs past this scenario's budget of 32 steps
 SCENARIO = {"epicenter": [0.4, 0.6], "start": 14, "exits": [0, 35],
             "chosen_exit": 35, "rng_seed": 1, "max_steps": 32}
@@ -79,10 +82,12 @@ def pipeline(workdir: str | Path) -> dict:
             "checkpoint": checkpoint}
 
 
-def differences(old: dict, new: dict) -> list[str]:
-    """One line per entry of ``old`` that ``new`` does not reproduce exactly."""
+def differences(old: dict, new: dict) -> tuple[list[str], int]:
+    """One line per entry of ``old`` that ``new`` does not reproduce (a checkpoint
+    value to within ``RTOL``), and the number of checkpoint values that moved within it."""
     lines = [f"sha256 {name}" for name, digest in old["sha256"].items()
              if new["sha256"].get(name) != digest]
+    moved = 0
     for key, summary in old["checkpoint"].items():
         for field, value in summary.items():
             got = new["checkpoint"].get(key, {}).get(field)
@@ -92,8 +97,12 @@ def differences(old: dict, new: dict) -> list[str]:
             for name, a, b in entries:
                 if a != b:
                     rel = abs(b - a) / abs(a) if a and b is not None else math.inf
-                    lines.append(f"checkpoint {key}.{name}: {a!r} -> {b!r} (relative {rel:.3g})")
-    return lines
+                    if rel <= RTOL:
+                        moved += 1
+                    else:
+                        lines.append(f"checkpoint {key}.{name}: {a!r} -> {b!r} "
+                                     f"(relative {rel:.3g})")
+    return lines, moved
 
 
 def main(argv=None) -> int:
@@ -104,9 +113,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         doc = pipeline(workdir)
     if args.check:
-        lines = differences(json.loads(GOLDEN.read_text()), doc)
-        print("\n".join(lines) if lines else "golden outputs reproduced exactly")
-        return 1 if lines else 0
+        failures, moved = differences(json.loads(GOLDEN.read_text()), doc)
+        within = [f"{moved} checkpoint values moved within relative {RTOL:g}"] if moved else []
+        print("\n".join(failures + within) or "golden outputs reproduced exactly")
+        return 1 if failures else 0
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"golden outputs -> {GOLDEN}", file=sys.stderr)
     return 0

@@ -127,8 +127,8 @@ def test_05_gradient_parity():
     rng = np.random.default_rng(42)
     x = rng.uniform(0, 1, (6, 34))
     epi = rng.uniform(0, 1, (6, 2))
-    y = rng.integers(0, 5, 6)
-    loss, dlogits = nn.cross_entropy(net.forward(x, epi), y)
+    y, mask = rng.integers(0, 5, 6), np.ones((6, 5), bool)
+    loss, dlogits = nn.cross_entropy(net.forward(x, epi), y, mask)
     grads = net.backward(dlogits)
     worst_c = 0.0
     for name, p in net.params.items():
@@ -136,9 +136,9 @@ def test_05_gradient_parity():
         for k in rng.choice(flat.size, size=min(10, flat.size), replace=False):
             old = flat[k]
             flat[k] = old + h
-            lp, _ = nn.cross_entropy(net.forward(x, epi), y)
+            lp, _ = nn.cross_entropy(net.forward(x, epi), y, mask)
             flat[k] = old - h
-            lm, _ = nn.cross_entropy(net.forward(x, epi), y)
+            lm, _ = nn.cross_entropy(net.forward(x, epi), y, mask)
             flat[k] = old
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), 1e-8)

@@ -76,20 +76,15 @@ def test_grad_after_a_forward_equals_a_fresh_kernel(change):
 @pytest.mark.parametrize("classical_only", [False, True])
 def test_train_runs_the_kernel_once_per_step(monkeypatch, classical_only):
     """A step's forward serves its gradient and its rows' agreement, so a hybrid
-    epoch of S steps runs S + 1 kernel forwards (its steps and the validation
-    rows) and S gradients; a classical-only epoch runs neither."""
-    calls = {"expectations": 0, "grad": 0}
-
-    def counting(name):
-        method = getattr(qs.ModelKernel, name)
-
-        def counted(self, *args, **kwargs):
-            calls[name] += 1
-            return method(self, *args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(qs.ModelKernel, name, counting(name))
+    epoch of S steps simulates the circuit S + 1 times (its steps and the
+    validation rows), each simulation computing its three sections' phase
+    vectors once, and runs S gradients; a classical-only epoch runs neither."""
+    phases, grads = [], []
+    section_phases, kernel_grad = qs._Section.phases, qs.ModelKernel.grad
+    monkeypatch.setattr(qs._Section, "phases",
+                        lambda section, x: phases.append(len(x)) or section_phases(section, x))
+    monkeypatch.setattr(qs.ModelKernel, "grad",
+                        lambda *args: grads.append(1) or kernel_grad(*args))
     _, ds = _tiny_dataset()
     epochs, batch = 3, 8
     train_ds, val_ds = ds.split(hy.TrainConfig.val_fraction, seed=0)
@@ -97,8 +92,24 @@ def test_train_runs_the_kernel_once_per_step(monkeypatch, classical_only):
     assert steps >= 2 and len(val_ds) > 0
     hy.train(ds, hy.TrainConfig(epochs=epochs, batch_size=batch, seed=0,
                                 classical_only=classical_only))
-    assert calls == ({"expectations": 0, "grad": 0} if classical_only else
-                     {"expectations": (steps + 1) * epochs, "grad": steps * epochs})
+    hybrid_epochs = 0 if classical_only else epochs
+    assert (len(phases), len(grads)) == (3 * (steps + 1) * hybrid_epochs, steps * hybrid_epochs)
+
+
+def test_a_repeat_forward_simulates_nothing_and_returns_a_copy(monkeypatch):
+    """The kept forward serves a second ``expectations`` call at the same
+    parameter values and rows, bit for bit; what the caller does with one
+    result leaves the next unchanged."""
+    rng = np.random.default_rng(30)
+    feats, epi = rng.uniform(0, 1, (4, 34)), rng.uniform(0, 1, (4, 2))
+    kernel, params = qs.ModelKernel(), rng.uniform(-np.pi, np.pi, 228)
+    first = kernel.expectations(params, feats, epi)
+    want = first.copy()
+    first[:] = 7.0
+    runs, section_run = [], qs._Section.run
+    monkeypatch.setattr(qs._Section, "run", lambda *args: runs.append(1) or section_run(*args))
+    assert np.array_equal(kernel.expectations(params.copy(), feats.copy(), epi), want)
+    assert runs == []
 
 
 @pytest.mark.parametrize("classical_only", [False, True])

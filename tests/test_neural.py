@@ -42,8 +42,8 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (5, 34))
     epi = rng.uniform(0, 1, (5, 2))
-    y = rng.integers(0, 5, 5)
-    loss, dlogits = nn.cross_entropy(net.forward(x, epi), y)
+    y, mask = rng.integers(0, 5, 5), np.ones((5, 5), bool)
+    loss, dlogits = nn.cross_entropy(net.forward(x, epi), y, mask)
     grads = net.backward(dlogits)
     h = 1e-6
     for name, p in net.params.items():
@@ -51,9 +51,9 @@ def test_backward_matches_finite_differences():
         for k in rng.choice(flat.size, size=min(4, flat.size), replace=False):
             old = flat[k]
             flat[k] = old + h
-            lp, _ = nn.cross_entropy(net.forward(x, epi), y)
+            lp, _ = nn.cross_entropy(net.forward(x, epi), y, mask)
             flat[k] = old - h
-            lm, _ = nn.cross_entropy(net.forward(x, epi), y)
+            lm, _ = nn.cross_entropy(net.forward(x, epi), y, mask)
             flat[k] = old
             fd = (lp - lm) / (2 * h)
             got = grads[name].ravel()[k]
@@ -103,13 +103,14 @@ def test_dropout_off_deterministic_on_unbiased():
 
 
 def test_cross_entropy_values():
-    loss, _ = nn.cross_entropy(np.zeros((1, 5)), [0])
+    every = np.ones((1, 5), bool)
+    loss, _ = nn.cross_entropy(np.zeros((1, 5)), [0], every)
     assert loss == pytest.approx(math.log(5))
     mask = np.array([[True, True, True, False, False]])
     loss3, _ = nn.cross_entropy(np.zeros((1, 5)), [1], mask)
     assert loss3 == pytest.approx(math.log(3))
     peaked = np.array([[50.0, 0, 0, 0, 0]])
-    loss0, _ = nn.cross_entropy(peaked, [0])
+    loss0, _ = nn.cross_entropy(peaked, [0], every)
     assert loss0 < 1e-8
     with pytest.raises(ValueError):
         nn.cross_entropy(np.zeros((1, 5)), [0], np.zeros((1, 5), bool))

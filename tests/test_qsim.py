@@ -667,13 +667,32 @@ def test_export_qasm_census_and_structure():
 
 def test_export_qasm_unbound_features_rejected():
     circ = qs.build_model_circuit()
-    with pytest.raises(qs.BindingError):
+    with pytest.raises(qs.CircuitError):
         qs.export_qasm3(circ, np.zeros(228))
-    with pytest.raises(qs.BindingError):
+    with pytest.raises(qs.CircuitError):
         qs.export_qasm3(circ, np.zeros(10), np.zeros(36))
     nan_feature = np.zeros(36)
     nan_feature[5] = np.nan
-    with pytest.raises(qs.BindingError, match="finite"):
+    with pytest.raises(qs.CircuitError, match="finite"):
         qs.export_qasm3(circ, np.zeros(228), nan_feature)
-    with pytest.raises(qs.BindingError, match="finite"):
+    with pytest.raises(qs.CircuitError, match="finite"):
         qs.export_qasm3(circ, np.full(228, np.inf), np.zeros(36))
+
+
+def test_export_qasm_binds_a_single_row():
+    circ = qs.build_model_circuit()
+    for params, feats in ((np.zeros((2, 228)), np.zeros(36)), (np.zeros(228), np.zeros((2, 36)))):
+        with pytest.raises(qs.CircuitError, match="single"):
+            qs.export_qasm3(circ, params, feats)
+
+
+@pytest.mark.parametrize("engine", [qs.run, qs.prob_grad, qs.param_shift_grad])
+def test_unbound_features_are_rejected_before_any_gate(monkeypatch, engine):
+    """A circuit whose encodings have no features fails its input check: the
+    trainable rotation ahead of the encoding never runs."""
+    circ = qs.Circuit(1, (qs.Rot("x", 0), qs.Rot("z", 0, 0)), 1, measured=(0,))
+    gates = []
+    monkeypatch.setattr(qs, "_apply_rot", lambda *args: gates.append(args))
+    with pytest.raises(qs.CircuitError, match="expected 1 features, got none"):
+        engine(circ, [0.3])
+    assert gates == []
