@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Diagnostics on the three-qubit mini circuit: Fourier spectrum and Fisher
-information.
+information. The Fourier tables read only qubit 0, which no gate on the main
+qubit reaches, so they simulate the two-qubit epicenter section alone; the
+Fisher study runs all three qubits.
 
 Each coordinate reupload adds one harmonic to the circuit output, so K
 reuploads give a degree-K spectrum. The Fisher information of the basis-state

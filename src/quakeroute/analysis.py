@@ -5,11 +5,13 @@ sublayers, K coordinate reuploads) and replaces the main section by a single
 qubit with four Y-rotation parameters around two encoded features. Two
 studies run on it: the Fourier spectrum of its output as a function of the
 epicenter coordinates, and the Fisher information of its basis-state
-distribution.
+distribution. The Fourier study reads only qubit 0, which no gate on the main
+qubit reaches, so it simulates the epicenter section alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -67,26 +69,31 @@ class FourierSamples:
 def sample_fourier(config: MiniConfig, n_theta: int, rng: np.random.Generator) -> FourierSamples:
     """Fourier coefficients of f(x, y) = <Z_0> over random parameter draws.
 
-    f is qubit 0's expectation as a function of the epicenter coordinates,
-    with both main features held at 0. K reuploads make f a trigonometric
-    polynomial of integer frequencies up to K per axis (Schuld, Sweke & Meyer
-    2021), so its values on the 2K+1-point equidistant grid over [0, 2pi)^2
-    give the coefficient table exactly, with no aliasing.
+    f is qubit 0's expectation as a function of the epicenter coordinates.
+    K reuploads make f a trigonometric polynomial of integer frequencies up to
+    K per axis (Schuld, Sweke & Meyer 2021), so its values on the 2K+1-point
+    equidistant grid over [0, 2pi)^2 give the coefficient table exactly, with
+    no aliasing. Every gate after the epicenter section (the leading gates on
+    qubits 0 and 1) acts on qubit 2 alone or is a CNOT controlled by qubit 0
+    or 1, so it commutes with Z_0: that section alone is simulated.
     """
     if n_theta < 1:
         raise ValueError("need at least one parameter draw")
-    circuit = build_mini_circuit(config)
+    full = build_mini_circuit(config)
+    section = Circuit(2, tuple(takewhile(
+        lambda g: (g.qubit if isinstance(g, Rot) else max(g.control, g.target)) < 2, full.gates)),
+        n_features=2, measured=(0,))
     d, m = config.reuploads, 2 * config.reuploads + 1
     xs = 2 * np.pi * np.arange(m) / m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    grid = np.zeros((m * m, 4))
-    grid[:, 0], grid[:, 1] = gx.ravel(), gy.ravel()
+    grid = np.stack([gx.ravel(), gy.ravel()], 1)
     omegas = np.arange(-d, d + 1)
     # c_w = (1/m^2) sum_jk f[j,k] exp(+i(wx x_j + wy y_k))
     dft = np.exp(1j * np.outer(omegas, xs)) / m
-    thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, circuit.n_params))
-    step = max(1, RUN_AMPLITUDES // (len(grid) << circuit.n_qubits))
-    f = np.concatenate([qsim.expectation_z(qsim.run(circuit, thetas[i:i + step, None], grid), 0)
+    # the whole circuit's draws, so a table is the same function of the generator
+    thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, full.n_params))[:, :section.n_params]
+    step = max(1, RUN_AMPLITUDES // (len(grid) << section.n_qubits))
+    f = np.concatenate([qsim.expectation_z(qsim.run(section, thetas[i:i + step, None], grid), 0)
                         for i in range(0, n_theta, step)])
     coeffs = dft @ f.reshape(n_theta, m, m) @ dft.T
     return FourierSamples(coeffs=coeffs, omegas=omegas)

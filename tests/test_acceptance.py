@@ -165,8 +165,9 @@ def test_06_fourier_truncation_and_symmetry():
         thetas = rng.uniform(0, 2 * np.pi, (n_theta, circuit.n_params))
         beyond = np.abs(wide) > k
         mid = 2 * k  # index of omega = 0 in the wide table
-        for theta in thetas:
-            f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
+        # one batched run: (draws, grid points) expectations
+        fs = qs.expectation_z(qs.run(circuit, thetas[:, None], grid), 0)
+        for f in fs:
             table = dft @ f.reshape(m, m) @ dft.T
             assert np.abs(table[beyond, :]).max() < 1e-10
             assert np.abs(table[:, beyond]).max() < 1e-10

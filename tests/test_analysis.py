@@ -34,12 +34,13 @@ def test_fourier_one_frequency_hand_circuit():
     assert abs(coeffs[2] - (-0.5)) < 1e-10   # omega = +1
 
 
-def _grid_table(circuit, theta, m, omegas):
+def _grid_table(circuit, theta, m, omegas, main=None):
     """The coefficients at ``omegas`` of the DFT of <Z_0> on an m-point grid per axis,
-    with the main features at 0."""
+    with the main features at ``main`` per grid point, or 0."""
     xs = 2 * np.pi * np.arange(m) / m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel(), np.zeros(m * m), np.zeros(m * m)], 1)
+    main = np.zeros((m * m, 2)) if main is None else main
+    grid = np.column_stack([gx.ravel(), gy.ravel(), main])
     f = np.asarray(qs.expectation_z(qs.run(circuit, theta, grid), 0))
     dft = np.exp(1j * np.outer(omegas, xs)) / m
     return dft @ f.reshape(m, m) @ dft.T
@@ -69,15 +70,20 @@ def test_fourier_truncation_and_symmetry(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fourier_table_matches_a_4k_plus_1_point_grid(k):
-    """The 2K+1-point table is exact: the same draws on a 4K+1-point grid give
-    the same coefficients for |omega| <= K."""
-    cfg = an.MiniConfig(sublayers=1, reuploads=k)
-    samples = an.sample_fourier(cfg, 10, np.random.default_rng(7))
-    circuit = an.build_mini_circuit(cfg)
-    thetas = np.random.default_rng(7).uniform(0.0, 2 * np.pi, (10, circuit.n_params))
-    for theta, table in zip(thetas, samples.coeffs):
-        oversampled = _grid_table(circuit, theta, 4 * k + 1, samples.omegas)
-        assert np.abs(oversampled - table).max() < 1e-12
+    """The 2K+1-point table is exact: the same draws through the whole
+    three-qubit circuit on a 4K+1-point grid give the same coefficients for
+    |omega| <= K. With random non-zero main features at every grid point they
+    still do: no gate after the epicenter section reaches <Z_0>."""
+    m, rng = 4 * k + 1, np.random.default_rng(11)
+    for n in (1, 2):
+        cfg = an.MiniConfig(sublayers=n, reuploads=k)
+        samples = an.sample_fourier(cfg, 10, np.random.default_rng(7))
+        circuit = an.build_mini_circuit(cfg)
+        thetas = np.random.default_rng(7).uniform(0.0, 2 * np.pi, (10, circuit.n_params))
+        for theta, table in zip(thetas, samples.coeffs):
+            for main in (None, rng.uniform(0.5, 2 * np.pi - 0.5, (m * m, 2))):
+                oversampled = _grid_table(circuit, theta, m, samples.omegas, main)
+                assert np.abs(oversampled - table).max() < 1e-12
 
 
 def test_violin_csv(tmp_path):
@@ -184,10 +190,10 @@ def test_fisher_sweep_is_one_prob_grad_per_chunk(monkeypatch):
 
 
 def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
-    config = an.MiniConfig(sublayers=1, reuploads=2)  # 25 grid points: 200 amplitudes a draw
+    config = an.MiniConfig(sublayers=1, reuploads=2)  # 25 grid points * 4: 100 amplitudes a draw
     whole = an.sample_fourier(config, 7, np.random.default_rng(3))
     runs = _count_calls(monkeypatch)
-    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 200)
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 100)
     chunked = an.sample_fourier(config, 7, np.random.default_rng(3))
     assert len(runs) == 3  # 3, 3 and 1 draws
     assert chunked.coeffs.tobytes() == whole.coeffs.tobytes()
