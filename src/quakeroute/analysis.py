@@ -5,8 +5,11 @@ sublayers, K coordinate reuploads) and replaces the main section by a single
 qubit with four Y-rotation parameters around two encoded features. Two
 studies run on it: the Fourier spectrum of its output as a function of the
 epicenter coordinates, and the Fisher information of its basis-state
-distribution. The Fourier study reads only qubit 0, which no gate on the main
-qubit reaches, so it simulates the epicenter section alone.
+distribution. Neither simulates all three qubits. The Fourier study reads only
+qubit 0, which no gate on the main qubit reaches, so it simulates the
+epicenter section alone. The Fisher study splits the circuit at the bridge,
+where the distribution factorizes: the epicenter section on its two qubits,
+and the main qubit on its own at either parity of the section's outcome.
 """
 from __future__ import annotations
 
@@ -54,6 +57,20 @@ def build_mini_circuit(config: MiniConfig) -> Circuit:
     return Circuit(n_qubits=3, gates=tuple(gates), n_features=4, measured=(0, 1, 2))
 
 
+def _sections(config: MiniConfig) -> tuple[Circuit, Circuit]:
+    """The mini circuit split at its bridge: the epicenter section, its leading
+    gates on qubits 0 and 1, as a two-qubit circuit of features (x, y); and the
+    rotations after it, all on qubit 2, as a one-qubit circuit of all four
+    features, without the bridge CNOTs between its last two rotations."""
+    gates = build_mini_circuit(config).gates
+    film = tuple(takewhile(
+        lambda g: (g.qubit if isinstance(g, Rot) else max(g.control, g.target)) < 2, gates))
+    main = tuple(Rot(g.axis, 0, g.feature, g.scale) for g in gates[len(film):]
+                 if isinstance(g, Rot))
+    return (Circuit(2, film, n_features=2, measured=(0, 1)),
+            Circuit(1, main, n_features=4, measured=(0,)))
+
+
 # ---------------------------------------------------------------------------
 # Fourier expressivity
 
@@ -79,10 +96,7 @@ def sample_fourier(config: MiniConfig, n_theta: int, rng: np.random.Generator) -
     """
     if n_theta < 1:
         raise ValueError("need at least one parameter draw")
-    full = build_mini_circuit(config)
-    section = Circuit(2, tuple(takewhile(
-        lambda g: (g.qubit if isinstance(g, Rot) else max(g.control, g.target)) < 2, full.gates)),
-        n_features=2, measured=(0,))
+    section, main = _sections(config)
     d, m = config.reuploads, 2 * config.reuploads + 1
     xs = 2 * np.pi * np.arange(m) / m
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -91,7 +105,8 @@ def sample_fourier(config: MiniConfig, n_theta: int, rng: np.random.Generator) -
     # c_w = (1/m^2) sum_jk f[j,k] exp(+i(wx x_j + wy y_k))
     dft = np.exp(1j * np.outer(omegas, xs)) / m
     # the whole circuit's draws, so a table is the same function of the generator
-    thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, full.n_params))[:, :section.n_params]
+    thetas = rng.uniform(0.0, 2 * np.pi, (n_theta, section.n_params + main.n_params))
+    thetas = thetas[:, :section.n_params]
     step = max(1, RUN_AMPLITUDES // (len(grid) << section.n_qubits))
     f = np.concatenate([qsim.expectation_z(qsim.run(section, thetas[i:i + step, None], grid), 0)
                         for i in range(0, n_theta, step)])
@@ -125,34 +140,65 @@ class FisherResult:
         return self.matrix.shape[0]
 
 
+# per outcome (a, b, c), qubit 0 leading: the main qubit's row at parity s = a xor b
+# and its outcome c xor s, as one index 2 s + (c xor s)
+_BRIDGE = [0, 1, 3, 2, 3, 2, 0, 1]
+
+
+def _prob_grad(film: Circuit, main: Circuit, thetas, xs):
+    """What ``qsim.prob_grad(build_mini_circuit(config), thetas[:, None], xs)``
+    returns, from the two sections ``_sections(config)``: parameters (R, P) and
+    features (R, n_x, 4) give the eight basis probabilities (R, n_x, 8) and
+    their Jacobian (P, R, n_x, 8).
+
+    The distribution factorizes at the bridge: its CNOTs flip the main qubit
+    when the film parity a xor b is 1, and no other gate joins the sections,
+    so p(a, b, c) = P(a, b) q_{a xor b}(c), with P the epicenter section's
+    distribution and q_s the main qubit's after s flips. As X RY(t) X = RY(-t),
+    q_1(c) is q(1 - c) of the main qubit with its final angle negated.
+    """
+    film_p, film_dp = qsim.prob_grad(film, thetas[:, None, :film.n_params], xs[..., :2])
+    # the main qubit's rows (realization, feature row, parity s)
+    main_theta = np.repeat(thetas[:, None, None, film.n_params:], 2, axis=2)
+    main_theta[..., 1, -1] *= -1
+    main_p, main_dp = qsim.prob_grad(main, main_theta, xs[:, :, None])
+    main_dp[-1, ..., 1, :] *= -1  # at parity 1 the final rotation turns by minus its angle
+    q = main_p.reshape(xs.shape[:2] + (4,))[..., _BRIDGE]
+    dq = main_dp.reshape(main_dp.shape[:3] + (4,))[..., _BRIDGE]
+    film_p, film_dp = (np.repeat(a, 2, -1) for a in (film_p, film_dp))  # P(a, b) per (a, b, c)
+    return film_p * q, np.concatenate([film_dp * q, film_p * dq])
+
+
 def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Generator,
                   include_main: bool = False) -> FisherResult:
     """Fisher information of the basis-state distribution P(y | x, theta).
 
     Gaussian feature draws enter as raw angles; the expectation over targets
     sums all eight basis states exactly; scores use adjoint probability
-    gradients. Averaged over uniform parameter realizations; a chunk of
-    realizations is one ``prob_grad`` (probabilities and Jacobian), whose basis
-    costates hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization
+    gradients. Averaged over uniform parameter realizations. The distribution
+    factorizes at the bridge, so a chunk of realizations is one ``prob_grad``
+    of the two-qubit epicenter section and one of the one-qubit main section
+    (``_prob_grad``); the epicenter section's basis costates, the largest
+    array, hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization
     if it alone is larger). By default the matrix covers the epicenter-section
     parameters only (include_main adds the four main-qubit parameters).
     """
     if n_x < 1 or n_theta < 1:
         raise ValueError("sample counts must be at least 1")
-    circuit = build_mini_circuit(config)
-    n_params = circuit.n_params if include_main else config.n_film_params
-    draws = [(rng.uniform(0.0, 2 * np.pi, circuit.n_params), rng.normal(0.0, 1.0, (n_x, 4)))
+    sections = _sections(config)
+    n_all = sum(c.n_params for c in sections)
+    n_params = n_all if include_main else config.n_film_params
+    draws = [(rng.uniform(0.0, 2 * np.pi, n_all), rng.normal(0.0, 1.0, (n_x, 4)))
              for _ in range(n_theta)]  # theta, then x, realization by realization
     thetas, xs = (np.stack(d) for d in zip(*draws))
-    # prob_grad's costates are the larger array: 2**n basis rows per feature row
-    step = max(1, RUN_AMPLITUDES // (n_x << 2 * circuit.n_qubits))
+    # the film sweep's costates are the largest array: 4 x 4 amplitudes per feature row
+    step = max(1, RUN_AMPLITUDES // (n_x << 4))
     per_real: list[np.ndarray] = []
     clamped = 0
     for i in range(0, n_theta, step):
-        theta, x = thetas[i:i + step, None], xs[i:i + step]
-        chunk_probs, chunk_dprobs = qsim.prob_grad(circuit, theta, x)
+        chunk_probs, chunk_dprobs = _prob_grad(*sections, thetas[i:i + step], xs[i:i + step])
         # (realizations, parameters, n_x, 8), C-ordered: each realization's block has
-        # the layout of its own prob_grad call, which einsum's sums follow
+        # one layout whatever the chunk, which einsum's sums follow
         chunk_dprobs = np.moveaxis(chunk_dprobs[:n_params], 1, 0).copy()
         for probs, dprobs in zip(chunk_probs, chunk_dprobs):
             clamped += int((probs < 1e-12).sum())

@@ -214,15 +214,16 @@ class DynamicState:
         self.weights = np.array(base_weights, float).reshape(shape)
         self.t = 0
         centers = edge_centers(graph)
-        self._d_epi = np.array([np.linalg.norm(centers - np.asarray(sc.epicenter), axis=1)
-                                for sc in scenarios]).reshape(shape)
+        epicenters = np.array([sc.epicenter for sc in scenarios], float)
+        self._d_epi = np.linalg.norm(centers - epicenters.reshape(-1, 1, 2), axis=-1)
         # one (S, E) slice per exit position; a row with fewer exits pads with
         # inf, which lies outside every circle
         n_slots = max((len(sc.exits) for sc in scenarios), default=0)
         self._d_exit = np.full((n_slots, *shape), np.inf)
-        for k, sc in enumerate(scenarios):
-            for slot, e in enumerate(sc.exits):
-                self._d_exit[slot, k] = np.linalg.norm(centers - graph.xy[e], axis=1)
+        for slot in range(n_slots):
+            rows = [k for k, sc in enumerate(scenarios) if len(sc.exits) > slot]
+            exits = graph.xy[[scenarios[k].exits[slot] for k in rows]]
+            self._d_exit[slot, rows] = np.linalg.norm(centers - exits[:, None], axis=-1)
         # the one-off static hit is uncapped
         _grow(self.weights, self._d_epi, damage_radius(0), QUAKE_BANDS,
               np.append(INITIAL_FACTORS, 1.0), np.full(len(_CAPS), np.inf))
@@ -387,19 +388,28 @@ def pick_exits(graph: CityGraph) -> tuple[int, ...]:
     return tuple(exits)
 
 
-def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
-    """Random epicenter, start and chosen exit among the ``pick_exits`` nodes;
-    the step budget is 2x node count."""
+def _scenario_nodes(graph: CityGraph) -> tuple[tuple[int, ...], list[int]]:
+    """The ``pick_exits`` nodes and the start candidates: every other node."""
     exits = pick_exits(graph)
-    epicenter = (float(rng.uniform()), float(rng.uniform()))
     candidates = [i for i in range(graph.n_nodes) if i not in exits]
     if not candidates:
         raise GraphError(f"no scenario start: every node of the graph is an exit {list(exits)}")
+    return exits, candidates
+
+
+def _draw_scenario(graph: CityGraph, exits, candidates, rng: np.random.Generator) -> Scenario:
+    epicenter = (float(rng.uniform()), float(rng.uniform()))
     start = int(rng.choice(candidates))
     chosen = int(rng.choice(list(exits)))
     seed = int(rng.integers(0, 2**32))
-    return Scenario(epicenter=epicenter, start=start, exits=tuple(exits),
+    return Scenario(epicenter=epicenter, start=start, exits=exits,
                     chosen_exit=chosen, rng_seed=seed, max_steps=2 * graph.n_nodes)
+
+
+def random_scenario(graph: CityGraph, rng: np.random.Generator) -> Scenario:
+    """Random epicenter, start and chosen exit among the ``pick_exits`` nodes;
+    the step budget is 2x node count."""
+    return _draw_scenario(graph, *_scenario_nodes(graph), rng)
 
 
 def random_scenarios(graph: CityGraph, n: int, seed: int) -> list[Scenario]:
@@ -407,7 +417,8 @@ def random_scenarios(graph: CityGraph, n: int, seed: int) -> list[Scenario]:
     ``SeedSequence([seed, i])``, so it does not depend on ``n``."""
     if n < 1:
         raise ValueError("n_scenarios must be at least 1")
-    return [random_scenario(graph, np.random.default_rng(np.random.SeedSequence([seed, i])))
+    nodes = _scenario_nodes(graph)  # the same for every scenario of the graph
+    return [_draw_scenario(graph, *nodes, np.random.default_rng(np.random.SeedSequence([seed, i])))
             for i in range(n)]
 
 

@@ -143,21 +143,58 @@ def test_fisher_inert_parameter_row_is_zero():
     assert f[0, 0] > 1e-3 and f[2, 2] > 1e-3
 
 
-@pytest.mark.parametrize("config", [(n, k, False) for n in (1, 2) for k in (1, 2, 3)]
-                         + [(1, 3, True)])
+def test_the_sections_give_the_whole_circuits_distribution():
+    """The bridge split reproduces the three-qubit probabilities and Jacobian
+    outcome by outcome; the Fisher matrix and its clamp count sum over the main
+    qubit's outcome at each film parity, so they cannot see that order."""
+    for n, k in ((1, 1), (2, 3)):
+        cfg, rng = an.MiniConfig(n, k), np.random.default_rng(n + k)
+        circ = an.build_mini_circuit(cfg)
+        thetas, xs = rng.uniform(0, 2 * np.pi, (3, circ.n_params)), rng.normal(0, 1, (3, 5, 4))
+        probs, dprobs = an._prob_grad(*an._sections(cfg), thetas, xs)
+        want, dwant = qs.prob_grad(circ, thetas[:, None], xs)
+        assert probs.shape == want.shape and dprobs.shape == dwant.shape
+        assert np.abs(probs - want).max() < 1e-14 and np.abs(dprobs - dwant).max() < 1e-14
+
+
+class _ZeroEveryOtherTheta:
+    """Draws like its generator, but every other parameter vector is all zeros,
+    which leaves the circuit in |000>: seven of the eight basis states have
+    probability 0 and hit the floor."""
+
+    def __init__(self, seed):
+        self.rng, self.thetas = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high, size):
+        self.thetas += 1
+        return self.rng.uniform(low, high, size) * (self.thetas % 2)
+
+    def normal(self, loc, scale, size):
+        return self.rng.normal(loc, scale, size)
+
+
+@pytest.mark.parametrize("config", [(n, k, False, False) for n in (1, 2) for k in (1, 2, 3)]
+                         + [(1, 3, True, False), (1, 2, False, True), (2, 3, True, True)])
 def test_fisher_matrix_matches_parameter_shift_scores(config):
     """The benchmark's seven Fisher sweeps, film-only and full, against scores
-    from the two-term shift rule on the same draws."""
-    n, k, include_main = config
-    res = an.fisher_matrix(an.MiniConfig(n, k), n_x=5, n_theta=4,
-                           rng=np.random.default_rng(n + k), include_main=include_main)
-    circ, rng = an.build_mini_circuit(an.MiniConfig(n, k)), np.random.default_rng(n + k)
+    from the two-term shift rule on the same draws of the whole three-qubit
+    circuit. The last two draw every other parameter vector as zeros, so the
+    probability floor and its clamp count meet the reference too."""
+    n, k, include_main, zeros = config
+    def draws():
+        return _ZeroEveryOtherTheta(n + k) if zeros else np.random.default_rng(n + k)
+    res = an.fisher_matrix(an.MiniConfig(n, k), n_x=5, n_theta=4, rng=draws(),
+                           include_main=include_main)
+    circ, rng, clamped = an.build_mini_circuit(an.MiniConfig(n, k)), draws(), 0
     for got in res.per_realization:
         theta, x = rng.uniform(0, 2 * np.pi, circ.n_params), rng.normal(0, 1, (5, 4))
-        probs = np.maximum(qs.probabilities(qs.run(circ, theta, x)), 1e-12)
+        probs = qs.probabilities(qs.run(circ, theta, x))
+        clamped += int((probs < 1e-12).sum())
         dp = shift_prob_grad(circ, theta, x)[:res.n_params]
-        want = np.einsum("ixy,jxy->ij", dp / probs, dp) / len(x)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        want = np.einsum("ixy,jxy->ij", dp / np.maximum(probs, 1e-12), dp) / len(x)
+        # a zero realization's matrix is zero on both sides
+        assert np.array_equal(got, want) or np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    assert res.clamped == clamped and (clamped > 0) == zeros
 
 
 def test_fisher_matrix_is_the_bitwise_mean_of_its_realizations():
@@ -177,16 +214,19 @@ def _count_calls(monkeypatch, name: str = "run") -> list:
 
 
 def test_fisher_sweep_is_one_prob_grad_per_chunk(monkeypatch):
-    """One ``prob_grad`` per chunk, which returns the probabilities too: no ``run``."""
+    """Per chunk one ``prob_grad`` of the two-qubit epicenter section and one of
+    the one-qubit main section, which return the probabilities too: no ``run``,
+    and nothing simulates all three qubits."""
     runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
-    config = an.MiniConfig(sublayers=2, reuploads=3)  # costates: 5 rows * 8 * 8 amplitudes
+    config = an.MiniConfig(sublayers=2, reuploads=3)  # film costates: 5 rows * 4 * 4 amplitudes
     res = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4),
                            include_main=True)
-    assert res.matrix.shape == (20, 20) and len(grads) == 1 and not runs
+    assert res.matrix.shape == (20, 20) and not runs
+    assert [args[0].n_qubits for args in grads] == [2, 1]
     grads.clear()
-    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 320)
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 80)
     an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
-    assert len(grads) == 2 and not runs
+    assert [args[0].n_qubits for args in grads] == [2, 1, 2, 1] and not runs
 
 
 def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -199,30 +239,14 @@ def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
     assert chunked.coeffs.tobytes() == whole.coeffs.tobytes()
 
 
-class _ZeroEveryOtherTheta:
-    """Draws like its generator, but every other parameter vector is all zeros,
-    which leaves the film qubits in |00>: six of the eight basis states have
-    probability 0 and hit the floor."""
-
-    def __init__(self, seed):
-        self.rng, self.thetas = np.random.default_rng(seed), 0
-
-    def uniform(self, low, high, size):
-        self.thetas += 1
-        return self.rng.uniform(low, high, size) * (self.thetas % 2)
-
-    def normal(self, loc, scale, size):
-        return self.rng.normal(loc, scale, size)
-
-
 @pytest.mark.parametrize("include_main", [False, True])
 def test_fisher_sweep_does_not_depend_on_the_chunk_size(monkeypatch, include_main):
-    config = an.MiniConfig(sublayers=1, reuploads=2)  # costates: 5 rows * 8 * 8 amplitudes
+    config = an.MiniConfig(sublayers=1, reuploads=2)  # film costates: 5 rows * 4 * 4 amplitudes
     whole = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
     runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
-    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 320)
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 80)
     chunked = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
-    assert len(grads) == 3 and not runs  # 3, 3 and 1 realizations
+    assert [len(args[1]) for args in grads] == [3, 3, 3, 3, 1, 1] and not runs  # realizations
     assert whole.clamped > 0 and chunked.clamped == whole.clamped
     assert chunked.matrix.tobytes() == whole.matrix.tobytes()
     assert len(chunked.per_realization) == len(whole.per_realization) == 7
@@ -261,9 +285,13 @@ def test_block_ratio():
 
 
 def test_block_ratio_on_mini_circuit():
-    cfg = an.MiniConfig(sublayers=1, reuploads=2)
-    res = an.fisher_matrix(cfg, n_x=8, n_theta=4,
-                           rng=np.random.default_rng(9), include_main=True)
-    assert res.matrix.shape == (an.build_mini_circuit(cfg).n_params,) * 2
-    ratio = an.block_ratio(res.matrix, cfg.n_film_params)
-    assert ratio >= 0.0
+    """The two sections are exactly decoupled. The bridge makes the distribution
+    p(a, b, c) = P(a, b) q_{a xor b}(c), so a film parameter's score is
+    dP / P and a main one's dq / q, and the cross block sums
+    sum_ab dP(a, b) sum_c dq_{a xor b}(c) = 0, as each q sums to 1."""
+    for n, k in ((1, 2), (2, 3)):
+        cfg = an.MiniConfig(sublayers=n, reuploads=k)
+        res = an.fisher_matrix(cfg, n_x=8, n_theta=4,
+                               rng=np.random.default_rng(9), include_main=True)
+        assert res.matrix.shape == (an.build_mini_circuit(cfg).n_params,) * 2
+        assert an.block_ratio(res.matrix, cfg.n_film_params) < 1e-12
