@@ -3,8 +3,8 @@
 Both branches see the same sample (epicenter conditioning plus 34 main
 features); their five-value outputs are concatenated and reduced to five
 logits by a trainable dense head. Classical gradients come from backprop,
-quantum gradients from the kernel's adjoint sweep, and rollouts follow the
-mask-respecting argmax of the logits. The checkpoint layout stays beside
+quantum gradients from the kernel's adjoint sweep; rollouts and ``agreement``
+take one move rule, ``masked_choice``. The checkpoint layout stays beside
 ``HybridModel.load``, which reads it through ``files.read_json``.
 """
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .oracle import Path
 log = logging.getLogger(__name__)
 
 N_OUT = feat.N_BLOCKS  # each branch's width, and the head's: one logit per block
-MASKED_LOGIT = -1e30
 CLASSICAL_LR = 1e-3  # scaled by neural.lr_schedule each epoch
 QUANTUM_LR = 1e-3
 
@@ -209,10 +208,18 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     return model, history
 
 
+def masked_choice(logits, mask) -> np.ndarray:
+    """Each row's first real block (boolean ``mask`` True) of largest logit, a real
+    -inf counting as the lowest float and a masked block as -inf (a NaN wins, as in
+    ``argmax``); -1, the stop of ``oracle.lockstep``, for a row with no real block."""
+    pick = np.where(mask, np.maximum(logits, np.finfo(float).min), -np.inf).argmax(axis=1)
+    return np.where(mask.any(axis=1), pick, -1)
+
+
 def agreement(logits, y, mask) -> float:
-    """Fraction of samples whose masked argmax of the logits matches the oracle label."""
-    logits = np.where(mask, logits, MASKED_LOGIT)
-    return float((logits.argmax(axis=1) == y).mean())
+    """Fraction of samples whose ``masked_choice`` matches the oracle label; a row
+    with no real block chooses -1, a miss."""
+    return float((masked_choice(logits, mask) == y).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +228,19 @@ def agreement(logits, y, mask) -> float:
 
 def rollout(model: HybridModel, graph: CityGraph, scenarios: list[Scenario],
             sigma_frac: float = SIGMA_FRAC) -> list[Path]:
-    """Drive the model through the scenarios in lockstep, by masked argmax.
+    """Drive the model through the scenarios in lockstep, by ``masked_choice``.
 
-    Each world step scores every unfinished scenario in one batched forward,
-    whose logits may differ from a batch-1 forward's in the last bits (BLAS
-    in the classical net and the readout); so each path is the one its
+    A row at a node without arcs stops there, as the oracle's stops where its
+    exit is unreachable. Each world step scores every unfinished scenario in one
+    batched forward, whose logits may differ from a batch-1 forward's in the last
+    bits (BLAS in the classical net and the readout); so each path is the one its
     scenario takes alone unless two unmasked logits tie within rounding.
     """
-    def argmax_next(world, rows, here):
+    def model_next(world, rows, here):
         x = feat.build_feature_vector(world, here)
-        logits = np.where(feat.block_mask(x), model.forward(x), MASKED_LOGIT)
-        return logits.argmax(axis=1).tolist()
+        return masked_choice(model.forward(x), feat.block_mask(x)).tolist()
 
-    return oracle.lockstep(graph, scenarios, sigma_frac, argmax_next)
+    return oracle.lockstep(graph, scenarios, sigma_frac, model_next)
 
 
 @dataclass

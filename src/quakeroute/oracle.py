@@ -162,7 +162,8 @@ def lockstep(graph: CityGraph, scenarios, sigma_frac: float, policy) -> list[Pat
     Consecutive worlds of at most ``WORLD_ROWS`` scenarios bound the memory.
     Each world step advances every unfinished row, then moves row k out of
     ``here[k]`` by slot ``policy(world, rows, here)[k]``, where ``rows[k]`` is
-    its index in ``scenarios``; -1 stops the row where it is. Rows never
+    its index in ``scenarios``. A slot is a real arc of ``here[k]``, or -1, which
+    stops the row where it is. Rows never
     interact, so each path is the one its scenario takes alone wherever the
     policy picks a row's slot as it would alone: ``oracle_next`` does, bit for
     bit, while a batched model forward may round otherwise (``hybrid.rollout``).

@@ -550,6 +550,40 @@ def test_export_qasm_takes_only_a_features_document(tmp_path, capsys):
     assert not qasm.exists()
 
 
+@pytest.mark.parametrize("case", ["head bias of -1e308", "isolated node"])
+def test_eval_moves_only_to_real_blocks_and_stops_where_there_is_none(tmp_path, capsys, case):
+    """A checkpoint whose five head biases are -1e308 loads (they are finite) and
+    puts every logit at -1e308, below any finite mask sentinel: each move then
+    ties and takes the first real block, as a zeroed head does. A node without
+    roads is a start like any other, and a rollout from it stops there:
+    unreached, no step, as the oracle's. Neither reaches the phantom edge."""
+    graph = dg.synth_city(4, 4, seed=3)
+    gpath, ckpt, report = tmp_path / "g.json", tmp_path / "m.json", tmp_path / "r.json"
+    model = hy.HybridModel(seed=0)
+    if case == "isolated node":
+        graph = dg.CityGraph(xy=np.vstack([graph.xy, [0.5, 0.5]]), edges=graph.edges,
+                             length_m=graph.length_m, speed_kmh=graph.speed_kmh)
+        n, seed = 20, 0
+    else:
+        model.head_b[:] = -1e308
+        n, seed = 10, 1
+    dg.save_graph(graph, gpath)
+    model.save(ckpt)
+    argv = ["eval", "--ckpt", str(ckpt), "--graph", str(gpath), "--scenarios", str(n),
+            "--seed", str(seed), "--out", str(report)]
+    assert run(argv) == 0, capsys.readouterr().err
+    records = json.loads(report.read_text())["records"]
+    if case == "isolated node":
+        stuck = [r for r in records if r["start"] == graph.n_nodes - 1]
+        assert stuck and all(not r["model_reached"] and r["model_steps"] == 0
+                             and not r["dij_reached"] and r["dij_steps"] == 0 for r in stuck)
+    else:
+        model.head_w[...], model.head_b[...] = 0.0, 0.0
+        model.save(ckpt)
+        assert run(argv) == 0
+        assert json.loads(report.read_text())["records"] == records
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(["graph", "synth", "--rows", "3", "--cols", "3", "--seed", "1",

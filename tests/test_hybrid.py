@@ -322,6 +322,39 @@ def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
     assert str(path) in str(info.value)
 
 
+def test_masked_choice_takes_only_real_blocks_and_stops_a_row_without_one():
+    """Logits of +/-inf, NaN and +/-1e308 at real and masked blocks: the rule never
+    takes a masked block, gives -1 to the row without a real block alone, and
+    ``agreement`` counts that row as a miss whatever its label."""
+    inf, nan, big = np.inf, np.nan, 1e308
+    mask = np.array([[1, 1, 0, 0, 0],    # every real logit -inf: the first real block
+                     [1, 1, 1, 0, 0],    # NaN wins, as in argmax
+                     [1, 1, 0, 0, 0],    # both far below -1e30
+                     [0, 0, 0, 0, 0],    # no real block: stop
+                     [1, 1, 1, 1, 1],
+                     [0, 1, 0, 1, 0],
+                     [0, 0, 0, 1, 0]], bool)
+    logits = np.array([[-inf, -inf, inf, nan, big],
+                       [1.0, nan, 2.0, inf, inf],
+                       [-big, -big / 2, big, inf, nan],
+                       [big, inf, nan, 0.0, -inf],
+                       [big, inf, -big, -inf, 0.0],
+                       [inf, -inf, inf, -big, nan],
+                       [inf, inf, inf, -inf, inf]])
+    choice = hy.masked_choice(logits, mask)
+    assert choice.tolist() == [0, 1, 1, -1, 1, 3, 3]
+    rng = np.random.default_rng(0)  # and on random rows of the same values
+    mask = rng.random((500, 5)) < 0.4
+    logits = rng.choice([inf, -inf, nan, big, -big, 0.0, 1.0], (500, 5))
+    choice = hy.masked_choice(logits, mask)
+    stops = mask.sum(axis=1) == 0
+    assert stops.any() and np.array_equal(choice == -1, stops)
+    assert mask[~stops, choice[~stops]].all()
+    for label in range(5):
+        y = np.where(stops, label, choice)
+        assert hy.agreement(logits, y, mask) == (~stops).mean()
+
+
 def test_rollout_on_forced_line(line3):
     sc = scenario_for(line3, start=0, exit_=2)
     model = hy.HybridModel(seed=0)  # untrained; the path is forced anyway

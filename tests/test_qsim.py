@@ -476,6 +476,31 @@ def _section_gates(kernel):
             (kernel.tail_gates[len(bridge):], f, m))
 
 
+def test_kernel_outputs_are_a_plus_p_odd_times_b_minus_a():
+    """The bridge flips the main register by 11111 when the film parity is odd, so
+    each output is a + P_odd * (b - a): P_odd is the film section's odd-parity
+    probability, and a and b are the generic engine's Z read-outs of the main and
+    final gates with the main register unflipped and flipped (by an RX(pi) on
+    each main qubit: X up to a global phase)."""
+    rng = np.random.default_rng(31)
+    kernel, cfg = qs.ModelKernel(), qs.ModelConfig()
+    params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+    x = rng.uniform(0, 1, (16, 36))
+    film = qs.probabilities(qs.run(_film_circuit(), params[:cfg.n_film_params], x))
+    p_odd = film[:, 0b01] + film[:, 0b10]
+    _, (main_gates, f, m), (final, _, _) = _section_gates(kernel)
+    main = tuple(range(f, f + m))
+    rest, n_main = params[cfg.n_film_params:], cfg.n_main_params
+    flipped = np.concatenate([rest[:n_main], np.full(m, np.pi), rest[n_main:]])
+    a, b = (qs.measured_expectations(circ, qs.run(circ, p, x)) for circ, p in [
+        (qs.Circuit(7, main_gates + final, 36, main), rest),
+        (qs.Circuit(7, main_gates + tuple(qs.Rot("x", q) for q in main) + final, 36, main),
+         flipped)])
+    got = kernel.expectations(params, x[:, :34], x[:, 34:])
+    assert np.abs(got - (a + p_odd[:, None] * (b - a))).max() < 1e-12
+    assert np.ptp(p_odd) > 0.01 and np.abs(b - a).max() > 0.1  # neither term vanishes
+
+
 def test_kernel_blocks_match_dense_oracle_of_their_gate_runs():
     """Each compiled block of the film, main and final sections equals the dense
     product of its run of RX and CNOT gates."""
