@@ -145,11 +145,12 @@ class FisherResult:
 _BRIDGE = [0, 1, 3, 2, 3, 2, 0, 1]
 
 
-def _prob_grad(film: Circuit, main: Circuit, thetas, xs):
+def _prob_grad(film: Circuit, main: Circuit, thetas, xs, include_main: bool = True):
     """What ``qsim.prob_grad(build_mini_circuit(config), thetas[:, None], xs)``
     returns, from the two sections ``_sections(config)``: parameters (R, P) and
     features (R, n_x, 4) give the eight basis probabilities (R, n_x, 8) and
-    their Jacobian (P, R, n_x, 8).
+    their Jacobian (P, R, n_x, 8); without ``include_main``, only the Jacobian's
+    epicenter-section rows, and the main qubit's probabilities come from ``run``.
 
     The distribution factorizes at the bridge: its CNOTs flip the main qubit
     when the film parity a xor b is 1, and no other gate joins the sections,
@@ -161,12 +162,15 @@ def _prob_grad(film: Circuit, main: Circuit, thetas, xs):
     # the main qubit's rows (realization, feature row, parity s)
     main_theta = np.repeat(thetas[:, None, None, film.n_params:], 2, axis=2)
     main_theta[..., 1, -1] *= -1
-    main_p, main_dp = qsim.prob_grad(main, main_theta, xs[:, :, None])
-    main_dp[-1, ..., 1, :] *= -1  # at parity 1 the final rotation turns by minus its angle
+    if include_main:
+        main_p, main_dp = qsim.prob_grad(main, main_theta, xs[:, :, None])
+        main_dp[-1, ..., 1, :] *= -1  # at parity 1 the final rotation turns by minus its angle
+        dq = main_dp.reshape(main_dp.shape[:3] + (4,))[..., _BRIDGE]
+    else:
+        main_p = qsim.probabilities(qsim.run(main, main_theta, xs[:, :, None]))
     q = main_p.reshape(xs.shape[:2] + (4,))[..., _BRIDGE]
-    dq = main_dp.reshape(main_dp.shape[:3] + (4,))[..., _BRIDGE]
     film_p, film_dp = (np.repeat(a, 2, -1) for a in (film_p, film_dp))  # P(a, b) per (a, b, c)
-    return film_p * q, np.concatenate([film_dp * q, film_p * dq])
+    return film_p * q, np.concatenate([film_dp * q, film_p * dq]) if include_main else film_dp * q
 
 
 def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Generator,
@@ -178,7 +182,8 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     gradients. Averaged over uniform parameter realizations. The distribution
     factorizes at the bridge, so a chunk of realizations is one ``prob_grad``
     of the two-qubit epicenter section and one of the one-qubit main section
-    (``_prob_grad``); the epicenter section's basis costates, the largest
+    (``_prob_grad``), a ``run`` of it if the matrix leaves its parameters out;
+    the epicenter section's basis costates, the largest
     array, hold at most about ``RUN_AMPLITUDES`` amplitudes (one realization
     if it alone is larger). By default the matrix covers the epicenter-section
     parameters only (include_main adds the four main-qubit parameters).
@@ -187,7 +192,6 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
         raise ValueError("sample counts must be at least 1")
     sections = _sections(config)
     n_all = sum(c.n_params for c in sections)
-    n_params = n_all if include_main else config.n_film_params
     draws = [(rng.uniform(0.0, 2 * np.pi, n_all), rng.normal(0.0, 1.0, (n_x, 4)))
              for _ in range(n_theta)]  # theta, then x, realization by realization
     thetas, xs = (np.stack(d) for d in zip(*draws))
@@ -196,10 +200,11 @@ def fisher_matrix(config: MiniConfig, n_x: int, n_theta: int, rng: np.random.Gen
     per_real: list[np.ndarray] = []
     clamped = 0
     for i in range(0, n_theta, step):
-        chunk_probs, chunk_dprobs = _prob_grad(*sections, thetas[i:i + step], xs[i:i + step])
+        chunk_probs, chunk_dprobs = _prob_grad(*sections, thetas[i:i + step], xs[i:i + step],
+                                               include_main)
         # (realizations, parameters, n_x, 8), C-ordered: each realization's block has
         # one layout whatever the chunk, which einsum's sums follow
-        chunk_dprobs = np.moveaxis(chunk_dprobs[:n_params], 1, 0).copy()
+        chunk_dprobs = np.moveaxis(chunk_dprobs, 1, 0).copy()
         for probs, dprobs in zip(chunk_probs, chunk_dprobs):
             clamped += int((probs < 1e-12).sum())
             floor = np.maximum(probs, 1e-12)

@@ -68,8 +68,13 @@ def check_layout(key: str, value, layout):
     elif isinstance(layout, (list, tuple)):
         exact = isinstance(layout, tuple)
         if isinstance(value, list) and (not exact or len(value) == len(layout)):
-            for i, item in enumerate(value):
-                check_layout(f"{key}[{i}]", item, layout[i if exact else 0])
+            # a kind-named item is checked here, not by a call per value
+            for i, (item, part) in enumerate(zip(value, layout if exact else layout * len(value))):
+                kind = _KINDS.get(part) if isinstance(part, str) else None
+                if kind is None:
+                    check_layout(f"{key}[{i}]", item, part)
+                elif not (type(item) in kind[0] and kind[1] <= item <= kind[2]):
+                    raise ValueError(f"{key}[{i}] is {item!r}, not {part}")
             return value
         problem = f"is not a {f'length-{len(layout)} ' if exact else ''}JSON list"
     elif value == layout:

@@ -62,10 +62,18 @@ class HybridModel:
         self.model_config = qsim.ModelConfig()
         self.classical = neural.ClassicalFilmNet(seed=int(rng.integers(2**32)))
         self.quantum_params = rng.uniform(-np.pi, np.pi, self.model_config.n_params)
-        self.head_w = neural.kaiming_uniform(rng, (N_OUT, 2 * N_OUT), 2 * N_OUT)
+        head_w = neural.kaiming_uniform(rng, (N_OUT, 2 * N_OUT), 2 * N_OUT)
         if classical_only:
-            self.head_w[:, N_OUT:] = 0.0
-        self.head_b = np.zeros(N_OUT)
+            head_w[:, N_OUT:] = 0.0
+        # the classical optimizer group: one vector, of which the net's arrays and
+        # then the head's are views, so that one adam_step updates them all
+        arrays = {**self.classical.params, "head_w": head_w, "head_b": np.zeros(N_OUT)}
+        self.classical_group = np.concatenate([a.ravel() for a in arrays.values()])
+        ends = np.cumsum([a.size for a in arrays.values()]).tolist()
+        views = {key: self.classical_group[end - a.size:end].reshape(a.shape)
+                 for (key, a), end in zip(arrays.items(), ends)}
+        self.head_w, self.head_b = views.pop("head_w"), views.pop("head_b")
+        self.classical.params = views
         self._kernel = None
         self._branches = None
 
@@ -90,10 +98,12 @@ class HybridModel:
         q_out = (np.zeros_like(c_out) if self.classical_only
                  else self.kernel.expectations(self.quantum_params, main, epi))
         self._branches = np.concatenate([c_out, q_out], axis=1)
-        return self._branches @ self.head_w.T + self.head_b
+        return neural.dense(self._branches, self.head_w, self.head_b)
 
     def loss_grads(self, features, labels, mask, rng: np.random.Generator | None = None):
-        """Loss and gradients of every parameter group; an ``rng`` turns on dropout."""
+        """Loss, the gradients of every parameter group, and the rows' dropout-free
+        logits, bit for bit a ``forward`` without ``rng`` (which turns on dropout),
+        from the classical net's ``rescore`` and this forward's quantum outputs."""
         main, epi = self.split_inputs(features)
         logits = self.forward(features, rng=rng)
         loss, dlogits = cross_entropy(logits, labels, mask)
@@ -103,7 +113,9 @@ class HybridModel:
         # classical-only, the quantum outputs are zeros: so is the head's gradient there
         quantum_grad = (np.zeros_like(self.quantum_params) if self.classical_only else
                         self.kernel.grad(self.quantum_params, main, epi, dboth[:, N_OUT:]))
-        return loss, classical_grads, head_grads, quantum_grad
+        self._branches[:, :N_OUT] = self.classical.rescore()
+        return (loss, classical_grads, head_grads, quantum_grad,
+                neural.dense(self._branches, self.head_w, self.head_b))
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -157,9 +169,10 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
     the initialization all derive from it. The classical learning rate follows
     the linear epoch schedule; the quantum rate stays constant. A non-finite
     train or validation loss stops training with a ValueError. ``train_agreement``
-    scores each step's rows with a dropout-free ``forward`` before their update
-    (the kernel's kept forward serves it, so the circuit runs once per step),
-    so it lags the epoch's end.
+    scores each step's rows before their update with the dropout-free logits of
+    ``loss_grads`` (from the step's first layer and circuit run), so it lags the
+    epoch's end. ``classical_group`` and the quantum parameters are one
+    ``adam_step`` each.
     """
     if len(dataset) == 0:
         raise ValueError("training needs a non-empty dataset")
@@ -183,14 +196,13 @@ def train(dataset: feat.Dataset, config: TrainConfig = TrainConfig()):
         losses, scores = [], np.empty((n, N_OUT))  # each row's dropout-free logits at its step
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
-            loss, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
+            loss, cg, hg, qg, scores[idx] = model.loss_grads(x[idx], y[idx], m[idx],
+                                                              rng=dropout_rng)
             losses.append(loss)
-            scores[idx] = model.forward(x[idx])
-            group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
-            adam_step(group, {**cg, **hg}, opt_classical, lr=CLASSICAL_LR * factor)
+            group_grad = np.concatenate([g.ravel() for g in (*cg.values(), *hg.values())])
+            adam_step(model.classical_group, group_grad, opt_classical, lr=CLASSICAL_LR * factor)
             if not config.classical_only:
-                adam_step({"quantum": model.quantum_params},
-                          {"quantum": qg}, opt_quantum, lr=QUANTUM_LR)
+                adam_step(model.quantum_params, qg, opt_quantum, lr=QUANTUM_LR)
         row = {"epoch": epoch, "lr_factor": factor,
                "train_loss": float(np.mean(losses)),
                "train_agreement": agreement(scores, y, m)}

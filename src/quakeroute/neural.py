@@ -3,12 +3,14 @@
 A 34->100->100->5 ReLU stack with dropout ``DROPOUT``; the penultimate
 activation is scaled and shifted element-wise by two dense maps of the
 epicenter coordinates. Gradients are exact hand-rolled backprop, checked
-against finite differences in the tests.
+against finite differences in the tests. No mask touches the first layer or
+the FiLM maps, so ``rescore`` gives a dropout forward's rows their dropout-free
+logits from its first layer. ``adam_step`` updates one flat vector per group.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +41,13 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, shape)
 
 
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w.T + b``, the bias added in place."""
+    z = x @ w.T
+    z += b
+    return z
+
+
 class ClassicalFilmNet:
     """Dense stack modulated by epicenter-conditioned scale and shift."""
 
@@ -62,7 +71,7 @@ class ClassicalFilmNet:
     def forward(self, x: np.ndarray, epi: np.ndarray,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Logits of shape (B, 5). Dropout draws its masks from ``rng``; without
-        one the masks are 1.0, and ``x * 1.0`` is exact."""
+        one the masks are 1.0 and the masked activations are the unmasked ones."""
         x = np.atleast_2d(np.asarray(x, float))
         epi = np.atleast_2d(np.asarray(epi, float))
         if x.shape[1] != N_MAIN or epi.shape[1] != N_EPI:
@@ -70,24 +79,37 @@ class ClassicalFilmNet:
                 f"expected inputs ({N_MAIN}, {N_EPI}), "
                 f"got ({x.shape[1]}, {epi.shape[1]})")
         p = self.params
-        z1 = x @ p["w1"].T + p["b1"]
-        h1 = np.maximum(z1, 0.0)
-        m1 = 1.0 if rng is None else (rng.random(h1.shape) >= DROPOUT) / (1.0 - DROPOUT)
-        h1d = h1 * m1
-        z2 = h1d @ p["w2"].T + p["b2"]
-        h2 = np.maximum(z2, 0.0)
-        gamma = epi @ p["film_scale_w"].T + p["film_scale_b"]
-        beta = epi @ p["film_shift_w"].T + p["film_shift_b"]
-        h2m = gamma * h2 + beta
-        m2 = 1.0 if rng is None else (rng.random(h2m.shape) >= DROPOUT) / (1.0 - DROPOUT)
-        h2d = h2m * m2
-        logits = h2d @ p["w3"].T + p["b3"]
-        self._cache = dict(x=x, epi=epi, z1=z1, h1=h1, m1=m1, h1d=h1d, z2=z2,
-                           h2=h2, gamma=gamma, h2m=h2m, m2=m2, h2d=h2d)
+        logits, self._cache = self._top(dict(
+            x=x, epi=epi, h1=np.maximum(dense(x, p["w1"], p["b1"]), 0.0),
+            gamma=dense(epi, p["film_scale_w"], p["film_scale_b"]),
+            beta=dense(epi, p["film_shift_w"], p["film_shift_b"])), rng)
         return logits
 
+    def rescore(self) -> np.ndarray:
+        """The last forward's rows' dropout-free logits, bit for bit: layers 2 and
+        3 rerun without masks on its first layer and FiLM maps, which no mask
+        touches. The cache, which ``backward`` reads, stays the forward's."""
+        if self._cache is None:
+            raise StateError("forward() must run before rescore()")
+        return self._top(self._cache, None)[0]
+
+    def _top(self, c: dict, rng) -> tuple[np.ndarray, dict]:
+        """Layers 2 and 3 on the first layer and FiLM maps in ``c``, masks drawn
+        from ``rng`` (m1, then m2): the logits, and ``c`` with these layers."""
+        p = self.params
+        m1 = 1.0 if rng is None else (rng.random(c["h1"].shape) >= DROPOUT) / (1.0 - DROPOUT)
+        h1d = c["h1"] if rng is None else c["h1"] * m1
+        h2 = np.maximum(dense(h1d, p["w2"], p["b2"]), 0.0)
+        h2m = c["gamma"] * h2
+        h2m += c["beta"]
+        m2 = 1.0 if rng is None else (rng.random(h2m.shape) >= DROPOUT) / (1.0 - DROPOUT)
+        h2d = h2m if rng is None else h2m * m2
+        logits = dense(h2d, p["w3"], p["b3"])
+        return logits, dict(c, m1=m1, h1d=h1d, h2=h2, h2m=h2m, m2=m2, h2d=h2d)
+
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients for every parameter given d(loss)/d(logits)."""
+        """Exact gradients for every parameter given d(loss)/d(logits) of the last
+        ``forward``, keyed and ordered as ``params``."""
         if self._cache is None:
             raise StateError("forward() must run before backward()")
         c = self._cache
@@ -105,15 +127,15 @@ class ClassicalFilmNet:
         grads["film_shift_w"] = dbeta.T @ c["epi"]
         grads["film_shift_b"] = dbeta.sum(axis=0)
         dh2 = dh2m * c["gamma"]
-        dz2 = dh2 * (c["z2"] > 0)
+        dz2 = dh2 * (c["h2"] > 0)  # a ReLU's output is positive where its input is
         grads["w2"] = dz2.T @ c["h1d"]
         grads["b2"] = dz2.sum(axis=0)
         dh1d = dz2 @ p["w2"]
         dh1 = dh1d * c["m1"]
-        dz1 = dh1 * (c["z1"] > 0)
+        dz1 = dh1 * (c["h1"] > 0)
         grads["w1"] = dz1.T @ c["x"]
         grads["b1"] = dz1.sum(axis=0)
-        return grads
+        return {key: grads[key] for key in p}  # in the order of params
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
@@ -145,29 +167,27 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators of one parameter vector."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One Adam update with decoupled weight decay ``WEIGHT_DECAY``, in place."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update of the vector ``params`` with decoupled weight decay
+    ``WEIGHT_DECAY``, in place: elementwise, so a group of arrays updates as one
+    vector of which they are views, the same as array by array."""
     state.step += 1
     t = state.step
     d1, d2 = ADAM_DECAY
-    for key, g in grads.items():
-        if key not in state.m:
-            state.m[key] = np.zeros_like(params[key])
-            state.v[key] = np.zeros_like(params[key])
-        m = state.m[key]
-        v = state.v[key]
-        m += (1 - d1) * (g - m)
-        v += (1 - d2) * (g * g - v)
-        mhat = m / (1 - d1 ** t)
-        vhat = v / (1 - d2 ** t)
-        params[key] -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * params[key])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    state.m += (1 - d1) * (grad - state.m)
+    state.v += (1 - d2) * (grad * grad - state.v)
+    mhat = state.m / (1 - d1 ** t)
+    vhat = state.v / (1 - d2 ** t)
+    params -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * params)
 
 
 def lr_schedule(epoch: float, n_epochs: int) -> float:

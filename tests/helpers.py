@@ -2,9 +2,9 @@
 Dijkstra with the scalar next-slot rule, brute-force path search, the
 list-based city generator, a pure-Python replay of the weight dynamics, a
 scalar feature builder, a dense-matrix circuit simulator, parameter-shift
-probability gradients, a layer-by-layer kernel with the joint-state tail and
-a step-by-step replay of training. These deliberately avoid the package's own
-fast paths and its arc table."""
+probability gradients, a layer-by-layer kernel with the joint-state tail,
+an array-by-array Adam update and a step-by-step replay of training. These
+deliberately avoid the package's own fast paths and its arc table."""
 from __future__ import annotations
 
 import heapq
@@ -608,18 +608,36 @@ class BlockwiseKernel(ModelKernel):
 # Step-by-step replay of training
 
 
+def keyed_adam_step(params: dict, grads: dict, state: dict, lr: float) -> None:
+    """One Adam update array by array, in place: ``state`` holds a step count
+    and each key's moments. ``neural.adam_step`` updates one flat vector."""
+    state["step"] = t = state.get("step", 0) + 1
+    d1, d2 = neural.ADAM_DECAY
+    for key, g in grads.items():
+        if key not in state:
+            state[key] = (np.zeros_like(params[key]), np.zeros_like(params[key]))
+        m, v = state[key]
+        m += (1 - d1) * (g - m)
+        v += (1 - d2) * (g * g - v)
+        mhat = m / (1 - d1 ** t)
+        vhat = v / (1 - d2 ** t)
+        params[key] -= lr * (mhat / (np.sqrt(vhat) + neural.ADAM_EPS)
+                             + neural.WEIGHT_DECAY * params[key])
+
+
 def replay_train(dataset, config):
-    """``hybrid.train``'s split, shuffles, dropout and updates, step by step.
-    Before each update it scores the step's rows with a full eval-mode
-    ``model.forward`` (kernel included) and counts the masked-argmax matches
-    one row at a time. Returns the model, each epoch's share of matches over
-    its steps, and each epoch's agreement over all training rows at its end."""
+    """``hybrid.train``'s split, shuffles, dropout and updates, step by step,
+    with ``keyed_adam_step`` on the model's arrays. Before each update it scores
+    the step's rows with a full eval-mode ``model.forward`` (kernel included)
+    and counts the masked-argmax matches one row at a time. Returns the model,
+    each epoch's share of matches over its steps, and each epoch's agreement
+    over all training rows at its end."""
     train_ds, _ = dataset.split(config.val_fraction, seed=config.seed)
     model = hybrid.HybridModel(seed=config.seed, classical_only=config.classical_only)
     x, y, m = train_ds.feature_matrix(), train_ds.labels(), features.block_mask(train_ds.features)
     shuffle_rng, dropout_rng = [np.random.default_rng(s)
                                 for s in np.random.SeedSequence(config.seed).spawn(2)]
-    opt_classical, opt_quantum = neural.AdamState(), neural.AdamState()
+    opt_classical, opt_quantum = {}, {}
     n = len(x)
     batch = min(config.batch_size, n)
     stepwise, at_end = [], []
@@ -629,15 +647,14 @@ def replay_train(dataset, config):
         hits = 0
         for lo in range(0, n, batch):
             idx = perm[lo:lo + batch]
-            _, cg, hg, qg = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
+            _, cg, hg, qg, _ = model.loss_grads(x[idx], y[idx], m[idx], rng=dropout_rng)
             for logits, mask, label in zip(model.forward(x[idx]), m[idx], y[idx]):
                 hits += int(np.argmax(np.where(mask, logits, -np.inf)) == label)
             group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
-            neural.adam_step(group, {**cg, **hg}, opt_classical,
-                             lr=hybrid.CLASSICAL_LR * factor)
+            keyed_adam_step(group, {**cg, **hg}, opt_classical, lr=hybrid.CLASSICAL_LR * factor)
             if not config.classical_only:
-                neural.adam_step({"quantum": model.quantum_params}, {"quantum": qg},
-                                 opt_quantum, lr=hybrid.QUANTUM_LR)
+                keyed_adam_step({"quantum": model.quantum_params}, {"quantum": qg},
+                                opt_quantum, lr=hybrid.QUANTUM_LR)
         stepwise.append(hits / n)
         logits = np.where(m, model.forward(x), -np.inf)
         at_end.append(sum(int(np.argmax(row) == label) for row, label in zip(logits, y)) / n)

@@ -225,8 +225,25 @@ def test_fisher_sweep_is_one_prob_grad_per_chunk(monkeypatch):
     assert [args[0].n_qubits for args in grads] == [2, 1]
     grads.clear()
     monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 80)
-    an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
+    an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4), include_main=True)
     assert [args[0].n_qubits for args in grads] == [2, 1, 2, 1] and not runs
+
+
+def test_film_only_fisher_runs_no_main_section_prob_grad(monkeypatch):
+    """Without ``include_main`` a chunk is one ``prob_grad`` of the epicenter
+    section and one ``run`` of the main section, whose Jacobian the matrix
+    leaves out; the matrix is the full one's film block."""
+    config = an.MiniConfig(sublayers=2, reuploads=3)
+    full = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4),
+                            include_main=True)
+    runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
+    monkeypatch.setattr(an, "RUN_AMPLITUDES", 2 * 80)
+    film = an.fisher_matrix(config, n_x=5, n_theta=4, rng=np.random.default_rng(4))
+    assert [args[0].n_qubits for args in grads] == [2, 2]
+    assert [args[0].n_qubits for args in runs] == [1, 1]
+    n = config.n_film_params
+    assert np.abs(film.matrix - full.matrix[:n, :n]).max() < 1e-14 * np.abs(film.matrix).max()
+    assert film.clamped == full.clamped
 
 
 def test_fourier_tables_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -246,7 +263,11 @@ def test_fisher_sweep_does_not_depend_on_the_chunk_size(monkeypatch, include_mai
     runs, grads = _count_calls(monkeypatch), _count_calls(monkeypatch, "prob_grad")
     monkeypatch.setattr(an, "RUN_AMPLITUDES", 3 * 80)
     chunked = an.fisher_matrix(config, 5, 7, _ZeroEveryOtherTheta(8), include_main=include_main)
-    assert [len(args[1]) for args in grads] == [3, 3, 3, 3, 1, 1] and not runs  # realizations
+    # realizations per call; a film-only chunk runs the main section without its gradient
+    if include_main:
+        assert [len(args[1]) for args in grads] == [3, 3, 3, 3, 1, 1] and not runs
+    else:
+        assert [len(args[1]) for args in grads] == [len(args[1]) for args in runs] == [3, 3, 1]
     assert whole.clamped > 0 and chunked.clamped == whole.clamped
     assert chunked.matrix.tobytes() == whole.matrix.tobytes()
     assert len(chunked.per_realization) == len(whole.per_realization) == 7

@@ -27,8 +27,7 @@ def test_kernel_recompiles_on_new_parameter_values(tmp_path):
     feats, epi = rng.uniform(0, 1, (3, 34)), rng.uniform(0, 1, (3, 2))
     model = hy.HybridModel(seed=3)
     before = model.kernel.expectations(model.quantum_params, feats, epi)
-    nn.adam_step({"quantum": model.quantum_params}, {"quantum": rng.normal(size=228)},
-                 nn.AdamState(), lr=0.1)
+    nn.adam_step(model.quantum_params, rng.normal(size=228), nn.AdamState(), lr=0.1)
     after = model.kernel.expectations(model.quantum_params, feats, epi)
     assert not np.allclose(after, before)
     fresh = qs.ModelKernel().expectations(model.quantum_params, feats, epi)
@@ -64,8 +63,7 @@ def test_grad_after_a_forward_equals_a_fresh_kernel(change):
     model = hy.HybridModel(seed=5)
     model.kernel.expectations(model.quantum_params, feats, epi)
     if change == "params":
-        nn.adam_step({"quantum": model.quantum_params}, {"quantum": rng.normal(size=228)},
-                     nn.AdamState(), lr=0.1)
+        nn.adam_step(model.quantum_params, rng.normal(size=228), nn.AdamState(), lr=0.1)
     elif change == "features":
         feats = rng.uniform(0, 1, feats.shape)
     got = model.kernel.grad(model.quantum_params, feats, epi, upstream)
@@ -127,6 +125,23 @@ def test_train_agreement_scores_each_step_before_its_update(classical_only):
 
 
 @pytest.mark.parametrize("classical_only", [False, True])
+def test_step_scores_are_a_fresh_forward_bit_for_bit(classical_only):
+    """The dropout-free logits that ``loss_grads`` returns, which ``train`` scores
+    each step with, are bit for bit a dropout-free ``forward`` of a copy of the
+    model at the same parameters, with a kernel of its own: after training
+    steps, with dropout on."""
+    _, ds = _tiny_dataset()
+    model, _ = hy.train(ds, hy.TrainConfig(epochs=2, batch_size=16, seed=3,
+                                           classical_only=classical_only))
+    copy = hy.HybridModel(seed=0, classical_only=classical_only)
+    for key, a in copy._arrays().items():
+        a[...] = model._arrays()[key]
+    x, y, m = ds.feature_matrix()[:40], ds.labels()[:40], ft.block_mask(ds.features[:40])
+    *_, scores = model.loss_grads(x, y, m, rng=np.random.default_rng(4))
+    assert np.array_equal(scores, copy.forward(x))
+
+
+@pytest.mark.parametrize("classical_only", [False, True])
 def test_one_step_epochs_score_the_previous_epochs_end(classical_only):
     """With one step per epoch, ``train_agreement`` reads the parameters that the
     previous epoch ended with: the first epoch scores the initial model."""
@@ -184,8 +199,8 @@ def test_classical_only_ablation():
     model = hy.HybridModel(seed=4, classical_only=True)
     assert np.allclose(model.head_w[:, 5:], 0.0)
     feats = np.random.default_rng(3).uniform(0, 1, (3, 36))
-    _, cg, hg, qg = model.loss_grads(feats, np.zeros(3, int),
-                                     np.ones((3, 5), bool))
+    _, cg, hg, qg, _ = model.loss_grads(feats, np.zeros(3, int),
+                                        np.ones((3, 5), bool))
     assert np.allclose(qg, 0.0)
     assert np.allclose(hg["head_w"][:, 5:], 0.0)
 
@@ -202,7 +217,7 @@ def test_loss_at_zeroed_head_is_masked_uniform():
     for i, k in enumerate(n_valid):
         masks[i, :k] = True
         labels[i] = rng.integers(0, k)
-    loss, _, _, _ = model.loss_grads(feats, labels, masks)
+    loss, *_ = model.loss_grads(feats, labels, masks)
     assert loss == pytest.approx(np.mean(np.log(n_valid)), abs=1e-9)
 
 
@@ -212,7 +227,7 @@ def test_hybrid_gradients_match_finite_differences():
     feats = rng.uniform(0, 1, (4, 36))
     labels = rng.integers(0, 5, 4)
     mask = np.ones((4, 5), bool)
-    loss, cg, hg, qg = model.loss_grads(feats, labels, mask)
+    loss, cg, hg, qg, _ = model.loss_grads(feats, labels, mask)
 
     def loss_now():
         return nn.cross_entropy(model.forward(feats), labels, mask)[0]
@@ -320,6 +335,19 @@ def test_checkpoint_load_rejects_partial_or_misshaped(tmp_path, edit):
     with pytest.raises(ValueError) as info:
         hy.HybridModel.load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda doc: doc["params"]["classical.w1"]["data"].__setitem__(17, float("nan")),
+     "params.classical.w1.data[17] is nan, not a finite float"),
+    (lambda doc: doc["params"]["classical.w1"]["data"].pop(),
+     "params.classical.w1.data is not a length-3400 JSON list"),
+])
+def test_checkpoint_load_names_the_bad_value(tmp_path, edit, problem):
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError) as info:
+        hy.HybridModel.load(path)
+    assert str(info.value) == f"{path}: {problem}"
 
 
 def test_masked_choice_takes_only_real_blocks_and_stops_a_row_without_one():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import quakeroute.hybrid as hy
 import quakeroute.neural as nn
+from helpers import keyed_adam_step
 
 
 def _net(seed=0):
@@ -102,6 +104,27 @@ def test_dropout_off_deterministic_on_unbiased():
     assert (np.abs(h2_gaps.mean(axis=0)) < 3 * se2 + 1e-9).all()
 
 
+def test_rescore_is_a_dropout_free_forward_bit_for_bit():
+    """After a dropout forward, ``rescore`` gives the rows the logits of a
+    forward without an rng at the same parameters, and ``backward`` still reads
+    the dropout forward."""
+    rng = np.random.default_rng(31)
+    x, epi = rng.normal(size=(9, 34)), rng.normal(size=(9, 2))
+    net, twin = _net(3), _net(3)
+    with pytest.raises(nn.StateError):
+        net.rescore()
+    dropped = net.forward(x, epi, rng=np.random.default_rng(5))
+    assert np.array_equal(twin.forward(x, epi, rng=np.random.default_rng(5)), dropped)
+    want = _net(3).forward(x, epi)
+    assert not np.array_equal(dropped, want)
+    assert np.array_equal(net.rescore(), want)
+    dlogits = rng.normal(size=(9, 5))
+    got = net.backward(dlogits)
+    assert list(got) == list(net.params)
+    for key, g in twin.backward(dlogits).items():
+        assert np.array_equal(got[key], g)
+
+
 def test_cross_entropy_values():
     every = np.ones((1, 5), bool)
     loss, _ = nn.cross_entropy(np.zeros((1, 5)), [0], every)
@@ -138,23 +161,47 @@ def test_cross_entropy_grad_matches_fd():
 
 def test_adam_step_behaviour(monkeypatch):
     monkeypatch.setattr(nn, "WEIGHT_DECAY", 0.0)
-    params = {"w": np.array([1.0, -2.0])}
-    state = nn.AdamState()
-    nn.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.allclose(params["w"], [1.0, -2.0])
-    params = {"w": np.array([0.0])}
-    state = nn.AdamState()
-    nn.adam_step(params, {"w": np.array([3.0])}, state, lr=1e-3)
+    params = np.array([1.0, -2.0])
+    nn.adam_step(params, np.zeros(2), nn.AdamState(), lr=0.1)
+    assert np.allclose(params, [1.0, -2.0])
+    params = np.array([0.0])
+    nn.adam_step(params, np.array([3.0]), nn.AdamState(), lr=1e-3)
     # first Adam step moves by ~lr regardless of gradient scale
-    assert abs(params["w"][0]) == pytest.approx(1e-3, rel=1e-6)
+    assert abs(params[0]) == pytest.approx(1e-3, rel=1e-6)
     monkeypatch.undo()  # weight decay on again
-    a = {"w": np.array([0.5])}
-    b = {"w": np.array([0.5])}
+    a, b = np.array([0.5]), np.array([0.5])
     sa, sb = nn.AdamState(), nn.AdamState()
     for _ in range(5):
-        nn.adam_step(a, {"w": np.array([0.2])}, sa, lr=1e-2)
-        nn.adam_step(b, {"w": np.array([0.2])}, sb, lr=1e-2)
-    assert np.array_equal(a["w"], b["w"])
+        nn.adam_step(a, np.array([0.2]), sa, lr=1e-2)
+        nn.adam_step(b, np.array([0.2]), sb, lr=1e-2)
+    assert np.array_equal(a, b)
+
+
+def test_flat_adam_matches_the_array_by_array_update_bit_for_bit():
+    """One update of a model's classical group, the flat vector of which its
+    classical and head arrays are views, moves each array as the reference's
+    update of that array does, bit for bit over six steps with weight decay,
+    zero gradients and zero parameters (the biases start at zero) among them."""
+    model, rng = hy.HybridModel(seed=32), np.random.default_rng(32)
+    group = {**model.classical.params, "head_w": model.head_w, "head_b": model.head_b}
+    assert all(np.shares_memory(model.classical_group, a) for a in group.values())
+    assert model.classical_group.size == sum(a.size for a in group.values()) == 14760
+    assert not group["b1"].any()
+    reference = {key: a.copy() for key, a in group.items()}
+    state, keyed = nn.AdamState(), {}
+    for step in range(6):
+        grads = {key: rng.normal(size=a.shape) for key, a in group.items()}
+        grads["b2"][:] = 0.0
+        grads["w2"][step] = 0.0
+        lr = 1e-2 / (step + 1)
+        nn.adam_step(model.classical_group, np.concatenate([g.ravel() for g in grads.values()]),
+                     state, lr)
+        keyed_adam_step(reference, grads, keyed, lr)
+        for key, a in group.items():
+            assert np.array_equal(a, reference[key]), (step, key)
+    assert state.step == keyed["step"] == 6
+    # a zero parameter with zero gradients stays zero; one with gradients moves
+    assert not group["b2"].any() and group["b1"].all()
 
 
 def test_lr_schedule():
